@@ -162,9 +162,6 @@ class SignedPermutation:
     def n(self) -> int:
         return sum(len(c) for c in self.circles)
 
-    def positive_count(self) -> int:
-        return sum(1 for c in self.circles for lab in c if lab > 0)
-
 
 # ---------------------------------------------------------------------------
 # transition structure
@@ -305,10 +302,7 @@ def path_probability(kind: ChainKind, word, n: int | None = None,
             for i in range(2, n + 1):
                 c = kind.thetaseq.coin_prob(i)
                 prob *= c if word[i - 1] == 1 else 1.0 - c
-            if method == "product":
-                return prob
-            if method == "auto":
-                return prob
+            return prob
         if method == "closed_form":
             t = kind.thetaseq
             log_p = math.lgamma(n) - t.bracket_product_log(n) + math.log(t.theta1)
@@ -340,6 +334,21 @@ def path_probability(kind: ChainKind, word, n: int | None = None,
     raise ValueError(f"unsupported kind {kind.tag}")
 
 
+def marginals(p: PSequence, n: int) -> list:
+    """P(value at index i is 1) at horizon n, as a list indexed by i.
+
+    A 1 at index i needs a 0 at i+1 and then a 1 from the coin with
+    probability q_i, so m_i = q_i (1 - m_{i+1}), started from the virtual
+    m_{n+1} = 1; m_n = 0 because index n always follows that virtual 1.
+    Entry 0 is unused (0.0) and entry n+1 is the virtual 1.
+    """
+    m = [0.0] * (n + 2)
+    m[n + 1] = 1.0
+    for i in range(n - 1, 0, -1):
+        m[i] = p.q(i) * (1.0 - m[i + 1])
+    return m
+
+
 def marginal_one(kind: ChainKind, i: int, horizon) -> float:
     """P(value at index i is 1) at finite horizon n or in the n -> infinity
     limit (derangement kinds; requires the continue-probabilities to sum to
@@ -353,42 +362,7 @@ def marginal_one(kind: ChainKind, i: int, horizon) -> float:
     n = int(horizon)
     if not (1 <= i <= n):
         raise ValueError(f"index {i} outside 1..{n}")
-    if i == 1:
-        return 1.0
-    if i == 2 or i == n:
-        return 0.0
-    p = kind.p
-    terms = []
-    prod = 1.0
-    for j in range(0, n - i):
-        prod *= p.q(i + j)
-        terms.append(prod if j % 2 == 0 else -prod)
-    return math.fsum(terms)
-
-
-def joint_marginal_product(indices, n: int, kind: ChainKind) -> float:
-    """E[product of the word bits at the given indices], indices strictly
-    decreasing and all > 2."""
-    if not kind.is_derangement:
-        raise ValueError("joint marginals implemented for derangement kinds")
-    idx = list(indices)
-    if any(idx[l] <= idx[l + 1] for l in range(len(idx) - 1)):
-        raise ValueError("indices must be strictly decreasing")
-    if idx and (idx[0] > n or idx[-1] <= 2):
-        raise ValueError("indices must lie in (2, n]")
-    p = kind.p
-    full = [n + 1] + idx
-    out = 1.0
-    for l in range(len(idx)):
-        upper = full[l] - full[l + 1] - 2
-        base = full[l + 1]
-        terms = []
-        prod = 1.0
-        for r in range(0, upper + 1):
-            prod *= p.q(base + r)
-            terms.append(prod if r % 2 == 0 else -prod)
-        out *= math.fsum(terms)
-    return out
+    return marginals(kind.p, n)[i]
 
 
 def cycle_statistics(word):

@@ -1,11 +1,16 @@
 """First and second moments of cycle counts, exact and in the n -> infinity
 limit.
 
-Conventions: q_1 = 1, q_2 = 0 (the chain is forced at those indices); all
-alternating sums are accumulated with compensated summation.  Closed forms
-specialized to the eta chain (p_i = (i-1)/(theta+i-1)) carry `_eta` in
-their names and must agree with the generic routines — that agreement is a
-test, not an assumption.
+Conventions: q_1 = 1, q_2 = 0 (the chain is forced at those indices).  The
+finite-horizon moments all come from the marginals m_i = P(value at index
+i is 1), which obey the backward recursion m_i = q_i (1 - m_{i+1})
+(``chains.marginals``).  Each 1 closes a cycle, so E[K_n] is the sum of
+the marginals and E[C_j(n)] the sum of the probabilities that a j-cycle
+ends at each index.  Below a closed cycle the chain renews as a fresh
+chain at a shorter horizon, which turns second moments into sums of
+first moments.  Closed forms specialized to the eta chain
+(p_i = (i-1)/(theta+i-1)) carry `_eta` in their names and must agree
+with the generic routines — that agreement is a test, not an assumption.
 """
 
 from __future__ import annotations
@@ -16,10 +21,12 @@ from functools import lru_cache
 
 from scipy import special as _sp
 
+from .chains import marginals
 from .numerics import (
     AccuracySpec,
     DEFAULT_ACC,
     EULER_GAMMA,
+    NumericsError,
     generalized_pfq,
     harmonic_h,
     integrate,
@@ -37,78 +44,25 @@ class LimitEstimate:
     m: int
 
 
+def _finite(est: LimitEstimate) -> LimitEstimate:
+    """The series estimate, or NumericsError when its terms overflowed."""
+    if not (math.isfinite(est.value) and math.isfinite(est.error_bound)):
+        raise NumericsError(
+            f"limit series overflowed at m={est.m} "
+            f"(value {est.value}, bound {est.error_bound}); lower m"
+        )
+    return est
+
+
 # ---------------------------------------------------------------------------
 # E[K_n]
 
 def mean_k(n: int, p: PSequence) -> float:
-    """Expected number of cycles of the derangement chain at horizon n."""
+    """Expected number of cycles of the derangement chain at horizon n: each
+    stored 1 closes a cycle, so E[K_n] = m_1 + ... + m_n."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if n in (2, 3):
-        return 1.0
-    terms = []
-    for i in range(1, n):
-        prod = 1.0
-        for j in range(0, n - i):
-            prod *= p.q(i + j)
-            if prod == 0.0:
-                break
-            terms.append(prod if j % 2 == 0 else -prod)
-    return math.fsum(terms)
-
-
-def _abar_numeric(p: PSequence, j: int, n_terms: int) -> float:
-    """a-bar_j = sum_i prod_{l=i}^{j+i} q_l, summed numerically with an
-    integral tail correction (terms decay like i^{-(j+1)})."""
-    total = []
-    prod = 1.0
-    # rolling product over a window of j+1 consecutive q's
-    window = [p.q(l) for l in range(1, j + 2)]
-    for w in window:
-        prod *= w
-    i = 1
-    last = 0.0
-    while i <= n_terms:
-        total.append(prod)
-        last = prod
-        # slide the window: divide out q_i, multiply in q_{i+j+1}
-        qi = p.q(i)
-        qn = p.q(i + j + 1)
-        if qi > 0.0:
-            prod = prod / qi * qn
-        else:
-            prod = 1.0
-            for l in range(i + 1, i + j + 2):
-                prod *= p.q(l)
-        i += 1
-    tail = last * (n_terms) / j  # integral approximation of the power tail
-    return math.fsum(total) + tail
-
-
-def mean_k_asymptotic(p: PSequence, alpha: float, m: int,
-                      probe: int = 10**6) -> LimitEstimate:
-    """Estimate lim (E[K_n] - alpha log n) for a chain with i q_i -> alpha.
-
-    Built from alpha*gamma + psi_alpha(p) + the alternating a-bar series
-    truncated at 2m - 1 terms; the reported bound is a-bar_{2m}.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    # probe i q_i -> alpha
-    checks = [abs(i * p.q(i) - alpha) for i in (probe // 100, probe // 10, probe)]
-    if not (checks[-1] <= max(0.05 * alpha, 1e-6) and checks[-1] <= checks[0] + 1e-12):
-        raise ValueError(
-            f"i*q_i does not appear to converge to {alpha}: deviations {checks}"
-        )
-    # psi = sum (q_i - alpha/i) with an integral tail correction
-    psi_terms = [p.q(i) - alpha / i for i in range(1, probe + 1)]
-    psi = math.fsum(psi_terms) + psi_terms[-1] * probe
-    abars = [_abar_numeric(p, j, min(probe, 10**5) if j > 1 else probe)
-             for j in range(1, 2 * m + 1)]
-    value = alpha * EULER_GAMMA + psi + math.fsum(
-        (-1) ** j * abars[j - 1] for j in range(1, 2 * m)
-    )
-    return LimitEstimate(value=value, error_bound=abars[2 * m - 1], m=m)
+    return math.fsum(marginals(p, n)[1:n + 1])
 
 
 def mean_k_eta(n: int, theta: float) -> float:
@@ -154,7 +108,8 @@ def mean_k_eta_limit(theta: float, m: int = 3, method: str = "series",
     head = 1.0 - theta * harmonic_h(theta + 1.0) + theta * EULER_GAMMA
     if method == "series":
         tail = math.fsum((-1) ** j * eta_abar(theta, j) for j in range(1, 2 * m))
-        return LimitEstimate(value=head + tail, error_bound=eta_abar(theta, 2 * m), m=m)
+        return _finite(LimitEstimate(value=head + tail,
+                                     error_bound=eta_abar(theta, 2 * m), m=m))
     if method == "integral":
         val = integrate(
             lambda x, y: math.exp(-theta * x * y) * (1.0 - x) ** (theta + 1.0),
@@ -172,30 +127,31 @@ def mean_k_eta_limit(theta: float, m: int = 3, method: str = "series",
 # ---------------------------------------------------------------------------
 # E[C_j(n)]
 
+def _cycle_ends(n: int, j: int, p: PSequence) -> dict:
+    """{l: P(a j-cycle ends at index l)} at horizon n for l = j+1..n+1.
+
+    The cycle needs a 1 at l (the virtual m_{n+1} = 1 for the top cycle),
+    0s at l-1..l-j+1 and a 1 at l-j:
+    r_l = m_l q_{l-j} p_{l-j+1} ... p_{l-2}.
+    """
+    if n < j:
+        return {}
+    m = marginals(p, n)
+    ends = {}
+    for l in range(j + 1, n + 2):
+        r = m[l] * p.q(l - j)
+        for s in range(l - j + 1, l - 1):
+            r *= p(s)
+        ends[l] = r
+    return ends
+
+
 def mean_cj(n: int, j: int, p: PSequence) -> float:
-    """Expected number of j-cycles at horizon n, from the boundary term
-    plus the double alternating sum."""
+    """Expected number of j-cycles at horizon n, the sum of the cycle-end
+    probabilities."""
     if j < 2:
         raise ValueError("j must be >= 2 (no 1-cycles in a derangement)")
-    if n < j:
-        return 0.0
-    boundary = p.q(n - j + 1)
-    for l in range(n - j + 2, n):
-        boundary *= p(l)
-    terms = [boundary]
-    for i in range(j + 1, n):
-        head = p.q(i - j)
-        for l in range(i - j + 1, i - 1):
-            head *= p(l)
-        if head == 0.0:
-            continue
-        prod = head
-        for k in range(0, n - i):
-            prod *= p.q(i + k)
-            if prod == 0.0:
-                break
-            terms.append(prod if k % 2 == 0 else -prod)
-    return math.fsum(terms)
+    return math.fsum(_cycle_ends(n, j, p).values())
 
 
 def mean_cj_eta(n: int, j: int, theta: float) -> float:
@@ -265,11 +221,11 @@ def mean_cj_eta_limit(theta: float, j: int, method: str = "series", m: int = 2,
         tail = math.fsum(
             (-1) ** (k + 1) * eta_bbar(theta, j, k) for k in range(1, 2 * m + 1)
         )
-        return LimitEstimate(
+        return _finite(LimitEstimate(
             value=head + tail,
             error_bound=abs(eta_bbar(theta, j, 2 * m + 1)),
             m=m,
-        )
+        ))
     if method == "integral":
         def f(x, y):
             return (
@@ -310,48 +266,19 @@ def mean_cj_eta_limit(theta: float, j: int, method: str = "series", m: int = 2,
 # ---------------------------------------------------------------------------
 # second moments
 
-def _pattern_r(m: int, j: int, l: int, p: PSequence) -> float:
-    """Probability that a j-cycle ends exactly at position l under horizon m
-    (l = m+1 is the boundary cycle touching the top)."""
-    if m < j:
-        return 0.0
-    if l == m + 1:
-        out = p.q(m - j + 1)
-        for s in range(m - j + 2, m):
-            out *= p(s)
-        return out
-    if not (j + 1 <= l <= m - 1):
-        return 0.0
-    from .chains import ChainKind, marginal_one
-
-    out = marginal_one(ChainKind.x(p), l, m) * p.q(l - j)
-    for s in range(l - j + 1, l - 1):
-        out *= p(s)
-    return out
-
-
 def second_moments(n: int, j: int, p: PSequence) -> float:
-    """Var(C_j(n)) assembled from the cycle-end pattern probabilities."""
+    """Var(C_j(n)) by renewal at each cycle end.
+
+    Given a j-cycle ending at u, index u-j-1 is forced to 0 and the chain
+    below it is a fresh horizon-(u-j-1) chain, so
+    E[C_j^2] = E[C_j] + 2 sum_u r_u E[C_j(u-j-1)].
+    """
     if j < 2:
         raise ValueError("j must be >= 2")
-    if n < j:
-        return 0.0
-    idx = list(range(j + 1, n + 2))
-    r_full = {i: _pattern_r(n, j, i, p) for i in idx}
-    var_terms = [r_full[i] * (1.0 - r_full[i]) for i in idx]
-    cross_inner = []
-    for i in idx:
-        if r_full[i] == 0.0:
-            continue
-        for l in range(j + 1, i - j + 1):
-            cross_inner.append(2.0 * r_full[i] * _pattern_r(i - j - 1, j, l, p))
-    cross_full = []
-    for i in idx:
-        if r_full[i] == 0.0:
-            continue
-        for l in range(j + 1, i):
-            cross_full.append(-2.0 * r_full[i] * r_full.get(l, 0.0))
-    return math.fsum(var_terms + cross_inner + cross_full)
+    ends = _cycle_ends(n, j, p)
+    mean = math.fsum(ends.values())
+    cross = math.fsum(r * mean_cj(u - j - 1, j, p) for u, r in ends.items() if r)
+    return math.fsum((mean, 2.0 * cross, -mean * mean))
 
 
 def cov_eta(n: int, i: int, j: int, theta: float) -> float:

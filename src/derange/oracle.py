@@ -128,32 +128,27 @@ def _marginal_dp(kind: ChainKind, n: int):
     return out
 
 
-def _pattern_prob_dp(kind: ChainKind, n: int, j: int, i: int) -> float:
-    """P(a j-cycle ends exactly at index position i) under horizon n,
-    where i = n+1 denotes the boundary cycle touching the top; computed
-    from marginals and transition rows only."""
+def _pattern_probs_dp(kind: ChainKind, n: int, j: int) -> dict:
+    """{i: P(a j-cycle ends exactly at index position i)} under horizon n
+    for i = j+1..n+1, where i = n+1 denotes the boundary cycle touching the
+    top; computed from one marginal DP and transition rows only."""
     from .chains import transition_matrix
 
-    if i == n + 1:
-        # top cycle: 0s at n..n-j+2, then 1 at n-j+1
-        prob = 1.0
+    def run_down(prob, top, bottom):
+        # 0s at top-1..bottom+1, then 1 at bottom, from a 1 at top
         state = 1
-        for r in range(n, n - j, -1):
+        for r in range(top - 1, bottom - 1, -1):
             m = transition_matrix(kind, r, n)
-            want = 1 if r == n - j + 1 else 0
+            want = 1 if r == bottom else 0
             prob *= m[state][want]
             state = want
         return prob
-    # interior: 1 at i, 0s at i-1..i-j+1, then 1 at i-j
+
     marg = _marginal_dp(kind, n)
-    prob = marg[i]
-    state = 1
-    for r in range(i - 1, i - j - 1, -1):
-        m = transition_matrix(kind, r, n)
-        want = 1 if r == i - j else 0
-        prob *= m[state][want]
-        state = want
-    return prob
+    out = {i: run_down(marg[i], i, i - j) for i in range(j + 1, n + 1)}
+    if n >= j:
+        out[n + 1] = run_down(1.0, n + 1, n + 1 - j)
+    return out
 
 
 def dp_moments(kind: ChainKind, n: int, targets=("mean_k",), j: int | None = None,
@@ -197,7 +192,7 @@ def dp_moments(kind: ChainKind, n: int, targets=("mean_k",), j: int | None = Non
     if any(t in targets for t in ("mean_cj", "mean_cj_sq", "var_cj")):
         if j is None:
             raise ValueError("targets involving C_j need j")
-        r_full = {l: _pattern_prob_dp(kind, n, j, l) for l in range(j + 1, n + 2)}
+        r_full = _pattern_probs_dp(kind, n, j)
         mean_cj = math.fsum(r_full.values())
         out["mean_cj"] = mean_cj
         if "mean_cj_sq" in targets or "var_cj" in targets:
@@ -205,15 +200,10 @@ def dp_moments(kind: ChainKind, n: int, targets=("mean_k",), j: int | None = Non
             # given a j-cycle ends at u, the chain below index u - j is a
             # fresh horizon-(u - j - 1) chain.
             cross = 0.0
-            for u in range(j + 1, n + 2):
-                if r_full[u] == 0.0 or u - j - 1 < j:
+            for u, ru in r_full.items():
+                if ru == 0.0 or u - j - 1 < j:
                     continue
-                sub_kind = kind
-                inner = math.fsum(
-                    _pattern_prob_dp(sub_kind, u - j - 1, j, v)
-                    for v in range(j + 1, u - j + 1)
-                )
-                cross += r_full[u] * inner
+                cross += ru * math.fsum(_pattern_probs_dp(kind, u - j - 1, j).values())
             e_sq = mean_cj + 2.0 * cross
             out["mean_cj_sq"] = e_sq
             out["var_cj"] = e_sq - mean_cj * mean_cj
@@ -228,8 +218,8 @@ def _cov_cycle_counts(kind: ChainKind, n: int, a: int, b: int) -> float:
     """Cov(C_a, C_b) for a != b by the same end-position decomposition."""
     if a == b:
         return dp_moments(kind, n, targets=("var_cj",), j=a)["var_cj"]
-    r_a = {l: _pattern_prob_dp(kind, n, a, l) for l in range(a + 1, n + 2)}
-    r_b = {l: _pattern_prob_dp(kind, n, b, l) for l in range(b + 1, n + 2)}
+    r_a = _pattern_probs_dp(kind, n, a)
+    r_b = _pattern_probs_dp(kind, n, b)
     mean_a = math.fsum(r_a.values())
     mean_b = math.fsum(r_b.values())
     # E[C_a C_b] = sum over ordered pairs of end positions (u above v)
@@ -237,17 +227,11 @@ def _cov_cycle_counts(kind: ChainKind, n: int, a: int, b: int) -> float:
     for u, pu in r_a.items():
         if pu == 0.0 or u - a - 1 < b:
             continue
-        e_ab += pu * math.fsum(
-            _pattern_prob_dp(kind, u - a - 1, b, v)
-            for v in range(b + 1, u - a + 1)
-        )
+        e_ab += pu * math.fsum(_pattern_probs_dp(kind, u - a - 1, b).values())
     for u, pu in r_b.items():
         if pu == 0.0 or u - b - 1 < a:
             continue
-        e_ab += pu * math.fsum(
-            _pattern_prob_dp(kind, u - b - 1, a, v)
-            for v in range(a + 1, u - b + 1)
-        )
+        e_ab += pu * math.fsum(_pattern_probs_dp(kind, u - b - 1, a).values())
     return e_ab - mean_a * mean_b
 
 

@@ -120,3 +120,20 @@ def test_env_default_seed(capsys, monkeypatch):
                        "--format", "json")
     assert code == EXIT_OK
     assert json.loads(out)["config"]["seed"] == 123
+
+
+def test_verify_passed_is_json_bool(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "variance", "--n", "12",
+                       "--format", "json")
+    assert code == EXIT_OK
+    res = json.loads(out)["results"]
+    assert res[0]["passed"] is True
+
+
+def test_overflowed_limit_series_exit_code(capsys):
+    code, out, err = run(capsys, "exact", "--quantity", "mean_cj_eta_limit",
+                         "--theta", "20", "--j", "2", "--m", "60",
+                         "--format", "json")
+    assert code == EXIT_GUARD
+    assert out == ""
+    assert err.startswith("error:")

@@ -15,6 +15,7 @@ from derange.moments import (
     mean_k_eta_limit,
     second_moments,
 )
+from derange.numerics import NumericsError
 from derange.params import PSequence
 
 
@@ -89,6 +90,12 @@ def test_mean_cj_limit_is_large_n_limit():
     for j in (2, 3):
         lim = mean_cj_eta_limit(theta, j, m=4).value
         assert abs(mean_cj_eta(4000, j, theta) - lim) < 5e-3
+
+
+def test_limit_series_overflow_raises():
+    # theta^k Gamma(k) in the high b-bar terms overflows to inf - inf
+    with pytest.raises(NumericsError):
+        mean_cj_eta_limit(20.0, 2, m=60)
 
 
 def test_mean_k_limit_methods_agree():
