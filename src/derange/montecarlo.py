@@ -1,9 +1,20 @@
 """Seed-deterministic Monte Carlo estimation and asymptotic diagnostics.
 
-Replicate r draws its randomness from a dedicated counter-based stream
-keyed by a splitmix64 mix of (seed, r), so results are reproducible and
-independent of how replicates are batched.  The two diagnostics test the
-normal limit of the cycle-count total and the GEM limit of the normalized
+Words are drawn by a jump sampler.  Every 1 of a word closes a circle, so
+a word is kept as its 1-positions (the sparse jump form), and the next 1
+below a free index z is drawn by inverse CDF: it is the largest index
+t < z with C[t] < C[z] + log U, where C is the log-survival array of the
+per-index one probabilities (``log_survival``).  One ``searchsorted`` per
+round places the next 1 of every replicate in a block, so sampling costs
+O(reps * K) rather than O(reps * n), K being the circle count.
+
+Replicate r draws from a dedicated counter-based stream keyed by a
+splitmix64 mix of (seed, r), in a fixed order: the leading draws a
+statistic needs (orientations or a KS dither), then one uniform per
+jump.  A replicate that needs more jumps than were drawn up front
+continues its own stream, so every result depends only on (seed, r) and
+not on how replicates are batched.  The two diagnostics test the normal
+limit of the cycle-count total and the GEM limit of the normalized
 ordered cycle lengths.
 """
 
@@ -60,94 +71,167 @@ class EstimateReport:
 
 
 # ---------------------------------------------------------------------------
-# vectorized sampling
+# jump sampling
 
-def _uniform_block(seed: int, rep_start: int, rows: int, cols: int) -> np.ndarray:
-    u = np.empty((rows, cols))
-    for idx in range(rows):
-        u[idx] = replicate_rng(seed, rep_start + idx).random(cols)
-    return u
+def _one_probs(kind: ChainKind, n: int) -> np.ndarray:
+    """h[r] = P(value 1 at index r | index r is free), r = 1..n; h[0] unused.
 
-
-def sample_bits(kind: ChainKind, n: int, u: np.ndarray) -> np.ndarray:
-    """Words for a block of replicates from their uniforms (rows, >= n)."""
-    rows = u.shape[0]
-    bits = np.zeros((rows, n), dtype=np.int8)
+    A free index is one whose value the index above does not force: the
+    top index of a coin word, every index below a coin value, and every
+    index below a derangement 0.  h[1] = 1 for every kind.
+    """
     if kind.is_coin:
-        coins = np.array([kind.thetaseq.coin_prob(i) for i in range(1, n + 1)])
-        bits[:] = u[:, :n] < coins[None, :]
-        bits[:, 0] = 1
-        return bits
-    if not (kind.is_derangement or kind.tag == "SIGNED"):
+        if n < 1:
+            raise ValueError("coin chains need n >= 1")
+        prob = kind.thetaseq.coin_prob
+    elif kind.is_derangement or kind.tag == "SIGNED":
+        if n < 2:
+            raise ValueError("derangement and signed chains need n >= 2")
+        prob = kind.p.q
+    else:
         raise ValueError(f"sampling not supported for kind {kind.tag}")
-    # downward walk: index n is forced 0, index 1 forced 1; from a 0 the
-    # next lower bit is 1 with probability q_r, from a 1 always 0
-    p = kind.p
-    prev = np.ones(rows, dtype=np.int8)
-    for r in range(n, 0, -1):
-        if r == n:
-            b = np.zeros(rows, dtype=np.int8)
-        elif r == 1:
-            b = np.ones(rows, dtype=np.int8)
-        else:
-            b = ((prev == 0) & (u[:, n - r] < p.q(r))).astype(np.int8)
-        bits[:, r - 1] = b
-        prev = b
-    return bits
+    h = np.zeros(n + 1)
+    h[1:] = np.fromiter((prob(i) for i in range(1, n + 1)), float, n)
+    return h
 
 
-def _row_cycle_lengths(row: np.ndarray, n: int) -> np.ndarray:
-    ones = np.flatnonzero(row) + 1  # ascending chain indices
-    positions = np.concatenate(([n + 1], ones[::-1]))
-    return -np.diff(positions)
+def log_survival(h: np.ndarray) -> np.ndarray:
+    """C[r] = sum_{s=r}^{n} log(1 - h_s) for r = 0..n+1, nondecreasing in r,
+    with C[0] = C[1] = -inf and C[n+1] = 0."""
+    n = h.size - 1
+    c = np.zeros(n + 2)
+    with np.errstate(divide="ignore"):
+        c[1:n + 1] = np.cumsum(np.log1p(-h[:0:-1]))[::-1]
+    c[0] = -np.inf
+    return c
 
 
-def _extract(statistic: str, kind: ChainKind, bits: np.ndarray,
-             orient: np.ndarray | None, n: int, j: int | None,
-             target: int | None) -> np.ndarray:
-    rows = bits.shape[0]
+def _jump_width(kind: ChainKind, h: np.ndarray) -> int:
+    """Jump uniforms drawn up front per replicate: about three times the
+    mean circle count (sum h bounds it), capped by the most circles a word
+    can have."""
+    n = h.size - 1
+    most = n if kind.is_coin else n // 2 + 1
+    return min(most, int(3.0 * h[1:].sum()) + 8)
+
+
+def _widen(u: np.ndarray, active: np.ndarray, extend) -> np.ndarray:
+    if extend is None:
+        raise ValueError("a word needs more jump uniforms than u holds")
+    width = u.shape[1]
+    more = max(width, 4)
+    wider = np.zeros((u.shape[0], width + more))
+    wider[:, :width] = u
+    wider[active, width:] = extend(active, width, more)
+    return wider
+
+
+def sample_bits(kind: ChainKind, n: int, u: np.ndarray, extend=None,
+                log_surv: np.ndarray | None = None) -> np.ndarray:
+    """The 1-positions of a block of words, one row per replicate.
+
+    Row i of ``u`` holds the jump uniforms of replicate i, one per circle.
+    The result has shape (rows, K_max): each row lists its 1-positions in
+    descending chain index (the closing index of the first-formed circle
+    first), padded with 0; the last 1 of every word is at index 1.  Rows
+    needing more jumps than ``u`` has columns get them from
+    ``extend(rows, width, count)``, which returns columns width..width +
+    count - 1 of those rows' uniform streams, so the words do not depend
+    on the width of ``u``; without ``extend`` such a row raises
+    ValueError.  ``log_surv`` is ``log_survival(_one_probs(kind, n))``,
+    passed by callers that sample several blocks at one horizon.
+    """
+    if log_surv is None:
+        log_surv = log_survival(_one_probs(kind, n))
+    # after a 1 at t a derangement word is forced 0 at t - 1; the virtual 1
+    # at n + 1 forces index n the same way
+    gap = 0 if kind.is_coin else 1
+    rows = u.shape[0]
+    z = np.full(rows, n + 1 - gap)
+    active = np.arange(rows)
+    cols = []
+    while active.size:
+        k = len(cols)
+        if k == u.shape[1]:
+            u = _widen(u, active, extend)
+        # largest t < z whose survival from z - 1 down to t is below 1 - u
+        target = log_surv[z[active]] + np.log1p(-u[active, k])
+        t = np.searchsorted(log_surv, target) - 1
+        col = np.zeros(rows, dtype=np.int64)
+        col[active] = t
+        cols.append(col)
+        z[active] = t - gap
+        active = active[t > 1]
+    return np.stack(cols, axis=1)
+
+
+def _continuation(seed: int, first: int, lead: int):
+    """``extend`` for the replicates first, first + 1, ... whose streams
+    gave ``lead`` draws before their jump uniforms.
+
+    A replicate's generator is rebuilt and moved past the draws already
+    taken, instead of a chunk's generators being kept alive: a block of
+    live generators sets off the cyclic garbage collector on every chunk.
+    """
+    def extend(rows, width, count):
+        skip = lead + width
+        return np.array([replicate_rng(seed, first + i).random(skip + count)[skip:]
+                         for i in rows.tolist()])
+    return extend
+
+
+def _sample(kind: ChainKind, h: np.ndarray, reps: int, seed: int, lead: int,
+            chunk: int = _DEFAULT_CHUNK):
+    """Yield (first replicate, leading draws, 1-positions) per chunk.
+
+    Each replicate's stream gives ``lead`` draws for the caller first, then
+    its jump uniforms.
+    """
+    n = h.size - 1
+    log_surv = log_survival(h)
+    width = _jump_width(kind, h)
+    for start in range(0, reps, chunk):
+        draws = np.empty((min(chunk, reps - start), lead + width))
+        for i, row in enumerate(draws):
+            replicate_rng(seed, start + i).random(out=row)
+        ones = sample_bits(kind, n, draws[:, lead:], _continuation(seed, start, lead),
+                           log_surv)
+        yield start, draws[:, :lead], ones
+
+
+def _extract(statistic: str, ones: np.ndarray, orient: np.ndarray | None,
+             n: int, j: int | None, target: int | None) -> np.ndarray:
+    closed = ones > 0
+    k = closed.sum(axis=1)
     if statistic == "K":
-        return bits.sum(axis=1).astype(float)
+        return k.astype(float)
+    rows = ones.shape[0]
+    upper = np.concatenate((np.full((rows, 1), n + 1), ones[:, :-1]), axis=1)
+    lengths = np.where(closed, upper - ones, 0)
+    if statistic == "Cj":
+        return np.count_nonzero(closed & (lengths == j), axis=1).astype(float)
+    if statistic == "A1":
+        return lengths[:, 0].astype(float)
+    if statistic == "A2":
+        return (lengths[:, 1] if lengths.shape[1] > 1 else np.zeros(rows)).astype(float)
+    # a circle's members looking in: its leader, plus every index strictly
+    # between its closing 1 and the 1 above it that looks in
+    cum = np.zeros((rows, n + 1), dtype=np.int64)
+    np.cumsum(orient, axis=1, out=cum[:, 1:])
+    row = np.arange(rows)[:, None]
+    in_look = 1 + cum[row, upper - 1] - cum[row, ones]
     if statistic == "Lambda":
-        k = bits.sum(axis=1)
-        # every interior 0-step looks in independently; leaders always do
-        looks = ((bits[:, 1:] == 0) & orient[:, 1:]).sum(axis=1)
-        return (k + looks).astype(float)
-    out = np.empty(rows)
-    for idx in range(rows):
-        lengths = _row_cycle_lengths(bits[idx], n)
-        if statistic == "Cj":
-            out[idx] = float(np.count_nonzero(lengths == j))
-        elif statistic == "A1":
-            out[idx] = float(lengths[0])
-        elif statistic == "A2":
-            out[idx] = float(lengths[1]) if lengths.size > 1 else 0.0
-        elif statistic == "Cstar_j":
-            cum = np.concatenate(([0], np.cumsum(orient[idx])))
-            ones = np.flatnonzero(bits[idx]) + 1
-            bounds = np.concatenate((ones, [n + 1]))
-            count = 0
-            for m in range(len(bounds) - 1):
-                u_pos, v_pos = bounds[m], bounds[m + 1]
-                in_look = 1 + (cum[v_pos - 1] - cum[u_pos])
-                if in_look == j:
-                    count += 1
-            out[idx] = float(count)
-        elif statistic == "Astar1":
-            # in-look count of the first-formed (topmost) circle when more
-            # circles follow; target comparison gives the event indicator
-            if lengths.size < 2:
-                out[idx] = 0.0
-                continue
-            top_one = int(np.flatnonzero(bits[idx]).max()) + 1
-            cum = np.concatenate(([0], np.cumsum(orient[idx])))
-            in_look = 1 + (cum[n] - cum[top_one])
-            out[idx] = 1.0 if (target is None or in_look == target) else 0.0
-        else:
-            raise ValueError(f"unknown statistic {statistic!r}")
-    return out
+        return np.where(closed, in_look, 0).sum(axis=1).astype(float)
+    if statistic == "Cstar_j":
+        return np.count_nonzero(closed & (in_look == j), axis=1).astype(float)
+    # Astar1: the first-formed circle, when more circles follow
+    hit = k > 1
+    if target is not None:
+        hit &= in_look[:, 0] == target
+    return hit.astype(float)
 
 
+_STATISTICS = ("K", "Cj", "A1", "A2", "Lambda", "Cstar_j", "Astar1")
 _NEEDS_ORIENT = ("Lambda", "Cstar_j", "Astar1")
 
 
@@ -160,24 +244,25 @@ def estimate(statistic: str, kind: ChainKind, n: int, reps: int, seed: int,
     Statistics: 'K', 'Cj' (needs j), 'A1', 'A2', 'Lambda', 'Cstar_j'
     (signed; need j and an orientation probability), 'Astar1' (signed;
     indicator of the first circle having ``target`` members looking in
-    with more circles following).
+    with more circles following).  Orientation statistics draw one
+    orientation uniform per index from each replicate's stream before its
+    jump uniforms.
     """
     if reps < 2:
         raise ValueError("reps must be >= 2")
-    if statistic == "Cj" and j is None:
-        raise ValueError("statistic 'Cj' needs j")
+    if statistic not in _STATISTICS:
+        raise ValueError(f"unknown statistic {statistic!r}")
+    if statistic in ("Cj", "Cstar_j") and j is None:
+        raise ValueError(f"statistic {statistic!r} needs j")
     kap = kind.kappa if kind.kappa is not None else kappa
     if statistic in _NEEDS_ORIENT and kap is None:
         raise ValueError(f"statistic {statistic!r} needs an orientation probability")
+    lead = n if statistic in _NEEDS_ORIENT else 0
     sample = np.empty(reps)
-    cols = 2 * n if statistic in _NEEDS_ORIENT else n
-    for start in range(0, reps, chunk):
-        rows = min(chunk, reps - start)
-        u = _uniform_block(seed, start, rows, cols)
-        bits = sample_bits(kind, n, u)
-        orient = (u[:, n:] < kap) if statistic in _NEEDS_ORIENT else None
-        sample[start:start + rows] = _extract(
-            statistic, kind, bits, orient, n, j, target
+    for start, draws, ones in _sample(kind, _one_probs(kind, n), reps, seed, lead, chunk):
+        orient = draws < kap if lead else None
+        sample[start:start + ones.shape[0]] = _extract(
+            statistic, ones, orient, n, j, target
         )
     mean = float(np.mean(sample))
     sd = float(np.std(sample, ddof=1))
@@ -192,10 +277,14 @@ def estimate(statistic: str, kind: ChainKind, n: int, reps: int, seed: int,
 # KS machinery
 
 def ks_statistic(sample: np.ndarray, cdf) -> float:
-    """One-sample Kolmogorov-Smirnov statistic against a continuous CDF."""
+    """One-sample Kolmogorov-Smirnov statistic against a continuous CDF.
+
+    ``cdf`` is called once, on the sorted sample as an array, and must
+    return the CDF values elementwise.
+    """
     x = np.sort(np.asarray(sample, dtype=float))
     m = x.size
-    f = np.array([cdf(v) for v in x])
+    f = np.asarray(cdf(x), dtype=float)
     grid = np.arange(1, m + 1) / m
     return float(max(np.max(grid - f), np.max(f - (np.arange(m) / m))))
 
@@ -223,9 +312,13 @@ def clt_diagnostic(p, n: int, reps: int, seed: int,
     O(1) term that a large-sample KS test resolves, so 'theoretical' is
     reported in the extras and available as an option.
     """
+    if reps < 2:
+        raise ValueError("reps must be >= 2")
     kind = ChainKind.x(p)
-    qbar = math.fsum(p.q(i) for i in range(1, n + 1))
-    qqbar = math.fsum(p.q(i) ** 2 for i in range(1, n + 1))
+    h = _one_probs(kind, n)
+    q = h[1:]
+    qbar = math.fsum(q)
+    qqbar = math.fsum(q * q)
     if centering == "qbar":
         center, scale = qbar, math.sqrt(qbar)
     elif centering == "theta_log":
@@ -234,30 +327,23 @@ def clt_diagnostic(p, n: int, reps: int, seed: int,
         center, scale = theta * math.log(n), math.sqrt(theta * math.log(n))
     else:
         raise ValueError(f"unknown centering {centering!r}")
-    rep = estimate("K", kind, n, reps, seed)
-    # regenerate the sample for the KS test (same substreams, same words)
+    if standardize not in ("sample", "theoretical"):
+        raise ValueError(f"unknown standardize {standardize!r}")
     sample = np.empty(reps)
-    for start in range(0, reps, _DEFAULT_CHUNK):
-        rows = min(_DEFAULT_CHUNK, reps - start)
-        u = _uniform_block(seed, start, rows, n)
-        bits = sample_bits(kind, n, u)
-        sample[start:start + rows] = bits.sum(axis=1)
-    # the count is integer-valued; dither by Uniform(-1/2, 1/2) so the KS
-    # comparison against a continuous CDF is not dominated by atom edges
-    dither = np.array([
-        replicate_rng(seed ^ 0x3C6EF372, r).random() - 0.5 for r in range(reps)
-    ])
+    # the count is integer-valued; dither by Uniform(-1/2, 1/2), the first
+    # draw of each replicate's stream, so the KS comparison against a
+    # continuous CDF is not dominated by atom edges
+    dither = np.empty(reps)
+    for start, draws, ones in _sample(kind, h, reps, seed, lead=1):
+        rows = slice(start, start + ones.shape[0])
+        sample[rows] = np.count_nonzero(ones, axis=1)
+        dither[rows] = draws[:, 0] - 0.5
     dithered = sample + dither
     z_theory = (dithered - center) / scale
-    d_theory = ks_statistic(z_theory, _normal_cdf)
+    d_theory = ks_statistic(z_theory, _sp.ndtr)
     z_sample = (dithered - dithered.mean()) / dithered.std(ddof=1)
-    d_sample = ks_statistic(z_sample, _normal_cdf)
-    if standardize == "sample":
-        z, d = z_sample, d_sample
-    elif standardize == "theoretical":
-        z, d = z_theory, d_theory
-    else:
-        raise ValueError(f"unknown standardize {standardize!r}")
+    d_sample = ks_statistic(z_sample, _sp.ndtr)
+    z, d = (z_sample, d_sample) if standardize == "sample" else (z_theory, d_theory)
     flags = () if reps >= _MIN_KS_REPS else ("ks_unreliable_small_sample",)
     return EstimateReport(
         statistic=f"K standardized ({centering}, {standardize})", reps=reps,
@@ -267,14 +353,10 @@ def clt_diagnostic(p, n: int, reps: int, seed: int,
         params={"n": n, "centering": centering, "standardize": standardize},
         extras={"qbar": qbar, "qqbar": qqbar,
                 "precondition_ratio": qqbar**2 / qbar,
-                "sample_mean_k": rep.mean,
+                "sample_mean_k": float(np.mean(sample)),
                 "ks_stat_theoretical": d_theory,
                 "p_value_theoretical": ks_p_value(d_theory, reps)},
     )
-
-
-def _normal_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def stick_breaking_sample(theta: float, reps: int, seed: int,
@@ -296,19 +378,17 @@ def gem_diagnostic(theta: float, n: int, reps: int, seed: int,
                    kind: ChainKind | None = None) -> EstimateReport:
     """KS tests of the normalized first two cycle lengths against the
     Beta(1, theta) sticks of the GEM limit."""
+    if reps < 2:
+        raise ValueError("reps must be >= 2")
     if kind is None:
         kind = ChainKind.eta(theta)
     a1 = np.empty(reps)
     a2 = np.empty(reps)
-    for start in range(0, reps, _DEFAULT_CHUNK):
-        rows = min(_DEFAULT_CHUNK, reps - start)
-        u = _uniform_block(seed, start, rows, n)
-        bits = sample_bits(kind, n, u)
-        for idx in range(rows):
-            lengths = _row_cycle_lengths(bits[idx], n)
-            a1[start + idx] = lengths[0]
-            a2[start + idx] = lengths[1] if lengths.size > 1 else 0.0
-    beta_cdf = lambda x: 1.0 - (1.0 - min(max(x, 0.0), 1.0)) ** theta
+    for start, _, ones in _sample(kind, _one_probs(kind, n), reps, seed, lead=0):
+        rows = slice(start, start + ones.shape[0])
+        a1[rows] = _extract("A1", ones, None, n, None, None)
+        a2[rows] = _extract("A2", ones, None, n, None, None)
+    beta_cdf = lambda x: 1.0 - (1.0 - np.clip(x, 0.0, 1.0)) ** theta
     d1 = ks_statistic(a1 / n, beta_cdf)
     # second stick: A_2 relative to what the first circle left over
     rel2 = a2 / np.maximum(n - a1, 1.0)

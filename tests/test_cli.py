@@ -137,3 +137,12 @@ def test_overflowed_limit_series_exit_code(capsys):
     assert code == EXIT_GUARD
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_diagnose_rejects_single_index_horizon(capsys):
+    for which in ("gem", "clt"):
+        code, out, err = run(capsys, "diagnose", "--which", which, "--n", "1",
+                             "--reps", "50", "--format", "json")
+        assert code == EXIT_GUARD, which
+        assert out == ""
+        assert err.startswith("error:")

@@ -1,17 +1,24 @@
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
-from derange import oracle
-from derange.chains import ChainKind
+from derange import montecarlo, oracle
+from derange.chains import ChainKind, cycle_statistics
+from derange.coupling import k_distribution
 from derange.montecarlo import (
+    _continuation,
+    _extract,
+    clt_diagnostic,
     estimate,
     gem_diagnostic,
     ks_p_value,
     ks_statistic,
     replicate_rng,
+    sample_bits,
     stick_breaking_sample,
 )
-from derange.params import PSequence
+from derange.params import PSequence, ThetaSequence
+from derange.signed_stats import lambda_total
 
 
 def test_replicate_streams_distinct():
@@ -76,3 +83,149 @@ def test_stick_breaking_marginal():
 def test_gem_diagnostic_fast():
     rep = gem_diagnostic(0.7, 800, 400, seed=21)
     assert rep.p_value > 0.001
+
+
+# ---------------------------------------------------------------------------
+# jump sampler
+
+def _words(ones: np.ndarray, n: int) -> np.ndarray:
+    """Dense 0/1 words (ascending chain index) from 1-positions."""
+    bits = np.zeros((ones.shape[0], n + 1), dtype=np.int8)
+    bits[np.arange(ones.shape[0])[:, None], ones] = 1
+    return bits[:, 1:]
+
+
+def _chi_square_p(counts: dict, law: dict, reps: int) -> float:
+    """Pearson goodness of fit, pooling outcomes expected fewer than 5 times."""
+    obs, exp, pool_o, pool_e = [], [], 0.0, 0.0
+    for outcome, prob in law.items():
+        if reps * prob < 5:
+            pool_o += counts.get(outcome, 0)
+            pool_e += reps * prob
+        else:
+            obs.append(counts.get(outcome, 0))
+            exp.append(reps * prob)
+    assert set(counts) <= set(law), "sampled an outcome of probability 0"
+    if pool_e > 0:
+        obs.append(pool_o)
+        exp.append(pool_e)
+    return float(chisquare(obs, exp).pvalue)
+
+
+def _full_width(kind, n):
+    return n if kind.is_coin else n // 2 + 1
+
+
+@pytest.mark.parametrize("kind, n", [
+    (ChainKind.x(PSequence.eta(0.5)), 9),
+    (ChainKind.x(PSequence.eta(3.0)), 8),
+    (ChainKind.y(ThetaSequence.constant(1.5)), 7),
+])
+def test_sampled_word_law_matches_exact(kind, n):
+    reps = 100_000
+    u = np.random.default_rng(101).random((reps, _full_width(kind, n)))
+    words = _words(sample_bits(kind, n, u), n)
+    keys, counts = np.unique(words, axis=0, return_counts=True)
+    sampled = {tuple(int(b) for b in k): int(c) for k, c in zip(keys, counts)}
+    law = dict(oracle.exact_law(kind, n).items())
+    assert _chi_square_p(sampled, law, reps) > 1e-3
+
+
+@pytest.mark.parametrize("theta, n", [(0.5, 40), (2.0, 200)])
+def test_sampled_k_law_matches_exact(theta, n):
+    p = PSequence.eta(theta)
+    kind = ChainKind.x(p)
+    reps = 100_000
+    u = np.random.default_rng(202).random((reps, _full_width(kind, n)))
+    k = np.count_nonzero(sample_bits(kind, n, u), axis=1)
+    values, counts = np.unique(k, return_counts=True)
+    sampled = {int(v): int(c) for v, c in zip(values, counts)}
+    law = dict(k_distribution("X", n, p).items())
+    assert _chi_square_p(sampled, law, reps) > 1e-3
+
+
+def test_words_do_not_depend_on_jump_width():
+    kind = ChainKind.eta(4.0)
+    n, reps = 300, 40
+    full = np.array([replicate_rng(3, r).random(_full_width(kind, n)) for r in range(reps)])
+    narrow = full[:, :1].copy()
+    wide = sample_bits(kind, n, full)
+    assert np.count_nonzero(wide, axis=1).min() > 3  # every row outgrows width 1
+    assert np.array_equal(sample_bits(kind, n, narrow, _continuation(3, 0, 0)), wide)
+    with pytest.raises(ValueError):
+        sample_bits(kind, n, narrow)
+
+
+def test_results_do_not_depend_on_jump_width(monkeypatch):
+    # width 1 sends every replicate through the stream continuation, after
+    # its orientation or dither draws
+    kind = ChainKind.signed(PSequence.eta(1.5), 0.35)
+    p = PSequence.eta(2.0)
+    ref = (estimate("Cstar_j", kind, 25, 200, seed=6, j=2),
+           clt_diagnostic(p, 300, 100, seed=6))
+    monkeypatch.setattr(montecarlo, "_jump_width", lambda kind, h: 1)
+    got = (estimate("Cstar_j", kind, 25, 200, seed=6, j=2, chunk=37),
+           clt_diagnostic(p, 300, 100, seed=6))
+    assert got == ref
+
+
+def test_orientation_statistics_chunk_invariance():
+    kind = ChainKind.signed(PSequence.eta(1.5), 0.35)
+    for stat, kw in (("Lambda", {}), ("Cstar_j", {"j": 2}), ("Astar1", {"target": 1})):
+        r1 = estimate(stat, kind, 25, 300, seed=4, chunk=7, **kw)
+        r2 = estimate(stat, kind, 25, 300, seed=4, chunk=300, **kw)
+        assert (r1.mean, r1.std_error) == (r2.mean, r2.std_error), stat
+
+
+def _row_statistics(word, looks, n, j, target):
+    """Per-word statistics by a direct loop over the word (the reference)."""
+    _, k, lengths = cycle_statistics(tuple(int(b) for b in word))
+    ones = [i for i in range(n, 0, -1) if word[i - 1] == 1]
+    tops = [n + 1] + ones[:-1]
+    in_look = [1 + sum(looks[i - 1] for i in range(lo + 1, hi))
+               for hi, lo in zip(tops, ones)]
+    return {
+        "K": k, "Cj": sum(a == j for a in lengths), "A1": lengths[0],
+        "A2": lengths[1] if k > 1 else 0, "Lambda": sum(in_look),
+        "Cstar_j": sum(c == j for c in in_look),
+        "Astar1": float(k > 1 and in_look[0] == target),
+    }
+
+
+@pytest.mark.parametrize("kind", [ChainKind.eta(1.2), ChainKind.y(ThetaSequence.constant(2.0))])
+def test_extraction_matches_word_loop(kind):
+    n, rows, j, target = 15, 300, 2, 2
+    rng = np.random.default_rng(5)
+    ones = sample_bits(kind, n, rng.random((rows, _full_width(kind, n))))
+    orient = rng.random((rows, n)) < 0.4
+    words = _words(ones, n)
+    ref = [_row_statistics(words[r], orient[r], n, j, target) for r in range(rows)]
+    for stat in ("K", "Cj", "A1", "A2", "Lambda", "Cstar_j", "Astar1"):
+        got = _extract(stat, ones, orient, n, j, target)
+        assert got.tolist() == [float(r[stat]) for r in ref], stat
+
+
+def test_lambda_mean_matches_exact():
+    p = PSequence.eta(0.8)
+    n, kappa = 10, 0.3
+    _, exact = lambda_total(n, kappa, k_distribution("X", n, p))
+    rep = estimate("Lambda", ChainKind.x(p), n, 20000, seed=17, kappa=kappa)
+    assert abs(rep.mean - exact) < 4 * rep.std_error
+
+
+def test_small_inputs_rejected():
+    p = PSequence.eta(1.0)
+    with pytest.raises(ValueError):
+        estimate("K", ChainKind.eta(1.0), 1, 10, 1)
+    with pytest.raises(ValueError):
+        estimate("Lambda", ChainKind.signed(p, 0.5), 1, 10, 1)
+    with pytest.raises(ValueError):
+        clt_diagnostic(p, 1, 100, 1)
+    with pytest.raises(ValueError):
+        clt_diagnostic(p, 50, 1, 1)
+    with pytest.raises(ValueError):
+        gem_diagnostic(1.0, 1, 100, 1)
+    with pytest.raises(ValueError):
+        gem_diagnostic(1.0, 50, 1, 1)
+    # a coin word of length 1 is the single circle
+    assert estimate("K", ChainKind.y(ThetaSequence.constant(1.0)), 1, 10, 1).mean == 1.0

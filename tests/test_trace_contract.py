@@ -1,0 +1,32 @@
+"""The benchmark's tracer patches library functions by name; a rename in
+the library must fail here rather than in a traced benchmark run."""
+
+import importlib.util
+from pathlib import Path
+
+from derange import montecarlo
+from derange.chains import ChainKind
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_monte_carlo_calls():
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        montecarlo.estimate("K", ChainKind.eta(1.0), 12, 50, seed=1)
+        montecarlo.gem_diagnostic(1.0, 200, 50, seed=2)
+    finally:
+        tracer.uninstall()
+    counts = dict(zip(tracer.counter_names, tracer.counters))
+    errors = {k: v for k, v in counts.items() if k.endswith(".errors")}
+    assert errors and not any(errors.values()), errors
+    assert counts["montecarlo.words_sampled"] > 0
+    assert counts["montecarlo.replicates"] == 100
