@@ -27,7 +27,7 @@ w = OrientationWeights.binomial(kappa)
 
 print("a few signed permutations (o = leader, i = looking in, 1 = out):")
 for r in range(3):
-    word, perm = generate_signed(n, p, kappa, (5, r))
+    word, perm = generate_signed(n, p, kappa, 5, r)
     circles = [tuple(int(v) for v in c) for c in perm.circles]
     print(f"  {word.to_string()}   circles {circles}")
 

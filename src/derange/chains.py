@@ -27,7 +27,7 @@ from .params import PSequence, ThetaSequence
 _DERANGEMENT_TAGS = ("X", "ETA", "ETA_TILDE")
 _COIN_TAGS = ("Y", "XI_TILDE")
 
-# Signed-state order used in 3x3 transition matrices.
+# The three steps of a signed word.
 SIGNED_STATES = ("+0", "-0", "1")
 
 
@@ -184,18 +184,6 @@ def transition_matrix(kind: ChainKind, r: int, n: int) -> np.ndarray:
     if kind.is_coin:
         c = kind.thetaseq.coin_prob(r)
         return np.array([[1.0 - c, c], [1.0 - c, c]])
-    if kind.tag == "SIGNED":
-        kap = kind.kappa
-        if r == n:
-            row = [kap, 1.0 - kap, 0.0]
-            return np.array([row, row, row])
-        if r == 1:
-            row = [0.0, 0.0, 1.0]
-            return np.array([row, row, row])
-        pr = kind.p(r)
-        from_zero = [kap * pr, (1.0 - kap) * pr, 1.0 - pr]
-        from_one = [kap, 1.0 - kap, 0.0]
-        return np.array([from_zero, from_zero, from_one])
     raise ValueError(f"unsupported kind {kind.tag}")
 
 
@@ -210,78 +198,72 @@ def _xinf_matrix(p: PSequence, i: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # sampling
 
-def _rng(seed) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed))
+def _jump_words(kind: ChainKind, n: int, seed: int, replicates: range, lead: int = 0):
+    """Yield (leading draws, 0/1 word) for each replicate in ``replicates``,
+    drawn by the jump sampler of ``montecarlo`` over that replicate's
+    stream; the word is a list in ascending chain index."""
+    from . import montecarlo
+
+    h = montecarlo._one_probs(kind, n)
+    for _, draws, ones in montecarlo._sample(kind, h, replicates, seed, lead):
+        bits = np.zeros((ones.shape[0], n + 1), dtype=np.int8)
+        np.put_along_axis(bits, ones, 1, axis=1)  # padding lands in column 0
+        yield from zip(draws, bits[:, 1:].tolist())
 
 
-def sample_path(kind: ChainKind, n: int, seed, rng: np.random.Generator | None = None):
-    """One word from the chain law; deterministic given (kind, n, seed)."""
+def sample_paths(kind: ChainKind, n: int, seed: int, replicates: range) -> list:
+    """The words of replicates ``replicates`` of run ``seed``; word r is
+    ``sample_path(kind, n, seed, r)``."""
     if kind.tag == "SIGNED":
-        return generate_signed(n, kind.p, kind.kappa, seed)[0]
-    if (kind.is_derangement or kind.tag == "XINF_PREFIX") and n < 2:
-        raise ValueError("derangement chains need n >= 2")
-    if rng is None:
-        rng = _rng(seed)
-    u = rng.random(n)
-    if kind.is_coin:
-        bits = [1 if u[i - 1] < kind.thetaseq.coin_prob(i) else 0 for i in range(1, n + 1)]
-        return tuple(bits)
-    if kind.tag == "XINF_PREFIX":
-        # the limit chain runs upward from a 1 at index 1
-        word = [1] + [0] * (n - 1)
-        for i in range(1, n):
-            row = _xinf_matrix(kind.p, i)[word[i - 1]]
-            word[i] = 1 if u[i] < row[1] else 0
-        return tuple(word)
-    # derangement family: walk indices n down to 1
-    word = [0] * n
-    prev = 1  # sentinel value at index n+1
-    for r in range(n, 0, -1):
-        row = transition_matrix(kind, r, n)[prev]
-        bit = 1 if u[n - r] < row[1] else 0
-        word[r - 1] = bit
-        prev = bit
-    return tuple(word)
+        pairs = generate_signed_many(n, kind.p, kind.kappa, seed, replicates)
+        return [word for word, _ in pairs]
+    return [tuple(word) for _, word in _jump_words(kind, n, seed, replicates)]
 
 
-def generate_signed(n: int, p: PSequence, kappa: float, seed, rng=None):
-    """Sample the signed word and its uniformly labeled signed permutation."""
-    if n < 2:
-        raise ValueError("signed chain needs n >= 2")
-    if rng is None:
-        rng = _rng(seed)
-    kind = ChainKind.signed(p, kappa)
-    u = rng.random(n)
-    steps = [None] * n
-    prev = 2  # state index of '1' at the virtual index n+1
-    for r in range(n, 0, -1):
-        row = transition_matrix(kind, r, n)[prev]
-        cum = np.cumsum(row)
-        state = int(np.searchsorted(cum, u[n - r], side="right"))
-        state = min(state, 2)
-        steps[r - 1] = SIGNED_STATES[state]
-        prev = state
-    word = SignedWord(steps=tuple(steps), kappa=kappa)
+def sample_path(kind: ChainKind, n: int, seed: int, rep: int = 0):
+    """Replicate ``rep`` of run ``seed`` of the chain law; deterministic
+    given (kind, n, seed, rep)."""
+    return sample_paths(kind, n, seed, range(rep, rep + 1))[0]
 
-    # labels: index i's label sign comes from the step at index i+1
-    labels = list(rng.permutation(n) + 1)
-    circles = []
-    current = []
-    above = "1"  # virtual step at index n+1
-    for idx in range(n, 0, -1):
-        lab = labels[n - idx]
-        if above == "1":
-            if current:
-                circles.append(tuple(current))
-            current = [lab]  # circle leader, always positive
-        elif above == "+0":
-            current.append(lab)
-        else:
-            current.append(-lab)
-        above = steps[idx - 1]
-    if current:
+
+def generate_signed_many(n: int, p: PSequence, kappa: float, seed: int,
+                         replicates: range) -> list:
+    """(signed word, uniformly labeled signed permutation) of each replicate
+    in ``replicates`` of run ``seed``.
+
+    A replicate's stream gives n orientation uniforms (the 0-step at index
+    i is '+0' when the i-th is below kappa), then n labeling uniforms (the
+    label order is their argsort), then the jump uniforms of its word.
+    """
+    out = []
+    for lead, bits in _jump_words(ChainKind.signed(p, kappa), n, seed, replicates, 2 * n):
+        steps = tuple(np.where(bits, "1", np.where(lead[:n] < kappa, "+0", "-0")).tolist())
+        labels = (np.argsort(lead[n:]) + 1).tolist()
+        # index i's label sign comes from the step at index i+1
+        circles = []
+        current = []
+        above = "1"  # virtual step at index n+1
+        for idx in range(n, 0, -1):
+            lab = labels[n - idx]
+            if above == "1":
+                if current:
+                    circles.append(tuple(current))
+                current = [lab]  # circle leader, always positive
+            elif above == "+0":
+                current.append(lab)
+            else:
+                current.append(-lab)
+            above = steps[idx - 1]
         circles.append(tuple(current))
-    return word, SignedPermutation(circles=tuple(circles))
+        out.append((SignedWord(steps=steps, kappa=kappa),
+                    SignedPermutation(circles=tuple(circles))))
+    return out
+
+
+def generate_signed(n: int, p: PSequence, kappa: float, seed: int, rep: int = 0):
+    """Replicate ``rep`` of run ``seed``: a signed word and its uniformly
+    labeled signed permutation."""
+    return generate_signed_many(n, p, kappa, seed, range(rep, rep + 1))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .chains import ChainKind, sample_path, word_to_string
+from .chains import ChainKind, generate_signed_many, sample_paths, word_to_string
 from .dist import compare_laws
 from .numerics import NumericsError
 from .params import PSequence, ThetaSequence, conditional_theta, pushforward_theta
@@ -240,24 +240,16 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    if args.kind in ("eta", "eta_tilde", "cond", "push"):
-        kind = ChainKind.x(_p_seq(args))
-    elif args.kind == "y":
-        kind = ChainKind.y(_theta_seq(args))
-    elif args.kind == "signed":
-        kind = ChainKind.signed(_p_seq_for_signed(args), args.kappa)
+    reps = range(args.reps)
+    if args.kind == "signed":
+        pairs = generate_signed_many(args.n, _p_seq_for_signed(args), args.kappa,
+                                     args.seed, reps)
+        words = [{"word": word.to_string(), "circles": [list(c) for c in perm.circles]}
+                 for word, perm in pairs]
     else:
-        raise ValueError(f"unknown sample kind {args.kind!r}")
-    words = []
-    for r in range(args.reps):
-        if args.kind == "signed":
-            from .chains import generate_signed
-            word, perm = generate_signed(args.n, kind.p, args.kappa, (args.seed, r))
-            words.append({"word": word.to_string(),
-                          "circles": [list(c) for c in perm.circles]})
-        else:
-            w = sample_path(kind, args.n, (args.seed, r))
-            words.append({"word": word_to_string(w)})
+        kind = ChainKind.y(_theta_seq(args)) if args.kind == "y" else ChainKind.x(_p_seq(args))
+        words = [{"word": word_to_string(w)}
+                 for w in sample_paths(kind, args.n, args.seed, reps)]
     emit_report(words, args.format, _config_echo(args))
     return EXIT_OK
 
@@ -322,7 +314,8 @@ def _run_suite(suite: str, args) -> dict:
     n = args.n
     tol = 1e-12
     if suite == "conditional":
-        rng = np.random.Generator(np.random.Philox(args.seed))
+        from .montecarlo import replicate_rng
+        rng = replicate_rng(args.seed, 0)
         worst = 0.0
         for _ in range(args.trials):
             p = _random_p(n, rng)

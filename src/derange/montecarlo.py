@@ -180,9 +180,9 @@ def _continuation(seed: int, first: int, lead: int):
     return extend
 
 
-def _sample(kind: ChainKind, h: np.ndarray, reps: int, seed: int, lead: int,
+def _sample(kind: ChainKind, h: np.ndarray, replicates: range, seed: int, lead: int,
             chunk: int = _DEFAULT_CHUNK):
-    """Yield (first replicate, leading draws, 1-positions) per chunk.
+    """Yield (offset in ``replicates``, leading draws, 1-positions) per chunk.
 
     Each replicate's stream gives ``lead`` draws for the caller first, then
     its jump uniforms.
@@ -190,11 +190,12 @@ def _sample(kind: ChainKind, h: np.ndarray, reps: int, seed: int, lead: int,
     n = h.size - 1
     log_surv = log_survival(h)
     width = _jump_width(kind, h)
-    for start in range(0, reps, chunk):
-        draws = np.empty((min(chunk, reps - start), lead + width))
-        for i, row in enumerate(draws):
-            replicate_rng(seed, start + i).random(out=row)
-        ones = sample_bits(kind, n, draws[:, lead:], _continuation(seed, start, lead),
+    for start in range(0, len(replicates), chunk):
+        block = replicates[start:start + chunk]
+        draws = np.empty((len(block), lead + width))
+        for rep, row in zip(block, draws):
+            replicate_rng(seed, rep).random(out=row)
+        ones = sample_bits(kind, n, draws[:, lead:], _continuation(seed, block.start, lead),
                            log_surv)
         yield start, draws[:, :lead], ones
 
@@ -259,7 +260,8 @@ def estimate(statistic: str, kind: ChainKind, n: int, reps: int, seed: int,
         raise ValueError(f"statistic {statistic!r} needs an orientation probability")
     lead = n if statistic in _NEEDS_ORIENT else 0
     sample = np.empty(reps)
-    for start, draws, ones in _sample(kind, _one_probs(kind, n), reps, seed, lead, chunk):
+    h = _one_probs(kind, n)
+    for start, draws, ones in _sample(kind, h, range(reps), seed, lead, chunk):
         orient = draws < kap if lead else None
         sample[start:start + ones.shape[0]] = _extract(
             statistic, ones, orient, n, j, target
@@ -334,7 +336,7 @@ def clt_diagnostic(p, n: int, reps: int, seed: int,
     # draw of each replicate's stream, so the KS comparison against a
     # continuous CDF is not dominated by atom edges
     dither = np.empty(reps)
-    for start, draws, ones in _sample(kind, h, reps, seed, lead=1):
+    for start, draws, ones in _sample(kind, h, range(reps), seed, lead=1):
         rows = slice(start, start + ones.shape[0])
         sample[rows] = np.count_nonzero(ones, axis=1)
         dither[rows] = draws[:, 0] - 0.5
@@ -362,16 +364,11 @@ def clt_diagnostic(p, n: int, reps: int, seed: int,
 def stick_breaking_sample(theta: float, reps: int, seed: int,
                           depth: int = 2) -> np.ndarray:
     """(reps, depth) draws of the first ``depth`` coordinates of the
-    size-ordered stick-breaking law with independent Beta(1, theta) sticks."""
-    out = np.empty((reps, depth))
-    for r in range(reps):
-        rng = replicate_rng(seed ^ 0x5B5BCEFA, r)
-        sticks = rng.beta(1.0, theta, size=depth)
-        remaining = 1.0
-        for d in range(depth):
-            out[r, d] = remaining * sticks[d]
-            remaining *= 1.0 - sticks[d]
-    return out
+    size-ordered stick-breaking law with independent Beta(1, theta) sticks,
+    all from the one stream ``replicate_rng(seed ^ 0x5B5BCEFA, 0)``."""
+    sticks = replicate_rng(seed ^ 0x5B5BCEFA, 0).beta(1.0, theta, size=(reps, depth))
+    remaining = np.cumprod(1.0 - sticks[:, :-1], axis=1)
+    return sticks * np.concatenate((np.ones((reps, 1)), remaining), axis=1)
 
 
 def gem_diagnostic(theta: float, n: int, reps: int, seed: int,
@@ -384,7 +381,7 @@ def gem_diagnostic(theta: float, n: int, reps: int, seed: int,
         kind = ChainKind.eta(theta)
     a1 = np.empty(reps)
     a2 = np.empty(reps)
-    for start, _, ones in _sample(kind, _one_probs(kind, n), reps, seed, lead=0):
+    for start, _, ones in _sample(kind, _one_probs(kind, n), range(reps), seed, lead=0):
         rows = slice(start, start + ones.shape[0])
         a1[rows] = _extract("A1", ones, None, n, None, None)
         a2[rows] = _extract("A2", ones, None, n, None, None)

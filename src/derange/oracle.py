@@ -12,7 +12,7 @@ import itertools
 import math
 
 from .chains import ChainKind, cycle_statistics, in_delta, path_probability
-from .dist import DistTable, LawPair, compare_laws  # noqa: F401  (re-exported)
+from .dist import DistTable
 from .params import PSequence, ThetaSequence
 
 # Cardinality guards: Fibonacci-sized derangement supports up to n = 30,

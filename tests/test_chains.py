@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,12 +11,14 @@ from derange.chains import (
     marginal_one,
     path_probability,
     sample_path,
+    sample_paths,
     transition_matrix,
     word_from_string,
     word_to_string,
 )
 from derange.params import PSequence, ThetaSequence
 from derange import oracle
+from test_montecarlo import _chi_square_p
 
 
 @pytest.mark.parametrize("kindname", ["eta", "eta_tilde", "y", "xi_tilde"])
@@ -49,9 +52,9 @@ def test_in_delta():
 
 def test_sample_determinism():
     kind = ChainKind.eta(1.0)
-    a = sample_path(kind, 8, (3, 0))
-    b = sample_path(kind, 8, (3, 0))
-    c = sample_path(kind, 8, (3, 1))
+    a = sample_path(kind, 8, 3, 0)
+    b = sample_path(kind, 8, 3, 0)
+    c = sample_path(kind, 8, 3, 1)
     assert tuple(a) == tuple(b)
     assert in_delta(a) and in_delta(c)
 
@@ -91,3 +94,24 @@ def test_cycle_statistics():
     assert list(lengths) == [3, 3, 2]
     assert counts[2 - 1] == 1 and counts[3 - 1] == 2
     assert sum((j + 1) * c for j, c in enumerate(counts)) == 8
+
+
+@pytest.mark.parametrize("kind, n", [
+    (ChainKind.eta(0.7), 8),
+    (ChainKind.y(ThetaSequence.constant(1.5)), 6),
+])
+def test_sampled_path_law_matches_exact(kind, n):
+    reps = 20_000
+    words = sample_paths(kind, n, 11, range(reps))
+    law = dict(oracle.exact_law(kind, n).items())
+    assert _chi_square_p(Counter(words), law, reps) > 1e-3
+    for r in (0, 1, reps - 1):
+        assert sample_path(kind, n, 11, r) == words[r]
+
+
+def test_unsupported_kinds_raise():
+    p = PSequence.eta(1.0)
+    with pytest.raises(ValueError):
+        sample_path(ChainKind.xinf_prefix(p), 6, 1)
+    with pytest.raises(ValueError):
+        transition_matrix(ChainKind.signed(p, 0.5), 2, 6)

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from derange.chains import ChainKind, generate_signed, sample_path, word_to_string
+from derange.params import PSequence
 from derange.cli import (
     EXIT_GUARD,
     EXIT_OK,
@@ -54,6 +56,22 @@ def test_sample_deterministic(capsys):
     assert len(words) == 3
     for w in words:
         assert len(w["word"]) == 4
+
+
+def test_sample_words_are_library_replicates(capsys):
+    common = ("--theta", "0.7", "--n", "9", "--seed", "5", "--reps", "4",
+              "--format", "json")
+    code, out, _ = run(capsys, "sample", "--kind", "eta", *common)
+    assert code == EXIT_OK
+    kind = ChainKind.eta(0.7)
+    for r, w in enumerate(json.loads(out)["results"]):
+        assert w["word"] == word_to_string(sample_path(kind, 9, 5, r))
+    code, out, _ = run(capsys, "sample", "--kind", "signed", "--kappa", "0.3", *common)
+    assert code == EXIT_OK
+    for r, w in enumerate(json.loads(out)["results"]):
+        word, perm = generate_signed(9, PSequence.eta(0.7), 0.3, 5, r)
+        assert w == {"word": word.to_string(),
+                     "circles": [list(c) for c in perm.circles]}
 
 
 def test_table1_csv_header(capsys):

@@ -80,6 +80,17 @@ def test_stick_breaking_marginal():
     assert abs(float(np.mean(x[:, 0])) - 1 / 1.7) < 0.02
 
 
+def test_stick_breaking_products_match_loop():
+    theta, reps, seed, depth = 1.3, 50, 4, 4
+    x = stick_breaking_sample(theta, reps, seed, depth)
+    sticks = replicate_rng(seed ^ 0x5B5BCEFA, 0).beta(1.0, theta, size=(reps, depth))
+    for r in range(reps):
+        remaining = 1.0
+        for d in range(depth):
+            assert x[r, d] == remaining * sticks[r, d]
+            remaining *= 1.0 - sticks[r, d]
+
+
 def test_gem_diagnostic_fast():
     rep = gem_diagnostic(0.7, 800, 400, seed=21)
     assert rep.p_value > 0.001

@@ -1,10 +1,17 @@
 import itertools
 import math
+from collections import Counter
 
 import pytest
 
 from derange import oracle
-from derange.chains import ChainKind, cycle_statistics
+from derange.chains import (
+    ChainKind,
+    cycle_statistics,
+    generate_signed,
+    generate_signed_many,
+    path_probability,
+)
 from derange.coupling import k_distribution
 from derange.params import PSequence, ThetaSequence
 from derange.signed_stats import (
@@ -16,6 +23,7 @@ from derange.signed_stats import (
     omega,
     ordered_star_prob,
 )
+from test_montecarlo import _chi_square_p
 
 
 def test_omega_worked_value():
@@ -152,3 +160,49 @@ def test_ordered_star_guards():
         ordered_star_prob((0,), 5, ts, w)
     with pytest.raises(ValueError):
         ordered_star_prob((3, 2), 5, ts, w)
+
+
+def _signed_law(p, n, kappa):
+    """Exact signed-word law: the chain law of the projection times an
+    independent orientation, '+0' with probability kappa, per 0-step."""
+    law = {}
+    for word in oracle.enumerate_delta(n):
+        pr = path_probability(ChainKind.x(p), word)
+        zeros = [i for i, b in enumerate(word) if b == 0]
+        for looks in itertools.product(("+0", "-0"), repeat=len(zeros)):
+            steps = ["1"] * n
+            for i, s in zip(zeros, looks):
+                steps[i] = s
+            plus = looks.count("+0")
+            law[tuple(steps)] = pr * kappa**plus * (1 - kappa) ** (len(zeros) - plus)
+    return law
+
+
+def test_generate_signed_law_matches_exact():
+    p, n, kappa, reps = PSequence.eta(1.0), 6, 0.35, 40_000
+    pairs = generate_signed_many(n, p, kappa, 3, range(reps))
+    counts = Counter(word.steps for word, _ in pairs)
+    law = _signed_law(p, n, kappa)
+    assert math.fsum(law.values()) == pytest.approx(1.0, abs=1e-12)
+    assert _chi_square_p(counts, law, reps) > 1e-3
+
+
+def test_generate_signed_circles_match_word():
+    p, n, kappa = PSequence.eta(0.8), 9, 0.4
+    pairs = generate_signed_many(n, p, kappa, 8, range(500))
+    for r, (word, perm) in enumerate(pairs):
+        labels = [lab for c in perm.circles for lab in c]
+        assert sorted(abs(v) for v in labels) == list(range(1, n + 1))
+        _, _, lengths = cycle_statistics(word.projection())
+        assert tuple(len(c) for c in perm.circles) == lengths
+        # walking down from the virtual 1 above index n, each member's sign
+        # is the orientation of the step above it
+        idx = n
+        for circle in perm.circles:
+            assert circle[0] > 0
+            for lab in circle[1:]:
+                assert (lab > 0) == (word.steps[idx - 1] == "+0")
+                idx -= 1
+            idx -= 1
+        if r < 3:
+            assert generate_signed(n, p, kappa, 8, r) == (word, perm)
