@@ -13,8 +13,6 @@ from .params import (
     PSequence,
     ThetaSequence,
     conditional_theta,
-    link_conditional,
-    link_pushforward,
     pushforward_theta,
 )
 from .chains import (
@@ -107,8 +105,6 @@ __all__ = [
     "lambda_esf",
     "lambda_mean_identity",
     "lambda_total",
-    "link_conditional",
-    "link_pushforward",
     "marginal_one",
     "mean_cj",
     "mean_cj_eta",

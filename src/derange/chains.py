@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -59,13 +58,8 @@ class ChainKind:
     @classmethod
     def eta_tilde(cls, theta: float) -> "ChainKind":
         """Derangement chain whose law matches a derangement-conditioned
-        theta-biased permutation; continue-probabilities built from the
-        derangement probabilities lambda_r(theta)."""
-        if theta <= 0:
-            raise ValueError("theta must be positive")
-        p = PSequence(lambda i: _eta_tilde_p(theta, i),
-                      family="eta_tilde", label=f"eta_tilde({theta})")
-        return cls("ETA_TILDE", p=p, theta=theta)
+        theta-biased permutation (``PSequence.eta_tilde``)."""
+        return cls("ETA_TILDE", p=PSequence.eta_tilde(theta), theta=theta)
 
     @classmethod
     def y(cls, thetaseq: ThetaSequence) -> "ChainKind":
@@ -95,16 +89,6 @@ class ChainKind:
 
     def __repr__(self):
         return f"ChainKind({self.tag})"
-
-
-@lru_cache(maxsize=None)
-def _eta_tilde_p(theta: float, r: int) -> float:
-    from .moments import lambda_esf
-
-    lam_r = lambda_esf(r, theta)
-    lam_rm1 = lambda_esf(r - 1, theta)
-    num = (theta + r - 1) * lam_r
-    return num / (num + theta * lam_rm1)
 
 
 # ---------------------------------------------------------------------------
@@ -316,19 +300,22 @@ def path_probability(kind: ChainKind, word, n: int | None = None,
     raise ValueError(f"unsupported kind {kind.tag}")
 
 
-def marginals(p: PSequence, n: int) -> list:
-    """P(value at index i is 1) at horizon n, as a list indexed by i.
+def marginals(pv: np.ndarray) -> np.ndarray:
+    """P(value at index i is 1) at horizon n = pv.size - 1, where pv is
+    ``p.values(n)``, as an array indexed by i.
 
     A 1 at index i needs a 0 at i+1 and then a 1 from the coin with
     probability q_i, so m_i = q_i (1 - m_{i+1}), started from the virtual
     m_{n+1} = 1; m_n = 0 because index n always follows that virtual 1.
     Entry 0 is unused (0.0) and entry n+1 is the virtual 1.
     """
+    n = pv.size - 1
+    q = (1.0 - pv).tolist()
     m = [0.0] * (n + 2)
     m[n + 1] = 1.0
     for i in range(n - 1, 0, -1):
-        m[i] = p.q(i) * (1.0 - m[i + 1])
-    return m
+        m[i] = q[i] * (1.0 - m[i + 1])
+    return np.array(m)
 
 
 def marginal_one(kind: ChainKind, i: int, horizon) -> float:
@@ -344,7 +331,7 @@ def marginal_one(kind: ChainKind, i: int, horizon) -> float:
     n = int(horizon)
     if not (1 <= i <= n):
         raise ValueError(f"index {i} outside 1..{n}")
-    return marginals(kind.p, n)[i]
+    return float(marginals(kind.p.values(n))[i])
 
 
 def cycle_statistics(word):

@@ -240,6 +240,8 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.reps < 1:
+        raise ValueError("--reps must be >= 1")
     reps = range(args.reps)
     if args.kind == "signed":
         pairs = generate_signed_many(args.n, _p_seq_for_signed(args), args.kappa,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
 from scipy import special as _sp
 
 from .dist import DistTable
@@ -24,28 +25,28 @@ def g_values(thetaseq: ThetaSequence, n: int) -> list[float]:
     """G_0..G_n: G_0 = 0, G_1 = G_2 = 1, G_m = G_{m-1} + theta_m/(m-1) G_{m-2}."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    t = thetaseq.values(n).tolist()
     g = [0.0, 1.0, 1.0]
     for m in range(3, n + 1):
-        g.append(g[m - 1] + thetaseq(m) / (m - 1) * g[m - 2])
+        g.append(g[m - 1] + t[m] / (m - 1) * g[m - 2])
     return g[: n + 1]
 
 
 class GammaTable:
-    """gamma_1..gamma_N with companion G_0..G_N for a theta sequence."""
+    """gamma_1..gamma_N for a theta sequence."""
 
     def __init__(self, thetaseq: ThetaSequence, n_max: int):
         if n_max < 1:
             raise ValueError("n_max must be >= 1")
         self.thetaseq = thetaseq
         self.n_max = n_max
-        self.g = g_values(thetaseq, n_max)
+        t = thetaseq.values(n_max).tolist()
+        c = thetaseq.coin_probs(n_max).tolist()
         gam = [0.0, 0.0]  # index 0 unused, gamma_1 = 0
         if n_max >= 2:
-            gam.append(1.0 / (1.0 + thetaseq(2)))
+            gam.append(1.0 / (1.0 + t[2]))
         for i in range(3, n_max + 1):
-            t_i = thetaseq(i)
-            c_prev = thetaseq.coin_prob(i - 1)
-            gam.append((i - 1) / (i - 1 + t_i) * (gam[i - 1] + c_prev * gam[i - 2]))
+            gam.append((i - 1) / (i - 1 + t[i]) * (gam[i - 1] + c[i - 1] * gam[i - 2]))
         self.gamma = gam
 
     def __getitem__(self, i: int) -> float:
@@ -75,11 +76,10 @@ def gamma_n(thetaseq: ThetaSequence, n: int, method: str = "recursion") -> float
     if method == "p_product":
         if n == 1:
             return 0.0
-        p = PSequence.from_theta_conditional(thetaseq)
-        out = p(n) / (1.0 + thetaseq(2))
+        p = PSequence.from_theta_conditional(thetaseq).values(n).tolist()
+        out = p[n] / (1.0 + thetaseq.theta2)
         for j in range(2, n):
-            pj, pj1 = p(j), p(j + 1)
-            out *= pj / (pj * pj1 + (1.0 - pj1))
+            out *= p[j] / (p[j] * p[j + 1] + (1.0 - p[j + 1]))
         return out
     raise ValueError(f"unknown method {method!r}")
 
@@ -137,38 +137,27 @@ def k_distribution(kind: str, n: int, params) -> DistTable:
     if n < 1:
         raise ValueError("n must be >= 1")
     if kind == "Y":
-        thetaseq = params
-        probs = {1: 1.0}  # index-1 coin always shows 1
+        c = params.coin_probs(n).tolist()
+        law = np.zeros(n + 1)  # law[k] = P(k ones so far)
+        law[1] = 1.0  # index-1 coin always shows 1
         for i in range(2, n + 1):
-            c = thetaseq.coin_prob(i)
-            nxt: dict = {}
-            for k, pr in probs.items():
-                nxt[k] = nxt.get(k, 0.0) + pr * (1.0 - c)
-                nxt[k + 1] = nxt.get(k + 1, 0.0) + pr * c
-            probs = nxt
-        return DistTable(probs, tol=1e-11)
-    if kind == "X":
+            law[1:] = law[1:] * (1.0 - c[i]) + law[:-1] * c[i]
+    elif kind == "X":
         p = params if isinstance(params, PSequence) else PSequence.from_theta_conditional(params)
-        from .chains import ChainKind, transition_matrix
-
-        ck = ChainKind.x(p)
-        # states: (value at current index, count of stored 1s so far)
-        states = {(1, 0): 1.0}
+        pv = p.values(n).tolist()
+        # P(current value 0 / 1, k stored 1s so far) from the virtual 1 at
+        # n + 1: a 1 is always followed by a 0, a 0 by a 1 with probability q_r
+        zero = np.zeros(n + 1)
+        one = np.zeros(n + 1)
+        one[0] = 1.0
         for r in range(n, 0, -1):
-            nxt = {}
-            for (prev, k), pr in states.items():
-                row = transition_matrix(ck, r, n)[prev]
-                for bit in (0, 1):
-                    if row[bit] == 0.0:
-                        continue
-                    key = (bit, k + bit)
-                    nxt[key] = nxt.get(key, 0.0) + pr * row[bit]
-            states = nxt
-        probs: dict = {}
-        for (_, k), pr in states.items():
-            probs[k] = probs.get(k, 0.0) + pr
-        return DistTable(probs, tol=1e-11)
-    raise ValueError(f"unknown kind {kind!r}")
+            closed = zero * (1.0 - pv[r])
+            zero = zero * pv[r] + one
+            one = np.concatenate(([0.0], closed[:-1]))
+        law = zero + one
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    return DistTable({k: v for k, v in enumerate(law.tolist()) if v > 0.0}, tol=1e-11)
 
 
 def pgf_k(kind: str, s: float, n: int, thetaseq: ThetaSequence) -> float:

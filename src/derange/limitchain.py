@@ -18,8 +18,10 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+import numpy as np
+
 from .numerics import AccuracySpec, DEFAULT_ACC, NumericsError, beta_fn, kummer_m
-from .params import PSequence, ThetaSequence
+from .params import PSequence, ThetaSequence, conditional_theta
 
 # Probe horizons: the heavyweight context probe and the lightweight
 # cached check used on every phi evaluation.
@@ -31,42 +33,31 @@ _LIGHT_PROBE_HORIZON = 10**4
 _RATIO_THRESHOLD = 0.75
 
 
-def _block_sums(term, horizon: int, blocks: int = 3) -> list[float]:
-    """Sums of ``term(i)`` over the dyadic blocks (h/2, h], (h/4, h/2], ...
+def _block_sums(terms: np.ndarray, horizon: int, blocks: int = 3) -> list[float]:
+    """Sums of ``terms[i]`` over the dyadic blocks (h/2, h], (h/4, h/2], ...
 
     Returned outermost block first.
     """
     edges = [horizon // 2**k for k in range(blocks + 1)]
-    out = []
-    for k in range(blocks):
-        out.append(math.fsum(term(i) for i in range(edges[k + 1] + 1, edges[k] + 1)))
-    return out
+    return [math.fsum(terms[edges[k + 1] + 1:edges[k] + 1]) for k in range(blocks)]
 
 
-def _looks_divergent(term, horizon: int) -> tuple[bool, float]:
-    """(divergence verdict, outermost block sum) for a positive series."""
-    blocks = _block_sums(term, horizon)
-    ratios = [
-        blocks[k] / blocks[k + 1]
-        for k in range(len(blocks) - 1)
-        if blocks[k + 1] > 0.0
-    ]
+def _looks_divergent(terms: np.ndarray, horizon: int) -> tuple[bool, float]:
+    """(divergence verdict, outermost block sum) for positive terms[1..horizon]."""
+    blocks = _block_sums(terms, horizon)
+    ratios = [a / b for a, b in zip(blocks, blocks[1:]) if b > 0.0]
     verdict = bool(ratios) and min(ratios) >= _RATIO_THRESHOLD
     return verdict, blocks[0]
 
 
-def _looks_convergent(term, horizon: int) -> tuple[bool, float]:
-    """(convergence verdict, extrapolated tail proxy) for a positive series.
+def _looks_convergent(terms: np.ndarray, horizon: int) -> tuple[bool, float]:
+    """(convergence verdict, extrapolated tail proxy) for positive terms[1..horizon].
 
     The tail proxy is the geometric extrapolation of the dyadic block sums;
     it is infinite when the blocks do not shrink.
     """
-    blocks = _block_sums(term, horizon)
-    ratios = [
-        blocks[k] / blocks[k + 1]
-        for k in range(len(blocks) - 1)
-        if blocks[k + 1] > 0.0
-    ]
+    blocks = _block_sums(terms, horizon)
+    ratios = [a / b for a, b in zip(blocks, blocks[1:]) if b > 0.0]
     if not ratios:
         return True, 0.0
     r = max(ratios)
@@ -104,26 +95,20 @@ class LimitContext:
         if p is None:
             p = PSequence.from_theta_conditional(thetaseq)
         if thetaseq is None:
-            from .params import conditional_theta
-
             thetaseq = conditional_theta(p)
         if horizon < 64:
             raise ValueError("probe horizon must be >= 64")
         flags: dict = {}
         tails: dict = {}
-        flags["divergence"], tails["divergence"] = _looks_divergent(
-            lambda i: p(i), horizon
-        )
-        q_now, q_then = p.q(horizon), p.q(max(horizon // 10, 3))
-        flags["q_vanishes"] = q_now < 0.01 and q_now <= q_then + 1e-12
-        tails["q_vanishes"] = q_now
-        coin = thetaseq.coin_prob
-        flags["eqcond2"], tails["eqcond2"] = _looks_convergent(
-            lambda i: coin(i) * coin(i + 1), horizon
-        )
-        flags["eqcond4"], tails["eqcond4"] = _looks_convergent(
-            lambda i: coin(i) ** 2, horizon
-        )
+        pv = p.values(horizon)
+        flags["divergence"], tails["divergence"] = _looks_divergent(pv, horizon)
+        q_now, q_then = 1.0 - pv[horizon], 1.0 - pv[max(horizon // 10, 3)]
+        del pv  # freed before the coin array is built: peak memory at large horizons
+        flags["q_vanishes"] = bool(q_now < 0.01 and q_now <= q_then + 1e-12)
+        tails["q_vanishes"] = float(q_now)
+        coin = thetaseq.coin_probs(horizon + 1)
+        flags["eqcond2"], tails["eqcond2"] = _looks_convergent(coin[:-1] * coin[1:], horizon)
+        flags["eqcond4"], tails["eqcond4"] = _looks_convergent(coin[:-1] ** 2, horizon)
         return cls(p=p, thetaseq=thetaseq, probe_horizon=horizon,
                    flags=flags, tails=tails)
 
@@ -140,7 +125,7 @@ class LimitContext:
 
 @lru_cache(maxsize=256)
 def _divergence_ok(p: PSequence) -> bool:
-    verdict, _ = _looks_divergent(lambda i: p(i), _LIGHT_PROBE_HORIZON)
+    verdict, _ = _looks_divergent(p.values(_LIGHT_PROBE_HORIZON), _LIGHT_PROBE_HORIZON)
     return verdict
 
 
@@ -265,12 +250,12 @@ def tv_prefix(n: int, p: PSequence, method: str = "theorem",
 
 def _gamma_inf_backward(i: int, thetaseq: ThetaSequence, horizon: int) -> float:
     """One backward sweep for gamma_{i,inf} seeding the horizon values at 1."""
+    # a memoryview reads Python floats without a list copy; horizons reach 1e7
+    c = memoryview(thetaseq.coin_probs(horizon))
     g_next2 = 1.0  # gamma at horizon + 1
     g_next = 1.0   # gamma at horizon
     for r in range(horizon - 1, i - 1, -1):
-        c_r = thetaseq.coin_prob(r)
-        c_r1 = thetaseq.coin_prob(r + 1)
-        g_r = (1.0 - c_r) * (g_next + c_r1 * g_next2)
+        g_r = (1.0 - c[r]) * (g_next + c[r + 1] * g_next2)
         g_next2, g_next = g_next, g_r
     return g_next
 
@@ -290,10 +275,8 @@ def gamma_inf(i: int, thetaseq: ThetaSequence,
     if context is not None:
         context.require("eqcond2")
     else:
-        ok, _ = _looks_convergent(
-            lambda j: thetaseq.coin_prob(j) * thetaseq.coin_prob(j + 1),
-            _LIGHT_PROBE_HORIZON,
-        )
+        coin = thetaseq.coin_probs(_LIGHT_PROBE_HORIZON + 1)
+        ok, _ = _looks_convergent(coin[:-1] * coin[1:], _LIGHT_PROBE_HORIZON)
         if not ok:
             raise ValueError(
                 "sum c_j c_{j+1} does not appear to converge; gamma_{i,inf} "

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
+import numpy as np
 from scipy import special as _sp
 
 from .chains import marginals
@@ -62,7 +62,7 @@ def mean_k(n: int, p: PSequence) -> float:
     stored 1 closes a cycle, so E[K_n] = m_1 + ... + m_n."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    return math.fsum(marginals(p, n)[1:n + 1])
+    return math.fsum(marginals(p.values(n))[1:n + 1].tolist())
 
 
 def mean_k_eta(n: int, theta: float) -> float:
@@ -127,23 +127,22 @@ def mean_k_eta_limit(theta: float, m: int = 3, method: str = "series",
 # ---------------------------------------------------------------------------
 # E[C_j(n)]
 
-def _cycle_ends(n: int, j: int, p: PSequence) -> dict:
-    """{l: P(a j-cycle ends at index l)} at horizon n for l = j+1..n+1.
+def _cycle_ends(pv: np.ndarray, j: int) -> list:
+    """r_l = P(a j-cycle ends at index l) at horizon n = pv.size - 1, where
+    pv is ``p.values(n)``, as a list over l = 0..n+1 (0 for l <= j).
 
     The cycle needs a 1 at l (the virtual m_{n+1} = 1 for the top cycle),
     0s at l-1..l-j+1 and a 1 at l-j:
     r_l = m_l q_{l-j} p_{l-j+1} ... p_{l-2}.
     """
+    n = pv.size - 1
     if n < j:
-        return {}
-    m = marginals(p, n)
-    ends = {}
-    for l in range(j + 1, n + 2):
-        r = m[l] * p.q(l - j)
-        for s in range(l - j + 1, l - 1):
-            r *= p(s)
-        ends[l] = r
-    return ends
+        return [0.0] * (n + 2)
+    # position k of each slice below is index l = j + 1 + k
+    ends = marginals(pv)[j + 1:] * (1.0 - pv[1:n + 2 - j])
+    for d in range(j - 1, 1, -1):
+        ends *= pv[j + 1 - d:n + 2 - d]
+    return [0.0] * (j + 1) + ends.tolist()
 
 
 def mean_cj(n: int, j: int, p: PSequence) -> float:
@@ -151,7 +150,7 @@ def mean_cj(n: int, j: int, p: PSequence) -> float:
     probabilities."""
     if j < 2:
         raise ValueError("j must be >= 2 (no 1-cycles in a derangement)")
-    return math.fsum(_cycle_ends(n, j, p).values())
+    return math.fsum(_cycle_ends(p.values(n), j))
 
 
 def mean_cj_eta(n: int, j: int, theta: float) -> float:
@@ -275,32 +274,39 @@ def second_moments(n: int, j: int, p: PSequence) -> float:
     """
     if j < 2:
         raise ValueError("j must be >= 2")
-    ends = _cycle_ends(n, j, p)
-    mean = math.fsum(ends.values())
-    cross = math.fsum(r * mean_cj(u - j - 1, j, p) for u, r in ends.items() if r)
+    pv = p.values(n)
+    ends = _cycle_ends(pv, j)
+    mean = math.fsum(ends)
+    # pv[:u - j] is p.values(u - j - 1)
+    cross = math.fsum(r * math.fsum(_cycle_ends(pv[:u - j], j))
+                      for u, r in enumerate(ends) if r)
     return math.fsum((mean, 2.0 * cross, -mean * mean))
 
 
 def cov_eta(n: int, i: int, j: int, theta: float) -> float:
     """Covariance of the word bits at indices i < j under the eta chain,
-    for 2 < i < j < n-1."""
+    for 2 < i < j < n-1.
+
+    It is (-1)^{i+j} S_j S_{j-1} prod_{m=i-1}^{j-1} theta/(theta+m), where
+    S_a = sum_{k=0}^{n-1-a} (-theta)^k / (theta+a)_(k) is an alternating
+    series whose terms shrink in modulus, so no factor overflows at large n.
+    """
     if not (2 < i < j < n - 1):
         raise ValueError("require 2 < i < j < n-1")
 
-    def s_sum(start: int) -> float:
-        return math.fsum(
-            (-1) ** l * theta**l / math.gamma(theta + l) for l in range(start, n)
-        )
+    def s_sum(a: int) -> float:
+        terms = [1.0]
+        for k in range(n - 1 - a):
+            terms.append(terms[-1] * -theta / (theta + a + k))
+        return math.fsum(terms)
 
-    e_j = math.gamma(theta + j - 1.0) * theta ** (1 - j) * (-1) ** j * s_sum(j)
-    c_i = math.gamma(theta + i - 1.0) * (-1) ** i * theta ** (1 - i)
-    return -e_j * c_i * s_sum(j - 1)
+    ratio = math.prod(theta / (theta + m) for m in range(i - 1, j))
+    return (-1) ** (i + j) * ratio * s_sum(j) * s_sum(j - 1)
 
 
 # ---------------------------------------------------------------------------
 # derangement probabilities of the theta-biased permutation
 
-@lru_cache(maxsize=None)
 def lambda_esf(n: int, theta: float) -> float:
     """P(a theta-biased random permutation of n elements has no fixed
     point), by the stabilized alternating sum."""

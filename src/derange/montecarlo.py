@@ -83,16 +83,12 @@ def _one_probs(kind: ChainKind, n: int) -> np.ndarray:
     if kind.is_coin:
         if n < 1:
             raise ValueError("coin chains need n >= 1")
-        prob = kind.thetaseq.coin_prob
-    elif kind.is_derangement or kind.tag == "SIGNED":
+        return kind.thetaseq.coin_probs(n)
+    if kind.is_derangement or kind.tag == "SIGNED":
         if n < 2:
             raise ValueError("derangement and signed chains need n >= 2")
-        prob = kind.p.q
-    else:
-        raise ValueError(f"sampling not supported for kind {kind.tag}")
-    h = np.zeros(n + 1)
-    h[1:] = np.fromiter((prob(i) for i in range(1, n + 1)), float, n)
-    return h
+        return 1.0 - kind.p.values(n)
+    raise ValueError(f"sampling not supported for kind {kind.tag}")
 
 
 def log_survival(h: np.ndarray) -> np.ndarray:

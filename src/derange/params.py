@@ -12,12 +12,68 @@ correspondences connect them:
   erasing 11-patterns from the coin process reproduces the chain law.
 
 Conventions throughout: theta_1 = 1, p_1 = 0, p_2 = 1.
+
+Each family has one evaluator, valid from index 3, for a Python int or an
+index array.  ``values(n)``, the array over 0..n, applies the conventions
+and runs it over chunks of indices with one range check each; ``seq(i)``
+runs it on one int in plain Python.  They agree bit for bit, except that
+numpy's power may differ from the C library's in the last bit (``holst``).
 """
 
 from __future__ import annotations
 
 import math
 from typing import Callable, Sequence
+
+import numpy as np
+
+_CHUNK = 1 << 14  # indices per evaluator call in values(n): bounds its temporaries
+
+
+def _at(seq, i):
+    """seq at index i: ``seq(i)`` for an int; for an index array, the
+    conventions below index 3 and the family from 3 on, range-checked."""
+    if not isinstance(i, np.ndarray):
+        return seq(i)
+    v = np.take(seq._head, np.minimum(i, 2))
+    top = i >= 3
+    if top.any():
+        v[top] = seq._eval(i[top])
+    bad = top & ~seq._ok(v)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(seq._rule.format(i=int(i[k]), v=v[k]))
+    return v
+
+
+def _values(seq, n: int) -> np.ndarray:
+    """The sequence over 0..n as a float64 array (entry 0 unused, 0.0)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    out = np.empty(n + 1)
+    for lo in range(0, n + 1, _CHUNK):
+        out[lo:lo + _CHUNK] = _at(seq, np.arange(lo, min(lo + _CHUNK, n + 1)))
+    return out
+
+
+def _tabulated(values: Sequence[float], tail_rule: str, name: str) -> Callable:
+    """Evaluator reading ``values[i - 1]``; past the table the 'constant'
+    rule repeats the last entry and 'reject' raises IndexError."""
+    if tail_rule not in ("constant", "reject"):
+        raise ValueError("tail_rule must be 'constant' or 'reject'")
+    vals = [float(v) for v in values]
+    table = np.array(vals)
+    last = len(vals)
+
+    def ev(i):
+        if type(i) is int and i <= last:
+            return vals[i - 1]
+        top = int(np.max(i))
+        if top > last and tail_rule == "reject":
+            raise IndexError(f"{name} table has no entry for i={top}")
+        return table[np.minimum(i, last) - 1]
+
+    return ev
 
 
 class ThetaSequence:
@@ -28,14 +84,16 @@ class ThetaSequence:
       eta_star(theta)       theta_3 = theta, theta_i = theta(1 + theta/(i-2))
       holst(a, b, c)        theta_i = a(i-1)/(b - a + (i-1)^c)
       tabulated(values)     explicit table with a tail rule
-      from_callable(fn)     arbitrary evaluator
+    and the links ``conditional_theta`` and ``pushforward_theta`` of a
+    PSequence.
     """
 
-    def __init__(self, family: str, evaluator: Callable[[int], float], theta2: float = 1.0, label: str = ""):
+    def __init__(self, family: str, evaluator: Callable, theta2: float = 1.0, label: str = ""):
         self.family = family
         self.theta2 = float(theta2)
         self.label = label or family
         self._eval = evaluator
+        self._head = (0.0, 1.0, self.theta2)  # entry 0 unused
 
     @classmethod
     def constant(cls, theta: float, theta2: float | None = None) -> "ThetaSequence":
@@ -52,10 +110,9 @@ class ThetaSequence:
         if not (0 < theta2 <= 1):
             raise ValueError("theta2 must lie in (0, 1]")
 
-        def ev(i: int) -> float:
-            if i == 3:
-                return theta
-            return theta * (1.0 + theta / (i - 2))
+        def ev(i):
+            # the factor (i > 3) makes theta_3 = theta exactly
+            return theta * (1.0 + (i > 3) * theta / (i - 2))
 
         seq = cls("eta_star", ev, theta2=theta2, label=f"eta_star({theta})")
         seq.theta = theta
@@ -66,44 +123,32 @@ class ThetaSequence:
         if a <= 0 or c <= 0:
             raise ValueError("require a > 0 and c > 0")
 
-        def ev(i: int) -> float:
-            return a * (i - 1) / (b - a + (i - 1) ** c)
+        def ev(i):  # a float power: an integer one would wrap on int64 arrays
+            return a * (i - 1) / (b - a + (i - 1) ** float(c))
 
         return cls("holst", ev, theta2=ev(2), label=f"holst({a},{b},{c})")
 
     @classmethod
     def tabulated(cls, values: Sequence[float], tail_rule: str = "reject") -> "ThetaSequence":
-        vals = [float(v) for v in values]
-        if any(v <= 0 for v in vals[1:]):
+        if any(v <= 0 for v in values[1:]):
             raise ValueError("all tabulated theta values must be positive")
-        if tail_rule not in ("constant", "reject"):
-            raise ValueError("tail_rule must be 'constant' or 'reject'")
-
-        def ev(i: int) -> float:
-            if i - 1 < len(vals):
-                return vals[i - 1]
-            if tail_rule == "constant":
-                return vals[-1]
-            raise IndexError(f"theta table has no entry for i={i}")
-
-        t2 = vals[1] if len(vals) > 1 else 1.0
-        return cls("tabulated", ev, theta2=t2, label="tabulated")
-
-    @classmethod
-    def from_callable(cls, fn: Callable[[int], float], theta2: float = 1.0, label: str = "callable") -> "ThetaSequence":
-        return cls("callable", fn, theta2=theta2, label=label)
+        t2 = float(values[1]) if len(values) > 1 else 1.0
+        return cls("tabulated", _tabulated(values, tail_rule, "theta"), theta2=t2,
+                   label="tabulated")
 
     def __call__(self, i: int) -> float:
         if i < 1:
             raise ValueError("index must be >= 1")
-        if i == 1:
-            return 1.0
-        if i == 2:
-            return self.theta2
+        if i < 3:
+            return self._head[i]
         v = float(self._eval(i))
-        if v <= 0:
-            raise ValueError(f"theta_{i} = {v} is not positive")
+        if not v > 0.0:
+            raise ValueError(self._rule.format(i=i, v=v))
         return v
+
+    values = _values
+    _ok = staticmethod(lambda v: v > 0.0)
+    _rule = "theta_{i} = {v} is not positive"
 
     def with_theta2(self, theta2: float) -> "ThetaSequence":
         return ThetaSequence(self.family, self._eval, theta2=theta2, label=self.label)
@@ -137,6 +182,13 @@ class ThetaSequence:
         t = self(i)
         return t / (i - 1 + t)
 
+    def coin_probs(self, n: int) -> np.ndarray:
+        """``coin_prob`` over 0..n as a float64 array (entry 0 unused)."""
+        t = self.values(n)
+        c = np.arange(-1.0, n)  # i - 1
+        c += t
+        return np.divide(t, c, out=c)
+
     def bracket_product_log(self, n: int) -> float:
         """log of theta_1(theta_2+1)...(theta_n+n-1).
 
@@ -146,16 +198,14 @@ class ThetaSequence:
         t1 = self.theta1
         if t1 <= 0:
             raise ValueError("bracket product undefined for theta_1 <= 0")
-        out = math.log(t1)
-        for i in range(2, n + 1):
-            out += math.log(self(i) + i - 1)
-        return out
+        brackets = self.values(n)[2:] + np.arange(2, n + 1) - 1
+        return math.log(t1) + math.fsum(np.log(brackets))
 
 
 class PSequence:
     """Evaluator i -> p_i with p_1 = 0, p_2 = 1, p_i in (0,1) for i >= 3."""
 
-    def __init__(self, evaluator: Callable[[int], float], family: str = "custom", label: str = ""):
+    def __init__(self, evaluator: Callable, family: str = "custom", label: str = ""):
         self.family = family
         self.label = label or family
         self._eval = evaluator
@@ -170,99 +220,87 @@ class PSequence:
         return seq
 
     @classmethod
+    def eta_tilde(cls, theta: float) -> "PSequence":
+        """A theta-biased permutation conditioned to be a derangement:
+        p_i = (theta+i-1) lambda_i / ((theta+i-1) lambda_i + theta lambda_{i-1})
+        in its derangement probabilities, the conditional inverse of theta."""
+        seq = _ConditionalInverse(ThetaSequence.constant(theta), "eta_tilde",
+                                  f"eta_tilde({theta})")
+        seq.theta = theta
+        return seq
+
+    @classmethod
     def from_theta_conditional(cls, thetaseq: ThetaSequence) -> "PSequence":
         """p_i = G_{i-1}/G_i, inverting the conditional link."""
-        from .coupling import g_values  # local import: coupling depends on params
-
-        def ev(i: int) -> float:
-            g = g_values(thetaseq, i)
-            return g[i - 1] / g[i]
-
-        return cls(ev, family="from_theta_conditional", label=f"cond<-{thetaseq.label}")
+        return _ConditionalInverse(thetaseq, "from_theta_conditional",
+                                   f"cond<-{thetaseq.label}")
 
     @classmethod
     def from_theta_pushforward(cls, thetaseq: ThetaSequence) -> "PSequence":
         """p_i = (i-1)/(i-1+theta_i), inverting the push-forward link."""
 
-        def ev(i: int) -> float:
-            return (i - 1) / (i - 1 + thetaseq(i))
+        def ev(i):
+            return (i - 1) / (i - 1 + _at(thetaseq, i))
 
         return cls(ev, family="from_theta_pushforward", label=f"push<-{thetaseq.label}")
 
     @classmethod
     def tabulated(cls, values: Sequence[float], tail_rule: str = "reject") -> "PSequence":
-        vals = [float(v) for v in values]
-
-        def ev(i: int) -> float:
-            if i - 1 < len(vals):
-                return vals[i - 1]
-            if tail_rule == "constant":
-                return vals[-1]
-            raise IndexError(f"p table has no entry for i={i}")
-
-        return cls(ev, family="tabulated", label="tabulated")
+        return cls(_tabulated(values, tail_rule, "p"), family="tabulated", label="tabulated")
 
     def __call__(self, i: int) -> float:
         if i < 1:
             raise ValueError("index must be >= 1")
-        if i == 1:
-            return 0.0
-        if i == 2:
-            return 1.0
+        if i < 3:
+            return self._head[i]
         v = float(self._eval(i))
-        if not (0.0 < v < 1.0):
-            raise ValueError(f"p_{i} = {v} must lie in (0, 1)")
+        if not 0.0 < v < 1.0:
+            raise ValueError(self._rule.format(i=i, v=v))
         return v
+
+    values = _values
+    _ok = staticmethod(lambda v: (v > 0.0) & (v < 1.0))
+    _rule = "p_{i} = {v} must lie in (0, 1)"
+    _head = (0.0, 0.0, 1.0)  # entry 0 unused
 
     def q(self, i: int) -> float:
         return 1.0 - self(i)
 
 
-def link_conditional(direction: str, seq, i: int) -> float:
-    """Single-index conditional link between p and theta.
+class _ConditionalInverse(PSequence):
+    """p_i = G_{i-1}/G_i by the ratio recursion p_i = 1/(1 + theta_i
+    p_{i-1}/(i-1)) from p_2 = 1, the G recursion divided by G_{i-1}: O(n)
+    for ``values(n)``, O(i) for one index (it is not pointwise)."""
 
-    ``p_to_theta`` maps a PSequence to theta_i = (i-1)q_i/(p_i p_{i-1});
-    ``theta_to_p`` maps a ThetaSequence to p_i = G_{i-1}/G_i.
-    """
-    if i < 3:
-        raise ValueError("link values below index 3 are fixed by convention")
-    if direction == "p_to_theta":
-        p = seq
-        return (i - 1) * p.q(i) / (p(i) * p(i - 1))
-    if direction == "theta_to_p":
-        from .coupling import g_values
+    def __init__(self, thetaseq: ThetaSequence, family: str, label: str):
+        super().__init__(lambda i: self.values(int(np.max(i)))[i], family, label)
+        self.thetaseq = thetaseq
 
-        g = g_values(seq, i)
-        return g[i - 1] / g[i]
-    raise ValueError(f"unknown direction {direction!r}")
-
-
-def link_pushforward(direction: str, seq, i: int) -> float:
-    """Single-index push-forward link: theta_i = (i-1)q_i/p_i and inverse."""
-    if i < 3:
-        raise ValueError("link values below index 3 are fixed by convention")
-    if direction == "p_to_theta":
-        p = seq
-        return (i - 1) * p.q(i) / p(i)
-    if direction == "theta_to_p":
-        t = seq(i)
-        return (i - 1) / (i - 1 + t)
-    raise ValueError(f"unknown direction {direction!r}")
+    def values(self, n: int) -> np.ndarray:
+        theta = memoryview(self.thetaseq.values(n))
+        out = np.zeros(n + 1)
+        out[2:3] = 1.0
+        p, prev = memoryview(out), 1.0
+        for k in range(3, n + 1):
+            prev = 1.0 / (1.0 + theta[k] * prev / (k - 1))
+            p[k] = prev
+        return out
 
 
 def conditional_theta(p: PSequence, theta2: float = 1.0) -> ThetaSequence:
-    """ThetaSequence conditionally linked to p (index 2 value configurable)."""
-    return ThetaSequence.from_callable(
-        lambda i: link_conditional("p_to_theta", p, i),
-        theta2=theta2,
-        label=f"cond<-{p.label}",
-    )
+    """theta_i = (i-1) q_i / (p_i p_{i-1}), the ThetaSequence conditionally
+    linked to p (index 2 value configurable)."""
+    def ev(i):
+        pi = _at(p, i)
+        return (i - 1) * (1.0 - pi) / (pi * _at(p, i - 1))
+
+    return ThetaSequence("conditional", ev, theta2=theta2, label=f"cond<-{p.label}")
 
 
 def pushforward_theta(p: PSequence, theta2: float = 1.0) -> ThetaSequence:
-    """ThetaSequence push-forward linked to p."""
-    return ThetaSequence.from_callable(
-        lambda i: link_pushforward("p_to_theta", p, i),
-        theta2=theta2,
-        label=f"push<-{p.label}",
-    )
+    """theta_i = (i-1) q_i / p_i, the ThetaSequence push-forward linked to p."""
+    def ev(i):
+        pi = _at(p, i)
+        return (i - 1) * (1.0 - pi) / pi
+
+    return ThetaSequence("pushforward", ev, theta2=theta2, label=f"push<-{p.label}")

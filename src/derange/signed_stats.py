@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
 from scipy import special as _sp
 
 from .dist import DistTable
@@ -129,16 +130,15 @@ def lambda_total(n: int, kappa: float, k_law: DistTable) -> tuple[DistTable, flo
     kappa."""
     if not (0.0 <= kappa <= 1.0):
         raise ValueError("kappa must lie in [0, 1]")
-    probs: dict = {}
+    probs = np.zeros(n + 1)
     for k, pk in k_law.items():
-        if pk == 0.0:
-            continue
-        for r in range(k, n + 1):
-            probs[r] = probs.get(r, 0.0) + (
-                float(_sp.comb(n - k, r - k, exact=True))
-                * kappa ** (r - k) * (1.0 - kappa) ** (n - r) * pk
-            )
-    law = DistTable(probs, tol=1e-10)
+        # Lambda_n - k ~ Binomial(n - k, kappa), weighted in log space
+        m = n - k
+        s = np.arange(m + 1)
+        log_w = (_sp.gammaln(m + 1) - _sp.gammaln(s + 1) - _sp.gammaln(m - s + 1)
+                 + _sp.xlogy(s, kappa) + _sp.xlog1py(m - s, -kappa))
+        probs[k:] += np.exp(log_w) * pk
+    law = DistTable({r: v for r, v in enumerate(probs.tolist()) if v > 0.0}, tol=1e-10)
     return law, law.mean()
 
 

@@ -164,3 +164,11 @@ def test_diagnose_rejects_single_index_horizon(capsys):
         assert code == EXIT_GUARD, which
         assert out == ""
         assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("reps, fmt", [("0", "csv"), ("-2", "json")])
+def test_sample_rejects_nonpositive_reps(capsys, reps, fmt):
+    code, out, err = run(capsys, "sample", "--n", "6", "--reps", reps, "--format", fmt)
+    assert code == EXIT_GUARD
+    assert out == ""
+    assert err.startswith("error:")

@@ -99,3 +99,14 @@ def test_probe_accepts_eta():
     p = PSequence.eta(0.5)
     ctx = LimitContext.probe(p=p, horizon=10**4)
     ctx.require("q_vanishes")  # must not raise
+
+
+def test_probe_from_theta_at_large_horizon():
+    # the conditional inverse of eta_star is the eta chain; building it by
+    # the O(n) ratio recursion keeps a 1e5 horizon cheap
+    ts = ThetaSequence.eta_star(0.5)
+    ctx = LimitContext.probe(thetaseq=ts, horizon=10**5)
+    linked = LimitContext.probe(p=PSequence.from_theta_conditional(ts), horizon=10**5)
+    assert ctx.flags == linked.flags == LimitContext.probe(p=PSequence.eta(0.5), horizon=10**5).flags
+    assert all(ctx.flags.values())
+    assert ctx.tails["q_vanishes"] == pytest.approx(0.5 / (0.5 + 10**5 - 1), rel=1e-12)

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from derange import oracle
-from derange.chains import ChainKind
+from derange.chains import ChainKind, transition_matrix
 from derange.moments import (
     cov_eta,
     lambda_esf,
@@ -153,3 +153,19 @@ def test_lambda_esf_vs_cycle_type_sum():
         assert lambda_esf(n, theta) == pytest.approx(
             math.factorial(n) / poch(theta, n) * total, rel=1e-11
         )
+
+
+def test_cov_eta_at_large_n():
+    # P(bit_i = bit_j = 1) - m_i m_j from the transition rows: the chain
+    # runs down from j, so propagate from a 1 at j to index i
+    theta, n = 0.6, 400
+    kind = ChainKind.x(PSequence.eta(theta))
+    marg = oracle._marginal_dp(kind, n)
+    for i, j in [(3, 5), (10, 17), (150, 151), (200, 390)]:
+        dist = [0.0, 1.0]
+        for r in range(j - 1, i - 1, -1):
+            m = transition_matrix(kind, r, n)
+            dist = [dist[0] * m[0][0] + dist[1] * m[1][0],
+                    dist[0] * m[0][1] + dist[1] * m[1][1]]
+        want = marg[j] * dist[1] - marg[i] * marg[j]
+        assert cov_eta(n, i, j, theta) == pytest.approx(want, rel=1e-9, abs=1e-15)

@@ -74,3 +74,32 @@ def test_exact_cycle_provider():
 def test_guard_large_n():
     with pytest.raises(ValueError):
         oracle.exact_law(ChainKind.eta(0.5), oracle.MAX_FULL_N + 20)
+
+
+def test_oracle_stays_independent():
+    # the oracle certifies the closed forms and the array path, so it may
+    # import only the chain definitions and scalar transition rows, and
+    # never reads a sequence's array form (dict .values() takes no argument)
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    allowed = {
+        "chains": {"ChainKind", "cycle_statistics", "in_delta", "path_probability",
+                   "transition_matrix"},
+        "coupling": {"erase11"},
+        "dist": None,
+        "params": None,
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            assert node.module in allowed, node.module
+            names = {alias.name for alias in node.names}
+            assert allowed[node.module] is None or names <= allowed[node.module], names
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("derange") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert not (node.module or "").startswith("derange"), node.module
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            assert not (node.func.attr == "values" and (node.args or node.keywords)), \
+                ast.unparse(node)

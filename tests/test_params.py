@@ -1,13 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
+from derange.coupling import g_values
+from derange.moments import lambda_esf
 from derange.params import (
+    _CHUNK,
     PSequence,
     ThetaSequence,
     conditional_theta,
-    link_conditional,
-    link_pushforward,
     pushforward_theta,
 )
 
@@ -69,14 +71,6 @@ def test_pushforward_theta_closed_form():
         assert ts(i) == pytest.approx(0.5, rel=1e-12)
 
 
-def test_link_guards():
-    p = PSequence.eta(0.5)
-    with pytest.raises(ValueError):
-        link_conditional("p_to_theta", p, 2)
-    with pytest.raises(ValueError):
-        link_pushforward("p_to_theta", p, 1)
-
-
 def test_tabulated_roundtrip():
     vals = [0.0, 1.0, 0.3, 0.6, 0.4]
     p = PSequence.tabulated(vals, tail_rule="constant")
@@ -90,3 +84,73 @@ def test_scaled_theta1():
     s = ts.scaled(2.0)
     assert s.theta1 == 2.0
     assert s(3) == pytest.approx(2.0 * ts(3))
+
+
+def _families():
+    p = PSequence.eta(0.7)
+    return {
+        "eta": PSequence.eta(0.5),
+        "eta_star": ThetaSequence.eta_star(0.5, 0.3),
+        "constant": ThetaSequence.constant(40.0),
+        "tabulated_p": PSequence.tabulated([0.0, 1.0, 0.3, 0.6, 0.4], tail_rule="constant"),
+        "tabulated_theta": ThetaSequence.tabulated([1.0, 0.4, 2.0, 0.1], tail_rule="constant"),
+        "conditional_theta": conditional_theta(p, theta2=0.6),
+        "pushforward_theta": pushforward_theta(p),
+        "from_theta_pushforward": PSequence.from_theta_pushforward(ThetaSequence.eta_star(0.8)),
+        "from_theta_conditional": PSequence.from_theta_conditional(ThetaSequence.constant(0.7)),
+        "eta_tilde": PSequence.eta_tilde(3.0),
+        "scaled": ThetaSequence.eta_star(0.5).scaled(1.7),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_families()))
+def test_values_equal_scalar_calls(name):
+    seq = _families()[name]
+    n = 60
+    v = seq.values(n)
+    assert v.dtype == np.float64 and v.shape == (n + 1,)
+    assert v[0] == 0.0
+    assert v[1:].tolist() == [seq(i) for i in range(1, n + 1)]
+    assert seq.values(7).tolist() == v[:8].tolist()
+    if isinstance(seq, ThetaSequence):
+        assert seq.coin_probs(n)[1:].tolist() == [seq.coin_prob(i) for i in range(1, n + 1)]
+    # values(n) evaluates in chunks of indices; check across their seams
+    n = 2 * _CHUNK + 5
+    v = seq.values(n)
+    for i in (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK, n):
+        assert v[i] == seq(i), i
+
+
+def test_values_conventions_and_checks():
+    assert PSequence.eta(0.5).values(2).tolist() == [0.0, 0.0, 1.0]
+    assert ThetaSequence.constant(0.5, theta2=0.2).values(2).tolist() == [0.0, 1.0, 0.2]
+    assert PSequence.eta(0.5).values(0).tolist() == [0.0]
+    with pytest.raises(ValueError):
+        PSequence.tabulated([0.0, 1.0, 0.5, 1.0]).values(4)
+    with pytest.raises(IndexError):
+        PSequence.tabulated([0.0, 1.0, 0.5]).values(4)
+    with pytest.raises(IndexError):
+        ThetaSequence.tabulated([1.0, 1.0, 0.5])(4)
+    with pytest.raises(ValueError):
+        PSequence.eta(0.5).values(-1)
+
+
+@pytest.mark.parametrize("ts", [ThetaSequence.constant(0.7), ThetaSequence.constant(40.0),
+                                ThetaSequence.constant(0.01), ThetaSequence.eta_star(0.5)],
+                         ids=lambda ts: ts.label)
+def test_conditional_inverse_is_g_ratio(ts):
+    # the ratio recursion against p_i = G_{i-1}/G_i from the G recursion
+    n = 3000
+    g = g_values(ts, n)
+    want = [0.0, 0.0, 1.0] + [g[i - 1] / g[i] for i in range(3, n + 1)]
+    got = PSequence.from_theta_conditional(ts).values(n)
+    assert got.tolist() == pytest.approx(want, rel=1e-13)
+
+
+def test_eta_tilde_matches_derangement_probabilities():
+    for theta in (0.3, 1.0, 2.5):
+        p = PSequence.eta_tilde(theta)
+        for i in range(3, 40):
+            num = (theta + i - 1) * lambda_esf(i, theta)
+            assert p(i) == pytest.approx(num / (num + theta * lambda_esf(i - 1, theta)),
+                                         rel=1e-12)

@@ -206,3 +206,12 @@ def test_generate_signed_circles_match_word():
             idx -= 1
         if r < 3:
             assert generate_signed(n, p, kappa, 8, r) == (word, perm)
+
+
+def test_lambda_total_at_large_n():
+    # the Binomial(n - k, kappa) weights overflow a float outside log space
+    n, kappa = 1100, 0.4
+    k_law = k_distribution("X", n, PSequence.eta(0.5))
+    law, mean = lambda_total(n, kappa, k_law)
+    assert law.total() == pytest.approx(1.0, abs=1e-10)
+    assert mean == pytest.approx(lambda_mean_identity(n, kappa, k_law.mean()), rel=1e-10)
