@@ -40,12 +40,11 @@ class ChainKind:
 
     def __init__(self, tag: str, p: PSequence | None = None,
                  thetaseq: ThetaSequence | None = None,
-                 kappa: float | None = None, theta: float | None = None):
+                 kappa: float | None = None):
         self.tag = tag
         self.p = p
         self.thetaseq = thetaseq
         self.kappa = kappa
-        self.theta = theta
 
     @classmethod
     def x(cls, p: PSequence) -> "ChainKind":
@@ -53,13 +52,13 @@ class ChainKind:
 
     @classmethod
     def eta(cls, theta: float) -> "ChainKind":
-        return cls("ETA", p=PSequence.eta(theta), theta=theta)
+        return cls("ETA", p=PSequence.eta(theta))
 
     @classmethod
     def eta_tilde(cls, theta: float) -> "ChainKind":
         """Derangement chain whose law matches a derangement-conditioned
         theta-biased permutation (``PSequence.eta_tilde``)."""
-        return cls("ETA_TILDE", p=PSequence.eta_tilde(theta), theta=theta)
+        return cls("ETA_TILDE", p=PSequence.eta_tilde(theta))
 
     @classmethod
     def y(cls, thetaseq: ThetaSequence) -> "ChainKind":
@@ -67,17 +66,13 @@ class ChainKind:
 
     @classmethod
     def xi_tilde(cls, theta: float) -> "ChainKind":
-        return cls("XI_TILDE", thetaseq=ThetaSequence.constant(theta), theta=theta)
+        return cls("XI_TILDE", thetaseq=ThetaSequence.constant(theta))
 
     @classmethod
     def signed(cls, p: PSequence, kappa: float) -> "ChainKind":
         if not (0.0 <= kappa <= 1.0):
             raise ValueError("kappa must lie in [0, 1]")
         return cls("SIGNED", p=p, kappa=kappa)
-
-    @classmethod
-    def xinf_prefix(cls, p: PSequence) -> "ChainKind":
-        return cls("XINF_PREFIX", p=p)
 
     @property
     def is_derangement(self) -> bool:
@@ -155,8 +150,6 @@ def transition_matrix(kind: ChainKind, r: int, n: int) -> np.ndarray:
     index r (rows indexed by the value at index r+1)."""
     if not (1 <= r <= n):
         raise ValueError(f"index r={r} outside 1..{n}")
-    if kind.tag == "XINF_PREFIX":
-        return _xinf_matrix(kind.p, r)
     if kind.is_derangement:
         p = kind.p
         if r == n:
@@ -169,14 +162,6 @@ def transition_matrix(kind: ChainKind, r: int, n: int) -> np.ndarray:
         c = kind.thetaseq.coin_prob(r)
         return np.array([[1.0 - c, c], [1.0 - c, c]])
     raise ValueError(f"unsupported kind {kind.tag}")
-
-
-def _xinf_matrix(p: PSequence, i: int) -> np.ndarray:
-    """Upward step of the limit chain from index i to i+1."""
-    from .limitchain import xinf_transition
-
-    t = xinf_transition(i, p)
-    return np.array([[1.0 - t, t], [1.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -288,15 +273,6 @@ def path_probability(kind: ChainKind, word, n: int | None = None,
             prob *= row[bit]
             prev = bit
         return prob
-    if kind.tag == "XINF_PREFIX":
-        # the limit chain runs upward in index, starting from a 1 at index 1
-        if word[0] != 1 or any(word[i] + word[i + 1] > 1 for i in range(n - 1)):
-            return 0.0
-        prob = 1.0
-        for i in range(1, n):
-            row = _xinf_matrix(kind.p, i)[word[i - 1]]
-            prob *= row[word[i]]
-        return prob
     raise ValueError(f"unsupported kind {kind.tag}")
 
 
@@ -318,16 +294,13 @@ def marginals(pv: np.ndarray) -> np.ndarray:
     return np.array(m)
 
 
-def marginal_one(kind: ChainKind, i: int, horizon) -> float:
-    """P(value at index i is 1) at finite horizon n or in the n -> infinity
-    limit (derangement kinds; requires the continue-probabilities to sum to
-    infinity, probed numerically)."""
+def marginal_one(kind: ChainKind, i: int, horizon: int) -> float:
+    """P(value at index i is 1) at the finite horizon n."""
     if kind.is_coin:
         return kind.thetaseq.coin_prob(i)
-    if kind.tag == "XINF_PREFIX" or horizon == math.inf:
-        from .limitchain import phi
-
-        return phi(i, kind.p)
+    if horizon == math.inf:
+        raise ValueError("marginal_one needs a finite horizon; the n -> infinity "
+                         "limit is limitchain.phi")
     n = int(horizon)
     if not (1 <= i <= n):
         raise ValueError(f"index {i} outside 1..{n}")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv as _csv
-import io
 import json
 import math
 import os
@@ -19,10 +18,37 @@ import sys
 import numpy as np
 
 from . import __version__
-from .chains import ChainKind, generate_signed_many, sample_paths, word_to_string
+from .chains import (
+    ChainKind,
+    generate_signed_many,
+    marginal_one,
+    sample_paths,
+    word_to_string,
+)
+from .coupling import delta_n, gamma_n, k_distribution, pgf_k
 from .dist import compare_laws
+from .limitchain import delta_i_inf, gamma_inf, phi, tv_prefix
+from .moments import (
+    lambda_esf,
+    mean_cj,
+    mean_cj_eta,
+    mean_cj_eta_limit,
+    mean_k,
+    mean_k_eta,
+    mean_k_eta_limit,
+    second_moments,
+)
 from .numerics import NumericsError
-from .params import PSequence, ThetaSequence, conditional_theta, pushforward_theta
+from .params import PSequence, ThetaSequence, conditional_theta
+from .signed_stats import (
+    OrientationWeights,
+    cki_distribution,
+    cstar_moments,
+    lambda_mean_identity,
+    lambda_total,
+    omega,
+    ordered_star_prob,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -67,7 +93,7 @@ def _p_seq(args) -> PSequence:
     if kind == "eta":
         return PSequence.eta(args.theta)
     if kind == "eta_tilde":
-        return ChainKind.eta_tilde(args.theta).p
+        return PSequence.eta_tilde(args.theta)
     if kind == "cond":
         return PSequence.from_theta_conditional(_theta_seq(args))
     if kind == "push":
@@ -79,85 +105,69 @@ def _p_seq(args) -> PSequence:
 # quantity registry for `exact`
 
 def _q_mean_k(a):
-    from .moments import mean_k
     return mean_k(a.n, _p_seq(a))
 
 
 def _q_mean_k_eta(a):
-    from .moments import mean_k_eta
     return mean_k_eta(a.n, a.theta)
 
 
 def _q_mean_k_eta_limit(a):
-    from .moments import mean_k_eta_limit
     est = mean_k_eta_limit(a.theta, m=a.m, method=a.method or "series")
     return {"value": est.value, "error_bound": est.error_bound}
 
 
 def _q_mean_cj(a):
-    from .moments import mean_cj
     return mean_cj(a.n, a.j, _p_seq(a))
 
 
 def _q_mean_cj_eta(a):
-    from .moments import mean_cj_eta
     return mean_cj_eta(a.n, a.j, a.theta)
 
 
 def _q_mean_cj_eta_limit(a):
-    from .moments import mean_cj_eta_limit
     est = mean_cj_eta_limit(a.theta, a.j, method=a.method or "series", m=a.m)
     return {"value": est.value, "error_bound": est.error_bound}
 
 
 def _q_var_cj(a):
-    from .moments import second_moments
     return second_moments(a.n, a.j, _p_seq(a))
 
 
 def _q_gamma_n(a):
-    from .coupling import gamma_n
     return gamma_n(_theta_seq(a), a.n, method=a.method or "recursion")
 
 
 def _q_delta_n(a):
-    from .coupling import delta_n
     n = math.inf if a.n == 0 else a.n
     return delta_n(a.theta, n=n)
 
 
 def _q_pgf_k(a):
-    from .coupling import pgf_k
     return pgf_k(a.kind or "Y", a.s, a.n, _theta_seq(a))
 
 
 def _q_phi(a):
-    from .limitchain import phi
     return phi(a.i, _p_seq(a), method=a.method or "series")
 
 
 def _q_tv_prefix(a):
-    from .limitchain import tv_prefix
     return tv_prefix(a.n, _p_seq(a), method=a.method or "theorem")
 
 
 def _q_gamma_inf(a):
-    from .limitchain import gamma_inf
     return gamma_inf(a.i, _theta_seq(a))
 
 
 def _q_delta_i_inf(a):
-    from .limitchain import delta_i_inf
     return delta_i_inf(a.theta, a.i)
 
 
 def _q_lambda_esf(a):
-    from .moments import lambda_esf
     return lambda_esf(a.n, a.theta)
 
 
 def _q_marginal_one(a):
-    from .chains import marginal_one
     return marginal_one(ChainKind.x(_p_seq(a)), a.i, a.n)
 
 
@@ -244,7 +254,7 @@ def _cmd_sample(args) -> int:
         raise ValueError("--reps must be >= 1")
     reps = range(args.reps)
     if args.kind == "signed":
-        pairs = generate_signed_many(args.n, _p_seq_for_signed(args), args.kappa,
+        pairs = generate_signed_many(args.n, PSequence.eta(args.theta), args.kappa,
                                      args.seed, reps)
         words = [{"word": word.to_string(), "circles": [list(c) for c in perm.circles]}
                  for word, perm in pairs]
@@ -256,14 +266,7 @@ def _cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _p_seq_for_signed(args) -> PSequence:
-    a2 = argparse.Namespace(**vars(args))
-    a2.kind = "eta"
-    return _p_seq(a2)
-
-
 def _cmd_table1(args) -> int:
-    from .moments import mean_cj_eta_limit
     rows = []
     for j in range(2, 8):
         est = mean_cj_eta_limit(args.theta, j, method="series", m=args.m)
@@ -278,7 +281,6 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_table2(args) -> int:
-    from .moments import second_moments
     p = PSequence.eta(args.theta)
     rows = []
     for j in range(3, 8):
@@ -335,7 +337,6 @@ def _run_suite(suite: str, args) -> dict:
             worst = max(worst, compare_laws(law_x, law_pf).tv)
         return {"suite": suite, "max_tv": worst, "passed": bool(worst < tol)}
     if suite == "tv":
-        from .limitchain import tv_prefix
         worst = 0.0
         for theta in (0.5, 1.0):
             p = PSequence.eta(theta)
@@ -344,7 +345,6 @@ def _run_suite(suite: str, args) -> dict:
                 worst = max(worst, gap)
         return {"suite": suite, "max_gap": worst, "passed": bool(worst < tol)}
     if suite == "pgf":
-        from .coupling import k_distribution, pgf_k
         worst = 0.0
         ts = ThetaSequence.eta_star(0.7)
         for m in (6, 12):
@@ -358,7 +358,6 @@ def _run_suite(suite: str, args) -> dict:
                     worst = max(worst, abs(pgf_k(which, s, m, ts) - direct))
         return {"suite": suite, "max_gap": worst, "passed": bool(worst < 1e-10)}
     if suite == "variance":
-        from .moments import second_moments
         worst = 0.0
         p = PSequence.eta(0.5)
         for j in (2, 3, 4):
@@ -388,11 +387,6 @@ def _cmd_diagnose(args) -> int:
 
 def _cmd_signed(args) -> int:
     from . import oracle
-    from .coupling import k_distribution
-    from .signed_stats import (
-        OrientationWeights, cki_distribution, cstar_moments, lambda_total,
-        lambda_mean_identity, omega, ordered_star_prob,
-    )
     w = OrientationWeights.binomial(args.kappa)
     p = PSequence.eta(args.theta)
     quantity = args.quantity

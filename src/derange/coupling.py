@@ -17,7 +17,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .dist import DistTable
-from .numerics import AccuracySpec, DEFAULT_ACC, beta_fn, kummer_m
+from .numerics import beta_fn
 from .params import PSequence, ThetaSequence
 
 

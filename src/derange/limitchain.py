@@ -20,6 +20,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from .chains import ChainKind, path_probability
+from .coupling import delta_n, delta_roots
+from .moments import lambda_esf
 from .numerics import AccuracySpec, DEFAULT_ACC, NumericsError, beta_fn, kummer_m
 from .params import PSequence, ThetaSequence, conditional_theta
 
@@ -179,8 +182,6 @@ def phi_eta(i: int, theta: float, acc: AccuracySpec = DEFAULT_ACC) -> float:
 def phi_eta_tilde(i: int, theta: float, acc: AccuracySpec = DEFAULT_ACC) -> float:
     """Closed form for the eta_tilde chain, built from the derangement
     probability of the theta-biased permutation."""
-    from .moments import lambda_esf
-
     if i == 1:
         return 1.0
     if i == 2:
@@ -213,7 +214,9 @@ def tv_prefix(n: int, p: PSequence, method: str = "theorem",
     limit chain and the horizon-n chain law.
 
     'theorem' evaluates phi_n directly; 'direct' enumerates both prefix
-    laws (n <= 18) and sums half the absolute differences.
+    laws (n <= 18) and sums half the absolute differences.  The limit chain
+    runs upward from a 1 at index 1: a 1 is followed by a 0, and a 0 at
+    index i by a 1 with probability ``xinf_transition(i, p)``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -225,10 +228,9 @@ def tv_prefix(n: int, p: PSequence, method: str = "theorem",
         raise ValueError("direct enumeration limited to n <= 18")
     if n == 1:
         return 0.0
-    from .chains import ChainKind, path_probability
-
     xn = ChainKind.x(p)
-    xinf = ChainKind.xinf_prefix(p)
+    up = [0.0] + [xinf_transition(i, p, acc) for i in range(1, n)]
+    stay = [1.0 - t for t in up]
     gaps = []
     # all no-adjacent-1s words of length n starting with a 1
     stack = [(1, (1,))]
@@ -242,9 +244,11 @@ def tv_prefix(n: int, p: PSequence, method: str = "theorem",
         if prev == 0:
             stack.append((1, w + (1,)))
     for w in words:
-        pn = path_probability(xn, w, n)
-        pinf = path_probability(xinf, w, n)
-        gaps.append(abs(pn - pinf))
+        pinf = 1.0
+        for i in range(1, n):
+            if w[i - 1] == 0:
+                pinf *= up[i] if w[i] else stay[i]
+        gaps.append(abs(path_probability(xn, w, n) - pinf))
     return 0.5 * math.fsum(gaps)
 
 
@@ -318,8 +322,6 @@ def delta_i_inf(theta: float, i: int, theta2star: float = 1.0,
         raise ValueError("theta must be positive")
     if i < 2:
         raise ValueError("index must be >= 2")
-    from .coupling import delta_n, delta_roots
-
     if i == 2:
         return delta_n(theta, theta2star, math.inf)
     if i == 3:

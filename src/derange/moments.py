@@ -309,18 +309,14 @@ def cov_eta(n: int, i: int, j: int, theta: float) -> float:
 
 def lambda_esf(n: int, theta: float) -> float:
     """P(a theta-biased random permutation of n elements has no fixed
-    point), by the stabilized alternating sum."""
+    point), by the positive recursion lambda_0 = 1, lambda_1 = 0,
+    lambda_m = (m-1)/(theta+m-1) (lambda_{m-1} + theta lambda_{m-2}/(theta+m-2)).
+
+    Every term is nonnegative, so large theta loses nothing to the
+    cancellation of the alternating sum over fixed points."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return 0.0
-    # t_0 = 1; t_{j+1}/t_j = -theta (n-j) / ((j+1)(n+theta-j-1)); the
-    # theta^j/j! factor makes the tail negligible after ~40 terms
-    terms = [1.0]
-    t = 1.0
-    for j in range(0, n):
-        t *= -theta * (n - j) / ((j + 1) * (n + theta - j - 1.0))
-        terms.append(t)
-        if abs(t) < 1e-20:
-            break
-    return math.fsum(terms)
+    prev, cur = 1.0, 0.0
+    for m in range(2, n + 1):
+        prev, cur = cur, (m - 1) / (theta + m - 1.0) * (cur + theta * prev / (theta + m - 2.0))
+    return cur

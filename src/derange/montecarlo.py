@@ -295,20 +295,15 @@ def ks_p_value(d: float, m: int) -> float:
 # ---------------------------------------------------------------------------
 # diagnostics
 
-def clt_diagnostic(p, n: int, reps: int, seed: int,
-                   centering: str = "qbar",
-                   theta: float | None = None,
-                   standardize: str = "sample") -> EstimateReport:
+def clt_diagnostic(p, n: int, reps: int, seed: int) -> EstimateReport:
     """KS test of the standardized cycle-count total against the standard
     normal.
 
-    'qbar' centers at sum q_i and scales by its square root; 'theta_log'
-    uses theta log n for chains with n q_n -> theta.  With ``standardize``
-    = 'sample' (default) the KS test z-scores the sample by its own
-    moments, testing the distributional shape the limit theorem asserts;
-    at reachable horizons the theoretical centering is still offset by an
-    O(1) term that a large-sample KS test resolves, so 'theoretical' is
-    reported in the extras and available as an option.
+    The KS test z-scores the sample by its own moments, testing the
+    distributional shape the limit theorem asserts.  The theorem's
+    standardization, centered at sum q_i and scaled by its square root, is
+    still offset by an O(1) term at reachable horizons that a large-sample
+    KS test resolves; its KS result is reported in the extras.
     """
     if reps < 2:
         raise ValueError("reps must be >= 2")
@@ -317,16 +312,6 @@ def clt_diagnostic(p, n: int, reps: int, seed: int,
     q = h[1:]
     qbar = math.fsum(q)
     qqbar = math.fsum(q * q)
-    if centering == "qbar":
-        center, scale = qbar, math.sqrt(qbar)
-    elif centering == "theta_log":
-        if theta is None:
-            raise ValueError("theta_log centering needs theta")
-        center, scale = theta * math.log(n), math.sqrt(theta * math.log(n))
-    else:
-        raise ValueError(f"unknown centering {centering!r}")
-    if standardize not in ("sample", "theoretical"):
-        raise ValueError(f"unknown standardize {standardize!r}")
     sample = np.empty(reps)
     # the count is integer-valued; dither by Uniform(-1/2, 1/2), the first
     # draw of each replicate's stream, so the KS comparison against a
@@ -337,18 +322,17 @@ def clt_diagnostic(p, n: int, reps: int, seed: int,
         sample[rows] = np.count_nonzero(ones, axis=1)
         dither[rows] = draws[:, 0] - 0.5
     dithered = sample + dither
-    z_theory = (dithered - center) / scale
+    z_theory = (dithered - qbar) / math.sqrt(qbar)
     d_theory = ks_statistic(z_theory, _sp.ndtr)
     z_sample = (dithered - dithered.mean()) / dithered.std(ddof=1)
-    d_sample = ks_statistic(z_sample, _sp.ndtr)
-    z, d = (z_sample, d_sample) if standardize == "sample" else (z_theory, d_theory)
+    d = ks_statistic(z_sample, _sp.ndtr)
     flags = () if reps >= _MIN_KS_REPS else ("ks_unreliable_small_sample",)
     return EstimateReport(
-        statistic=f"K standardized ({centering}, {standardize})", reps=reps,
+        statistic="K standardized (qbar, sample)", reps=reps,
         mean=float(np.mean(z_theory)),
         std_error=float(np.std(z_theory, ddof=1) / math.sqrt(reps)),
         seed=seed, ks_stat=d, p_value=ks_p_value(d, reps), flags=flags,
-        params={"n": n, "centering": centering, "standardize": standardize},
+        params={"n": n},
         extras={"qbar": qbar, "qqbar": qqbar,
                 "precondition_ratio": qqbar**2 / qbar,
                 "sample_mean_k": float(np.mean(sample)),
@@ -367,14 +351,12 @@ def stick_breaking_sample(theta: float, reps: int, seed: int,
     return sticks * np.concatenate((np.ones((reps, 1)), remaining), axis=1)
 
 
-def gem_diagnostic(theta: float, n: int, reps: int, seed: int,
-                   kind: ChainKind | None = None) -> EstimateReport:
-    """KS tests of the normalized first two cycle lengths against the
-    Beta(1, theta) sticks of the GEM limit."""
+def gem_diagnostic(theta: float, n: int, reps: int, seed: int) -> EstimateReport:
+    """KS tests of the normalized first two cycle lengths of the eta chain
+    against the Beta(1, theta) sticks of the GEM limit."""
     if reps < 2:
         raise ValueError("reps must be >= 2")
-    if kind is None:
-        kind = ChainKind.eta(theta)
+    kind = ChainKind.eta(theta)
     a1 = np.empty(reps)
     a2 = np.empty(reps)
     for start, _, ones in _sample(kind, _one_probs(kind, n), range(reps), seed, lead=0):
@@ -400,7 +382,7 @@ def gem_diagnostic(theta: float, n: int, reps: int, seed: int,
         mean=float(np.mean(a1 / n)),
         std_error=float(np.std(a1 / n, ddof=1) / math.sqrt(reps)),
         seed=seed, ks_stat=d1, p_value=ks_p_value(d1, reps), flags=flags,
-        params={"theta": theta, "n": n, "kind": kind.tag},
+        params={"theta": theta, "n": n},
         extras={"ks_stat_a2": d2, "p_value_a2": ks_p_value(d2, reps),
                 "joint_prefix_empirical": joint_emp,
                 "joint_prefix_oracle": joint_oracle},

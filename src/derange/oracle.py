@@ -11,9 +11,15 @@ from __future__ import annotations
 import itertools
 import math
 
-from .chains import ChainKind, cycle_statistics, in_delta, path_probability
+from .chains import (
+    ChainKind,
+    cycle_statistics,
+    path_probability,
+    transition_matrix,
+)
+from .coupling import erase11
 from .dist import DistTable
-from .params import PSequence, ThetaSequence
+from .params import ThetaSequence
 
 # Cardinality guards: Fibonacci-sized derangement supports up to n = 30,
 # full 2^(n-1) coin-word spaces up to n = 22.
@@ -52,19 +58,10 @@ def exact_law(kind: ChainKind, n: int, check_tol: float = 1e-12) -> DistTable:
                 f"full coin-word space has 2^{n - 1} outcomes; limited to n <= {MAX_FULL_N}"
             )
         words = [(1,) + bits for bits in itertools.product((0, 1), repeat=n - 1)]
-    elif kind.is_derangement or kind.tag == "XINF_PREFIX":
+    elif kind.is_derangement:
         if n > MAX_DELTA_N:
             raise ValueError(f"derangement support limited to n <= {MAX_DELTA_N}")
-        if kind.tag == "XINF_PREFIX":
-            # prefixes may end in 1, so enumerate all no-11 words starting 1
-            words = [
-                w for w in (
-                    (1,) + bits for bits in itertools.product((0, 1), repeat=n - 1)
-                )
-                if all(w[i] + w[i + 1] < 2 for i in range(n - 1))
-            ]
-        else:
-            words = enumerate_delta(n)
+        words = enumerate_delta(n)
     else:
         raise ValueError(f"exact_law does not support kind {kind.tag}")
     probs = {w: path_probability(kind, w, n) for w in words}
@@ -93,8 +90,6 @@ def pushforward_law(n: int, thetaseq: ThetaSequence) -> DistTable:
     The map reads only the first n - 1 coin values (every output index
     at or above n is 0), so words of length n - 1 are enumerated.
     """
-    from .coupling import erase11
-
     if n > MAX_FULL_N:
         raise ValueError(f"limited to n <= {MAX_FULL_N}")
     y = ChainKind.y(thetaseq)
@@ -113,8 +108,6 @@ def pushforward_law(n: int, thetaseq: ThetaSequence) -> DistTable:
 def _marginal_dp(kind: ChainKind, n: int):
     """P(word bit at index i is 1) for i = 1..n, by forward DP over the
     transition rows (independent of the closed-form marginal series)."""
-    from .chains import transition_matrix
-
     dist = [0.0, 1.0]  # state distribution at index n+1 (always 1)
     out = [0.0] * (n + 1)
     for r in range(n, 0, -1):
@@ -132,8 +125,6 @@ def _pattern_probs_dp(kind: ChainKind, n: int, j: int) -> dict:
     """{i: P(a j-cycle ends exactly at index position i)} under horizon n
     for i = j+1..n+1, where i = n+1 denotes the boundary cycle touching the
     top; computed from one marginal DP and transition rows only."""
-    from .chains import transition_matrix
-
     def run_down(prob, top, bottom):
         # 0s at top-1..bottom+1, then 1 at bottom, from a 1 at top
         state = 1
@@ -171,8 +162,6 @@ def dp_moments(kind: ChainKind, n: int, targets=("mean_k",), j: int | None = Non
         out["mean_k"] = math.fsum(marg[1:])
     if "var_k" in targets:
         # E[K^2] needs pairwise P(bit_a = bit_b = 1); use conditional DP
-        from .chains import transition_matrix
-
         total = out["mean_k"]
         pair_sum = 0.0
         for a in range(n, 0, -1):

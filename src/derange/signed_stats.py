@@ -13,13 +13,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import special as _sp
 
+from .coupling import ordered_cycle_prefix_prob
 from .dist import DistTable
 from .params import ThetaSequence
+
+
+def _binom_pmf(s, m: int, kappa: float):
+    """Binomial(m, kappa) probability of s successes (s an int or an int
+    array), in log space: the coefficient overflows a float from m ~ 1030."""
+    return np.exp(_sp.gammaln(m + 1) - _sp.gammaln(s + 1) - _sp.gammaln(m - s + 1)
+                  + _sp.xlogy(s, kappa) + _sp.xlog1py(m - s, -kappa))
 
 
 @dataclass(frozen=True)
@@ -65,8 +72,7 @@ def omega(k: int, i: int, weights: OrientationWeights) -> float:
     if not (1 <= i <= k):
         raise ValueError(f"require 1 <= i <= k, got i={i}, k={k}")
     if weights.mode == "binomial":
-        kap = weights.kappa
-        return float(_sp.comb(k - 1, i - 1, exact=True)) * kap ** (i - 1) * (1.0 - kap) ** (k - i)
+        return float(_binom_pmf(i - 1, k - 1, weights.kappa))
     lookup = dict(weights.table)
     return lookup.get((k, i), 0.0)
 
@@ -80,15 +86,7 @@ def cki_distribution(k: int, i: int, ell: int, n: int, k_law: DistTable,
     if k * ell > n:
         return 0.0
     w = omega(k, i, weights)
-    total = 0.0
-    for m, pm in k_law.items():
-        if m < ell:
-            continue
-        total += (
-            float(_sp.comb(m, ell, exact=True))
-            * w**ell * (1.0 - w) ** (m - ell) * pm
-        )
-    return total
+    return math.fsum(_binom_pmf(ell, m, w) * pm for m, pm in k_law.items() if m >= ell)
 
 
 def cstar_moments(i: int, j: int, n: int, provider,
@@ -132,12 +130,8 @@ def lambda_total(n: int, kappa: float, k_law: DistTable) -> tuple[DistTable, flo
         raise ValueError("kappa must lie in [0, 1]")
     probs = np.zeros(n + 1)
     for k, pk in k_law.items():
-        # Lambda_n - k ~ Binomial(n - k, kappa), weighted in log space
-        m = n - k
-        s = np.arange(m + 1)
-        log_w = (_sp.gammaln(m + 1) - _sp.gammaln(s + 1) - _sp.gammaln(m - s + 1)
-                 + _sp.xlogy(s, kappa) + _sp.xlog1py(m - s, -kappa))
-        probs[k:] += np.exp(log_w) * pk
+        # Lambda_n - k ~ Binomial(n - k, kappa)
+        probs[k:] += _binom_pmf(np.arange(n - k + 1), n - k, kappa) * pk
     law = DistTable({r: v for r, v in enumerate(probs.tolist()) if v > 0.0}, tol=1e-10)
     return law, law.mean()
 
@@ -151,8 +145,6 @@ def ordered_star_prob(astar, n: int, thetaseq: ThetaSequence,
                       weights: OrientationWeights) -> float:
     """P(A*_1 = a*_1, ..., A*_k = a*_k, K_n > k): joint in-looking counts
     of the first k circles in formation order, for the coin process."""
-    from .coupling import ordered_cycle_prefix_prob
-
     astar = tuple(int(a) for a in astar)
     if any(a < 1 for a in astar):
         raise ValueError("in-looking counts must be >= 1 (leaders look in)")

@@ -77,13 +77,12 @@ def test_path_probability_coin_closed_form():
 
 
 def test_marginal_one_vs_dp():
-    p = PSequence.eta(0.8)
-    kind = ChainKind.x(p)
     n = 10
-    law = oracle.exact_law(kind, n)
-    for i in range(1, n + 1):
-        brute = math.fsum(pr for w, pr in law.items() if w[i - 1] == 1)
-        assert marginal_one(kind, i, n) == pytest.approx(brute, abs=1e-13)
+    for kind in (ChainKind.x(PSequence.eta(0.8)), ChainKind.y(ThetaSequence.eta_star(0.6))):
+        law = oracle.exact_law(kind, n)
+        for i in range(1, n + 1):
+            brute = math.fsum(pr for w, pr in law.items() if w[i - 1] == 1)
+            assert marginal_one(kind, i, n) == pytest.approx(brute, abs=1e-13)
 
 
 def test_cycle_statistics():
@@ -112,6 +111,7 @@ def test_sampled_path_law_matches_exact(kind, n):
 def test_unsupported_kinds_raise():
     p = PSequence.eta(1.0)
     with pytest.raises(ValueError):
-        sample_path(ChainKind.xinf_prefix(p), 6, 1)
-    with pytest.raises(ValueError):
         transition_matrix(ChainKind.signed(p, 0.5), 2, 6)
+    # the n -> infinity marginal is limitchain.phi
+    with pytest.raises(ValueError, match="limitchain.phi"):
+        marginal_one(ChainKind.eta(1.0), 3, math.inf)

@@ -1,9 +1,19 @@
 import json
+import math
 
 import pytest
 
+from derange import __version__, oracle
 from derange.chains import ChainKind, generate_signed, sample_path, word_to_string
-from derange.params import PSequence
+from derange.moments import mean_k
+from derange.montecarlo import clt_diagnostic, gem_diagnostic
+from derange.params import PSequence, ThetaSequence
+from derange.signed_stats import (
+    OrientationWeights,
+    cki_distribution,
+    cstar_moments,
+    ordered_star_prob,
+)
 from derange.cli import (
     EXIT_GUARD,
     EXIT_OK,
@@ -172,3 +182,85 @@ def test_sample_rejects_nonpositive_reps(capsys, reps, fmt):
     assert code == EXIT_GUARD
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("name", sorted(QUANTITIES))
+def test_every_quantity_evaluates(capsys, name):
+    code, out, _ = run(capsys, "exact", "--quantity", name, "--n", "8", "--format", "json")
+    assert code == EXIT_OK
+    res = json.loads(out)["results"]
+    assert math.isfinite(res["value"] if isinstance(res, dict) else res)
+
+
+@pytest.mark.parametrize("kind, p", [
+    ("eta_tilde", PSequence.eta_tilde(0.7)),
+    ("cond", PSequence.from_theta_conditional(ThetaSequence.eta_star(0.7))),
+    ("push", PSequence.from_theta_pushforward(ThetaSequence.eta_star(0.7))),
+])
+def test_exact_p_sequence_kinds(capsys, kind, p):
+    code, out, _ = run(capsys, "exact", "--quantity", "mean_k", "--kind", kind,
+                       "--theta", "0.7", "--theta-family", "eta_star", "--n", "12",
+                       "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["results"] == pytest.approx(mean_k(12, p), rel=1e-8)
+
+
+def test_text_is_the_default_format(capsys):
+    code, out, _ = run(capsys, "exact", "--quantity", "lambda_esf", "--n", "4")
+    assert code == EXIT_OK
+    config, value = out.splitlines()
+    assert config.startswith("# config: {") and config.endswith(f"(version {__version__})")
+    assert value == "0.375"  # 9 of the 24 permutations of 4 are derangements
+    code, out, _ = run(capsys, "exact", "--quantity", "mean_cj_eta_limit", "--j", "2",
+                       "--theta", "0.5")
+    assert code == EXIT_OK
+    assert out.splitlines()[1].startswith("value=0.2553175")
+    assert "  error_bound=" in out
+
+
+@pytest.mark.parametrize("which", ["clt", "gem"])
+def test_diagnose_reports_library_result(capsys, which):
+    code, out, _ = run(capsys, "diagnose", "--which", which, "--n", "300", "--reps", "500",
+                       "--seed", "3", "--format", "json")
+    assert code == EXIT_OK
+    res = json.loads(out)["results"]
+    if which == "clt":
+        rep = clt_diagnostic(PSequence.eta(1.0), 300, 500, 3)
+        assert res["statistic"] == "K standardized (qbar, sample)"
+    else:
+        rep = gem_diagnostic(1.0, 300, 500, 3)
+    assert res["statistic"] == rep.statistic and res["flags"] == []
+    assert res["ks_stat"] == pytest.approx(rep.ks_stat, rel=1e-8)
+    assert res["p_value"] == pytest.approx(rep.p_value, rel=1e-8)
+    assert set(rep.extras) < set(res)
+
+
+def test_signed_quantities_match_library(capsys):
+    common = ("--n", "8", "--kappa", "0.4", "--format", "json")
+    w = OrientationWeights.binomial(0.4)
+    provider = oracle.ExactCycleProvider(ChainKind.x(PSequence.eta(1.0)), 8)
+
+    code, out, _ = run(capsys, "signed", "--quantity", "lambda", *common)
+    assert code == EXIT_OK
+    res = json.loads(out)["results"]
+    assert res["mean"] == pytest.approx(res["mean_identity"], rel=1e-8)
+    assert math.fsum(res["law"].values()) == pytest.approx(1.0, abs=1e-8)
+
+    code, out, _ = run(capsys, "signed", "--quantity", "cki", "--k", "3", "--i", "2",
+                       "--l", "1", *common)
+    assert code == EXIT_OK
+    assert json.loads(out)["results"] == pytest.approx(
+        cki_distribution(3, 2, 1, 8, provider.c_law(3), w), rel=1e-8)
+
+    code, out, _ = run(capsys, "signed", "--quantity", "cstar", "--i", "1", "--j", "2",
+                       *common)
+    assert code == EXIT_OK
+    mean, cov = cstar_moments(1, 2, 8, provider, w)
+    assert json.loads(out)["results"] == pytest.approx(
+        {"mean_cstar_j": mean, "cov_cstar_ij": cov}, rel=1e-8)
+
+    code, out, _ = run(capsys, "signed", "--quantity", "ordered_star", "--astar", "1,2",
+                       *common)
+    assert code == EXIT_OK
+    assert json.loads(out)["results"] == pytest.approx(
+        ordered_star_prob((1, 2), 8, ThetaSequence.constant(1.0), w), rel=1e-8)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -147,6 +148,20 @@ def test_erase11_worked_examples():
     y = [1, 1, 1, 1, 1, 0, 0, 1, 1, 1, 1, 0, 0, 0]
     assert "".join(map(str, erase11(y, 11))) == "10101001010"
     assert "".join(map(str, erase11(y, 12))) == "101010001010"
+
+
+def test_erase11_window_map():
+    # a window ending in 0 fixes every run of 1s, so the window map is the
+    # finite map at any horizon past the window, cut to the window
+    for bits in itertools.product((0, 1), repeat=7):
+        y = (1,) + bits + (0,)
+        window = erase11(y, math.inf)
+        assert len(window) == len(y)
+        for pad in (0, 1, 3):
+            finite = erase11(y + (0,) * pad, len(y) + 1 + pad)
+            assert window == finite[:len(y)] and not any(finite[len(y):])
+    with pytest.raises(ValueError, match="window ends inside a run"):
+        erase11((1, 0, 1, 1), math.inf)
 
 
 def test_erase11_lands_in_delta():

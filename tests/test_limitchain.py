@@ -32,12 +32,11 @@ def test_phi_series_vs_closed_form_eta():
 
 
 def test_phi_eta_tilde_consistency():
-    from derange.chains import ChainKind
-
-    theta = 0.8
-    p = ChainKind.eta_tilde(theta).p
-    for i in range(3, 10):
-        assert phi(i, p) == pytest.approx(phi_eta_tilde(i, theta), rel=1e-9)
+    for theta in (0.8, 3.0):
+        p = PSequence.eta_tilde(theta)
+        for i in range(3, 10):
+            assert phi(i, p) == pytest.approx(phi_eta_tilde(i, theta), rel=1e-9)
+            assert phi(i, p, method="closed_form") == pytest.approx(phi(i, p), rel=1e-9)
 
 
 def test_phi_constant_q_fixed_point():

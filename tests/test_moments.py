@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 from derange import oracle
@@ -153,6 +154,18 @@ def test_lambda_esf_vs_cycle_type_sum():
         assert lambda_esf(n, theta) == pytest.approx(
             math.factorial(n) / poch(theta, n) * total, rel=1e-11
         )
+
+
+@pytest.mark.parametrize("theta", [20.0, 40.0, 100.0])
+def test_lambda_esf_at_large_theta(theta):
+    # the alternating sum sum_j (-theta)^j C(n, j) / (n+theta-j)_(j) at 200
+    # digits; in floats its cancellation leaves no correct digit at large theta
+    with mpmath.workdps(200):
+        th = mpmath.mpf(theta)
+        for n in (2, 5, 30, 60, 200):
+            ref = mpmath.fsum(mpmath.binomial(n, j) * (-th) ** j / mpmath.rf(n + th - j, j)
+                              for j in range(n + 1))
+            assert lambda_esf(n, theta) == pytest.approx(float(ref), rel=1e-13)
 
 
 def test_cov_eta_at_large_n():

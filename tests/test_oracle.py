@@ -23,7 +23,7 @@ def test_enumerate_delta_valid_words():
 def test_exact_law_sums_to_one():
     p = PSequence.eta(0.5)
     ts = ThetaSequence.eta_star(0.5)
-    for kind in (ChainKind.x(p), ChainKind.y(ts), ChainKind.xinf_prefix(p)):
+    for kind in (ChainKind.x(p), ChainKind.y(ts)):
         law = oracle.exact_law(kind, 9)
         assert law.total() == pytest.approx(1.0, abs=1e-12)
 

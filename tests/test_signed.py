@@ -3,6 +3,7 @@ import math
 from collections import Counter
 
 import pytest
+from scipy.stats import binom
 
 from derange import oracle
 from derange.chains import (
@@ -11,6 +12,7 @@ from derange.chains import (
     generate_signed,
     generate_signed_many,
     path_probability,
+    sample_paths,
 )
 from derange.coupling import k_distribution
 from derange.params import PSequence, ThetaSequence
@@ -38,6 +40,13 @@ def test_omega_rows_sum_to_one():
             assert math.fsum(omega(k, i, w) for i in range(1, k + 1)) == (
                 pytest.approx(1.0, abs=1e-12)
             )
+
+
+def test_omega_at_large_k():
+    # the binomial coefficient C(1099, 549) overflows a float
+    w = OrientationWeights.binomial(0.5)
+    assert omega(1100, 550, w) == pytest.approx(binom.pmf(549, 1099, 0.5), rel=1e-12)
+    assert math.fsum(omega(1100, i, w) for i in range(1, 1101)) == pytest.approx(1.0, abs=1e-11)
 
 
 def test_omega_leader_always_in():
@@ -185,6 +194,13 @@ def test_generate_signed_law_matches_exact():
     law = _signed_law(p, n, kappa)
     assert math.fsum(law.values()) == pytest.approx(1.0, abs=1e-12)
     assert _chi_square_p(counts, law, reps) > 1e-3
+
+
+def test_sample_paths_of_signed_kind_are_generated_words():
+    p, n, kappa = PSequence.eta(0.8), 9, 0.4
+    words = sample_paths(ChainKind.signed(p, kappa), n, 4, range(2, 40))
+    assert words == [word for word, _ in generate_signed_many(n, p, kappa, 4, range(2, 40))]
+    assert words[0] == generate_signed(n, p, kappa, 4, 2)[0]
 
 
 def test_generate_signed_circles_match_word():
