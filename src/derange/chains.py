@@ -1,17 +1,23 @@
 """Chain definitions, exact path probabilities, samplers, cycle extraction.
 
-Two families of {0,1}-valued chains run from index n+1 (value 1, never
-stored) down to index 1:
+Every chain is {0,1}-valued and runs from index n+1 (value 1, never
+stored) down to index 1; each 1 closes a circle.  One rule covers every
+family.  At a free index r the chain shows a 1, closing a circle, with
+probability h_r, and index 1 always closes the last one (h_1 = 1):
 
-* derangement chains (tags X, ETA, ETA_TILDE): inhomogeneous two-state
-  chains whose words land in the no-adjacent-1s set Delta_n;
-* independent-coin chains (tags Y, XI_TILDE): index i carries a 1 with
-  probability theta_i/(i-1+theta_i), independently.
+* derangement chains (``x``, ``eta``, ``eta_tilde``): h_r = q_r = 1 - p_r.
+  Their words have no 11-pattern, so a 0 is forced below every 1, the
+  virtual one at n+1 included: the gap is 1, and a free index is one
+  below a 0.  The words land in the set Delta_n.
+* independent-coin chains (``y``, ``xi_tilde``): h_r = theta_r/(r-1+theta_r),
+  the generalized Feller coupling.  Nothing is forced (gap 0), so every
+  index is free.
 
 Words are stored ascending by chain index (w_1 first); string serialization
-reverses to the visual top-down order.  The signed variant (tag SIGNED)
-carries a +/- orientation on each 0-step and extends to a signed
-permutation by uniform labeling.
+reverses to the visual top-down order.  The signed chain (``signed``) is
+the derangement chain with an orientation probability kappa: each 0-step
+is '+0' with probability kappa, else '-0', and the word extends to a
+signed permutation by uniform labeling.
 """
 
 from __future__ import annotations
@@ -23,67 +29,78 @@ import numpy as np
 
 from .params import PSequence, ThetaSequence
 
-_DERANGEMENT_TAGS = ("X", "ETA", "ETA_TILDE")
-_COIN_TAGS = ("Y", "XI_TILDE")
-
 # The three steps of a signed word.
 SIGNED_STATES = ("+0", "-0", "1")
 
 
 class ChainKind:
-    """Tagged chain family with its parameters.
+    """A chain family: its closing probabilities, its gap and, for the
+    signed chain, kappa.
 
-    Use the classmethod constructors; every kind exposes either an
-    effective PSequence (derangement family) or ThetaSequence (coin
-    family).
+    Use the classmethod constructors.  A derangement kind carries a
+    PSequence ``p`` and has ``gap`` 1; a coin kind carries a
+    ThetaSequence ``thetaseq`` and has ``gap`` 0.  ``label``, the
+    constructor's name in capitals, only names the kind in ``repr`` and
+    reports.
     """
 
-    def __init__(self, tag: str, p: PSequence | None = None,
+    def __init__(self, label: str, p: PSequence | None = None,
                  thetaseq: ThetaSequence | None = None,
                  kappa: float | None = None):
-        self.tag = tag
+        self.label = label.upper()
         self.p = p
         self.thetaseq = thetaseq
         self.kappa = kappa
+        self.gap = 0 if p is None else 1
 
     @classmethod
     def x(cls, p: PSequence) -> "ChainKind":
-        return cls("X", p=p)
+        return cls("x", p=p)
 
     @classmethod
     def eta(cls, theta: float) -> "ChainKind":
-        return cls("ETA", p=PSequence.eta(theta))
+        return cls("eta", p=PSequence.eta(theta))
 
     @classmethod
     def eta_tilde(cls, theta: float) -> "ChainKind":
         """Derangement chain whose law matches a derangement-conditioned
         theta-biased permutation (``PSequence.eta_tilde``)."""
-        return cls("ETA_TILDE", p=PSequence.eta_tilde(theta))
+        return cls("eta_tilde", p=PSequence.eta_tilde(theta))
 
     @classmethod
     def y(cls, thetaseq: ThetaSequence) -> "ChainKind":
-        return cls("Y", thetaseq=thetaseq)
+        return cls("y", thetaseq=thetaseq)
 
     @classmethod
     def xi_tilde(cls, theta: float) -> "ChainKind":
-        return cls("XI_TILDE", thetaseq=ThetaSequence.constant(theta))
+        return cls("xi_tilde", thetaseq=ThetaSequence.constant(theta))
 
     @classmethod
     def signed(cls, p: PSequence, kappa: float) -> "ChainKind":
         if not (0.0 <= kappa <= 1.0):
             raise ValueError("kappa must lie in [0, 1]")
-        return cls("SIGNED", p=p, kappa=kappa)
+        return cls("signed", p=p, kappa=kappa)
 
-    @property
-    def is_derangement(self) -> bool:
-        return self.tag in _DERANGEMENT_TAGS
+    def row(self, r: int) -> tuple:
+        """(P(0), P(1)) at a free index r, from the scalar sequence:
+        (p_r, 1 - p_r) or (1 - c_r, c_r)."""
+        if self.p is None:
+            c = self.thetaseq.coin_prob(r)
+            return 1.0 - c, c
+        pr = self.p(r)
+        return pr, 1.0 - pr
 
-    @property
-    def is_coin(self) -> bool:
-        return self.tag in _COIN_TAGS
+    def one_probs(self, n: int) -> np.ndarray:
+        """h[r] = P(value 1 at index r | index r is free), r = 1..n, from
+        the array form of the sequence; h[0] unused."""
+        if n < 1 + self.gap:
+            raise ValueError(f"{self!r} needs n >= {1 + self.gap}")
+        if self.p is not None:
+            return 1.0 - self.p.values(n)
+        return self.thetaseq.coin_probs(n)
 
     def __repr__(self):
-        return f"ChainKind({self.tag})"
+        return f"ChainKind({self.label})"
 
 
 # ---------------------------------------------------------------------------
@@ -147,21 +164,19 @@ class SignedPermutation:
 
 def transition_matrix(kind: ChainKind, r: int, n: int) -> np.ndarray:
     """Row-stochastic one-step matrix used when generating the value at
-    index r (rows indexed by the value at index r+1)."""
+    index r (rows indexed by the value at index r+1).
+
+    Row 0 is the free row; row 1 is the forced 0 of a gap, or the free row
+    without one.  Index n lies below the virtual 1, so both of its rows
+    are row 1.
+    """
     if not (1 <= r <= n):
         raise ValueError(f"index r={r} outside 1..{n}")
-    if kind.is_derangement:
-        p = kind.p
-        if r == n:
-            return np.array([[1.0, 0.0], [1.0, 0.0]])
-        if r == 1:
-            return np.array([[0.0, 1.0], [0.0, 1.0]])
-        pr = p(r)
-        return np.array([[pr, 1.0 - pr], [1.0, 0.0]])
-    if kind.is_coin:
-        c = kind.thetaseq.coin_prob(r)
-        return np.array([[1.0 - c, c], [1.0 - c, c]])
-    raise ValueError(f"unsupported kind {kind.tag}")
+    if kind.kappa is not None:
+        raise ValueError(f"{kind!r} has three states, not a 0/1 transition matrix")
+    free = kind.row(r)
+    after_one = (1.0, 0.0) if kind.gap else free
+    return np.array([after_one if r == n else free, after_one])
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +188,7 @@ def _jump_words(kind: ChainKind, n: int, seed: int, replicates: range, lead: int
     stream; the word is a list in ascending chain index."""
     from . import montecarlo
 
-    h = montecarlo._one_probs(kind, n)
+    h = kind.one_probs(n)
     for _, draws, ones in montecarlo._sample(kind, h, replicates, seed, lead):
         bits = np.zeros((ones.shape[0], n + 1), dtype=np.int8)
         np.put_along_axis(bits, ones, 1, axis=1)  # padding lands in column 0
@@ -183,7 +198,7 @@ def _jump_words(kind: ChainKind, n: int, seed: int, replicates: range, lead: int
 def sample_paths(kind: ChainKind, n: int, seed: int, replicates: range) -> list:
     """The words of replicates ``replicates`` of run ``seed``; word r is
     ``sample_path(kind, n, seed, r)``."""
-    if kind.tag == "SIGNED":
+    if kind.kappa is not None:
         pairs = generate_signed_many(n, kind.p, kind.kappa, seed, replicates)
         return [word for word, _ in pairs]
     return [tuple(word) for _, word in _jump_words(kind, n, seed, replicates)]
@@ -240,71 +255,75 @@ def generate_signed(n: int, p: PSequence, kappa: float, seed: int, rep: int = 0)
 
 def path_probability(kind: ChainKind, word, n: int | None = None,
                      method: str = "auto") -> float:
-    """Exact probability of a word under the chain law; 0 off-support."""
+    """Exact probability of a word under the chain law; 0 off-support.
+
+    The 'auto' and 'product' methods multiply, from index n down, the free
+    row entry of each free index and reject a 1 where the gap forces a 0.
+    'closed_form' (coin kinds) is the product formula in log space.
+    """
     if n is None:
         n = len(word)
     if len(word) != n:
         raise ValueError("word length must equal n")
-    if kind.is_coin:
+    if method == "closed_form":
+        t = kind.thetaseq
+        if t is None:
+            raise ValueError("method 'closed_form' needs a coin kind")
         if word[0] != 1:
             return 0.0
-        if method in ("auto", "product"):
-            prob = 1.0
-            for i in range(2, n + 1):
-                c = kind.thetaseq.coin_prob(i)
-                prob *= c if word[i - 1] == 1 else 1.0 - c
-            return prob
-        if method == "closed_form":
-            t = kind.thetaseq
-            log_p = math.lgamma(n) - t.bracket_product_log(n) + math.log(t.theta1)
-            for i in range(2, n + 1):
-                if word[i - 1] == 1:
-                    log_p += math.log(t(i)) - math.log(i - 1)
-            return math.exp(log_p)
+        log_p = math.lgamma(n) - t.bracket_product_log(n) + math.log(t.theta1)
+        for i in range(2, n + 1):
+            if word[i - 1] == 1:
+                log_p += math.log(t(i)) - math.log(i - 1)
+        return math.exp(log_p)
+    if method not in ("auto", "product"):
         raise ValueError(f"unknown method {method!r}")
-    if kind.is_derangement:
-        if not in_delta(word):
-            return 0.0
-        prob = 1.0
-        prev = 1
-        for r in range(n, 0, -1):
-            row = transition_matrix(kind, r, n)[prev]
-            bit = word[r - 1]
-            prob *= row[bit]
-            prev = bit
-        return prob
-    raise ValueError(f"unsupported kind {kind.tag}")
+    if kind.kappa is not None:
+        raise ValueError(f"{kind!r} has three states, not a 0/1 word law")
+    if n < 1 + kind.gap:
+        return 0.0  # the virtual 1 would force index 1 to 0, yet it must close
+    row, gap = kind.row, kind.gap
+    prob = 1.0
+    above = 1  # the virtual 1 at index n + 1
+    for r in range(n, 0, -1):
+        bit = word[r - 1]
+        if above and gap:
+            if bit:
+                return 0.0
+        else:
+            prob *= row(r)[bit]
+        above = bit
+    return prob
 
 
-def marginals(pv: np.ndarray) -> np.ndarray:
-    """P(value at index i is 1) at horizon n = pv.size - 1, where pv is
-    ``p.values(n)``, as an array indexed by i.
+def marginals(h: np.ndarray, gap: int) -> np.ndarray:
+    """P(value at index i is 1) at horizon n = h.size - 1, where h is
+    ``kind.one_probs(n)`` and gap is ``kind.gap``, as an array indexed by i.
 
-    A 1 at index i needs a 0 at i+1 and then a 1 from the coin with
-    probability q_i, so m_i = q_i (1 - m_{i+1}), started from the virtual
-    m_{n+1} = 1; m_n = 0 because index n always follows that virtual 1.
+    Index i is free with probability 1 - gap m_{i+1}, since a gap forces a
+    0 below a 1, and a free index shows a 1 with probability h_i, so
+    m_i = h_i (1 - gap m_{i+1}), started from the virtual m_{n+1} = 1.
     Entry 0 is unused (0.0) and entry n+1 is the virtual 1.
     """
-    n = pv.size - 1
-    q = (1.0 - pv).tolist()
+    n = h.size - 1
+    h = h.tolist()
+    g = float(gap)  # a float factor: int * float is the slower mixed multiply
     m = [0.0] * (n + 2)
-    m[n + 1] = 1.0
-    for i in range(n - 1, 0, -1):
-        m[i] = q[i] * (1.0 - m[i + 1])
+    m[n + 1] = above = 1.0
+    for i in range(n, 0, -1):
+        m[i] = above = h[i] * (1.0 - g * above)
     return np.array(m)
 
 
 def marginal_one(kind: ChainKind, i: int, horizon: int) -> float:
     """P(value at index i is 1) at the finite horizon n."""
-    if kind.is_coin:
-        return kind.thetaseq.coin_prob(i)
     if horizon == math.inf:
         raise ValueError("marginal_one needs a finite horizon; the n -> infinity "
                          "limit is limitchain.phi")
     n = int(horizon)
     if not (1 <= i <= n):
         raise ValueError(f"index {i} outside 1..{n}")
-    return float(marginals(kind.p.values(n))[i])
+    return float(marginals(kind.one_probs(n), kind.gap)[i])
 
 
 def cycle_statistics(word):

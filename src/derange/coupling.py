@@ -143,6 +143,8 @@ def k_distribution(kind: str, n: int, params) -> DistTable:
         for i in range(2, n + 1):
             law[1:] = law[1:] * (1.0 - c[i]) + law[:-1] * c[i]
     elif kind == "X":
+        if n < 2:
+            raise ValueError("a derangement needs n >= 2")
         p = params if isinstance(params, PSequence) else PSequence.from_theta_conditional(params)
         pv = p.values(n).tolist()
         # P(current value 0 / 1, k stored 1s so far) from the virtual 1 at

@@ -62,7 +62,7 @@ def mean_k(n: int, p: PSequence) -> float:
     stored 1 closes a cycle, so E[K_n] = m_1 + ... + m_n."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    return math.fsum(marginals(p.values(n))[1:n + 1].tolist())
+    return math.fsum(marginals(1.0 - p.values(n), 1)[1:n + 1].tolist())
 
 
 def mean_k_eta(n: int, theta: float) -> float:
@@ -139,7 +139,7 @@ def _cycle_ends(pv: np.ndarray, j: int) -> list:
     if n < j:
         return [0.0] * (n + 2)
     # position k of each slice below is index l = j + 1 + k
-    ends = marginals(pv)[j + 1:] * (1.0 - pv[1:n + 2 - j])
+    ends = marginals(1.0 - pv, 1)[j + 1:] * (1.0 - pv[1:n + 2 - j])
     for d in range(j - 1, 1, -1):
         ends *= pv[j + 1 - d:n + 2 - d]
     return [0.0] * (j + 1) + ends.tolist()

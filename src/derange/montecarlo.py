@@ -73,24 +73,6 @@ class EstimateReport:
 # ---------------------------------------------------------------------------
 # jump sampling
 
-def _one_probs(kind: ChainKind, n: int) -> np.ndarray:
-    """h[r] = P(value 1 at index r | index r is free), r = 1..n; h[0] unused.
-
-    A free index is one whose value the index above does not force: the
-    top index of a coin word, every index below a coin value, and every
-    index below a derangement 0.  h[1] = 1 for every kind.
-    """
-    if kind.is_coin:
-        if n < 1:
-            raise ValueError("coin chains need n >= 1")
-        return kind.thetaseq.coin_probs(n)
-    if kind.is_derangement or kind.tag == "SIGNED":
-        if n < 2:
-            raise ValueError("derangement and signed chains need n >= 2")
-        return 1.0 - kind.p.values(n)
-    raise ValueError(f"sampling not supported for kind {kind.tag}")
-
-
 def log_survival(h: np.ndarray) -> np.ndarray:
     """C[r] = sum_{s=r}^{n} log(1 - h_s) for r = 0..n+1, nondecreasing in r,
     with C[0] = C[1] = -inf and C[n+1] = 0."""
@@ -107,7 +89,7 @@ def _jump_width(kind: ChainKind, h: np.ndarray) -> int:
     mean circle count (sum h bounds it), capped by the most circles a word
     can have."""
     n = h.size - 1
-    most = n if kind.is_coin else n // 2 + 1
+    most = n // (1 + kind.gap)
     return min(most, int(3.0 * h[1:].sum()) + 8)
 
 
@@ -134,14 +116,14 @@ def sample_bits(kind: ChainKind, n: int, u: np.ndarray, extend=None,
     ``extend(rows, width, count)``, which returns columns width..width +
     count - 1 of those rows' uniform streams, so the words do not depend
     on the width of ``u``; without ``extend`` such a row raises
-    ValueError.  ``log_surv`` is ``log_survival(_one_probs(kind, n))``,
+    ValueError.  ``log_surv`` is ``log_survival(kind.one_probs(n))``,
     passed by callers that sample several blocks at one horizon.
     """
     if log_surv is None:
-        log_surv = log_survival(_one_probs(kind, n))
-    # after a 1 at t a derangement word is forced 0 at t - 1; the virtual 1
-    # at n + 1 forces index n the same way
-    gap = 0 if kind.is_coin else 1
+        log_surv = log_survival(kind.one_probs(n))
+    # a gap forces a 0 below every 1, the virtual 1 at n + 1 included, so
+    # the next free index below a 1 at t is t - gap
+    gap = kind.gap
     rows = u.shape[0]
     z = np.full(rows, n + 1 - gap)
     active = np.arange(rows)
@@ -241,7 +223,9 @@ def estimate(statistic: str, kind: ChainKind, n: int, reps: int, seed: int,
     Statistics: 'K', 'Cj' (needs j), 'A1', 'A2', 'Lambda', 'Cstar_j'
     (signed; need j and an orientation probability), 'Astar1' (signed;
     indicator of the first circle having ``target`` members looking in
-    with more circles following).  Orientation statistics draw one
+    with more circles following).  The orientation probability is the
+    kind's kappa or ``kappa``, which must lie in [0, 1] and agree with the
+    kind's when both are given.  Orientation statistics draw one
     orientation uniform per index from each replicate's stream before its
     jump uniforms.
     """
@@ -251,14 +235,19 @@ def estimate(statistic: str, kind: ChainKind, n: int, reps: int, seed: int,
         raise ValueError(f"unknown statistic {statistic!r}")
     if statistic in ("Cj", "Cstar_j") and j is None:
         raise ValueError(f"statistic {statistic!r} needs j")
-    kap = kind.kappa if kind.kappa is not None else kappa
-    if statistic in _NEEDS_ORIENT and kap is None:
+    if kappa is None:
+        kappa = kind.kappa
+    elif not 0.0 <= kappa <= 1.0:
+        raise ValueError("kappa must lie in [0, 1]")
+    elif kind.kappa not in (None, kappa):
+        raise ValueError(f"kappa={kappa} conflicts with the kappa={kind.kappa} of {kind!r}")
+    if statistic in _NEEDS_ORIENT and kappa is None:
         raise ValueError(f"statistic {statistic!r} needs an orientation probability")
     lead = n if statistic in _NEEDS_ORIENT else 0
     sample = np.empty(reps)
-    h = _one_probs(kind, n)
+    h = kind.one_probs(n)
     for start, draws, ones in _sample(kind, h, range(reps), seed, lead, chunk):
-        orient = draws < kap if lead else None
+        orient = draws < kappa if lead else None
         sample[start:start + ones.shape[0]] = _extract(
             statistic, ones, orient, n, j, target
         )
@@ -267,7 +256,7 @@ def estimate(statistic: str, kind: ChainKind, n: int, reps: int, seed: int,
     return EstimateReport(
         statistic=statistic, reps=reps, mean=mean,
         std_error=sd / math.sqrt(reps), seed=seed,
-        params={"kind": kind.tag, "n": n, "j": j, "kappa": kap, "target": target},
+        params={"kind": kind.label, "n": n, "j": j, "kappa": kappa, "target": target},
     )
 
 
@@ -308,7 +297,7 @@ def clt_diagnostic(p, n: int, reps: int, seed: int) -> EstimateReport:
     if reps < 2:
         raise ValueError("reps must be >= 2")
     kind = ChainKind.x(p)
-    h = _one_probs(kind, n)
+    h = kind.one_probs(n)
     q = h[1:]
     qbar = math.fsum(q)
     qqbar = math.fsum(q * q)
@@ -359,7 +348,7 @@ def gem_diagnostic(theta: float, n: int, reps: int, seed: int) -> EstimateReport
     kind = ChainKind.eta(theta)
     a1 = np.empty(reps)
     a2 = np.empty(reps)
-    for start, _, ones in _sample(kind, _one_probs(kind, n), range(reps), seed, lead=0):
+    for start, _, ones in _sample(kind, kind.one_probs(n), range(reps), seed, lead=0):
         rows = slice(start, start + ones.shape[0])
         a1[rows] = _extract("A1", ones, None, n, None, None)
         a2[rows] = _extract("A2", ones, None, n, None, None)

@@ -27,44 +27,31 @@ MAX_DELTA_N = 30
 MAX_FULL_N = 22
 
 
+def _words(n: int, gap: int) -> list:
+    """The words of length n with w_1 = 1 in which, for gap 1, a 0 follows
+    every 1, the virtual 1 at n + 1 included; lexicographic in the stored
+    (ascending-index) tuple order."""
+    words = [(1,)]
+    for _ in range(n - 1):
+        words = [w + (b,) for w in words for b in (0, 1) if not (gap and b and w[-1])]
+    return [w for w in words if not (gap and w[-1])]
+
+
 def enumerate_delta(n: int):
     """All words of the no-adjacent-1s set, lexicographic in the stored
     (ascending-index) tuple order."""
     if not (1 <= n <= MAX_DELTA_N):
         raise ValueError(f"n must lie in 1..{MAX_DELTA_N}")
-    if n == 1:
-        return []
-    out = []
-
-    def rec(word):
-        if len(word) == n:
-            if word[-1] == 0:
-                out.append(tuple(word))
-            return
-        if word[-1] == 1:
-            rec(word + [0])
-        else:
-            rec(word + [0])
-            rec(word + [1])
-    rec([1])
-    return sorted(out)
+    return _words(n, 1)
 
 
 def exact_law(kind: ChainKind, n: int, check_tol: float = 1e-12) -> DistTable:
-    """The full word law by exhaustive path probability."""
-    if kind.is_coin:
-        if n > MAX_FULL_N:
-            raise ValueError(
-                f"full coin-word space has 2^{n - 1} outcomes; limited to n <= {MAX_FULL_N}"
-            )
-        words = [(1,) + bits for bits in itertools.product((0, 1), repeat=n - 1)]
-    elif kind.is_derangement:
-        if n > MAX_DELTA_N:
-            raise ValueError(f"derangement support limited to n <= {MAX_DELTA_N}")
-        words = enumerate_delta(n)
-    else:
-        raise ValueError(f"exact_law does not support kind {kind.tag}")
-    probs = {w: path_probability(kind, w, n) for w in words}
+    """The full word law by exhaustive path probability over every word
+    the chain's gap allows."""
+    limit = MAX_DELTA_N if kind.gap else MAX_FULL_N
+    if not (1 + kind.gap <= n <= limit):
+        raise ValueError(f"exact_law of {kind!r} needs {1 + kind.gap} <= n <= {limit}")
+    probs = {w: path_probability(kind, w, n) for w in _words(n, kind.gap)}
     total = math.fsum(probs.values())
     if abs(total - 1.0) > check_tol:
         raise AssertionError(f"exact law sums to {total}, off by {total - 1.0:.3g}")
@@ -282,5 +269,5 @@ class ExactCycleProvider:
         return self._m["k_law"]
 
     def c_law(self, k: int) -> DistTable:
-        law = self._m["c_laws"][k]
+        law = self._m["c_laws"][k] if k <= self.n else None
         return law if law is not None else DistTable({0: 1.0})

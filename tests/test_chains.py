@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -76,6 +77,22 @@ def test_path_probability_coin_closed_form():
         assert a == pytest.approx(b, rel=1e-13)
 
 
+@pytest.mark.parametrize("kind", [ChainKind.eta_tilde(0.7), ChainKind.y(ThetaSequence.eta_star(0.6))])
+def test_path_probability_is_the_transition_product(kind):
+    # every word of length 8, on and off support, scored from the virtual 1
+    # down through the matching transition_matrix entries
+    n = 8
+    for word in itertools.product((0, 1), repeat=n):
+        want = 1.0
+        above = 1
+        for r in range(n, 0, -1):
+            want *= transition_matrix(kind, r, n)[above][word[r - 1]]
+            above = word[r - 1]
+        got = path_probability(kind, word, n)
+        assert type(got) is float
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0), word
+
+
 def test_marginal_one_vs_dp():
     n = 10
     for kind in (ChainKind.x(PSequence.eta(0.8)), ChainKind.y(ThetaSequence.eta_star(0.6))):
@@ -110,8 +127,12 @@ def test_sampled_path_law_matches_exact(kind, n):
 
 def test_unsupported_kinds_raise():
     p = PSequence.eta(1.0)
-    with pytest.raises(ValueError):
-        transition_matrix(ChainKind.signed(p, 0.5), 2, 6)
+    for call in (lambda k: transition_matrix(k, 2, 6),
+                 lambda k: path_probability(k, (1, 0, 1, 0, 0, 0)),
+                 lambda k: path_probability(k, (1, 1)),
+                 lambda k: oracle.exact_law(k, 6)):
+        with pytest.raises(ValueError):
+            call(ChainKind.signed(p, 0.5))
     # the n -> infinity marginal is limitchain.phi
     with pytest.raises(ValueError, match="limitchain.phi"):
         marginal_one(ChainKind.eta(1.0), 3, math.inf)

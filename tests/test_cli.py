@@ -264,3 +264,17 @@ def test_signed_quantities_match_library(capsys):
     assert code == EXIT_OK
     assert json.loads(out)["results"] == pytest.approx(
         ordered_star_prob((1, 2), 8, ThetaSequence.constant(1.0), w), rel=1e-8)
+
+
+def test_signed_cki_past_the_horizon(capsys):
+    # no k-cycle fits when k > n, so C*_{k,i} = 0 with probability 1
+    code, out, _ = run(capsys, "signed", "--quantity", "cki", "--k", "20", "--n", "10",
+                       "--l", "0", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["results"] == 1.0
+
+
+def test_signed_lambda_needs_a_derangement(capsys):
+    code, _, err = run(capsys, "signed", "--quantity", "lambda", "--n", "1")
+    assert code == EXIT_GUARD
+    assert "n >= 2" in err

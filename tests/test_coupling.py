@@ -173,3 +173,9 @@ def test_erase11_lands_in_delta():
         word = (1,) + bits
         out = erase11(word, n)
         assert in_delta(tuple(out)), (word, out)
+
+
+def test_k_distribution_has_no_derangement_of_one():
+    with pytest.raises(ValueError, match="n >= 2"):
+        k_distribution("X", 1, PSequence.eta(0.9))
+    assert dict(k_distribution("Y", 1, ThetaSequence.constant(0.9)).items()) == {1: 1.0}

@@ -124,7 +124,7 @@ def _chi_square_p(counts: dict, law: dict, reps: int) -> float:
 
 
 def _full_width(kind, n):
-    return n if kind.is_coin else n // 2 + 1
+    return n // 2 + 1 if kind.gap else n
 
 
 @pytest.mark.parametrize("kind, n", [
@@ -240,3 +240,13 @@ def test_small_inputs_rejected():
         gem_diagnostic(1.0, 50, 1, 1)
     # a coin word of length 1 is the single circle
     assert estimate("K", ChainKind.y(ThetaSequence.constant(1.0)), 1, 10, 1).mean == 1.0
+
+
+def test_kappa_is_checked():
+    signed = ChainKind.signed(PSequence.eta(1.0), 0.4)
+    with pytest.raises(ValueError, match="conflicts"):
+        estimate("Lambda", signed, 10, 10, 1, kappa=0.5)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        estimate("Lambda", ChainKind.eta(1.0), 10, 10, 1, kappa=1.5)
+    # a matching kappa is the kind's own
+    assert estimate("Lambda", signed, 10, 10, 1, kappa=0.4) == estimate("Lambda", signed, 10, 10, 1)
