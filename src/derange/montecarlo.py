@@ -8,14 +8,18 @@ per-index one probabilities (``log_survival``).  One ``searchsorted`` per
 round places the next 1 of every replicate in a block, so sampling costs
 O(reps * K) rather than O(reps * n), K being the circle count.
 
-Replicate r draws from a dedicated counter-based stream keyed by a
+Replicate r draws from its own Philox4x64-10 stream, keyed by a
 splitmix64 mix of (seed, r), in a fixed order: the leading draws a
 statistic needs (orientations or a KS dither), then one uniform per
-jump.  A replicate that needs more jumps than were drawn up front
-continues its own stream, so every result depends only on (seed, r) and
-not on how replicates are batched.  The two diagnostics test the normal
-limit of the cycle-count total and the GEM limit of the normalized
-ordered cycle lengths.
+jump.  Philox is counter-based, so uniform k of a stream is a pure
+function of (key, k): ``replicate_uniforms`` computes a whole block of
+replicates' draws in one numpy pass, with no generator object per
+replicate, equal bit for bit to ``replicate_rng(seed, r)``'s stream.  A
+replicate that needs more jumps than were drawn up front continues its
+stream with the same block draw at a later offset, so every result
+depends only on (seed, r) and not on how replicates are batched.  The
+two diagnostics test the normal limit of the cycle-count total and the
+GEM limit of the normalized ordered cycle lengths.
 """
 
 from __future__ import annotations
@@ -52,6 +56,81 @@ def replicate_rng(seed: int, rep: int) -> np.random.Generator:
     k0 = _splitmix64(base ^ rep)
     k1 = _splitmix64((base + rep * _SM64_GAMMA) & _MASK64)
     return np.random.Generator(np.random.Philox(key=(k0 << 64) | k1))
+
+
+# Philox4x64-10 (Salmon, Moraes, Dror & Shaw 2011), as numpy's Philox runs it
+_PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_MASK32 = (1 << 32) - 1
+# rows x counters per Philox pass, so that its temporaries stay in cache
+_PASS_SIZE = 1 << 14
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple:
+    """(high, low) 64-bit words of the 128-bit products m * x; the high
+    word from 32-bit limbs (Warren, Hacker's Delight, mulhu)."""
+    m_lo, m_hi = m & _MASK32, m >> 32
+    x_lo, x_hi = x & _MASK32, x >> 32
+    t = x_hi * m_lo + ((x_lo * m_lo) >> 32)
+    mid = x_lo * m_hi + (t & _MASK32)
+    return x_hi * m_hi + (t >> 32) + (mid >> 32), x * m
+
+
+def _philox(keys: list, ctr: np.ndarray) -> np.ndarray:
+    """(rows, counters, 4) output words of Philox4x64-10 at the counters
+    ``ctr``, the row's round keys being ``keys[r]`` ((rows, 1) word pairs)."""
+    # the counter words start as (1, 1) and (1, counters) arrays and
+    # broadcast to (rows, counters) within the first three rounds
+    zero = np.zeros((1, 1), dtype=np.uint64)
+    c0, c1, c2, c3 = ctr[None, :], zero, zero, zero
+    for k0, k1 in keys:
+        hi0, lo0 = _mulhilo(_PHILOX_MUL[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_MUL[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack((c0, c1, c2, c3), axis=2)
+
+
+def _replicate_numbers(replicates: range) -> np.ndarray:
+    """The replicate numbers of a range modulo 2^64, as uint64."""
+    steps = np.arange(len(replicates), dtype=np.uint64) * (replicates.step & _MASK64)
+    return steps + (replicates.start & _MASK64)
+
+
+def replicate_uniforms(seed: int, replicates, offset: int, count: int) -> np.ndarray:
+    """Uniforms offset .. offset + count - 1 of each replicate's stream, one
+    row per replicate of ``replicates`` (a range, or replicate numbers as a
+    uint64 array).
+
+    Row i equals ``replicate_rng(seed, r).random(offset + count)[offset:]``
+    for the i-th replicate r, computed for the whole block in numpy with no
+    generator object: Philox is counter-based, so raw word w of a stream is
+    word w % 4 of the Philox4x64-10 output at counter w // 4 + 1 under the
+    replicate's key, and its uniform is (raw >> 11) * 2^-53.
+    """
+    if isinstance(replicates, range):
+        replicates = _replicate_numbers(replicates)
+    rows = replicates.size
+    # the keys of replicate_rng on uint64 arrays (its masks are no-ops
+    # there); numpy holds the key (k0 << 64) | k1 as the words [k1, k0]
+    base = _splitmix64(seed & _MASK64)
+    key = (_splitmix64(base + replicates * _SM64_GAMMA)[:, None],
+           _splitmix64(replicates ^ base)[:, None])
+    keys = [key]
+    for _ in range(_PHILOX_ROUNDS - 1):
+        key = tuple(k + bump for k, bump in zip(key, _PHILOX_BUMP))
+        keys.append(key)
+    out = np.empty((rows, count))
+    first, skip = divmod(offset, 4)  # out[:, j] is word 4 * first + skip + j
+    blocks = (skip + count + 3) // 4
+    step = max(1, _PASS_SIZE // max(rows, 1))
+    for b in range(0, blocks, step):
+        ctr = np.arange(first + b + 1, first + min(b + step, blocks) + 1, dtype=np.uint64)
+        raw = _philox(keys, ctr).reshape(rows, -1)
+        lo, hi = max(4 * b - skip, 0), min(4 * (b + ctr.size) - skip, count)
+        at = skip - 4 * b
+        out[:, lo:hi] = (raw[:, lo + at:hi + at] >> 11) * 2.0**-53
+    return out
 
 
 @dataclass(frozen=True)
@@ -143,38 +222,25 @@ def sample_bits(kind: ChainKind, n: int, u: np.ndarray, extend=None,
     return np.stack(cols, axis=1)
 
 
-def _continuation(seed: int, first: int, lead: int):
-    """``extend`` for the replicates first, first + 1, ... whose streams
-    gave ``lead`` draws before their jump uniforms.
-
-    A replicate's generator is rebuilt and moved past the draws already
-    taken, instead of a chunk's generators being kept alive: a block of
-    live generators sets off the cyclic garbage collector on every chunk.
-    """
-    def extend(rows, width, count):
-        skip = lead + width
-        return np.array([replicate_rng(seed, first + i).random(skip + count)[skip:]
-                         for i in rows.tolist()])
-    return extend
-
-
 def _sample(kind: ChainKind, h: np.ndarray, replicates: range, seed: int, lead: int,
             chunk: int = _DEFAULT_CHUNK):
     """Yield (offset in ``replicates``, leading draws, 1-positions) per chunk.
 
     Each replicate's stream gives ``lead`` draws for the caller first, then
-    its jump uniforms.
+    its jump uniforms; a word that needs more jumps than were drawn up
+    front continues its stream with the same block draw at a later offset.
     """
     n = h.size - 1
     log_surv = log_survival(h)
     width = _jump_width(kind, h)
     for start in range(0, len(replicates), chunk):
-        block = replicates[start:start + chunk]
-        draws = np.empty((len(block), lead + width))
-        for rep, row in zip(block, draws):
-            replicate_rng(seed, rep).random(out=row)
-        ones = sample_bits(kind, n, draws[:, lead:], _continuation(seed, block.start, lead),
-                           log_surv)
+        block = _replicate_numbers(replicates[start:start + chunk])
+        draws = replicate_uniforms(seed, block, 0, lead + width)
+
+        def extend(rows, done, count, block=block):
+            return replicate_uniforms(seed, block[rows], lead + done, count)
+
+        ones = sample_bits(kind, n, draws[:, lead:], extend, log_surv)
         yield start, draws[:, :lead], ones
 
 

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _sciint
 from scipy import special as _sp
 
 
@@ -214,6 +213,10 @@ def integrate(f, domain, acc: AccuracySpec = DEFAULT_ACC) -> float:
 
 
 def _quad1d(f, a, b, acc):
+    # imported here: scipy.integrate pulls in scipy.optimize, sparse and
+    # linalg, which no other import of the package needs
+    from scipy import integrate as _sciint
+
     if not (b > a):
         if b == a:
             return 0.0

@@ -1,12 +1,13 @@
+import random
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
 from derange import montecarlo, oracle
-from derange.chains import ChainKind, cycle_statistics
+from derange.chains import ChainKind, cycle_statistics, generate_signed, sample_path, sample_paths
 from derange.coupling import k_distribution
 from derange.montecarlo import (
-    _continuation,
     _extract,
     clt_diagnostic,
     estimate,
@@ -14,6 +15,7 @@ from derange.montecarlo import (
     ks_p_value,
     ks_statistic,
     replicate_rng,
+    replicate_uniforms,
     sample_bits,
     stick_breaking_sample,
 )
@@ -33,6 +35,50 @@ def test_replicate_streams_deterministic():
     a = replicate_rng(7, 3).random(4)
     b = replicate_rng(7, 3).random(4)
     assert np.allclose(a, b)
+
+
+@pytest.mark.parametrize("first", [0, 10**12 + 7, 2**63 - 3])
+def test_block_draw_matches_replicate_streams(first):
+    rnd = random.Random(first)
+    seeds = [0, -1, 2**63, 2**64 - 1, -(2**63)] + [rnd.randrange(-2**70, 2**70) for _ in range(45)]
+    for seed in seeds:
+        reps = range(first, first + rnd.randrange(1, 7))
+        offset, count = rnd.randrange(14), rnd.randrange(1, 21)
+        want = [replicate_rng(seed, r).random(offset + count)[offset:] for r in reps]
+        got = replicate_uniforms(seed, reps, offset, count)
+        assert got.shape == (len(reps), count)
+        assert np.array_equal(got, want), (seed, reps, offset, count)
+
+
+def test_seeded_outputs_are_pinned():
+    kind = ChainKind.x(PSequence.eta(0.5))
+    r = estimate("K", kind, 12, 40000, 12345)
+    assert (r.mean, r.std_error) == (1.772525, 0.0037768849242289966)
+    r = estimate("Lambda", kind, 12, 20000, 777, kappa=0.4)
+    assert (r.mean, r.std_error) == (5.84765, 0.011572539481829514)
+    r = clt_diagnostic(PSequence.eta(1.0), 20000, 2000, 99)
+    assert (r.mean, r.p_value) == (-0.08431931262667572, 0.24021531509977942)
+    word = sample_path(ChainKind.eta(1.0), 30, 5, 10**12 + 7)
+    assert "".join(map(str, word)) == "100000010000000000000100000000"
+    signed, perm = generate_signed(8, PSequence.eta(1.0), 0.4, 11, 3)
+    assert signed.steps == ("1", "+0", "+0", "-0", "+0", "+0", "+0", "-0")
+    assert perm.circles == ((8, -2, 3, 4, 1, -6, 5, 7),)
+
+
+def test_sampling_builds_no_generator_per_replicate(monkeypatch):
+    calls = []
+
+    def counted(seed, rep):
+        calls.append(rep)
+        return replicate_rng(seed, rep)
+
+    monkeypatch.setattr(montecarlo, "replicate_rng", counted)
+    estimate("Lambda", ChainKind.eta(1.0), 12, 1000, 1, kappa=0.4)
+    clt_diagnostic(PSequence.eta(1.0), 300, 600, 2)
+    sample_paths(ChainKind.eta(1.0), 30, 3, range(50))
+    assert calls == []
+    gem_diagnostic(1.0, 200, 600, 4)  # the one stick-breaking stream
+    assert len(calls) == 1
 
 
 def test_estimate_deterministic():
@@ -161,8 +207,13 @@ def test_words_do_not_depend_on_jump_width():
     full = np.array([replicate_rng(3, r).random(_full_width(kind, n)) for r in range(reps)])
     narrow = full[:, :1].copy()
     wide = sample_bits(kind, n, full)
+    numbers = np.arange(reps, dtype=np.uint64)
+
+    def extend(rows, width, count):
+        return replicate_uniforms(3, numbers[rows], width, count)
+
     assert np.count_nonzero(wide, axis=1).min() > 3  # every row outgrows width 1
-    assert np.array_equal(sample_bits(kind, n, narrow, _continuation(3, 0, 0)), wide)
+    assert np.array_equal(sample_bits(kind, n, narrow, extend), wide)
     with pytest.raises(ValueError):
         sample_bits(kind, n, narrow)
 

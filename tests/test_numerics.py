@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from scipy import special as sp
@@ -77,3 +81,14 @@ def test_harmonic_h():
 
 def test_euler_gamma():
     assert EULER_GAMMA == pytest.approx(0.5772156649015329, abs=1e-15)
+
+
+def test_cli_import_leaves_quadrature_unloaded():
+    # scipy.integrate loads scipy.optimize, sparse and linalg; only
+    # quadrature needs it, so it is imported on first use
+    code = "import sys, derange.cli; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
