@@ -257,8 +257,7 @@ def path_probability(kind: ChainKind, word, n: int | None = None,
                      method: str = "auto") -> float:
     """Exact probability of a word under the chain law; 0 off-support.
 
-    The 'auto' and 'product' methods multiply, from index n down, the free
-    row entry of each free index and reject a 1 where the gap forces a 0.
+    The 'auto' and 'product' methods are ``word_law(kind, n)(word)``.
     'closed_form' (coin kinds) is the product formula in log space.
     """
     if n is None:
@@ -278,21 +277,34 @@ def path_probability(kind: ChainKind, word, n: int | None = None,
         return math.exp(log_p)
     if method not in ("auto", "product"):
         raise ValueError(f"unknown method {method!r}")
+    return word_law(kind, n)(word)
+
+
+def word_law(kind: ChainKind, n: int):
+    """The probability of a 0/1 word of length n under the chain law, as a
+    function of the word: from index n down it multiplies the free row
+    entry of each free index and rejects a 1 where the gap forces a 0.
+    The rows of (kind, n) are evaluated once, for every word it scores.
+    """
     if kind.kappa is not None:
         raise ValueError(f"{kind!r} has three states, not a 0/1 word law")
-    if n < 1 + kind.gap:
-        return 0.0  # the virtual 1 would force index 1 to 0, yet it must close
-    row, gap = kind.row, kind.gap
-    prob = 1.0
-    above = 1  # the virtual 1 at index n + 1
-    for r in range(n, 0, -1):
-        bit = word[r - 1]
-        if above and gap:
-            if bit:
-                return 0.0
-        else:
-            prob *= row(r)[bit]
-        above = bit
+    gap = kind.gap
+    if n < 1 + gap:
+        return lambda word: 0.0  # the virtual 1 would force index 1 to 0, yet it must close
+    rows = [kind.row(r) for r in range(n, 0, -1)]
+
+    def prob(word) -> float:
+        pr = 1.0
+        above = 1  # the virtual 1 at index n + 1
+        for bit, row in zip(reversed(word), rows):
+            if above and gap:
+                if bit:
+                    return 0.0
+            else:
+                pr *= row[bit]
+            above = bit
+        return pr
+
     return prob
 
 

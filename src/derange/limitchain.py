@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chains import ChainKind, path_probability
+from .chains import ChainKind, word_law
 from .coupling import delta_n, delta_roots
 from .moments import lambda_esf
 from .numerics import AccuracySpec, DEFAULT_ACC, NumericsError, beta_fn, kummer_m
@@ -228,7 +228,7 @@ def tv_prefix(n: int, p: PSequence, method: str = "theorem",
         raise ValueError("direct enumeration limited to n <= 18")
     if n == 1:
         return 0.0
-    xn = ChainKind.x(p)
+    law_n = word_law(ChainKind.x(p), n)
     up = [0.0] + [xinf_transition(i, p, acc) for i in range(1, n)]
     stay = [1.0 - t for t in up]
     gaps = []
@@ -248,7 +248,7 @@ def tv_prefix(n: int, p: PSequence, method: str = "theorem",
         for i in range(1, n):
             if w[i - 1] == 0:
                 pinf *= up[i] if w[i] else stay[i]
-        gaps.append(abs(path_probability(xn, w, n) - pinf))
+        gaps.append(abs(law_n(w) - pinf))
     return 0.5 * math.fsum(gaps)
 
 

