@@ -14,7 +14,6 @@ import cmath
 import math
 
 import numpy as np
-from scipy import special as _sp
 
 from .dist import DistTable
 from .numerics import beta_fn
@@ -115,6 +114,8 @@ def delta_n(theta: float, theta2star: float = 1.0, n=None) -> float:
         return 0.0
     if n == 2:
         return 1.0 / (1.0 + theta2star)
+    from scipy import special as _sp
+
     log_num = (
         math.lgamma(n)
         + math.log(theta * theta + theta + 2.0)
@@ -294,42 +295,36 @@ def erase11(word, horizon):
     input length >= n - 1) or math.inf (window map; the input window must
     end with 0 so every run is determined).
     """
-    y = tuple(int(b) for b in word)
+    y = tuple(map(int, word))
     if not y or y[0] != 1:
         raise ValueError("input must start with a 1 at index 1")
-    if any(b not in (0, 1) for b in y):
+    if not set(y) <= {0, 1}:
         raise ValueError("input must be a 0/1 word")
-    length = len(y)
     if horizon == math.inf:
         if y[-1] != 0:
             raise ValueError(
                 "window ends inside a run of 1s; beta values undetermined — extend the window"
             )
-        out_len = length
-        cap = None
+        out = [0] * len(y)
+        top = len(y)
     else:
         n = int(horizon)
         if n < 2:
             raise ValueError("horizon must be >= 2")
-        if length < n - 1:
+        if len(y) < n - 1:
             raise ValueError(f"need input length >= {n - 1} for horizon {n}")
-        out_len = n
-        cap = n
-
-    # run[i] = number of consecutive 1s starting at position i (1-based)
-    run = [0] * (length + 2)
-    for i in range(length, 0, -1):
-        run[i] = run[i + 1] + 1 if y[i - 1] == 1 else 0
-
-    out = [0] * out_len
+        out = [0] * n
+        top = n - 1
     out[0] = 1
-    top = out_len - 1 if cap is not None else out_len
-    for i in range(3, top + 1):
-        if y[i - 1] != 1:
-            continue
-        beta = run[i] - 1
-        if cap is not None:
-            beta = min(beta, cap - i - 1)
-        if beta % 2 == 0:
-            out[i - 1] = 1
+    # walk down from index top, carrying the run of 1s from index i up to
+    # top: its overhang beta is the run length minus 1, and the finite
+    # map's cap at horizon - i - 1 is the stop at top
+    run = 0
+    for i in range(top, 2, -1):
+        if y[i - 1]:
+            run += 1
+            if run % 2:
+                out[i - 1] = 1
+        else:
+            run = 0
     return tuple(out)

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 from .chains import marginals
 from .numerics import (
@@ -162,6 +161,8 @@ def mean_cj_eta(n: int, j: int, theta: float) -> float:
     if j == n:
         if n == 2:
             return 1.0
+        from scipy import special as _sp
+
         return math.exp(
             math.lgamma(n - 1.0)
             - float(_sp.gammaln(theta + 2 + n - 3) - _sp.gammaln(theta + 2))
@@ -314,6 +315,8 @@ def lambda_esf(n: int, theta: float) -> float:
 
     Every term is nonnegative, so large theta loses nothing to the
     cancellation of the alternating sum over fixed points."""
+    if not (math.isfinite(theta) and theta > 0):
+        raise ValueError("theta must be positive and finite")
     if n < 1:
         raise ValueError("n must be >= 1")
     prev, cur = 1.0, 0.0

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as _sp
 
 from .chains import ChainKind
 
@@ -359,6 +358,8 @@ def ks_statistic(sample: np.ndarray, cdf) -> float:
 
 def ks_p_value(d: float, m: int) -> float:
     """Asymptotic Kolmogorov distribution p-value (adequate for m >= 500)."""
+    from scipy import special as _sp
+
     return float(_sp.kolmogorov(d * (math.sqrt(m) + 0.12 + 0.11 / math.sqrt(m))))
 
 
@@ -392,6 +393,8 @@ def clt_diagnostic(p, n: int, reps: int, seed: int) -> EstimateReport:
         sample[rows] = np.count_nonzero(ones, axis=1)
         dither[rows] = draws[:, 0] - 0.5
     dithered = sample + dither
+    from scipy import special as _sp
+
     z_theory = (dithered - qbar) / math.sqrt(qbar)
     d_theory = ks_statistic(z_theory, _sp.ndtr)
     z_sample = (dithered - dithered.mean()) / dithered.std(ddof=1)

@@ -3,6 +3,9 @@
 Everything here is a pure function of its arguments.  Hypergeometric series
 are summed by forward recurrence on the term ratio; integrals go through an
 adaptive quadrature wrapper that splits off endpoint singularities.
+``scipy.special`` and ``scipy.integrate`` are imported inside the functions
+that call them, here and across the package: importing either costs more
+than most single evaluations, and importing the package loads numpy only.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 
 class NumericsError(Exception):
@@ -70,6 +72,8 @@ def log_rising_factorial(x: float, m: int) -> tuple[float, int]:
         raise ValueError("m must be nonnegative")
     if m == 0:
         return 0.0, 1
+    from scipy import special as _sp
+
     if x > 0:
         return float(_sp.gammaln(x + m) - _sp.gammaln(x)), 1
     # Negative or zero start: peel off the nonpositive factors explicitly.
@@ -102,6 +106,8 @@ def kummer_m(
     if method == "integral":
         if not (b > a > 0):
             raise ValueError("integral representation requires b > a > 0")
+        from scipy import special as _sp
+
         c = math.exp(_sp.gammaln(b) - _sp.gammaln(a) - _sp.gammaln(b - a))
         val = integrate(
             lambda u: math.exp(z * u) * u ** (a - 1.0) * (1.0 - u) ** (b - a - 1.0),
@@ -168,6 +174,8 @@ def beta_fn(z1, z2) -> float:
     z1c, z2c = complex(z1), complex(z2)
     if z1c.real <= 0 or z2c.real <= 0:
         raise ValueError("beta_fn requires Re(z1), Re(z2) > 0")
+    from scipy import special as _sp
+
     if z1c.imag == 0 and z2c.imag == 0:
         return float(_sp.beta(z1c.real, z2c.real))
     if abs(z1c - z2c.conjugate()) <= 1e-12 * max(1.0, abs(z1c)):
@@ -213,8 +221,7 @@ def integrate(f, domain, acc: AccuracySpec = DEFAULT_ACC) -> float:
 
 
 def _quad1d(f, a, b, acc):
-    # imported here: scipy.integrate pulls in scipy.optimize, sparse and
-    # linalg, which no other import of the package needs
+    # scipy.integrate also pulls in scipy.optimize, sparse and linalg
     from scipy import integrate as _sciint
 
     if not (b > a):
@@ -258,6 +265,8 @@ def harmonic_h(y: float) -> float:
     """
     if y <= -1:
         raise ValueError("harmonic_h requires y > -1")
+    from scipy import special as _sp
+
     return float(_sp.digamma(y + 1.0) + np.euler_gamma)
 
 

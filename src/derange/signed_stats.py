@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 from .coupling import ordered_cycle_prefix_prob
 from .dist import DistTable
@@ -25,6 +24,8 @@ from .params import ThetaSequence
 def _binom_pmf(s, m: int, kappa: float):
     """Binomial(m, kappa) probability of s successes (s an int or an int
     array), in log space: the coefficient overflows a float from m ~ 1030."""
+    from scipy import special as _sp
+
     return np.exp(_sp.gammaln(m + 1) - _sp.gammaln(s + 1) - _sp.gammaln(m - s + 1)
                   + _sp.xlogy(s, kappa) + _sp.xlog1py(m - s, -kappa))
 

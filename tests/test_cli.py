@@ -184,6 +184,15 @@ def test_sample_rejects_nonpositive_reps(capsys, reps, fmt):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("theta", ["0", "-1"])
+def test_lambda_esf_rejects_nonpositive_theta(capsys, theta):
+    code, out, err = run(capsys, "exact", "--quantity", "lambda_esf", "--n", "2",
+                         "--theta", theta, "--format", "json")
+    assert code == EXIT_GUARD
+    assert out == ""
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize("name", sorted(QUANTITIES))
 def test_every_quantity_evaluates(capsys, name):
     code, out, _ = run(capsys, "exact", "--quantity", name, "--n", "8", "--format", "json")

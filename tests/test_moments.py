@@ -168,6 +168,13 @@ def test_lambda_esf_at_large_theta(theta):
             assert lambda_esf(n, theta) == pytest.approx(float(ref), rel=1e-13)
 
 
+@pytest.mark.parametrize("theta", [0.0, -1.0, -0.5, math.nan, math.inf])
+def test_lambda_esf_rejects_theta_outside_the_positive_reals(theta):
+    for n in (1, 2, 5):
+        with pytest.raises(ValueError, match="theta must be positive"):
+            lambda_esf(n, theta)
+
+
 def test_cov_eta_at_large_n():
     # P(bit_i = bit_j = 1) - m_i m_j from the transition rows: the chain
     # runs down from j, so propagate from a 1 at j to index i

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 from scipy import special as sp
 
@@ -59,6 +60,18 @@ def test_beta_fn_conjugate_pair_is_real():
     assert val == pytest.approx(ref, rel=1e-12)
 
 
+def test_beta_fn_general_complex_pair():
+    # a pair just off conjugate misses the |Gamma|^2 branch; its value is
+    # real to rounding and is returned, and a far-off pair is rejected
+    z1 = complex(1.5, 0.8)
+    z2 = z1.conjugate() + 1e-11
+    ref = complex(mpmath.beta(z1, z2))
+    assert abs(ref.imag) < 1e-10 * abs(ref)
+    assert beta_fn(z1, z2) == pytest.approx(ref.real, rel=1e-12)
+    with pytest.raises(ValueError, match="not real"):
+        beta_fn(complex(1.0, 1.0), complex(2.0, -0.5))
+
+
 def test_integrate_1d():
     acc = AccuracySpec()
     assert integrate(lambda x: x * x, (0.0, 1.0), acc) == pytest.approx(1 / 3, abs=1e-12)
@@ -92,3 +105,31 @@ def test_cli_import_leaves_quadrature_unloaded():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _fresh_interpreter(code):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_package_import_leaves_scipy_unloaded():
+    # scipy.special is imported inside the functions that call it, so the
+    # package, the CLI, the sampler and the oracle load no scipy module
+    code = ("import sys, derange, derange.cli, derange.montecarlo, derange.oracle; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh_interpreter(code) == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["table2"],
+    ["sample", "--kind", "signed", "--n", "20", "--reps", "5"],
+])
+def test_commands_leave_special_functions_unloaded(argv):
+    code = ("import contextlib, io, sys; from derange import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = cli.run_command({argv!r})\n"
+            "print(code, 'scipy.special' in sys.modules)")
+    assert _fresh_interpreter(code) == "0 False"
