@@ -58,6 +58,11 @@ EXIT_GUARD = 3
 _DIGITS = 9
 
 
+# JSON-ready as they are: _sanitize returns items of exactly these types
+# unchanged (subclasses take the general path)
+_PLAIN = (int, str, bool, type(None))
+
+
 def _fmt(x):
     if isinstance(x, (float, np.floating)):
         return float(f"{float(x):.{_DIGITS}g}")
@@ -69,12 +74,14 @@ def _fmt(x):
 
 
 def _sanitize(x):
+    if type(x) in _PLAIN:
+        return x
     if isinstance(x, dict):
         return {str(k): _sanitize(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_sanitize(v) for v in x]
     out = _fmt(x)
-    if out is x and not isinstance(x, (int, str, bool, type(None))):
+    if out is x and not isinstance(x, _PLAIN):
         return str(x)
     return out
 

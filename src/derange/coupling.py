@@ -295,7 +295,9 @@ def erase11(word, horizon):
     input length >= n - 1) or math.inf (window map; the input window must
     end with 0 so every run is determined).
     """
-    y = tuple(map(int, word))
+    # the alphabet is checked on the items as given, so 0.6 or 1.9 is
+    # refused rather than truncated; the walk below reads only truth values
+    y = tuple(word)
     if not y or y[0] != 1:
         raise ValueError("input must start with a 1 at index 1")
     if not set(y) <= {0, 1}:

@@ -20,9 +20,14 @@ Past a few hundred draws per replicate (``_BLOCK_DRAWS``) building
 stream, so the sampler draws that way instead.  A replicate that needs
 more jumps than were drawn up front continues its stream with the block
 draw at a later offset, so every result depends only on (seed, r) and
-not on how replicates are batched.  The two diagnostics test the normal
-limit of the cycle-count total and the GEM limit of the normalized
-ordered cycle lengths.
+not on how replicates are batched.  That lets the sampler size its
+blocks by the draws a replicate needs, not by a fixed replicate count: a
+block holds about ``_PASS_SIZE`` up-front draws (one Philox pass) and at
+least ``_DEFAULT_CHUNK`` replicates, so 6 draws a replicate make 2730-row
+blocks and the numpy call overhead of a pass is paid once per 2730
+replicates, not per 512.  The two diagnostics test the normal limit of
+the cycle-count total and the GEM limit of the normalized ordered cycle
+lengths.
 """
 
 from __future__ import annotations
@@ -41,6 +46,9 @@ _SM64_MIX1 = 0xBF58476D1CE4E5B9
 _SM64_MIX2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
 
+# Fewest replicates in a chunk of _sample.  A chunk holds about
+# _PASS_SIZE draws (see _sample), so only replicates needing at least
+# _PASS_SIZE / _DEFAULT_CHUNK = 32 draws get this few.
 _DEFAULT_CHUNK = 512
 _MIN_KS_REPS = 500
 
@@ -66,7 +74,9 @@ _PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _MASK32 = (1 << 32) - 1
 # rows x counters per Philox pass: each uint64 temporary is at most 128 KiB,
-# and of 2^12 .. 2^18 this size drew a 512 x 512 block fastest
+# and of 2^12 .. 2^18 this size drew a 512 x 512 block fastest.  _sample
+# sizes a chunk to about this many draws, so few draws a replicate still
+# fill a pass.
 _PASS_SIZE = 1 << 14
 # Draws per replicate up to which _sample uses the block draw.  The numpy
 # Philox costs about 40 ns a uniform, a generator 15-25 us to build plus
@@ -79,10 +89,19 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple:
     """(high, low) 64-bit words of the 128-bit products m * x; the high
     word from 32-bit limbs (Warren, Hacker's Delight, mulhu)."""
     m_lo, m_hi = m & _MASK32, m >> 32
-    x_lo, x_hi = x & _MASK32, x >> 32
-    t = x_hi * m_lo + ((x_lo * m_lo) >> 32)
-    mid = x_lo * m_hi + (t & _MASK32)
-    return x_hi * m_hi + (t >> 32) + (mid >> 32), x * m
+    # in place on fresh temporaries, never on x
+    lo, hi = x & _MASK32, x >> 32
+    t = lo * m_lo
+    t >>= 32
+    t += hi * m_lo
+    lo *= m_hi
+    lo += t & _MASK32  # the middle limb sum
+    lo >>= 32
+    t >>= 32
+    hi *= m_hi
+    hi += t
+    hi += lo
+    return hi, x * m
 
 
 def _philox(keys: list, ctr: np.ndarray) -> np.ndarray:
@@ -229,18 +248,22 @@ def sample_bits(kind: ChainKind, n: int, u: np.ndarray, extend=None,
 
 
 def _sample(kind: ChainKind, h: np.ndarray, replicates: range, seed: int, lead: int,
-            chunk: int = _DEFAULT_CHUNK):
+            chunk: int | None = None):
     """Yield (offset in ``replicates``, leading draws, 1-positions) per chunk.
 
     Each replicate's stream gives ``lead`` draws for the caller first, then
     its jump uniforms.  A chunk takes them from one block draw when a
     replicate needs at most ``_BLOCK_DRAWS``, else from one generator per
     replicate; a word that needs more jumps than were drawn up front
-    continues its stream with the block draw at a later offset.
+    continues its stream with the block draw at a later offset.  A chunk
+    holds ``chunk`` replicates or, by default, enough to draw about
+    ``_PASS_SIZE`` uniforms up front, and at least ``_DEFAULT_CHUNK``.
     """
     n = h.size - 1
     log_surv = log_survival(h)
     width = _jump_width(kind, h)
+    if chunk is None:
+        chunk = max(_DEFAULT_CHUNK, _PASS_SIZE // (lead + width))
     for start in range(0, len(replicates), chunk):
         reps = replicates[start:start + chunk]
         block = _replicate_numbers(reps)
@@ -297,7 +320,7 @@ _NEEDS_ORIENT = ("Lambda", "Cstar_j", "Astar1")
 def estimate(statistic: str, kind: ChainKind, n: int, reps: int, seed: int,
              j: int | None = None, kappa: float | None = None,
              target: int | None = None,
-             chunk: int = _DEFAULT_CHUNK) -> EstimateReport:
+             chunk: int | None = None) -> EstimateReport:
     """Mean and standard error of a per-word statistic over replicates.
 
     Statistics: 'K', 'Cj' (needs j), 'A1', 'A2', 'Lambda', 'Cstar_j'
@@ -307,7 +330,9 @@ def estimate(statistic: str, kind: ChainKind, n: int, reps: int, seed: int,
     kind's kappa or ``kappa``, which must lie in [0, 1] and agree with the
     kind's when both are given.  Orientation statistics draw one
     orientation uniform per index from each replicate's stream before its
-    jump uniforms.
+    jump uniforms.  ``chunk`` is the replicates per sampled block, by
+    default sized to the draws a replicate needs; it does not change the
+    result.
     """
     if reps < 2:
         raise ValueError("reps must be >= 2")

@@ -56,9 +56,14 @@ def _values(seq, n: int) -> np.ndarray:
     return out
 
 
+class TableRangeError(IndexError, ValueError):
+    """A tabulated sequence read past its table under the 'reject' rule;
+    a ValueError, as every rejected input is, and an IndexError."""
+
+
 def _tabulated(values: Sequence[float], tail_rule: str, name: str) -> Callable:
     """Evaluator reading ``values[i - 1]``; past the table the 'constant'
-    rule repeats the last entry and 'reject' raises IndexError."""
+    rule repeats the last entry and 'reject' raises TableRangeError."""
     if tail_rule not in ("constant", "reject"):
         raise ValueError("tail_rule must be 'constant' or 'reject'")
     vals = [float(v) for v in values]
@@ -70,7 +75,7 @@ def _tabulated(values: Sequence[float], tail_rule: str, name: str) -> Callable:
             return vals[i - 1]
         top = int(np.max(i))
         if top > last and tail_rule == "reject":
-            raise IndexError(f"{name} table has no entry for i={top}")
+            raise TableRangeError(f"{name} table has no entry for i={top}")
         return table[np.minimum(i, last) - 1]
 
     return ev

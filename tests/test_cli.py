@@ -287,3 +287,24 @@ def test_signed_lambda_needs_a_derangement(capsys):
     code, _, err = run(capsys, "signed", "--quantity", "lambda", "--n", "1")
     assert code == EXIT_GUARD
     assert "n >= 2" in err
+
+
+def test_sanitize_forms():
+    import numpy as np
+
+    from derange.cli import _sanitize
+
+    class Thing:
+        def __str__(self):
+            return "thing"
+
+    x = {"a": np.float64(0.1234567891234), 2: np.arange(3), "c": np.array([0.5, 1 / 3]),
+         "b": [np.int64(3), np.bool_(True), (1, "x", None, False)], "d": 1 / 3,
+         "e": Thing(), "f": {"g": (np.float32(0.25), True)}, "h": np.int8(-2)}
+    got = _sanitize(x)
+    assert got == {"a": 0.123456789, "2": [0, 1, 2], "c": [0.5, 0.333333333],
+                   "b": [3, "True", [1, "x", None, False]], "d": 0.333333333,
+                   "e": "thing", "f": {"g": [0.25, True]}, "h": -2}
+    assert [type(v) for v in got["b"][2]] == [int, str, type(None), bool]
+    assert type(got["h"]) is int and type(got["a"]) is float
+    json.dumps(got)

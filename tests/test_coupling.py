@@ -179,3 +179,12 @@ def test_k_distribution_has_no_derangement_of_one():
     with pytest.raises(ValueError, match="n >= 2"):
         k_distribution("X", 1, PSequence.eta(0.9))
     assert dict(k_distribution("Y", 1, ThetaSequence.constant(0.9)).items()) == {1: 1.0}
+
+
+@pytest.mark.parametrize("bad", [0.6, 1.9, 2])
+def test_erase11_rejects_items_outside_the_alphabet(bad):
+    # checked as given: int() would turn 0.6 into 0 and 1.9 into 1
+    with pytest.raises(ValueError, match="0/1 word"):
+        erase11((1, bad, 1, 0), 4)
+    with pytest.raises(ValueError, match="0/1 word"):
+        erase11((1, 0, bad, 0), math.inf)

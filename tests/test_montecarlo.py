@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from derange import montecarlo, oracle
@@ -316,3 +318,57 @@ def test_kappa_is_checked():
         estimate("Lambda", ChainKind.eta(1.0), 10, 10, 1, kappa=1.5)
     # a matching kappa is the kind's own
     assert estimate("Lambda", signed, 10, 10, 1, kappa=0.4) == estimate("Lambda", signed, 10, 10, 1)
+
+
+@pytest.mark.parametrize("offset, count", [(0, 5), (7, 9)])
+def test_block_draw_with_more_rows_than_a_pass(offset, count):
+    # more rows than _PASS_SIZE: one counter per Philox pass
+    reps = range(10**9, 10**9 + montecarlo._PASS_SIZE + 3)
+    got = replicate_uniforms(31, _replicate_numbers(reps), offset, count)
+    assert got.shape == (len(reps), count)
+    for i in [*range(0, len(reps), 997), len(reps) - 1]:
+        want = replicate_rng(31, reps[i]).random(offset + count)[offset:]
+        assert np.array_equal(got[i], want), i
+
+
+def test_block_draw_count_spanning_several_passes():
+    # 3 rows take _PASS_SIZE // 3 counters, 4 words each, a pass; the
+    # offset is not a multiple of 4, so every seam cuts inside a counter
+    reps = range(5, 8)
+    offset = 4 * 1000 + 3
+    count = 3 * 4 * (montecarlo._PASS_SIZE // 3) - 5
+    got = replicate_uniforms(-12, _replicate_numbers(reps), offset, count)
+    want = [replicate_rng(-12, r).random(offset + count)[offset:] for r in reps]
+    assert np.array_equal(got, want)
+
+
+def test_default_chunk_holds_a_pass_of_draws():
+    def rows(kind, n, lead, reps):
+        return [ones.shape[0] for _, _, ones in
+                montecarlo._sample(kind, kind.one_probs(n), range(reps), 1, lead)]
+
+    kind = ChainKind.x(PSequence.eta(0.5))
+    assert rows(kind, 12, 0, 6000) == [2730, 2730, 540]  # 6 draws a replicate
+    assert rows(kind, 12, 12, 2000) == [910, 910, 180]  # 18 draws
+    signed = ChainKind.signed(PSequence.eta(1.0), 0.5)
+    assert rows(signed, 50, 100, 1100) == [512, 512, 76]  # 119 draws
+
+
+@pytest.mark.parametrize("stat, reps, kw", [
+    ("K", 6000, {}), ("Lambda", 2000, {}), ("Cstar_j", 2000, {"j": 2}),
+])
+def test_default_chunk_gives_the_fixed_chunk_results(stat, reps, kw):
+    kind = ChainKind.x(PSequence.eta(0.5))
+    got = estimate(stat, kind, 12, reps, 77, kappa=0.4, **kw)
+    for chunk in (7, 512):
+        assert estimate(stat, kind, 12, reps, 77, kappa=0.4, chunk=chunk, **kw) == got
+
+
+@given(stat=st.sampled_from(("K", "Cj", "A1", "A2", "Lambda", "Cstar_j", "Astar1")),
+       n=st.integers(2, 14), reps=st.integers(2, 400), chunk=st.integers(1, 500),
+       seed=st.integers(0, 2**32))
+def test_default_chunk_matches_any_chunk(stat, n, reps, chunk, seed):
+    kind = ChainKind.signed(PSequence.eta(1.3), 0.4)
+    kw = {"j": 2, "target": 1}
+    assert (estimate(stat, kind, n, reps, seed, chunk=chunk, **kw)
+            == estimate(stat, kind, n, reps, seed, **kw))

@@ -166,3 +166,11 @@ def test_eta_tilde_matches_derangement_probabilities():
             num = (theta + i - 1) * lambda_esf(i, theta)
             assert p(i) == pytest.approx(num / (num + theta * lambda_esf(i - 1, theta)),
                                          rel=1e-12)
+
+
+def test_tabulated_reject_is_a_value_error():
+    # the library's rejected-input contract is ValueError; IndexError stays
+    with pytest.raises(ValueError, match="no entry for i=4"):
+        PSequence.tabulated([0.0, 1.0, 0.5]).values(4)
+    with pytest.raises(ValueError, match="no entry for i=4"):
+        ThetaSequence.tabulated([1.0, 1.0, 0.5])(4)
