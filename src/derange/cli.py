@@ -64,6 +64,8 @@ _PLAIN = (int, str, bool, type(None))
 
 
 def _fmt(x):
+    if isinstance(x, np.bool_):
+        return bool(x)
     if isinstance(x, (float, np.floating)):
         return float(f"{float(x):.{_DIGITS}g}")
     if isinstance(x, np.integer):

@@ -36,7 +36,8 @@ from .params import PSequence
 
 @dataclass(frozen=True)
 class LimitEstimate:
-    """A limit value with its alternating-tail error bracket."""
+    """A limit value with its error: the alternating-tail bracket of a
+    series, or the achieved quadrature error of an integral."""
 
     value: float
     error_bound: float
@@ -50,6 +51,14 @@ def _finite(est: LimitEstimate) -> LimitEstimate:
             f"limit series overflowed at m={est.m} "
             f"(value {est.value}, bound {est.error_bound}); lower m"
         )
+    return est
+
+
+def _within(est: LimitEstimate, acc: AccuracySpec) -> LimitEstimate:
+    """The integral estimate, or NumericsError when its error misses acc."""
+    if not est.error_bound <= max(acc.abs_tol, acc.rel_tol * abs(est.value)):
+        raise NumericsError(f"quadrature error {est.error_bound:.3g} misses the "
+                            f"tolerance for {est.value:.15g}")
     return est
 
 
@@ -110,12 +119,10 @@ def mean_k_eta_limit(theta: float, m: int = 3, method: str = "series",
         return _finite(LimitEstimate(value=head + tail,
                                      error_bound=eta_abar(theta, 2 * m), m=m))
     if method == "integral":
-        val = integrate(
-            lambda x, y: math.exp(-theta * x * y) * (1.0 - x) ** (theta + 1.0),
-            ((0.0, 1.0), (0.0, 1.0)),
-            acc,
-        )
-        return LimitEstimate(value=head - theta * theta * val, error_bound=0.0, m=0)
+        val, err = integrate(lambda x, y: np.exp(-theta * x * y) * (1.0 - x) ** (theta + 1.0),
+                             ((0.0, 1.0), (0.0, 1.0)), acc)
+        return _within(LimitEstimate(value=head - theta * theta * val,
+                                     error_bound=theta * theta * err, m=0), acc)
     if method == "pfq":
         f = generalized_pfq((1.0, 1.0), (2.0, theta + 3.0), -theta, acc)
         tail = -theta * theta / (theta + 2.0) * f
@@ -191,9 +198,9 @@ def eta_bbar(theta: float, j: int, k: int) -> float:
 
 
 def _exp_beta_integral(theta: float, power: float,
-                       acc: AccuracySpec = DEFAULT_ACC) -> float:
-    """int_0^1 e^{-theta x} (1-x)^{power} dx."""
-    return integrate(lambda x: math.exp(-theta * x) * (1.0 - x) ** power,
+                       acc: AccuracySpec = DEFAULT_ACC) -> tuple[float, float]:
+    """int_0^1 e^{-theta x} (1-x)^{power} dx and its quadrature error."""
+    return integrate(lambda x: np.exp(-theta * x) * (1.0 - x) ** power,
                      (0.0, 1.0), acc)
 
 
@@ -214,10 +221,10 @@ def mean_cj_eta_limit(theta: float, j: int, method: str = "series", m: int = 2,
                 theta
                 * math.gamma(j - 1.0)
                 / rising_factorial(theta + 2.0, j - 3)
-                * _exp_beta_integral(theta, theta + j - 1.0, acc)
+                * _exp_beta_integral(theta, theta + j - 1.0, acc)[0]
             )
         else:
-            head = theta * _exp_beta_integral(theta, theta + 1.0, acc)
+            head = theta * _exp_beta_integral(theta, theta + 1.0, acc)[0]
         tail = math.fsum(
             (-1) ** (k + 1) * eta_bbar(theta, j, k) for k in range(1, 2 * m + 1)
         )
@@ -227,39 +234,25 @@ def mean_cj_eta_limit(theta: float, j: int, method: str = "series", m: int = 2,
             m=m,
         ))
     if method == "integral":
-        def f(x, y):
-            return (
-                theta
-                * theta
-                * math.exp(-theta * y)
-                * x ** (theta - 1.0)
-                * (1.0 - x) ** (j - 2.0)
-                * (1.0 - y) ** (theta + j - 1.0)
-                / (1.0 - x + x * y) ** (j - 1.0)
-            )
+        # theta^2 x^{theta-1} (1-x)^{j-2} e^{-theta y} (1-y)^{theta+j-1}
+        # / (1-x+xy)^{j-1} after t = x^theta, which absorbs x^{theta-1};
+        # the (1-x)/d form keeps the (1, 0) corner free of 0/0
+        def f(t, y):
+            x = t ** (1.0 / theta)
+            d = 1.0 - x + x * y
+            return (theta * np.exp(-theta * y) * (1.0 - y) ** (theta + j - 1.0)
+                    * ((1.0 - x) / d) ** (j - 2) / d)
 
-        val = integrate(f, ((0.0, 1.0), (0.0, 1.0)), acc)
+        val, err = integrate(f, ((0.0, 1.0), (0.0, 1.0)), acc)
         if j >= 3:
-            theta_bracket = theta * rising_factorial(theta + 1.0, j)  # theta_(j+1)
-            corr = (
-                theta**3
-                * math.gamma(j - 1.0)
-                / theta_bracket
-                * (
-                    theta
-                    + j
-                    - 1.0
-                    - ((theta + j - 1.0) ** 2 + j - 1.0)
-                    * _exp_beta_integral(theta, theta + j, acc)
-                )
-            )
-            val += corr
+            scale = theta**2 * math.gamma(j - 1.0) / rising_factorial(theta + 1.0, j)
+            shift, coef = scale * (theta + j - 1.0), scale * ((theta + j - 1.0) ** 2 + j - 1.0)
         else:
-            val -= (
-                theta * theta / (theta + 1.0)
-                * _exp_beta_integral(theta, theta + 2.0, acc)
-            )
-        return LimitEstimate(value=val, error_bound=0.0, m=0)
+            shift, coef = 0.0, theta * theta / (theta + 1.0)
+        e, e_err = _exp_beta_integral(theta, theta + j, acc)
+        val += shift - coef * e
+        return _within(LimitEstimate(value=val, error_bound=err + coef * e_err, m=0),
+                       acc)
     raise ValueError(f"unknown method {method!r}")
 
 

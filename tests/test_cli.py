@@ -303,8 +303,8 @@ def test_sanitize_forms():
          "e": Thing(), "f": {"g": (np.float32(0.25), True)}, "h": np.int8(-2)}
     got = _sanitize(x)
     assert got == {"a": 0.123456789, "2": [0, 1, 2], "c": [0.5, 0.333333333],
-                   "b": [3, "True", [1, "x", None, False]], "d": 0.333333333,
+                   "b": [3, True, [1, "x", None, False]], "d": 0.333333333,
                    "e": "thing", "f": {"g": [0.25, True]}, "h": -2}
     assert [type(v) for v in got["b"][2]] == [int, str, type(None), bool]
-    assert type(got["h"]) is int and type(got["a"]) is float
+    assert type(got["h"]) is int and type(got["a"]) is float and got["b"][1] is True
     json.dumps(got)

@@ -16,7 +16,7 @@ from derange.moments import (
     mean_k_eta_limit,
     second_moments,
 )
-from derange.numerics import NumericsError
+from derange.numerics import DEFAULT_ACC, AccuracySpec, NumericsError
 from derange.params import PSequence
 
 
@@ -78,11 +78,32 @@ def test_eta_closed_forms_match_generic():
 
 
 def test_mean_cj_limit_methods_agree():
-    for theta in (0.5, 1.0):
-        for j in (2, 4):
-            a = mean_cj_eta_limit(theta, j, method="series", m=4)
+    for theta in (0.01, 0.1, 0.5, 1.0, 3.0):
+        for j in (2, 3, 5, 7):
+            a = mean_cj_eta_limit(theta, j, method="series", m=12)
             b = mean_cj_eta_limit(theta, j, method="integral")
-            assert a.value == pytest.approx(b.value, abs=max(a.error_bound, 1e-8))
+            assert b.value == pytest.approx(a.value, rel=1e-12, abs=a.error_bound), (theta, j)
+
+
+def test_mean_cj_limit_integral_small_theta():
+    # the series value; nested adaptive quadrature was 4.3e-10 off here
+    est = mean_cj_eta_limit(0.01, 2, method="integral")
+    assert est.value == pytest.approx(0.0050000686910998, rel=1e-10)
+
+
+@pytest.mark.parametrize("est", [
+    lambda acc: mean_cj_eta_limit(0.01, 2, method="integral", acc=acc),
+    lambda acc: mean_cj_eta_limit(3.0, 5, method="integral", acc=acc),
+    lambda acc: mean_k_eta_limit(0.5, method="integral", acc=acc),
+    lambda acc: mean_k_eta_limit(100.0, method="integral", acc=acc),
+])
+def test_limit_integrals_report_achieved_error(est):
+    for acc in (DEFAULT_ACC, AccuracySpec(abs_tol=1e-8, rel_tol=1e-8)):
+        got = est(acc)
+        assert 0 < got.error_bound <= max(acc.abs_tol, acc.rel_tol * abs(got.value))
+    # a tolerance below rounding cannot be met and raises, never returns
+    with pytest.raises(NumericsError):
+        est(AccuracySpec(abs_tol=1e-30, rel_tol=1e-30))
 
 
 def test_mean_cj_limit_is_large_n_limit():

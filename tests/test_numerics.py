@@ -5,12 +5,14 @@ import sys
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 from scipy import special as sp
 
 from derange.numerics import (
     EULER_GAMMA,
     AccuracySpec,
+    NumericsError,
     beta_fn,
     generalized_pfq,
     harmonic_h,
@@ -33,10 +35,19 @@ def test_rising_factorial_vs_scipy():
 
 
 def test_kummer_vs_scipy():
-    for a, b, z in [(1.0, 2.5, -0.5), (0.7, 3.0, -2.0), (2.0, 4.0, 1.5)]:
+    # the integrand u^{a-1} (1-u)^{b-a-1} e^{zu} is singular at an end
+    # wherever a < 1 or b - a < 1
+    for a, b, z in [(1.0, 2.5, -0.5), (0.7, 3.0, -2.0), (2.0, 4.0, 1.5), (0.05, 3.0, -1.0),
+                    (1.0, 1.2, 0.5), (0.3, 0.8, 2.0), (0.5, 1.5, -1.0), (3.0, 3.05, 1.0)]:
         ref = sp.hyp1f1(a, b, z)
         assert kummer_m(a, b, z) == pytest.approx(ref, rel=1e-10)
-        assert kummer_m(a, b, z, method="integral") == pytest.approx(ref, rel=1e-8)
+        assert kummer_m(a, b, z, method="integral") == pytest.approx(ref, rel=1e-12)
+
+
+def test_kummer_integral_raises_when_truncated():
+    # at a = 1e-4 most of the mass of u^{a-1} lies below the node nearest 0
+    with pytest.raises(NumericsError, match="end nodes"):
+        kummer_m(1e-4, 1.0, 0.5, method="integral")
 
 
 def test_generalized_pfq_reduces_to_kummer():
@@ -74,13 +85,50 @@ def test_beta_fn_general_complex_pair():
 
 def test_integrate_1d():
     acc = AccuracySpec()
-    assert integrate(lambda x: x * x, (0.0, 1.0), acc) == pytest.approx(1 / 3, abs=1e-12)
+    val, err = integrate(lambda x: x * x, (0.0, 1.0), acc)
+    assert val == pytest.approx(1 / 3, abs=1e-12)
+    # the error reported is the last level difference, within the tolerance
+    assert 0 < err <= max(acc.abs_tol, acc.rel_tol * val)
 
 
 def test_integrate_2d():
     acc = AccuracySpec()
-    val = integrate(lambda x, y: x * y, ((0.0, 1.0), (0.0, 2.0)), acc)
+    val, err = integrate(lambda x, y: x * y, ((0.0, 1.0), (0.0, 2.0)), acc)
     assert val == pytest.approx(1.0, abs=1e-9)
+    assert 0 < err <= acc.abs_tol
+
+
+@pytest.mark.parametrize("domain, f", [
+    ((0.0, 1.0), lambda x: np.exp(-x) / np.sqrt(x)),
+    (((0.0, 1.0), (0.0, 2.0)), lambda x, y: np.log(x) * np.exp(x * y)),
+], ids=["interval", "rectangle"])
+def test_integrate_calls_integrand_once_per_level(domain, f):
+    # one array call per level, each on the whole finer node set: a slide
+    # back to per-point or per-row Python calls repeats or shrinks sizes
+    sizes = []
+
+    def spy(*args):
+        sizes.append(np.broadcast(*args).size)
+        return f(*args)
+
+    integrate(spy, domain)
+    assert 2 <= len(sizes) <= AccuracySpec().quad_max_depth
+    assert sizes == sorted(set(sizes)) and sizes[0] >= 25
+
+
+def test_integrate_endpoint_singularities():
+    # x^{-1/2} and log x at 0, with their exact values
+    val, err = integrate(lambda x: 1.0 / np.sqrt(x), (0.0, 4.0))
+    assert val == pytest.approx(4.0, rel=1e-13) and err <= 1e-10 * 4.0
+    val, _ = integrate(np.log, (0.0, 1.0))
+    assert val == pytest.approx(-1.0, rel=1e-13)
+
+
+def test_integrate_raises_when_levels_disagree():
+    # a jump inside the interval stalls the level differences
+    with pytest.raises(NumericsError, match="did not converge"):
+        integrate(lambda x: (x > 1 / 3).astype(float), (0.0, 1.0),
+                  AccuracySpec(quad_max_depth=5))
 
 
 def test_harmonic_h():
@@ -107,6 +155,14 @@ def test_cli_import_leaves_quadrature_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_integral_methods_leave_quadrature_unloaded():
+    code = ("import sys; from derange import kummer_m, mean_cj_eta_limit\n"
+            "mean_cj_eta_limit(0.5, 3, method='integral')\n"
+            "kummer_m(0.3, 0.8, 2.0, method='integral')\n"
+            "print('scipy.integrate' in sys.modules)")
+    assert _fresh_interpreter(code) == "False"
+
+
 def _fresh_interpreter(code):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -126,6 +182,7 @@ def test_package_import_leaves_scipy_unloaded():
 @pytest.mark.parametrize("argv", [
     ["table2"],
     ["sample", "--kind", "signed", "--n", "20", "--reps", "5"],
+    ["table1"],
 ])
 def test_commands_leave_special_functions_unloaded(argv):
     code = ("import contextlib, io, sys; from derange import cli\n"
