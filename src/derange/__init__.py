@@ -30,7 +30,6 @@ from .chains import (
     word_to_string,
 )
 from .coupling import (
-    GammaTable,
     delta_n,
     erase11,
     g_values,
@@ -75,7 +74,6 @@ __all__ = [
     "AccuracySpec",
     "ChainKind",
     "DistTable",
-    "GammaTable",
     "LawPair",
     "LimitContext",
     "LimitEstimate",

@@ -31,29 +31,6 @@ def g_values(thetaseq: ThetaSequence, n: int) -> list[float]:
     return g[: n + 1]
 
 
-class GammaTable:
-    """gamma_1..gamma_N for a theta sequence."""
-
-    def __init__(self, thetaseq: ThetaSequence, n_max: int):
-        if n_max < 1:
-            raise ValueError("n_max must be >= 1")
-        self.thetaseq = thetaseq
-        self.n_max = n_max
-        t = thetaseq.values(n_max).tolist()
-        c = thetaseq.coin_probs(n_max).tolist()
-        gam = [0.0, 0.0]  # index 0 unused, gamma_1 = 0
-        if n_max >= 2:
-            gam.append(1.0 / (1.0 + t[2]))
-        for i in range(3, n_max + 1):
-            gam.append((i - 1) / (i - 1 + t[i]) * (gam[i - 1] + c[i - 1] * gam[i - 2]))
-        self.gamma = gam
-
-    def __getitem__(self, i: int) -> float:
-        if not (1 <= i <= self.n_max):
-            raise ValueError(f"gamma index {i} outside 1..{self.n_max}")
-        return self.gamma[i]
-
-
 def _bracket_log_unit(thetaseq: ThetaSequence, n: int) -> float:
     """log of the bracket product with the index-1 factor forced to 1."""
     return thetaseq.bracket_product_log(n) - math.log(thetaseq.theta1)
@@ -64,7 +41,15 @@ def gamma_n(thetaseq: ThetaSequence, n: int, method: str = "recursion") -> float
     if n < 1:
         raise ValueError("n must be >= 1")
     if method == "recursion":
-        return GammaTable(thetaseq, max(n, 1))[n] if n >= 1 else 0.0
+        if n == 1:
+            return 0.0
+        # gamma_i = (i-1)/(i-1+theta_i) (gamma_{i-1} + c_{i-1} gamma_{i-2})
+        t = thetaseq.values(n).tolist()
+        c = thetaseq.coin_probs(n).tolist()
+        prev, cur = 0.0, 1.0 / (1.0 + t[2])  # gamma_1, gamma_2
+        for i in range(3, n + 1):
+            prev, cur = cur, (i - 1) / (i - 1 + t[i]) * (cur + c[i - 1] * prev)
+        return cur
     if method == "g_product":
         if n == 1:
             return 0.0

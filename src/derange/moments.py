@@ -26,7 +26,7 @@ from .numerics import (
     DEFAULT_ACC,
     EULER_GAMMA,
     NumericsError,
-    generalized_pfq,
+    _pfq_series,
     harmonic_h,
     integrate,
     rising_factorial,
@@ -124,9 +124,11 @@ def mean_k_eta_limit(theta: float, m: int = 3, method: str = "series",
         return _within(LimitEstimate(value=head - theta * theta * val,
                                      error_bound=theta * theta * err, m=0), acc)
     if method == "pfq":
-        f = generalized_pfq((1.0, 1.0), (2.0, theta + 3.0), -theta, acc)
-        tail = -theta * theta / (theta + 2.0) * f
-        return LimitEstimate(value=head + tail, error_bound=0.0, m=0)
+        # the private series, for its truncation estimate; these parameters
+        # pass every check of generalized_pfq
+        f, f_err = _pfq_series((1.0, 1.0), (2.0, theta + 3.0), -theta, acc)
+        scale = theta * theta / (theta + 2.0)
+        return LimitEstimate(value=head - scale * f, error_bound=scale * f_err, m=0)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -216,21 +218,16 @@ def mean_cj_eta_limit(theta: float, j: int, method: str = "series", m: int = 2,
     if theta <= 0:
         raise ValueError("theta must be positive")
     if method == "series":
+        coef = theta
         if j >= 3:
-            head = (
-                theta
-                * math.gamma(j - 1.0)
-                / rising_factorial(theta + 2.0, j - 3)
-                * _exp_beta_integral(theta, theta + j - 1.0, acc)[0]
-            )
-        else:
-            head = theta * _exp_beta_integral(theta, theta + 1.0, acc)[0]
+            coef = theta * math.gamma(j - 1.0) / rising_factorial(theta + 2.0, j - 3)
+        e, e_err = _exp_beta_integral(theta, theta + j - 1.0, acc)
         tail = math.fsum(
             (-1) ** (k + 1) * eta_bbar(theta, j, k) for k in range(1, 2 * m + 1)
         )
         return _finite(LimitEstimate(
-            value=head + tail,
-            error_bound=abs(eta_bbar(theta, j, 2 * m + 1)),
+            value=coef * e + tail,
+            error_bound=abs(eta_bbar(theta, j, 2 * m + 1)) + coef * e_err,
             m=m,
         ))
     if method == "integral":

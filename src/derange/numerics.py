@@ -101,7 +101,7 @@ def kummer_m(
     if b <= 0 and b == int(b):
         raise ValueError("b must not be a nonpositive integer")
     if method == "series":
-        return _pfq_series((a,), (b,), z, acc)
+        return _pfq_series((a,), (b,), z, acc)[0]
     if method == "integral":
         if not (b > a > 0):
             raise ValueError("integral representation requires b > a > 0")
@@ -129,17 +129,19 @@ def generalized_pfq(
         raise ValueError("divergent series: p > q+1")
     if len(a) == len(b) + 1 and abs(z) >= 1 and z != 0:
         raise ValueError("p = q+1 requires |z| < 1")
-    return _pfq_series(tuple(a), tuple(b), z, acc)
+    return _pfq_series(tuple(a), tuple(b), z, acc)[0]
 
 
-def _pfq_series(a, b, z, acc):
+def _pfq_series(a, b, z, acc) -> tuple[float, float]:
     """Sum the pFq series by the term-ratio recurrence.
 
     Stops when three consecutive terms are below abs_tol relative to the
-    partial sum.
+    partial sum.  Returns (sum, magnitude of the last term kept), the
+    latter a truncation estimate for a series whose terms alternate and
+    shrink.
     """
     if z == 0.0:
-        return 1.0
+        return 1.0, 0.0
     term = 1.0
     total = 1.0
     small = 0
@@ -156,7 +158,7 @@ def _pfq_series(a, b, z, acc):
         if abs(term) < acc.abs_tol * max(1.0, abs(total)):
             small += 1
             if small >= 3:
-                return total
+                return total, abs(term)
         else:
             small = 0
     raise NumericsError(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .chains import ChainKind, cycle_statistics, transition_matrix, word_law
+from .chains import ChainKind, cycle_statistics, word_law
 from .coupling import erase11
 from .dist import DistTable
 from .params import ThetaSequence
@@ -86,122 +86,129 @@ def pushforward_law(n: int, thetaseq: ThetaSequence) -> DistTable:
 # ---------------------------------------------------------------------------
 # DP moment engine
 
-def _marginal_dp(kind: ChainKind, n: int):
-    """P(word bit at index i is 1) for i = 1..n, by forward DP over the
-    transition rows (independent of the closed-form marginal series)."""
-    dist = [0.0, 1.0]  # state distribution at index n+1 (always 1)
+def _rows(kind: ChainKind, n: int) -> list:
+    """rows[r] = (row after a 0, row after a 1) for the value at index
+    r = 1..n, as float pairs from the scalar ``kind.row(r)``; with a gap the
+    row after a 1 is the forced 0.
+
+    One table serves every horizon h <= n: at h the rows differ only in
+    the row after a 0 at index h, which no DP reaches, since the value
+    above index h is the virtual 1.
+    """
+    if kind.kappa is not None:
+        raise ValueError(f"{kind!r} has three states, not 0/1 transition rows")
+    rows = [None]
+    for r in range(1, n + 1):
+        free = kind.row(r)
+        rows.append((free, (1.0, 0.0) if kind.gap else free))
+    return rows
+
+
+def _marginal_dp(rows: list, n: int):
+    """P(word bit at index i is 1) for i = 1..n under horizon n, by forward
+    DP over the rows from ``_rows`` (independent of the closed-form
+    marginal series)."""
+    d0, d1 = 0.0, 1.0  # state distribution at index n+1 (always 1)
     out = [0.0] * (n + 1)
     for r in range(n, 0, -1):
-        m = transition_matrix(kind, r, n)
-        nxt = [
-            dist[0] * m[0][0] + dist[1] * m[1][0],
-            dist[0] * m[0][1] + dist[1] * m[1][1],
-        ]
-        out[r] = nxt[1]
-        dist = nxt
+        (z0, z1), (o0, o1) = rows[r]
+        d0, d1 = d0 * z0 + d1 * o0, d0 * z1 + d1 * o1
+        out[r] = d1
     return out
 
 
-def _pattern_probs_dp(kind: ChainKind, n: int, j: int) -> dict:
+def _pattern_probs_dp(rows: list, n: int, j: int) -> dict:
     """{i: P(a j-cycle ends exactly at index position i)} under horizon n
     for i = j+1..n+1, where i = n+1 denotes the boundary cycle touching the
-    top; computed from one marginal DP and transition rows only."""
+    top; computed from one marginal DP and the rows only."""
     def run_down(prob, top, bottom):
         # 0s at top-1..bottom+1, then 1 at bottom, from a 1 at top
         state = 1
-        for r in range(top - 1, bottom - 1, -1):
-            m = transition_matrix(kind, r, n)
-            want = 1 if r == bottom else 0
-            prob *= m[state][want]
-            state = want
-        return prob
+        for r in range(top - 1, bottom, -1):
+            prob *= rows[r][state][0]
+            state = 0
+        return prob * rows[bottom][state][1]
 
-    marg = _marginal_dp(kind, n)
+    marg = _marginal_dp(rows, n)
     out = {i: run_down(marg[i], i, i - j) for i in range(j + 1, n + 1)}
     if n >= j:
         out[n + 1] = run_down(1.0, n + 1, n + 1 - j)
     return out
 
 
+def _renewal_sum(rows: list, ends: dict, a: int, b: int, total: float = 0.0) -> float:
+    """total + sum_u P(an a-cycle ends at u) E[C_b(u - a - 1)], over the
+    end positions ``ends`` of the a-cycles: given an a-cycle ending at u,
+    the chain below index u - a is a fresh horizon-(u - a - 1) chain."""
+    for u, pu in ends.items():
+        if pu == 0.0 or u - a - 1 < b:
+            continue
+        total += pu * math.fsum(_pattern_probs_dp(rows, u - a - 1, b).values())
+    return total
+
+
 def dp_moments(kind: ChainKind, n: int, targets=("mean_k",), j: int | None = None,
                i: int | None = None) -> dict:
     """Moment values by marginal/pattern DP, independent of the library's
-    closed forms.
+    closed forms.  The scalar transition rows are built once per call, by
+    ``_rows``, and every DP, renewal horizons included, reads that table.
 
     Recognized targets: 'mean_k', 'var_k', 'mean_cj' (needs j),
     'mean_cj_sq' and 'var_cj' (need j), 'cov_cij' (needs i and j).
     """
     if n > 5000:
         raise ValueError("dp moment engine limited to n <= 5000")
+    rows = _rows(kind, n)
     out: dict = {}
     marg = None
     if any(t in targets for t in ("mean_k", "var_k")):
-        marg = _marginal_dp(kind, n)
+        marg = _marginal_dp(rows, n)
         # K = 1 + number of stored 1s strictly below the top... the virtual
         # 1 at n+1 opens the first cycle and every stored 1 at i >= 2 closes
         # one; the forced 1 at index 1 closes the last.  K = total stored 1s.
         out["mean_k"] = math.fsum(marg[1:])
     if "var_k" in targets:
-        # E[K^2] needs pairwise P(bit_a = bit_b = 1); use conditional DP
+        # E[K^2] needs pairwise P(bit_a = bit_b = 1); below a 1 at a the
+        # chain is a fresh horizon-(a - 1) chain
         total = out["mean_k"]
         pair_sum = 0.0
         for a in range(n, 0, -1):
             if marg[a] == 0.0:
                 continue
-            # propagate P(bit_b = 1 | bit_a = 1) downward
-            dist = [0.0, 1.0]
+            below = _marginal_dp(rows, a - 1)
             for r in range(a - 1, 0, -1):
-                m = transition_matrix(kind, r, n)
-                dist = [
-                    dist[0] * m[0][0] + dist[1] * m[1][0],
-                    dist[0] * m[0][1] + dist[1] * m[1][1],
-                ]
-                pair_sum += marg[a] * dist[1]
+                pair_sum += marg[a] * below[r]
         e_k2 = total + 2.0 * pair_sum
         out["var_k"] = e_k2 - total * total
     if any(t in targets for t in ("mean_cj", "mean_cj_sq", "var_cj")):
         if j is None:
             raise ValueError("targets involving C_j need j")
-        r_full = _pattern_probs_dp(kind, n, j)
+        r_full = _pattern_probs_dp(rows, n, j)
         mean_cj = math.fsum(r_full.values())
         out["mean_cj"] = mean_cj
         if "mean_cj_sq" in targets or "var_cj" in targets:
-            # E[C_j^2] = E[C_j] + 2 sum_{u > v} P(cycles end at u and v);
-            # given a j-cycle ends at u, the chain below index u - j is a
-            # fresh horizon-(u - j - 1) chain.
-            cross = 0.0
-            for u, ru in r_full.items():
-                if ru == 0.0 or u - j - 1 < j:
-                    continue
-                cross += ru * math.fsum(_pattern_probs_dp(kind, u - j - 1, j).values())
-            e_sq = mean_cj + 2.0 * cross
+            # E[C_j^2] = E[C_j] + 2 sum_{u > v} P(cycles end at u and v)
+            e_sq = mean_cj + 2.0 * _renewal_sum(rows, r_full, j, j)
             out["mean_cj_sq"] = e_sq
             out["var_cj"] = e_sq - mean_cj * mean_cj
     if "cov_cij" in targets:
         if i is None or j is None:
             raise ValueError("cov_cij needs i and j")
-        out["cov_cij"] = _cov_cycle_counts(kind, n, i, j)
+        out["cov_cij"] = _cov_cycle_counts(rows, n, i, j)
     return out
 
 
-def _cov_cycle_counts(kind: ChainKind, n: int, a: int, b: int) -> float:
-    """Cov(C_a, C_b) for a != b by the same end-position decomposition."""
-    if a == b:
-        return dp_moments(kind, n, targets=("var_cj",), j=a)["var_cj"]
-    r_a = _pattern_probs_dp(kind, n, a)
-    r_b = _pattern_probs_dp(kind, n, b)
+def _cov_cycle_counts(rows: list, n: int, a: int, b: int) -> float:
+    """Cov(C_a, C_b) by the same end-position decomposition."""
+    r_a = _pattern_probs_dp(rows, n, a)
     mean_a = math.fsum(r_a.values())
+    if a == b:
+        e_sq = mean_a + 2.0 * _renewal_sum(rows, r_a, a, a)
+        return e_sq - mean_a * mean_a
+    r_b = _pattern_probs_dp(rows, n, b)
     mean_b = math.fsum(r_b.values())
     # E[C_a C_b] = sum over ordered pairs of end positions (u above v)
-    e_ab = 0.0
-    for u, pu in r_a.items():
-        if pu == 0.0 or u - a - 1 < b:
-            continue
-        e_ab += pu * math.fsum(_pattern_probs_dp(kind, u - a - 1, b).values())
-    for u, pu in r_b.items():
-        if pu == 0.0 or u - b - 1 < a:
-            continue
-        e_ab += pu * math.fsum(_pattern_probs_dp(kind, u - b - 1, a).values())
+    e_ab = _renewal_sum(rows, r_b, b, a, _renewal_sum(rows, r_a, a, b))
     return e_ab - mean_a * mean_b
 
 

@@ -129,6 +129,22 @@ def test_mean_k_limit_methods_agree():
         assert b.value == pytest.approx(c.value, abs=1e-8)
 
 
+@pytest.mark.parametrize("theta,j", [(0.5, 2), (0.5, 3), (3.0, 4)])
+def test_mean_cj_limit_series_bracket_covers_integral(theta, j):
+    # the series bracket includes the quadrature error of its head integral
+    series = mean_cj_eta_limit(theta, j, m=20)
+    integral = mean_cj_eta_limit(theta, j, method="integral")
+    assert abs(series.value - integral.value) <= series.error_bound + integral.error_bound
+
+
+@pytest.mark.parametrize("theta", [0.5, 2.0])
+def test_mean_k_limit_pfq_reports_truncation(theta):
+    pfq = mean_k_eta_limit(theta, method="pfq")
+    integral = mean_k_eta_limit(theta, method="integral")
+    assert pfq.error_bound > 0
+    assert abs(pfq.value - integral.value) <= pfq.error_bound + integral.error_bound
+
+
 def test_mean_k_limit_is_log_n_centering():
     theta = 0.5
     lim = mean_k_eta_limit(theta, m=5).value
@@ -201,7 +217,7 @@ def test_cov_eta_at_large_n():
     # runs down from j, so propagate from a 1 at j to index i
     theta, n = 0.6, 400
     kind = ChainKind.x(PSequence.eta(theta))
-    marg = oracle._marginal_dp(kind, n)
+    marg = oracle._marginal_dp(oracle._rows(kind, n), n)
     for i, j in [(3, 5), (10, 17), (150, 151), (200, 390)]:
         dist = [0.0, 1.0]
         for r in range(j - 1, i - 1, -1):

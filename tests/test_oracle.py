@@ -49,6 +49,37 @@ def test_dp_moments_vs_enumeration():
         assert d["var_cj"] == pytest.approx(enum["cov_c"][j][j], abs=1e-12)
 
 
+def test_dp_moments_vs_enumeration_without_gap():
+    # a coin kind forces nothing after a 1, so both DP rows are free rows
+    kind = ChainKind.y(ThetaSequence.eta_star(0.6))
+    n = 10
+    enum = oracle.enumeration_moments(kind, n, j_max=6)
+    dp = oracle.dp_moments(kind, n, targets=("mean_k", "var_k"))
+    assert dp["mean_k"] == pytest.approx(enum["mean_k"], abs=1e-12)
+    assert dp["var_k"] == pytest.approx(enum["var_k"], abs=1e-12)
+    for j in (1, 2, 3):
+        d = oracle.dp_moments(kind, n, targets=("mean_cj", "var_cj"), j=j)
+        assert d["mean_cj"] == pytest.approx(enum["mean_c"][j], abs=1e-12)
+        assert d["var_cj"] == pytest.approx(enum["cov_c"][j][j], abs=1e-12)
+    d = oracle.dp_moments(kind, n, targets=("cov_cij",), j=3, i=2)
+    assert d["cov_cij"] == pytest.approx(enum["cov_c"][2][3], abs=1e-12)
+
+
+def test_dp_moments_build_rows_once(monkeypatch):
+    # every horizon of the renewal sums reads one row table, so a call
+    # evaluates each of the n scalar rows once
+    calls = []
+    row = ChainKind.row
+
+    def counted(self, r):
+        calls.append(r)
+        return row(self, r)
+
+    monkeypatch.setattr(ChainKind, "row", counted)
+    oracle.dp_moments(ChainKind.x(PSequence.eta(0.5)), 60, ("var_cj",), j=3)
+    assert 0 < len(calls) <= 60
+
+
 def test_dp_cov_vs_enumeration():
     p = PSequence.eta(0.7)
     kind = ChainKind.x(p)
@@ -78,15 +109,14 @@ def test_guard_large_n():
 
 def test_oracle_stays_independent():
     # the oracle certifies the closed forms and the array path, so it may
-    # import only the chain definitions and scalar transition rows, and
+    # import only the chain definitions and the scalar word product, and
     # never reads a sequence's array form (dict .values() takes no argument)
     import ast
     from pathlib import Path
 
     tree = ast.parse(Path(oracle.__file__).read_text())
     allowed = {
-        "chains": {"ChainKind", "cycle_statistics", "in_delta", "transition_matrix",
-                   "word_law"},
+        "chains": {"ChainKind", "cycle_statistics", "in_delta", "word_law"},
         "coupling": {"erase11"},
         "dist": None,
         "params": None,
