@@ -113,90 +113,29 @@ def _p_seq(args) -> PSequence:
 # ---------------------------------------------------------------------------
 # quantity registry for `exact`
 
-def _q_mean_k(a):
-    return mean_k(a.n, _p_seq(a))
-
-
-def _q_mean_k_eta(a):
-    return mean_k_eta(a.n, a.theta)
-
-
-def _q_mean_k_eta_limit(a):
-    est = mean_k_eta_limit(a.theta, m=a.m, method=a.method or "series")
+def _estimate(est) -> dict:
     return {"value": est.value, "error_bound": est.error_bound}
-
-
-def _q_mean_cj(a):
-    return mean_cj(a.n, a.j, _p_seq(a))
-
-
-def _q_mean_cj_eta(a):
-    return mean_cj_eta(a.n, a.j, a.theta)
-
-
-def _q_mean_cj_eta_limit(a):
-    est = mean_cj_eta_limit(a.theta, a.j, method=a.method or "series", m=a.m)
-    return {"value": est.value, "error_bound": est.error_bound}
-
-
-def _q_var_cj(a):
-    return second_moments(a.n, a.j, _p_seq(a))
-
-
-def _q_gamma_n(a):
-    return gamma_n(_theta_seq(a), a.n, method=a.method or "recursion")
-
-
-def _q_delta_n(a):
-    n = math.inf if a.n == 0 else a.n
-    return delta_n(a.theta, n=n)
-
-
-def _q_pgf_k(a):
-    return pgf_k(a.kind or "Y", a.s, a.n, _theta_seq(a))
-
-
-def _q_phi(a):
-    return phi(a.i, _p_seq(a), method=a.method or "series")
-
-
-def _q_tv_prefix(a):
-    return tv_prefix(a.n, _p_seq(a), method=a.method or "theorem")
-
-
-def _q_gamma_inf(a):
-    return gamma_inf(a.i, _theta_seq(a))
-
-
-def _q_delta_i_inf(a):
-    return delta_i_inf(a.theta, a.i)
-
-
-def _q_lambda_esf(a):
-    return lambda_esf(a.n, a.theta)
-
-
-def _q_marginal_one(a):
-    return marginal_one(ChainKind.x(_p_seq(a)), a.i, a.n)
 
 
 QUANTITIES = {
-    "mean_k": _q_mean_k,
-    "mean_k_eta": _q_mean_k_eta,
-    "mean_k_eta_limit": _q_mean_k_eta_limit,
-    "mean_cj": _q_mean_cj,
-    "mean_cj_eta": _q_mean_cj_eta,
-    "mean_cj_eta_limit": _q_mean_cj_eta_limit,
-    "var_cj": _q_var_cj,
-    "gamma_n": _q_gamma_n,
-    "delta_n": _q_delta_n,
-    "pgf_k": _q_pgf_k,
-    "phi": _q_phi,
-    "tv_prefix": _q_tv_prefix,
-    "gamma_inf": _q_gamma_inf,
-    "delta_i_inf": _q_delta_i_inf,
-    "lambda_esf": _q_lambda_esf,
-    "marginal_one": _q_marginal_one,
+    "mean_k": lambda a: mean_k(a.n, _p_seq(a)),
+    "mean_k_eta": lambda a: mean_k_eta(a.n, a.theta),
+    "mean_k_eta_limit": lambda a: _estimate(
+        mean_k_eta_limit(a.theta, m=a.m, method=a.method or "series")),
+    "mean_cj": lambda a: mean_cj(a.n, a.j, _p_seq(a)),
+    "mean_cj_eta": lambda a: mean_cj_eta(a.n, a.j, a.theta),
+    "mean_cj_eta_limit": lambda a: _estimate(
+        mean_cj_eta_limit(a.theta, a.j, method=a.method or "series", m=a.m)),
+    "var_cj": lambda a: second_moments(a.n, a.j, _p_seq(a)),
+    "gamma_n": lambda a: gamma_n(_theta_seq(a), a.n, method=a.method or "recursion"),
+    "delta_n": lambda a: delta_n(a.theta, n=math.inf if a.n == 0 else a.n),
+    "pgf_k": lambda a: pgf_k(a.kind or "Y", a.s, a.n, _theta_seq(a)),
+    "phi": lambda a: phi(a.i, _p_seq(a), method=a.method or "series"),
+    "tv_prefix": lambda a: tv_prefix(a.n, _p_seq(a), method=a.method or "theorem"),
+    "gamma_inf": lambda a: gamma_inf(a.i, _theta_seq(a)),
+    "delta_i_inf": lambda a: delta_i_inf(a.theta, a.i),
+    "lambda_esf": lambda a: lambda_esf(a.n, a.theta),
+    "marginal_one": lambda a: marginal_one(ChainKind.x(_p_seq(a)), a.i, a.n),
 }
 
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chains import ChainKind, word_law
+from .chains import ChainKind
 from .coupling import delta_n, delta_roots
 from .moments import lambda_esf
 from .numerics import AccuracySpec, DEFAULT_ACC, NumericsError, beta_fn, kummer_m
@@ -228,27 +228,26 @@ def tv_prefix(n: int, p: PSequence, method: str = "theorem",
         raise ValueError("direct enumeration limited to n <= 18")
     if n == 1:
         return 0.0
-    law_n = word_law(ChainKind.x(p), n)
-    up = [0.0] + [xinf_transition(i, p, acc) for i in range(1, n)]
-    stay = [1.0 - t for t in up]
+    phis = [0.0, 1.0] + [phi(i, p, acc) for i in range(2, n + 1)]
+    up = [0.0, 0.0] + [phis[i + 1] / (1.0 - phis[i]) for i in range(2, n)]  # xinf_transition
+    row = ChainKind.x(p).row
+    rows = [None] + [row(r) for r in range(1, n)]
+    # the no-adjacent-1s words grown from index n down, each entry carrying
+    # the horizon-n product (in chains.word_law's order) and the limit one:
+    # a 0 at i < n below a bit b pays up[i] (b = 1) or 1 - up[i] (b = 0).
+    # The horizon-n chain forces a 0 at index n; only the limit chain has a 1.
     gaps = []
-    # all no-adjacent-1s words of length n starting with a 1
-    stack = [(1, (1,))]
-    words = []
-    while stack:
-        prev, w = stack.pop()
-        if len(w) == n:
-            words.append(w)
-            continue
-        stack.append((0, w + (0,)))
-        if prev == 0:
-            stack.append((1, w + (1,)))
-    for w in words:
-        pinf = 1.0
-        for i in range(1, n):
-            if w[i - 1] == 0:
-                pinf *= up[i] if w[i] else stay[i]
-        gaps.append(abs(law_n(w) - pinf))
+    stack = [(n - 1, 1.0, 1.0, 0)] + ([(n - 1, 0.0, 1.0, 1)] if n > 2 else [])
+    while stack:  # (index to fill, horizon-n product, limit product, bit above)
+        r, pn, pinf, above = stack.pop()
+        if r == 1:
+            gaps.append(abs(pn * rows[1][1] - pinf))
+        elif above:
+            stack.append((r - 1, pn, pinf * up[r], 0))
+        else:
+            stack.append((r - 1, pn * rows[r][0], pinf * (1.0 - up[r]), 0))
+            if r > 2:
+                stack.append((r - 1, pn * rows[r][1], pinf, 1))
     return 0.5 * math.fsum(gaps)
 
 

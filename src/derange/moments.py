@@ -235,6 +235,13 @@ def mean_cj_eta_limit(theta: float, j: int, method: str = "series", m: int = 2,
         # / (1-x+xy)^{j-1} after t = x^theta, which absorbs x^{theta-1};
         # the (1-x)/d form keeps the (1, 0) corner free of 0/0
         def f(t, y):
+            if j == 2:
+                # 1/d is log-singular at the (1, 0) corner, where nodes near
+                # t = 1 round; take t = 1 - x^theta, which puts the corner at
+                # the exact end t = 0, with 1 - x to full precision
+                with np.errstate(divide="ignore"):  # log1p(-1) at x = 0
+                    u = -np.expm1(np.log1p(-t) / theta)
+                return theta * np.exp(-theta * y) * (1.0 - y) ** (theta + 1.0) / (u + (1.0 - u) * y)
             x = t ** (1.0 / theta)
             d = 1.0 - x + x * y
             return (theta * np.exp(-theta * y) * (1.0 - y) ** (theta + j - 1.0)

@@ -118,6 +118,15 @@ def test_verify_exit_zero(capsys):
     assert all(r["passed"] for r in res)
 
 
+def test_verify_pushforward_near_the_enumeration_cap(capsys):
+    # 2^16 coin words per theta sequence, scored by the shared-prefix walk
+    code, out, _ = run(capsys, "verify", "--suite", "pushforward", "--n", "18",
+                       "--format", "json")
+    assert code == EXIT_OK
+    (res,) = json.loads(out)["results"]
+    assert res["passed"] is True and res["max_tv"] < 1e-12
+
+
 def test_signed_quantities(capsys):
     code, out, _ = run(capsys, "signed", "--quantity", "omega", "--k", "3",
                        "--i", "2", "--kappa", "0.5", "--format", "json")

@@ -85,6 +85,25 @@ def test_mean_cj_limit_methods_agree():
             assert b.value == pytest.approx(a.value, rel=1e-12, abs=a.error_bound), (theta, j)
 
 
+@pytest.mark.parametrize("theta", [0.5, 2.0, 3.0])
+def test_mean_cj_limit_integral_bracket_is_honest_at_j2(theta):
+    # 40-digit reference: the head integral plus the whole alternating
+    # b-bar series of the series method, summed by mpmath
+    with mpmath.workdps(40):
+        th = mpmath.mpf(theta)
+        head = th * mpmath.quad(lambda x: mpmath.exp(-th * x) * (1 - x) ** (th + 1), [0, 1])
+
+        def bbar(k):
+            first = (th**k * mpmath.gamma(k) * (k + th * (k + 1))
+                     / (mpmath.rf(th + 1, k) * mpmath.rf(1, k + 1)))
+            second = th**k * ((k + 1 + 2 * th) * (th + 2) - k) / mpmath.rf(th + 1, k + 2)
+            return first - second
+
+        ref = head + mpmath.nsum(lambda k: (-1) ** (k + 1) * bbar(k), [1, mpmath.inf])
+        est = mean_cj_eta_limit(theta, 2, method="integral")
+        assert abs(mpmath.mpf(est.value) - ref) <= est.error_bound
+
+
 def test_mean_cj_limit_integral_small_theta():
     # the series value; nested adaptive quadrature was 4.3e-10 off here
     est = mean_cj_eta_limit(0.01, 2, method="integral")

@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import pytest
 
 from derange import oracle
-from derange.chains import ChainKind, in_delta
+from derange.chains import ChainKind, in_delta, word_law
+from derange.coupling import erase11
+from derange.dist import compare_laws
 from derange.params import PSequence, ThetaSequence
 
 
@@ -108,16 +111,16 @@ def test_guard_large_n():
 
 
 def test_oracle_stays_independent():
-    # the oracle certifies the closed forms and the array path, so it may
-    # import only the chain definitions and the scalar word product, and
-    # never reads a sequence's array form (dict .values() takes no argument)
+    # the oracle certifies the closed forms, the array path, the word
+    # product and the 11-erasing map, so it may import only the chain
+    # definitions, and never reads a sequence's array form (dict .values()
+    # takes no argument)
     import ast
     from pathlib import Path
 
     tree = ast.parse(Path(oracle.__file__).read_text())
     allowed = {
-        "chains": {"ChainKind", "cycle_statistics", "in_delta", "word_law"},
-        "coupling": {"erase11"},
+        "chains": {"ChainKind", "cycle_statistics", "in_delta"},
         "dist": None,
         "params": None,
     }
@@ -133,3 +136,81 @@ def test_oracle_stays_independent():
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             assert not (node.func.attr == "values" and (node.args or node.keywords)), \
                 ast.unparse(node)
+
+
+@pytest.mark.parametrize("kind", [ChainKind.x(PSequence.eta(0.7)),
+                                  ChainKind.eta_tilde(1.3),
+                                  ChainKind.y(ThetaSequence.eta_star(0.8))])
+def test_walked_words_match_word_law_bit_for_bit(kind):
+    # the walk multiplies word_law's factors in word_law's order, a forced
+    # 0 as an exact 1.0, so every probability agrees to the last bit
+    for n in range(1 + kind.gap, 15):
+        law = oracle.exact_law(kind, n)
+        prob = word_law(kind, n)
+        assert len(law) == (len(oracle.enumerate_delta(n)) if kind.gap else 2 ** (n - 1))
+        for w, pr in law.items():
+            assert pr.hex() == prob(w).hex(), (n, w)
+
+
+def test_conditional_words_match_word_law_bit_for_bit():
+    # the coin rows over the no-adjacent-1s set: a 0 below a 1 is not
+    # forced, so it pays the coin's row entry
+    ts = ThetaSequence.eta_star(0.8)
+    for n in range(2, 15):
+        prob = word_law(ChainKind.y(ts), n)
+        raw = {w: prob(w) for w in oracle.enumerate_delta(n)}
+        norm = math.fsum(raw.values())
+        law = oracle.conditional_law(n, ts)
+        assert set(law) == set(raw)
+        for w, pr in law.items():
+            assert pr.hex() == (raw[w] / norm).hex(), (n, w)
+
+
+class _Coins:
+    """Coins that show the bits of one word for certain: the push-forward
+    of this law is the point mass at that word's image."""
+
+    def __init__(self, word):
+        self.word = word
+
+    def coin_prob(self, r):
+        return float(self.word[r - 1])
+
+
+def test_walked_image_is_erase11():
+    for n in range(2, 13):
+        for bits in itertools.product((0, 1), repeat=n - 2):
+            w = (1,) + bits
+            law = oracle.pushforward_law(n, _Coins(w))
+            assert law.support() == [erase11(w, n)], w
+            assert law[erase11(w, n)] == 1.0
+
+
+@pytest.mark.parametrize("n", [4, 7, 10, 14])
+def test_pushforward_matches_per_word_enumeration(n):
+    # the enumeration the walk replaced: every coin word scored and mapped
+    # on its own
+    ts = ThetaSequence.eta_star(0.8)
+    prob = word_law(ChainKind.y(ts), n - 1)
+    want: dict = {}
+    for bits in itertools.product((0, 1), repeat=n - 2):
+        w = (1,) + bits
+        img = erase11(w, n)
+        want[img] = want.get(img, 0.0) + prob(w)
+    got = oracle.pushforward_law(n, ts)
+    assert set(got) == set(want)
+    assert max(abs(got[w] - want[w]) for w in want) <= 1e-15
+
+
+def test_relations_detect_one_perturbed_link():
+    # theta_7 moved by 1 %: the coin-side laws no longer match the chain
+    # built from the unperturbed sequence, while the unperturbed ones do
+    n = 14
+    ts = ThetaSequence.eta_star(0.8)
+    bent = ThetaSequence.tabulated(
+        [ts(i) * (1.01 if i == 7 else 1.0) for i in range(1, n + 1)], tail_rule="constant")
+    for coin_law, link in ((oracle.conditional_law, PSequence.from_theta_conditional),
+                           (oracle.pushforward_law, PSequence.from_theta_pushforward)):
+        chain = oracle.exact_law(ChainKind.x(link(ts)), n)
+        assert compare_laws(chain, coin_law(n, ts)).tv < 1e-12
+        assert compare_laws(chain, coin_law(n, bent)).tv > 1e-6
