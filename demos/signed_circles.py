@@ -34,7 +34,7 @@ for r in range(3):
 print(f"\nomega weights for a 4-circle (kappa = {kappa}):")
 print("  " + "  ".join(f"i={i}: {omega(4, i, w):.4f}" for i in range(1, 5)))
 
-k_law = k_distribution("X", n, p)
+k_law = k_distribution(ChainKind.x(p), n)
 law, mean = lambda_total(n, kappa, k_law)
 print(f"\ntotal looking in: E[Lambda] = {mean:.10f}")
 print(f"identity n*kappa + (1-kappa)E[K] = "

@@ -90,11 +90,16 @@ class ChainKind:
         pr = self.p(r)
         return pr, 1.0 - pr
 
+    def check_horizon(self, n: int) -> None:
+        """Raise ValueError unless the chain has a word at horizon n: a gap
+        holds index n at 0 and index 1 closes the last circle."""
+        if n < 1 + self.gap:
+            raise ValueError(f"{self!r} needs n >= {1 + self.gap}")
+
     def one_probs(self, n: int) -> np.ndarray:
         """h[r] = P(value 1 at index r | index r is free), r = 1..n, from
         the array form of the sequence; h[0] unused."""
-        if n < 1 + self.gap:
-            raise ValueError(f"{self!r} needs n >= {1 + self.gap}")
+        self.check_horizon(n)
         if self.p is not None:
             return 1.0 - self.p.values(n)
         return self.thetaseq.coin_probs(n)

@@ -110,6 +110,17 @@ def _p_seq(args) -> PSequence:
     raise ValueError(f"unknown p-sequence kind {kind!r}")
 
 
+def _pgf_kind(args) -> ChainKind:
+    """``--kind`` of the pgf: Y (default) is the coin chain of the theta
+    sequence, X the derangement chain conditionally linked to it."""
+    ts = _theta_seq(args)
+    if (args.kind or "Y") == "Y":
+        return ChainKind.y(ts)
+    if args.kind == "X":
+        return ChainKind.x(PSequence.from_theta_conditional(ts))
+    raise ValueError(f"unknown pgf kind {args.kind!r}; use X or Y")
+
+
 # ---------------------------------------------------------------------------
 # quantity registry for `exact`
 
@@ -129,7 +140,7 @@ QUANTITIES = {
     "var_cj": lambda a: second_moments(a.n, a.j, _p_seq(a)),
     "gamma_n": lambda a: gamma_n(_theta_seq(a), a.n, method=a.method or "recursion"),
     "delta_n": lambda a: delta_n(a.theta, n=math.inf if a.n == 0 else a.n),
-    "pgf_k": lambda a: pgf_k(a.kind or "Y", a.s, a.n, _theta_seq(a)),
+    "pgf_k": lambda a: pgf_k(_pgf_kind(a), a.s, a.n),
     "phi": lambda a: phi(a.i, _p_seq(a), method=a.method or "series"),
     "tv_prefix": lambda a: tv_prefix(a.n, _p_seq(a), method=a.method or "theorem"),
     "gamma_inf": lambda a: gamma_inf(a.i, _theta_seq(a)),
@@ -296,14 +307,11 @@ def _run_suite(suite: str, args) -> dict:
         worst = 0.0
         ts = ThetaSequence.eta_star(0.7)
         for m in (6, 12):
-            for which in ("X", "Y"):
-                if which == "X":
-                    law = k_distribution("X", m, PSequence.from_theta_conditional(ts))
-                else:
-                    law = k_distribution("Y", m, ts)
+            for kind in (ChainKind.x(PSequence.from_theta_conditional(ts)), ChainKind.y(ts)):
+                law = k_distribution(kind, m)
                 for s in (0.25, 0.5, 1.0, 1.5, 2.0):
                     direct = math.fsum(pk * s**k for k, pk in law.items())
-                    worst = max(worst, abs(pgf_k(which, s, m, ts) - direct))
+                    worst = max(worst, abs(pgf_k(kind, s, m) - direct))
         return {"suite": suite, "max_gap": worst, "passed": bool(worst < 1e-10)}
     if suite == "variance":
         worst = 0.0
@@ -349,7 +357,7 @@ def _cmd_signed(args) -> int:
         mean, cov = cstar_moments(args.i, args.j, args.n, provider, w)
         result = {"mean_cstar_j": mean, "cov_cstar_ij": cov}
     elif quantity == "lambda":
-        k_law = k_distribution("X", args.n, p)
+        k_law = k_distribution(ChainKind.x(p), args.n)
         law, mean = lambda_total(args.n, args.kappa, k_law)
         result = {
             "mean": mean,

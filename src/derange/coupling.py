@@ -6,18 +6,25 @@ delta_n the closed-form specialization along the eta_star family.  Also
 here: exact laws of the cycle-count total K, the pgf identity, joint cycle
 counts, ordered cycle-length prefixes, and the 11-erasing maps that push
 the coin law onto the derangement-chain law.
+
+The K law, the pgf and the joint counts take a ``ChainKind`` and read only
+its gap: without one it is the coin chain, with its own theta sequence;
+with one it is the derangement chain, which is the coin chain for the theta
+sequence conditionally linked to p, given Delta_n.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
 
+from .chains import ChainKind
 from .dist import DistTable
 from .numerics import beta_fn
-from .params import PSequence, ThetaSequence
+from .params import PSequence, ThetaSequence, conditional_theta
 
 
 def g_values(thetaseq: ThetaSequence, n: int) -> list[float]:
@@ -116,53 +123,47 @@ def delta_n(theta: float, theta2star: float = 1.0, n=None) -> float:
 # ---------------------------------------------------------------------------
 # K distributions and the pgf identity
 
-def k_distribution(kind: str, n: int, params) -> DistTable:
-    """Exact law of the number of cycles K for the derangement chain ('X',
-    params a PSequence or conditionally linked ThetaSequence) or the coin
-    process ('Y', params a ThetaSequence)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if kind == "Y":
-        c = params.coin_probs(n).tolist()
-        law = np.zeros(n + 1)  # law[k] = P(k ones so far)
-        law[1] = 1.0  # index-1 coin always shows 1
-        for i in range(2, n + 1):
-            law[1:] = law[1:] * (1.0 - c[i]) + law[:-1] * c[i]
-    elif kind == "X":
-        if n < 2:
-            raise ValueError("a derangement needs n >= 2")
-        p = params if isinstance(params, PSequence) else PSequence.from_theta_conditional(params)
-        pv = p.values(n).tolist()
-        # P(current value 0 / 1, k stored 1s so far) from the virtual 1 at
-        # n + 1: a 1 is always followed by a 0, a 0 by a 1 with probability q_r
-        zero = np.zeros(n + 1)
-        one = np.zeros(n + 1)
-        one[0] = 1.0
-        for r in range(n, 0, -1):
-            closed = zero * (1.0 - pv[r])
-            zero = zero * pv[r] + one
-            one = np.concatenate(([0.0], closed[:-1]))
-        law = zero + one
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+def _coin_theta(kind: ChainKind) -> ThetaSequence:
+    """The coin chain's theta sequence: its own without a gap; under a gap,
+    the one conditionally linked to p, so that the chain is the coin chain
+    given Delta_n."""
+    return conditional_theta(kind.p) if kind.gap else kind.thetaseq
+
+
+def k_distribution(kind: ChainKind, n: int) -> DistTable:
+    """Exact law of the number of cycles K at horizon n, one per stored 1.
+
+    One DP from the virtual 1 at n + 1 down to index 1 over (value at the
+    index, 1s so far): a free index shows a 1 with probability h_r, and
+    under a gap a 1 holds the index below it at 0.
+    """
+    h = kind.one_probs(n).tolist()
+    zero = np.zeros(n + 1)  # zero[k], one[k] = P(value 0 / 1 here, k 1s so far)
+    one = np.zeros(n + 1)
+    one[0] = 1.0  # the virtual 1 at n + 1, not counted
+    for r in range(n, 0, -1):
+        free, held = (zero, one) if kind.gap else (zero + one, 0.0)
+        one = np.concatenate(([0.0], free[:-1] * h[r]))
+        zero = held + free * (1.0 - h[r])
+    law = zero + one
     return DistTable({k: v for k, v in enumerate(law.tolist()) if v > 0.0}, tol=1e-11)
 
 
-def pgf_k(kind: str, s: float, n: int, thetaseq: ThetaSequence) -> float:
-    """E[s^K] in closed form; for 'X' the theta sequence is the
-    conditionally linked one."""
+def pgf_k(kind: ChainKind, s: float, n: int) -> float:
+    """E[s^K] in closed form: a ratio of bracket products for the coin
+    chain, times gamma_n(s theta)/gamma_n(theta) under a gap, since the
+    chain is then the coin chain given Delta_n."""
     if s < 0:
         raise ValueError("s must be nonnegative")
+    kind.check_horizon(n)
     if s == 0.0:
         return 0.0  # K >= 1 always
+    thetaseq = _coin_theta(kind)
     scaled = thetaseq.scaled(s)
-    log_y = scaled.bracket_product_log(n) - thetaseq.bracket_product_log(n)
-    y_pgf = math.exp(log_y)
-    if kind == "Y":
-        return y_pgf
-    if kind == "X":
-        return gamma_n(scaled, n) / gamma_n(thetaseq, n) * y_pgf
-    raise ValueError(f"unknown kind {kind!r}")
+    pgf = math.exp(scaled.bracket_product_log(n) - thetaseq.bracket_product_log(n))
+    if kind.gap:
+        pgf *= gamma_n(scaled, n) / gamma_n(thetaseq, n)
+    return pgf
 
 
 # ---------------------------------------------------------------------------
@@ -171,54 +172,19 @@ def pgf_k(kind: str, s: float, n: int, thetaseq: ThetaSequence) -> float:
 MAX_CYCLE_SUM = 9  # permutation-sum budget ||c||! <= 9!
 
 
-def _distinct_permutations(items):
-    """Yield the distinct orderings of a multiset (lexicographic)."""
-    pool = sorted(items)
-    k = len(pool)
-    if k == 0:
-        yield ()
-        return
-
-    def rec(remaining, prefix):
-        if not remaining:
-            yield tuple(prefix)
-            return
-        seen = set()
-        for idx, v in enumerate(remaining):
-            if v in seen:
-                continue
-            seen.add(v)
-            yield from rec(remaining[:idx] + remaining[idx + 1:], prefix + [v])
-
-    yield from rec(pool, [])
-
-
-def cbar(c) -> tuple:
-    """Nondecreasing cycle-size listing: size j repeated c_j times."""
-    out = []
-    for j, cj in enumerate(c, start=1):
-        out.extend([j] * cj)
-    return tuple(out)
-
-
-def joint_cycle_counts(kind: str, c, n: int, params) -> float:
+def joint_cycle_counts(kind: ChainKind, c, n: int) -> float:
     """Exact probability of the full cycle-count vector c (c_j counts
-    j-cycles) for the coin process ('Y') or the derangement chain ('X')."""
+    j-cycles) at horizon n: a sum over the distinct orderings of the cycle
+    sizes, by recursion on the top cycle.  A gap forbids 1-cycles and
+    divides by gamma_n."""
     c = tuple(int(v) for v in c)
     if any(v < 0 for v in c):
         raise ValueError("counts must be nonnegative")
     if sum(j * cj for j, cj in enumerate(c, start=1)) != n:
         raise ValueError("counts must satisfy sum j*c_j = n")
-    if kind == "X":
-        if len(c) >= 1 and c[0] != 0:
-            return 0.0
-        thetaseq = params if isinstance(params, ThetaSequence) else None
-        if thetaseq is None:
-            raise ValueError("X joint cycle counts need the linked ThetaSequence")
-    elif kind == "Y":
-        thetaseq = params
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    kind.check_horizon(n)
+    if kind.gap and any(c[:1]):
+        return 0.0
     norm = sum(c)
     if norm > MAX_CYCLE_SUM:
         raise ValueError(
@@ -226,25 +192,24 @@ def joint_cycle_counts(kind: str, c, n: int, params) -> float:
             "use the Monte Carlo sampler instead"
         )
 
-    sizes = cbar(c)
+    thetaseq = _coin_theta(kind)
+    # w[e] = theta_e / (e - 1), the weight of a cycle closed by a 1 at index e
+    w = [0.0, 0.0] + (thetaseq.values(n)[2:] / np.arange(1.0, n)).tolist()
+
+    @functools.cache
+    def orderings(left: tuple) -> float:
+        """Sum over the distinct orderings of the cycles counted by left,
+        which fill indices 1..m, of the product of their weights; the top
+        one closes at m + 1 - j, and the last, at index 1, has weight 1."""
+        m = sum(j * cj for j, cj in enumerate(left, start=1))
+        if sum(left) == 1:
+            return 1.0
+        return sum(w[m + 1 - j] * orderings(left[:j - 1] + (cj - 1,) + left[j:])
+                   for j, cj in enumerate(left, start=1) if cj)
+
     log_pref = math.lgamma(n) - _bracket_log_unit(thetaseq, n)
-    total = 0.0
-    for order in _distinct_permutations(sizes):
-        acc = 0.0
-        pos = 0
-        ok = True
-        for i in range(norm - 1):
-            pos += order[i]
-            eps = n + 1 - pos
-            if eps < 2:
-                ok = False
-                break
-            acc += math.log(thetaseq(eps)) - math.log(eps - 1)
-        if ok:
-            total += math.exp(log_pref + acc)
-    if kind == "X":
-        return total / gamma_n(thetaseq, n)
-    return total
+    total = math.exp(log_pref + math.log(orderings(c)))
+    return total / gamma_n(thetaseq, n) if kind.gap else total
 
 
 def ordered_cycle_prefix_prob(a, n: int, thetaseq: ThetaSequence) -> float:

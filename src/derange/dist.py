@@ -7,10 +7,14 @@ from dataclasses import dataclass, field
 
 
 class DistTable:
-    """A finite outcome -> probability mapping, normalized within tolerance."""
+    """A finite outcome -> probability mapping, normalized within tolerance.
+
+    The table takes ownership of the dict it is given, without a copy: the
+    caller must not change it afterwards.
+    """
 
     def __init__(self, probs: dict, tol: float = 1e-9, check: bool = True):
-        self.probs = dict(probs)
+        self.probs = probs
         if check:
             total = math.fsum(self.probs.values())
             if abs(total - 1.0) > tol:

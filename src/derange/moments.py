@@ -156,6 +156,8 @@ def _cycle_ends(pv: np.ndarray, j: int) -> list:
 def mean_cj(n: int, j: int, p: PSequence) -> float:
     """Expected number of j-cycles at horizon n, the sum of the cycle-end
     probabilities."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
     if j < 2:
         raise ValueError("j must be >= 2 (no 1-cycles in a derangement)")
     return math.fsum(_cycle_ends(p.values(n), j))
@@ -163,6 +165,8 @@ def mean_cj(n: int, j: int, p: PSequence) -> float:
 
 def mean_cj_eta(n: int, j: int, theta: float) -> float:
     """Closed form for E[C_j(n)] under the eta chain."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
     if j < 2:
         raise ValueError("j must be >= 2")
     if n < j:
@@ -270,6 +274,8 @@ def second_moments(n: int, j: int, p: PSequence) -> float:
     below it is a fresh horizon-(u-j-1) chain, so
     E[C_j^2] = E[C_j] + 2 sum_u r_u E[C_j(u-j-1)].
     """
+    if n < 2:
+        raise ValueError("n must be >= 2")
     if j < 2:
         raise ValueError("j must be >= 2")
     pv = p.values(n)

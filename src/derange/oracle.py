@@ -109,7 +109,6 @@ def pushforward_law(n: int, thetaseq: ThetaSequence) -> DistTable:
             if k >= weight[r]:
                 img[r - 1], k = 1, k - weight[r]
         images[tuple(img)] = v
-    del probs  # before DistTable copies the images: the peak memory at n = 22
     return DistTable(images, tol=1e-10)
 
 

@@ -294,7 +294,11 @@ class _ConditionalInverse(PSequence):
 
 def conditional_theta(p: PSequence, theta2: float = 1.0) -> ThetaSequence:
     """theta_i = (i-1) q_i / (p_i p_{i-1}), the ThetaSequence conditionally
-    linked to p (index 2 value configurable)."""
+    linked to p (index 2 value configurable).  A conditional inverse gives
+    back the sequence it was built from, exactly and with no O(n) p call."""
+    if isinstance(p, _ConditionalInverse):
+        return p.thetaseq.with_theta2(theta2)
+
     def ev(i):
         pi = _at(p, i)
         return (i - 1) * (1.0 - pi) / (pi * _at(p, i - 1))

@@ -183,21 +183,22 @@ def test_criterion_7_delta_limit():
 def test_criterion_8_pgf_identity():
     ts = ThetaSequence.eta_star(0.9)
     p = PSequence.from_theta_conditional(ts)
+    x, y = ChainKind.x(p), ChainKind.y(ts)
     for n in (6, 12, 24):
-        law_x = k_distribution("X", n, p)
-        law_y = k_distribution("Y", n, ts)
+        law_x = k_distribution(x, n)
+        law_y = k_distribution(y, n)
         for s in (0.25, 0.5, 1.0, 1.5, 2.0):
-            lhs = pgf_k("X", s, n, ts)
+            lhs = pgf_k(x, s, n)
             rhs = (
                 gamma_n(ts.scaled(s), n) / gamma_n(ts, n)
-                * pgf_k("Y", s, n, ts)
+                * pgf_k(y, s, n)
             )
             assert abs(lhs - rhs) < 1e-10, (n, s)
             # anchor both sides against the exact K laws
             direct_x = math.fsum(pk * s**k for k, pk in law_x.items())
             direct_y = math.fsum(pk * s**k for k, pk in law_y.items())
             assert abs(lhs - direct_x) < 1e-10, (n, s)
-            assert abs(pgf_k("Y", s, n, ts) - direct_y) < 1e-10, (n, s)
+            assert abs(pgf_k(y, s, n) - direct_y) < 1e-10, (n, s)
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +233,9 @@ def test_criterion_9_joint_cycle_counts():
             brute[c] = brute.get(c, 0.0) + pr
         for c in _cycle_types(n):
             if c[0] != 0:
-                assert joint_cycle_counts("X", c, n, ts) == 0.0
+                assert joint_cycle_counts(ChainKind.x(p), c, n) == 0.0
                 continue
-            val = joint_cycle_counts("X", c, n, ts)
+            val = joint_cycle_counts(ChainKind.x(p), c, n)
             total.append(val)
             assert val == pytest.approx(brute.get(c, 0.0), abs=1e-12), (n, c)
         assert math.fsum(total) == pytest.approx(1.0, abs=1e-11), n
@@ -279,7 +280,7 @@ def test_criterion_12_lambda_identity():
     p = PSequence.eta(0.9)
     for kappa in (0.3, 0.9):
         for n in range(4, 13):
-            k_law = k_distribution("X", n, p)
+            k_law = k_distribution(ChainKind.x(p), n)
             _, mean = lambda_total(n, kappa, k_law)
             assert mean == pytest.approx(
                 lambda_mean_identity(n, kappa, k_law.mean()), abs=1e-12

@@ -5,6 +5,7 @@ import pytest
 
 from derange import __version__, oracle
 from derange.chains import ChainKind, generate_signed, sample_path, word_to_string
+from derange.coupling import pgf_k
 from derange.moments import mean_k
 from derange.montecarlo import clt_diagnostic, gem_diagnostic
 from derange.params import PSequence, ThetaSequence
@@ -200,6 +201,33 @@ def test_lambda_esf_rejects_nonpositive_theta(capsys, theta):
     assert code == EXIT_GUARD
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("pgf_k", "--kind", "X", "--n", "1"),
+    ("pgf_k", "--kind", "X", "--n", "0"),
+    ("pgf_k", "--kind", "Y", "--n", "0"),
+    ("pgf_k", "--kind", "bogus", "--n", "5"),
+    ("var_cj", "--n", "1"),
+    ("mean_cj", "--n", "1"),
+    ("mean_cj_eta", "--n", "1"),
+])
+def test_exact_rejects_horizons_without_a_word(capsys, argv):
+    code, out, err = run(capsys, "exact", "--quantity", *argv, "--format", "json")
+    assert code == EXIT_GUARD
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("kind", ["X", "Y"])
+def test_pgf_kind_maps_to_a_chain_kind(capsys, kind):
+    ts = ThetaSequence.constant(0.7)
+    chain = (ChainKind.x(PSequence.from_theta_conditional(ts)) if kind == "X"
+             else ChainKind.y(ts))
+    code, out, _ = run(capsys, "exact", "--quantity", "pgf_k", "--kind", kind,
+                       "--theta", "0.7", "--s", "0.5", "--n", "9", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["results"] == pytest.approx(pgf_k(chain, 0.5, 9), rel=1e-8)
 
 
 @pytest.mark.parametrize("name", sorted(QUANTITIES))

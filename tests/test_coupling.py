@@ -52,17 +52,13 @@ def test_gamma_is_no_11_probability():
 
 def test_theta2_invariance_of_conditioned_quantities():
     # Conditioning on the admissible set forces the index-2 bit to 0, so
-    # conditioned laws and X joint cycle counts do not depend on theta_2.
+    # conditioned laws do not depend on theta_2.
     base = ThetaSequence.eta_star(0.7)
     n = 8
     law0 = oracle.conditional_law(n, base.with_theta2(0.25))
     law1 = oracle.conditional_law(n, base.with_theta2(1.0))
     for w in law0.support():
         assert law0[w] == pytest.approx(law1[w], abs=1e-12)
-    for c in [(0, 4), (0, 1, 2), (0, 0, 0, 2)]:
-        a = joint_cycle_counts("X", c, n, base.with_theta2(0.25))
-        b = joint_cycle_counts("X", c, n, base.with_theta2(1.0))
-        assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_delta_matches_gamma_eta_star():
@@ -82,14 +78,14 @@ def test_k_distribution_sums_to_one():
     p = PSequence.eta(0.9)
     ts = ThetaSequence.eta_star(0.9)
     for n in (5, 10, 20):
-        for law in (k_distribution("X", n, p), k_distribution("Y", n, ts)):
+        for law in (k_distribution(ChainKind.x(p), n), k_distribution(ChainKind.y(ts), n)):
             assert law.total() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_k_distribution_vs_enumeration():
     p = PSequence.eta(0.7)
     n = 9
-    law = k_distribution("X", n, p)
+    law = k_distribution(ChainKind.x(p), n)
     full = oracle.exact_law(ChainKind.x(p), n)
     brute = {}
     for w, pr in full.items():
@@ -99,11 +95,27 @@ def test_k_distribution_vs_enumeration():
         assert law[k] == pytest.approx(pk, abs=1e-13)
 
 
+@pytest.mark.parametrize("ts", [ThetaSequence.eta_star(0.6), ThetaSequence.constant(3.0)],
+                         ids=lambda ts: ts.label)
+def test_coin_k_distribution_vs_enumeration(ts):
+    # a coin word closes one cycle per 1
+    kind = ChainKind.y(ts)
+    for n in range(1, 13):
+        brute = {}
+        for w, pr in oracle.exact_law(kind, n).items():
+            brute[sum(w)] = brute.get(sum(w), 0.0) + pr
+        law = k_distribution(kind, n)
+        assert set(law) == set(brute), n
+        for k, pk in brute.items():
+            assert law[k] == pytest.approx(pk, abs=1e-15), (n, k)
+
+
 def test_pgf_edge_cases():
     ts = ThetaSequence.constant(0.5)
-    assert pgf_k("Y", 0.0, 8, ts) == 0.0
-    assert pgf_k("Y", 1.0, 8, ts) == pytest.approx(1.0, rel=1e-12)
-    assert pgf_k("X", 1.0, 8, ts) == pytest.approx(1.0, rel=1e-12)
+    y, x = ChainKind.y(ts), ChainKind.x(PSequence.from_theta_conditional(ts))
+    assert pgf_k(y, 0.0, 8) == 0.0
+    assert pgf_k(y, 1.0, 8) == pytest.approx(1.0, rel=1e-12)
+    assert pgf_k(x, 1.0, 8) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_joint_cycle_counts_vs_enumeration():
@@ -115,17 +127,15 @@ def test_joint_cycle_counts_vs_enumeration():
     for w, pr in full_x.items():
         c, _, _ = cycle_statistics(w)
         brute[c] = brute.get(c, 0.0) + pr
-    from derange.params import conditional_theta
-    ts_x = conditional_theta(p)
     for c, pc in brute.items():
-        assert joint_cycle_counts("X", c, n, ts_x) == pytest.approx(pc, abs=1e-12)
+        assert joint_cycle_counts(ChainKind.x(p), c, n) == pytest.approx(pc, abs=1e-12)
     full_y = oracle.exact_law(ChainKind.y(ts), n)
     brute_y = {}
     for w, pr in full_y.items():
         c, _, _ = cycle_statistics(w)
         brute_y[c] = brute_y.get(c, 0.0) + pr
     for c, pc in brute_y.items():
-        assert joint_cycle_counts("Y", c, n, ts) == pytest.approx(pc, abs=1e-13)
+        assert joint_cycle_counts(ChainKind.y(ts), c, n) == pytest.approx(pc, abs=1e-13)
 
 
 def test_ordered_prefix_vs_enumeration():
@@ -176,9 +186,15 @@ def test_erase11_lands_in_delta():
 
 
 def test_k_distribution_has_no_derangement_of_one():
-    with pytest.raises(ValueError, match="n >= 2"):
-        k_distribution("X", 1, PSequence.eta(0.9))
-    assert dict(k_distribution("Y", 1, ThetaSequence.constant(0.9)).items()) == {1: 1.0}
+    x, y = ChainKind.eta(0.9), ChainKind.y(ThetaSequence.constant(0.9))
+    for call in (lambda: k_distribution(x, 1), lambda: pgf_k(x, 0.5, 1),
+                 lambda: joint_cycle_counts(x, (1,), 1)):
+        with pytest.raises(ValueError, match="n >= 2"):
+            call()
+    assert dict(k_distribution(y, 1).items()) == {1: 1.0}
+    assert pgf_k(y, 0.5, 1) == 0.5 and joint_cycle_counts(y, (1,), 1) == 1.0
+    with pytest.raises(ValueError, match="n >= 1"):
+        pgf_k(y, 0.5, 0)
 
 
 @pytest.mark.parametrize("bad", [0.6, 1.9, 2])

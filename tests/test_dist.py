@@ -37,3 +37,9 @@ def test_compare_laws_tv():
 def test_compare_laws_identical():
     a = DistTable({0: 0.3, 1: 0.7})
     assert compare_laws(a, a).tv == 0.0
+
+
+def test_disttable_takes_ownership_of_its_dict():
+    probs = {0: 0.25, 1: 0.75}
+    t = DistTable(probs)
+    assert t.probs is probs

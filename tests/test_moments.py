@@ -43,6 +43,18 @@ def test_mean_c1_rejected():
         mean_cj(10, 1, PSequence.eta(0.6))
 
 
+@pytest.mark.parametrize("call", [
+    lambda n: mean_cj(n, 2, PSequence.eta(0.6)),
+    lambda n: mean_cj_eta(n, 2, 0.6),
+    lambda n: second_moments(n, 2, PSequence.eta(0.6)),
+], ids=["mean_cj", "mean_cj_eta", "second_moments"])
+def test_cycle_moments_need_a_derangement(call):
+    # as mean_k: no derangement of fewer than 2 points
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            call(n)
+
+
 def test_var_vs_enumeration(enum):
     p, moments = enum
     for j in range(2, 9):

@@ -214,7 +214,7 @@ def test_sampled_k_law_matches_exact(theta, n):
     k = np.count_nonzero(sample_bits(kind, n, u), axis=1)
     values, counts = np.unique(k, return_counts=True)
     sampled = {int(v): int(c) for v, c in zip(values, counts)}
-    law = dict(k_distribution("X", n, p).items())
+    law = dict(k_distribution(ChainKind.x(p), n).items())
     assert _chi_square_p(sampled, law, reps) > 1e-3
 
 
@@ -287,7 +287,7 @@ def test_extraction_matches_word_loop(kind):
 def test_lambda_mean_matches_exact():
     p = PSequence.eta(0.8)
     n, kappa = 10, 0.3
-    _, exact = lambda_total(n, kappa, k_distribution("X", n, p))
+    _, exact = lambda_total(n, kappa, k_distribution(ChainKind.x(p), n))
     rep = estimate("Lambda", ChainKind.x(p), n, 20000, seed=17, kappa=kappa)
     assert abs(rep.mean - exact) < 4 * rep.std_error
 

@@ -63,6 +63,16 @@ def test_links_are_inverse():
         assert p3(i) == pytest.approx(p(i), rel=1e-12)
 
 
+def test_conditional_theta_of_a_conditional_inverse_is_exact():
+    # the round trip through p would only hold to rounding
+    for ts, p in ((ThetaSequence.eta_star(0.7),
+                   PSequence.from_theta_conditional(ThetaSequence.eta_star(0.7))),
+                  (ThetaSequence.constant(0.7), PSequence.eta_tilde(0.7))):
+        back = conditional_theta(p, theta2=0.4)
+        assert back(2) == 0.4
+        assert (back.values(50)[3:] == ts.values(50)[3:]).all()
+
+
 def test_pushforward_theta_closed_form():
     # p_i = (i-1)/(i-1+theta_i)  <=>  theta_i = (i-1) q_i / p_i
     p = PSequence.eta(0.5)

@@ -92,7 +92,7 @@ def test_lambda_mean_identity_exact():
     for kappa in (0.3, 0.9):
         for n in range(4, 13):
             p = PSequence.eta(0.7)
-            k_law = k_distribution("X", n, p)
+            k_law = k_distribution(ChainKind.x(p), n)
             law, mean = lambda_total(n, kappa, k_law)
             assert law.total() == pytest.approx(1.0, abs=1e-12)
             assert mean == pytest.approx(
@@ -227,7 +227,7 @@ def test_generate_signed_circles_match_word():
 def test_lambda_total_at_large_n():
     # the Binomial(n - k, kappa) weights overflow a float outside log space
     n, kappa = 1100, 0.4
-    k_law = k_distribution("X", n, PSequence.eta(0.5))
+    k_law = k_distribution(ChainKind.eta(0.5), n)
     law, mean = lambda_total(n, kappa, k_law)
     assert law.total() == pytest.approx(1.0, abs=1e-10)
     assert mean == pytest.approx(lambda_mean_identity(n, kappa, k_law.mean()), rel=1e-10)
