@@ -106,13 +106,8 @@ def delta_n(theta: float, theta2star: float = 1.0, n=None) -> float:
         return 0.0
     if n == 2:
         return 1.0 / (1.0 + theta2star)
-    from scipy import special as _sp
-
-    log_num = (
-        math.lgamma(n)
-        + math.log(theta * theta + theta + 2.0)
-        + float(_sp.gammaln(theta + 2 + n - 3) - _sp.gammaln(theta + 2))
-    )
+    log_num = (math.lgamma(n) + math.log(theta * theta + theta + 2.0)
+               + math.lgamma(theta + n - 1.0) - math.lgamma(theta + 2.0))
     log_den = math.log1p(theta2star) + math.log(theta + 2.0)
     log_den += math.fsum(
         math.log(k * (k + 1.0) + theta * (theta + k)) for k in range(1, n - 1)

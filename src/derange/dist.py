@@ -47,13 +47,6 @@ class DistTable:
         m = self.mean()
         return math.fsum((k - m) ** 2 * v for k, v in self.probs.items())
 
-    def map_outcomes(self, fn) -> "DistTable":
-        out: dict = {}
-        for k, v in self.probs.items():
-            kk = fn(k)
-            out[kk] = out.get(kk, 0.0) + v
-        return DistTable(out, check=False)
-
 
 @dataclass
 class LawPair:

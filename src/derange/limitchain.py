@@ -270,7 +270,8 @@ def gamma_inf(i: int, thetaseq: ThetaSequence,
     the infinite coin process.
 
     Computed by backward iteration from a horizon that is doubled until
-    two successive sweeps agree within the accuracy budget.  Requires the
+    two successive extrapolated values agree to acc.rel_tol; a value that
+    underflows to 0 raises NumericsError.  Requires the
     eqcond2 probe (otherwise the value is 0 and the sweep meaningless).
     """
     if i < 2:
@@ -304,8 +305,12 @@ def gamma_inf(i: int, thetaseq: ThetaSequence,
                 for k in range(len(row) - 1)
             ]
         best = row[0]
-        if abs(best - prev_best) <= max(acc.abs_tol, acc.rel_tol * abs(best)):
-            return best
+        # a relative stop: the probability may lie far below abs_tol
+        if abs(best - prev_best) <= acc.rel_tol * abs(best):
+            if best > 0.0:
+                return best
+            raise NumericsError(f"gamma_inf extrapolated to {best:.3g}, not a "
+                                f"positive probability, at horizon {horizon}")
         prev_best = best
         if horizon > 10**7:
             raise NumericsError(

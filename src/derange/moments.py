@@ -5,10 +5,11 @@ Conventions: q_1 = 1, q_2 = 0 (the chain is forced at those indices).  The
 finite-horizon moments all come from the marginals m_i = P(value at index
 i is 1), which obey the backward recursion m_i = q_i (1 - m_{i+1})
 (``chains.marginals``).  Each 1 closes a cycle, so E[K_n] is the sum of
-the marginals and E[C_j(n)] the sum of the probabilities that a j-cycle
-ends at each index.  Below a closed cycle the chain renews as a fresh
-chain at a shorter horizon, which turns second moments into sums of
-first moments.  Closed forms specialized to the eta chain
+the marginals and E[C_j(n)] the sum of the probabilities c_l m_l that a
+j-cycle ends at each index l.  Var(C_j(n)) sums E[C_j(h)] over the horizons
+h below each cycle end, and the horizon-h marginals are exactly
+m_l + (1 - m_{h+1}) prod_{i=l}^{h} (-q_i): one O(n) pass gives every
+E[C_j(h)] (``_horizon_means``).  Closed forms specialized to the eta chain
 (p_i = (i-1)/(theta+i-1)) carry `_eta` in their names and must agree
 with the generic routines — that agreement is a test, not an assumption.
 """
@@ -135,32 +136,29 @@ def mean_k_eta_limit(theta: float, m: int = 3, method: str = "series",
 # ---------------------------------------------------------------------------
 # E[C_j(n)]
 
-def _cycle_ends(pv: np.ndarray, j: int) -> list:
-    """r_l = P(a j-cycle ends at index l) at horizon n = pv.size - 1, where
-    pv is ``p.values(n)``, as a list over l = 0..n+1 (0 for l <= j).
-
-    The cycle needs a 1 at l (the virtual m_{n+1} = 1 for the top cycle),
-    0s at l-1..l-j+1 and a 1 at l-j:
-    r_l = m_l q_{l-j} p_{l-j+1} ... p_{l-2}.
-    """
+def _cycle_ends(pv: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c, m) over l = 0..n+1, where pv is ``p.values(n)``: m the marginals
+    and c_l = q_{l-j} p_{l-j+1} ... p_{l-2} (0 for l <= j), so that a
+    j-cycle ends at l with probability c_l m_l (m_{n+1} = 1 for the top
+    cycle).  c does not depend on the horizon."""
     n = pv.size - 1
-    if n < j:
-        return [0.0] * (n + 2)
-    # position k of each slice below is index l = j + 1 + k
-    ends = marginals(1.0 - pv, 1)[j + 1:] * (1.0 - pv[1:n + 2 - j])
-    for d in range(j - 1, 1, -1):
-        ends *= pv[j + 1 - d:n + 2 - d]
-    return [0.0] * (j + 1) + ends.tolist()
+    c = np.zeros(n + 2)
+    if n >= j:  # position k of each slice below is index l = j + 1 + k
+        c[j + 1:] = 1.0 - pv[1:n + 2 - j]
+        for d in range(2, j):
+            c[j + 1:] *= pv[j + 1 - d:n + 2 - d]
+    return c, marginals(1.0 - pv, 1)
 
 
 def mean_cj(n: int, j: int, p: PSequence) -> float:
     """Expected number of j-cycles at horizon n, the sum of the cycle-end
-    probabilities."""
+    probabilities c_l m_l."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if j < 2:
         raise ValueError("j must be >= 2 (no 1-cycles in a derangement)")
-    return math.fsum(_cycle_ends(p.values(n), j))
+    c, m = _cycle_ends(p.values(n), j)
+    return math.fsum((c * m).tolist())
 
 
 def mean_cj_eta(n: int, j: int, theta: float) -> float:
@@ -169,19 +167,13 @@ def mean_cj_eta(n: int, j: int, theta: float) -> float:
         raise ValueError("n must be >= 2")
     if j < 2:
         raise ValueError("j must be >= 2")
-    if n < j:
+    if n < j or j == n - 1:
         return 0.0
+    if j == n == 2:
+        return 1.0
     if j == n:
-        if n == 2:
-            return 1.0
-        from scipy import special as _sp
-
-        return math.exp(
-            math.lgamma(n - 1.0)
-            - float(_sp.gammaln(theta + 2 + n - 3) - _sp.gammaln(theta + 2))
-        )
-    if j == n - 1:
-        return 0.0
+        return math.exp(math.lgamma(n - 1.0) - math.lgamma(theta + n - 1.0)
+                        + math.lgamma(theta + 2.0))
     return mean_cj(n, j, PSequence.eta(theta))
 
 
@@ -267,23 +259,38 @@ def mean_cj_eta_limit(theta: float, j: int, method: str = "series", m: int = 2,
 # ---------------------------------------------------------------------------
 # second moments
 
-def second_moments(n: int, j: int, p: PSequence) -> float:
-    """Var(C_j(n)) by renewal at each cycle end.
-
-    Given a j-cycle ending at u, index u-j-1 is forced to 0 and the chain
-    below it is a fresh horizon-(u-j-1) chain, so
-    E[C_j^2] = E[C_j] + 2 sum_u r_u E[C_j(u-j-1)].
+def _horizon_means(pv: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """(r, S): the cycle-end probabilities r_l = c_l m_l at horizon
+    n = pv.size - 1, and S[h] = E[C_j(h)] at every horizon h = 0..n.
+    The horizon-h marginals obey the horizon-n recursion from 1 at h + 1,
+    so they are m_l + (1 - m_{h+1}) prod_{i=l}^{h} (-q_i), exactly, and
+    S[h] = sum_{l<=h+1} c_l m_l + (1 - m_{h+1}) t_h, where
+    t_h = sum_{l<=h+1} c_l prod_{i=l}^{h} (-q_i) = c_{h+1} - q_h t_{h-1}.
     """
+    c, m = _cycle_ends(pv, j)
+    t = np.zeros(pv.size)
+    # memoryviews read and write Python floats without list copies
+    above, tv, cv, qv = 0.0, memoryview(t), memoryview(c), memoryview(1.0 - pv)
+    for h in range(j, pv.size):  # |q_h| <= 1: errors in t never grow
+        tv[h] = above = cv[h + 1] - qv[h] * above
+    r = c * m
+    return r, np.cumsum(r)[1:] + (1.0 - m[1:]) * t
+
+
+def second_moments(n: int, j: int, p: PSequence) -> float:
+    """Var(C_j(n)) in one O(n) pass.  Below a j-cycle ending at u, index
+    u-j-1 is forced to 0 and the chain renews at horizon u-j-1, so
+    E[C_j^2] = E[C_j] + 2 sum_u r_u S[u-j-1].  Every S[h] = E[C_j(h)] comes
+    from the horizon-n marginals m by the exact identity V_h(l) = m_l +
+    (1 - m_{h+1}) prod_{i=l}^{h} (-q_i) (``_horizon_means``)."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if j < 2:
         raise ValueError("j must be >= 2")
-    pv = p.values(n)
-    ends = _cycle_ends(pv, j)
-    mean = math.fsum(ends)
-    # pv[:u - j] is p.values(u - j - 1)
-    cross = math.fsum(r * math.fsum(_cycle_ends(pv[:u - j], j))
-                      for u, r in enumerate(ends) if r)
+    r, s = _horizon_means(p.values(n), j)
+    mean = math.fsum(r.tolist())
+    ends = r[j + 1:]  # cycle ends u = j+1..n+1, renewed at horizon u-j-1
+    cross = math.fsum((ends * s[:ends.size]).tolist())
     return math.fsum((mean, 2.0 * cross, -mean * mean))
 
 

@@ -17,13 +17,6 @@ def test_disttable_normalization_check():
         DistTable({0: 0.5, 1: 0.2}, check=True)
 
 
-def test_map_outcomes():
-    t = DistTable({0: 0.25, 1: 0.5, 2: 0.25})
-    m = t.map_outcomes(lambda k: k % 2)
-    assert m[0] == pytest.approx(0.5)
-    assert m[1] == pytest.approx(0.5)
-
-
 def test_compare_laws_tv():
     a = DistTable({0: 0.5, 1: 0.5})
     b = DistTable({0: 0.25, 1: 0.25, 2: 0.5})

@@ -1,7 +1,10 @@
+import json
 import math
 
 import pytest
 
+from derange import limitchain
+from derange.cli import EXIT_OK, run_command
 from derange.limitchain import (
     LimitContext,
     delta_i_inf,
@@ -12,6 +15,7 @@ from derange.limitchain import (
     tv_prefix,
     xinf_transition,
 )
+from derange.numerics import NumericsError
 from derange.params import PSequence, ThetaSequence
 
 
@@ -84,6 +88,46 @@ def test_gamma_inf_matches_closed_form():
 def test_gamma_inf_tends_to_one():
     ts = ThetaSequence.eta_star(0.5)
     assert gamma_inf(200, ts) > 0.99
+
+
+@pytest.mark.parametrize("theta, family", [(40.0, "constant"), (60.0, "constant"),
+                                           (100.0, "constant"), (40.0, "eta_star")])
+def test_gamma_inf_far_below_abs_tol_is_positive(theta, family):
+    # values of 1e-17 .. 1e-43: an absolute stop passed at the first
+    # extrapolation, which was negative.  The raw sweeps fall as 1/horizon
+    # towards the limit; one Richardson step at large horizons brackets it.
+    ts = getattr(ThetaSequence, family)(theta)
+    value = delta_i_inf(theta, 3) if family == "eta_star" else gamma_inf(3, ts)
+    far = 2.0 * limitchain._gamma_inf_backward(3, ts, 2**18) \
+        - limitchain._gamma_inf_backward(3, ts, 2**17)
+    assert 0.0 < value == pytest.approx(far, rel=5e-3)
+
+
+def test_gamma_inf_at_theta_100_from_the_cli(capsys):
+    code = run_command(["exact", "--quantity", "gamma_inf", "--i", "3", "--theta", "100",
+                        "--format", "json"])
+    assert code == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["results"] > 0.0
+
+
+def test_gamma_inf_raises_rather_than_return_zero(monkeypatch):
+    monkeypatch.setattr(limitchain, "_gamma_inf_backward", lambda i, ts, horizon: 0.0)
+    with pytest.raises(NumericsError):
+        gamma_inf(3, ThetaSequence.constant(100.0))
+
+
+def test_gamma_inf_certify_horizons_unchanged(monkeypatch):
+    horizons = []
+    sweep = limitchain._gamma_inf_backward
+
+    def recorded(i, ts, horizon):
+        horizons.append(horizon)
+        return sweep(i, ts, horizon)
+
+    monkeypatch.setattr(limitchain, "_gamma_inf_backward", recorded)
+    assert gamma_inf(3, ThetaSequence.eta_star(0.5)) == pytest.approx(
+        0.7378362321078565, rel=1e-15)
+    assert horizons == [1024, 2048, 4096, 8192, 16384]
 
 
 def test_divergence_guard():

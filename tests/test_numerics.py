@@ -183,6 +183,8 @@ def test_package_import_leaves_scipy_unloaded():
     ["table2"],
     ["sample", "--kind", "signed", "--n", "20", "--reps", "5"],
     ["table1"],
+    ["exact", "--quantity", "delta_n", "--n", "50", "--theta", "0.5"],
+    ["exact", "--quantity", "mean_cj_eta", "--n", "7", "--j", "7", "--theta", "0.5"],
 ])
 def test_commands_leave_special_functions_unloaded(argv):
     code = ("import contextlib, io, sys; from derange import cli\n"
