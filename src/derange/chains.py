@@ -323,13 +323,14 @@ def marginals(h: np.ndarray, gap: int) -> np.ndarray:
     Entry 0 is unused (0.0) and entry n+1 is the virtual 1.
     """
     n = h.size - 1
-    h = h.tolist()
     g = float(gap)  # a float factor: int * float is the slower mixed multiply
-    m = [0.0] * (n + 2)
+    out = np.zeros(n + 2)
+    # memoryviews read and write Python floats without list copies
+    h, m = memoryview(h), memoryview(out)
     m[n + 1] = above = 1.0
     for i in range(n, 0, -1):
         m[i] = above = h[i] * (1.0 - g * above)
-    return np.array(m)
+    return out
 
 
 def marginal_one(kind: ChainKind, i: int, horizon: int) -> float:

@@ -16,14 +16,14 @@ sequence conditionally linked to p, given Delta_n.
 from __future__ import annotations
 
 import cmath
-import functools
+import itertools
 import math
 
 import numpy as np
 
 from .chains import ChainKind
 from .dist import DistTable
-from .numerics import beta_fn
+from .numerics import NumericsError, beta_fn
 from .params import PSequence, ThetaSequence, conditional_theta
 
 
@@ -106,13 +106,15 @@ def delta_n(theta: float, theta2star: float = 1.0, n=None) -> float:
         return 0.0
     if n == 2:
         return 1.0 / (1.0 + theta2star)
-    log_num = (math.lgamma(n) + math.log(theta * theta + theta + 2.0)
-               + math.lgamma(theta + n - 1.0) - math.lgamma(theta + 2.0))
-    log_den = math.log1p(theta2star) + math.log(theta + 2.0)
-    log_den += math.fsum(
-        math.log(k * (k + 1.0) + theta * (theta + k)) for k in range(1, n - 1)
+    # (n-1)! (theta+2)_(n-3) (theta^2+theta+2) / prod_{k=1}^{n-2} d_k, with
+    # d_k = k(k+1) + theta(theta+k), is 2/(theta+2) times the factors
+    # (k+1)(k+theta)/d_k = 1 + theta(1-theta)/d_k over k = 2..n-2: summing
+    # their log1p keeps the relative error near one ulp at any n
+    log_ratio = math.fsum(
+        math.log1p(theta * (1.0 - theta) / (k * (k + 1.0) + theta * (theta + k)))
+        for k in range(2, n - 1)
     )
-    return math.exp(log_num - log_den)
+    return 2.0 / ((1.0 + theta2star) * (theta + 2.0)) * math.exp(log_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -164,14 +166,18 @@ def pgf_k(kind: ChainKind, s: float, n: int) -> float:
 # ---------------------------------------------------------------------------
 # joint cycle counts
 
-MAX_CYCLE_SUM = 9  # permutation-sum budget ||c||! <= 9!
+# count vectors below c that the orderings sum visits, prod (c_j + 1):
+# a few microseconds and one dict entry each
+MAX_STATES = 10**5
 
 
 def joint_cycle_counts(kind: ChainKind, c, n: int) -> float:
     """Exact probability of the full cycle-count vector c (c_j counts
     j-cycles) at horizon n: a sum over the distinct orderings of the cycle
-    sizes, by recursion on the top cycle.  A gap forbids 1-cycles and
-    divides by gamma_n."""
+    sizes, by the recursion on the top cycle run bottom-up over every count
+    vector below c.  A gap forbids 1-cycles and divides by gamma_n.  Past
+    ``MAX_STATES`` count vectors it raises ValueError, and a weight sum
+    that leaves the float range raises NumericsError."""
     c = tuple(int(v) for v in c)
     if any(v < 0 for v in c):
         raise ValueError("counts must be nonnegative")
@@ -180,30 +186,33 @@ def joint_cycle_counts(kind: ChainKind, c, n: int) -> float:
     kind.check_horizon(n)
     if kind.gap and any(c[:1]):
         return 0.0
-    norm = sum(c)
-    if norm > MAX_CYCLE_SUM:
+    c = c[:max(j for j, cj in enumerate(c, start=1) if cj)]  # drop trailing zeros
+    states = math.prod(v + 1 for v in c)
+    if states > MAX_STATES:
         raise ValueError(
-            f"||c|| = {norm} exceeds the exact-evaluation budget {MAX_CYCLE_SUM}; "
-            "use the Monte Carlo sampler instead"
+            f"c needs {states} recursion states, beyond the exact-evaluation "
+            f"budget {MAX_STATES}; use the Monte Carlo sampler instead"
         )
 
     thetaseq = _coin_theta(kind)
-    # w[e] = theta_e / (e - 1), the weight of a cycle closed by a 1 at index e
-    w = [0.0, 0.0] + (thetaseq.values(n)[2:] / np.arange(1.0, n)).tolist()
-
-    @functools.cache
-    def orderings(left: tuple) -> float:
-        """Sum over the distinct orderings of the cycles counted by left,
-        which fill indices 1..m, of the product of their weights; the top
-        one closes at m + 1 - j, and the last, at index 1, has weight 1."""
+    # w[e] = theta_e / (e - 1), the weight of a cycle closed by a 1 at index
+    # e; the last cycle, closed at index 1, has weight 1
+    w = [0.0, 1.0] + (thetaseq.values(n)[2:] / np.arange(1.0, n)).tolist()
+    # orderings[left]: the sum over the distinct orderings of the cycles
+    # counted by left, which fill indices 1..m, of the product of their
+    # weights; the top one closes at m + 1 - j.  Each left - e_j precedes
+    # left in the lexicographic order that itertools.product runs in.
+    orderings = {}
+    for left in itertools.product(*(range(v + 1) for v in c)):
         m = sum(j * cj for j, cj in enumerate(left, start=1))
-        if sum(left) == 1:
-            return 1.0
-        return sum(w[m + 1 - j] * orderings(left[:j - 1] + (cj - 1,) + left[j:])
-                   for j, cj in enumerate(left, start=1) if cj)
-
+        orderings[left] = 1.0 if m == 0 else sum(
+            w[m + 1 - j] * orderings[left[:j - 1] + (cj - 1,) + left[j:]]
+            for j, cj in enumerate(left, start=1) if cj)
+    weight = orderings[c]
+    if not 0.0 < weight < math.inf:
+        raise NumericsError(f"the weight sum of c is {weight}, outside the float range")
     log_pref = math.lgamma(n) - _bracket_log_unit(thetaseq, n)
-    total = math.exp(log_pref + math.log(orderings(c)))
+    total = math.exp(log_pref + math.log(weight))
     return total / gamma_n(thetaseq, n) if kind.gap else total
 
 

@@ -36,30 +36,41 @@ _LIGHT_PROBE_HORIZON = 10**4
 _RATIO_THRESHOLD = 0.75
 
 
-def _block_sums(terms: np.ndarray, horizon: int, blocks: int = 3) -> list[float]:
-    """Sums of ``terms[i]`` over the dyadic blocks (h/2, h], (h/4, h/2], ...
+def _block_sums(a: np.ndarray, horizon: int, lag: int | None = None,
+                blocks: int = 3) -> list[float]:
+    """Sums of the terms over the dyadic blocks (h/2, h], (h/4, h/2], ...,
+    outermost block first.
 
-    Returned outermost block first.
+    The term at index i is ``a[i]``, or ``a[i] * a[i + lag]`` with a lag,
+    formed one block at a time so that no full-length product array is
+    built.  Each block is one numpy pairwise sum: for nonnegative terms it
+    is within about (16 + log2 h) units in the last place of the exact sum.
     """
     edges = [horizon // 2**k for k in range(blocks + 1)]
-    return [math.fsum(terms[edges[k + 1] + 1:edges[k] + 1]) for k in range(blocks)]
+    sums = []
+    for hi, lo in zip(edges, edges[1:]):
+        block = a[lo + 1:hi + 1]
+        if lag is not None:
+            block = block * a[lo + 1 + lag:hi + 1 + lag]
+        sums.append(float(block.sum()))
+    return sums
 
 
-def _looks_divergent(terms: np.ndarray, horizon: int) -> tuple[bool, float]:
-    """(divergence verdict, outermost block sum) for positive terms[1..horizon]."""
-    blocks = _block_sums(terms, horizon)
+def _looks_divergent(blocks: list[float]) -> tuple[bool, float]:
+    """(divergence verdict, outermost block sum) from positive terms'
+    dyadic block sums."""
     ratios = [a / b for a, b in zip(blocks, blocks[1:]) if b > 0.0]
     verdict = bool(ratios) and min(ratios) >= _RATIO_THRESHOLD
     return verdict, blocks[0]
 
 
-def _looks_convergent(terms: np.ndarray, horizon: int) -> tuple[bool, float]:
-    """(convergence verdict, extrapolated tail proxy) for positive terms[1..horizon].
+def _looks_convergent(blocks: list[float]) -> tuple[bool, float]:
+    """(convergence verdict, extrapolated tail proxy) from positive terms'
+    dyadic block sums.
 
-    The tail proxy is the geometric extrapolation of the dyadic block sums;
-    it is infinite when the blocks do not shrink.
+    The tail proxy is the geometric extrapolation of the block sums; it is
+    infinite when the blocks do not shrink.
     """
-    blocks = _block_sums(terms, horizon)
     ratios = [a / b for a, b in zip(blocks, blocks[1:]) if b > 0.0]
     if not ratios:
         return True, 0.0
@@ -104,14 +115,17 @@ class LimitContext:
         flags: dict = {}
         tails: dict = {}
         pv = p.values(horizon)
-        flags["divergence"], tails["divergence"] = _looks_divergent(pv, horizon)
+        flags["divergence"], tails["divergence"] = _looks_divergent(
+            _block_sums(pv, horizon))
         q_now, q_then = 1.0 - pv[horizon], 1.0 - pv[max(horizon // 10, 3)]
         del pv  # freed before the coin array is built: peak memory at large horizons
         flags["q_vanishes"] = bool(q_now < 0.01 and q_now <= q_then + 1e-12)
         tails["q_vanishes"] = float(q_now)
         coin = thetaseq.coin_probs(horizon + 1)
-        flags["eqcond2"], tails["eqcond2"] = _looks_convergent(coin[:-1] * coin[1:], horizon)
-        flags["eqcond4"], tails["eqcond4"] = _looks_convergent(coin[:-1] ** 2, horizon)
+        flags["eqcond2"], tails["eqcond2"] = _looks_convergent(
+            _block_sums(coin, horizon, lag=1))
+        flags["eqcond4"], tails["eqcond4"] = _looks_convergent(
+            _block_sums(coin, horizon, lag=0))
         return cls(p=p, thetaseq=thetaseq, probe_horizon=horizon,
                    flags=flags, tails=tails)
 
@@ -128,7 +142,8 @@ class LimitContext:
 
 @lru_cache(maxsize=256)
 def _divergence_ok(p: PSequence) -> bool:
-    verdict, _ = _looks_divergent(p.values(_LIGHT_PROBE_HORIZON), _LIGHT_PROBE_HORIZON)
+    verdict, _ = _looks_divergent(_block_sums(p.values(_LIGHT_PROBE_HORIZON),
+                                              _LIGHT_PROBE_HORIZON))
     return verdict
 
 
@@ -280,7 +295,7 @@ def gamma_inf(i: int, thetaseq: ThetaSequence,
         context.require("eqcond2")
     else:
         coin = thetaseq.coin_probs(_LIGHT_PROBE_HORIZON + 1)
-        ok, _ = _looks_convergent(coin[:-1] * coin[1:], _LIGHT_PROBE_HORIZON)
+        ok, _ = _looks_convergent(_block_sums(coin, _LIGHT_PROBE_HORIZON, lag=1))
         if not ok:
             raise ValueError(
                 "sum c_j c_{j+1} does not appear to converge; gamma_{i,inf} "

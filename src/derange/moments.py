@@ -71,7 +71,7 @@ def mean_k(n: int, p: PSequence) -> float:
     stored 1 closes a cycle, so E[K_n] = m_1 + ... + m_n."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    return math.fsum(marginals(1.0 - p.values(n), 1)[1:n + 1].tolist())
+    return math.fsum(memoryview(marginals(1.0 - p.values(n), 1)[1:n + 1]))
 
 
 def mean_k_eta(n: int, theta: float) -> float:
@@ -158,7 +158,7 @@ def mean_cj(n: int, j: int, p: PSequence) -> float:
     if j < 2:
         raise ValueError("j must be >= 2 (no 1-cycles in a derangement)")
     c, m = _cycle_ends(p.values(n), j)
-    return math.fsum((c * m).tolist())
+    return math.fsum(memoryview(c * m))
 
 
 def mean_cj_eta(n: int, j: int, theta: float) -> float:
@@ -172,8 +172,10 @@ def mean_cj_eta(n: int, j: int, theta: float) -> float:
     if j == n == 2:
         return 1.0
     if j == n:
-        return math.exp(math.lgamma(n - 1.0) - math.lgamma(theta + n - 1.0)
-                        + math.lgamma(theta + 2.0))
+        # Gamma(n-1) Gamma(theta+2) / Gamma(theta+n-1) = prod_{k=2}^{n-2} k/(k+theta),
+        # summed as logs of ratios near 1: lgamma differences of size n log n
+        # would cost ~n ulps
+        return math.exp(-math.fsum(math.log1p(theta / k) for k in range(2, n - 1)))
     return mean_cj(n, j, PSequence.eta(theta))
 
 
@@ -288,9 +290,9 @@ def second_moments(n: int, j: int, p: PSequence) -> float:
     if j < 2:
         raise ValueError("j must be >= 2")
     r, s = _horizon_means(p.values(n), j)
-    mean = math.fsum(r.tolist())
+    mean = math.fsum(memoryview(r))
     ends = r[j + 1:]  # cycle ends u = j+1..n+1, renewed at horizon u-j-1
-    cross = math.fsum((ends * s[:ends.size]).tolist())
+    cross = math.fsum(memoryview(ends * s[:ends.size]))
     return math.fsum((mean, 2.0 * cross, -mean * mean))
 
 

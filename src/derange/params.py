@@ -300,8 +300,14 @@ def conditional_theta(p: PSequence, theta2: float = 1.0) -> ThetaSequence:
         return p.thetaseq.with_theta2(theta2)
 
     def ev(i):
-        pi = _at(p, i)
-        return (i - 1) * (1.0 - pi) / (pi * _at(p, i - 1))
+        if isinstance(i, np.ndarray):  # p once per index, over min(i) - 1 .. max(i)
+            lo = int(i.min()) - 1
+            pw = _at(p, np.arange(lo, int(i.max()) + 1))
+            k = i - lo
+            pi, prev = pw[k], pw[k - 1]
+        else:
+            pi, prev = p(i), p(i - 1)
+        return (i - 1) * (1.0 - pi) / (pi * prev)
 
     return ThetaSequence("conditional", ev, theta2=theta2, label=f"cond<-{p.label}")
 

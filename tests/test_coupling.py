@@ -1,11 +1,13 @@
 import itertools
 import math
 
+import mpmath
 import pytest
 
 from derange import oracle
 from derange.chains import ChainKind, cycle_statistics
 from derange.coupling import (
+    MAX_STATES,
     delta_n,
     erase11,
     g_values,
@@ -15,6 +17,7 @@ from derange.coupling import (
     ordered_cycle_prefix_prob,
     pgf_k,
 )
+from derange.numerics import NumericsError
 from derange.params import PSequence, ThetaSequence
 
 
@@ -66,6 +69,19 @@ def test_delta_matches_gamma_eta_star():
         ts = ThetaSequence.eta_star(theta)
         for n in range(3, 13):
             assert delta_n(theta, n=n) == pytest.approx(gamma_n(ts, n), rel=1e-12)
+
+
+@pytest.mark.parametrize("theta, theta2star", [(0.5, 1.0), (3.0, 0.5)])
+def test_delta_n_at_large_n_against_a_40_digit_product(theta, theta2star):
+    # gamma_n along eta_star, (n-1)! (theta+2)_(n-3) (theta^2+theta+2)
+    # / ((1+theta2*)(theta+2) prod_{k=1}^{n-2} (k(k+1) + theta(theta+k)))
+    n = 10**4
+    with mpmath.workdps(40):
+        t, t2 = mpmath.mpf(theta), mpmath.mpf(theta2star)
+        ref = (mpmath.factorial(n - 1) * (t * t + t + 2) * mpmath.rf(t + 2, n - 3)
+               / ((1 + t2) * (t + 2)
+                  * mpmath.fprod(k * (k + 1) + t * (t + k) for k in range(1, n - 1))))
+        assert abs(delta_n(theta, theta2star, n) - ref) <= 1e-13 * ref
 
 
 def test_delta_complex_branch_real():
@@ -136,6 +152,22 @@ def test_joint_cycle_counts_vs_enumeration():
         brute_y[c] = brute_y.get(c, 0.0) + pr
     for c, pc in brute_y.items():
         assert joint_cycle_counts(ChainKind.y(ts), c, n) == pytest.approx(pc, abs=1e-13)
+
+
+def test_joint_cycle_counts_past_nine_cycles():
+    # ten cycles at n = 20 under the gap are all 2-cycles, so the count
+    # vector (0, 10) is the event K = 10
+    x = ChainKind.x(PSequence.eta(0.5))
+    got = joint_cycle_counts(x, (0, 10), 20)
+    assert got == pytest.approx(k_distribution(x, 20)[10], rel=1e-12)
+    # the budget counts recursion states, prod (c_j + 1), not cycles
+    c = (0,) + (1,) * 17  # 2**17 states
+    assert 2**17 > MAX_STATES
+    with pytest.raises(ValueError, match="budget"):
+        joint_cycle_counts(x, c, sum(j for j, cj in enumerate(c, start=1) if cj))
+    # 150 two-cycles: few states, but the weight product underflows
+    with pytest.raises(NumericsError):
+        joint_cycle_counts(x, (0, 150), 300)
 
 
 def test_ordered_prefix_vs_enumeration():

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from derange import limitchain
@@ -153,3 +154,59 @@ def test_probe_from_theta_at_large_horizon():
     assert ctx.flags == linked.flags == LimitContext.probe(p=PSequence.eta(0.5), horizon=10**5).flags
     assert all(ctx.flags.values())
     assert ctx.tails["q_vanishes"] == pytest.approx(0.5 / (0.5 + 10**5 - 1), rel=1e-12)
+
+
+def _probe_entries():
+    # c_i ~ i^-0.7: the block ratio 2^-0.4 ~ 0.76 of both sums is above the
+    # probe's 0.75, so they read as not converging
+    holst = ThetaSequence.holst(1.0, 2.0, 0.7)
+    yes, no = (True,) * 4, (True, True, False, False)
+    return {
+        "eta(0.5)": (dict(p=PSequence.eta(0.5)), yes),
+        "eta(3)": (dict(p=PSequence.eta(3.0)), yes),
+        "eta_tilde(2)": (dict(p=PSequence.eta_tilde(2.0)), yes),
+        "holst_inverse": (dict(p=PSequence.from_theta_conditional(holst)), no),
+        "theta_side": (dict(thetaseq=ThetaSequence.eta_star(0.5)), yes),
+    }
+
+
+def _fsum_blocks(terms, h):
+    edges = [h // 2**k for k in range(4)]
+    return [math.fsum(terms[edges[k + 1] + 1:edges[k] + 1]) for k in range(3)]
+
+
+def _extrapolated(blocks):
+    r = max(a / b for a, b in zip(blocks, blocks[1:]))
+    return math.inf if r >= 1.0 else blocks[0] * r / (1.0 - r)
+
+
+@pytest.mark.parametrize("h", [10**4, 2 * 10**5])
+@pytest.mark.parametrize("name", sorted(_probe_entries()))
+def test_probe_block_sums_match_an_fsum_reference(name, h):
+    kw, flags = _probe_entries()[name]
+    ctx = LimitContext.probe(horizon=h, **kw)
+    assert tuple(ctx.flags[k] for k in ("divergence", "q_vanishes", "eqcond2", "eqcond4")) == flags
+    pv = ctx.p.values(h)
+    assert ctx.tails["q_vanishes"] == 1.0 - pv[h]  # bit for bit
+    coin = ctx.thetaseq.coin_probs(h + 1)
+    want = {"divergence": _fsum_blocks(pv, h)[0],
+            "eqcond2": _extrapolated(_fsum_blocks(coin[:-1] * coin[1:], h)),
+            "eqcond4": _extrapolated(_fsum_blocks(coin[:-1] ** 2, h))}
+    for key, ref in want.items():
+        assert ctx.tails[key] == pytest.approx(ref, rel=1e-13), key
+
+
+def test_probe_does_no_long_fsum(monkeypatch):
+    # the block sums are numpy reductions: a boxed fsum over a block of a
+    # 1e6 horizon is what they replaced
+    fsum = math.fsum
+
+    def short_fsum(items):
+        items = list(items)
+        assert len(items) <= 64, f"fsum over {len(items)} items"
+        return fsum(items)
+
+    monkeypatch.setattr(math, "fsum", short_fsum)
+    ctx = LimitContext.probe(p=PSequence.eta(0.5), horizon=10**6)
+    assert all(ctx.flags.values())
+    assert np.isfinite(list(ctx.tails.values())).all()

@@ -89,6 +89,18 @@ def test_eta_closed_forms_match_generic():
             )
 
 
+def test_mean_cj_eta_at_j_equal_n_is_near_one_ulp():
+    # E[C_n(n)] = Gamma(n-1) Gamma(theta+2) / Gamma(theta+n-1); at theta = 1
+    # it is 2/(n-1) exactly, and a difference of lgamma values of size
+    # n log n would leave ~1e-12 here
+    got = mean_cj_eta(1000, 1000, 1.0)
+    assert abs(got - 2 / 999) <= 1e-14 * (2 / 999)
+    for theta in (0.3, 2.5):
+        with mpmath.workdps(40):
+            ref = mpmath.fprod(mpmath.mpf(k) / (k + mpmath.mpf(theta)) for k in range(2, 499))
+            assert abs(mean_cj_eta(500, 500, theta) - ref) <= 1e-14 * ref
+
+
 def test_mean_cj_limit_methods_agree():
     for theta in (0.01, 0.1, 0.5, 1.0, 3.0):
         for j in (2, 3, 5, 7):

@@ -8,6 +8,7 @@ from derange.moments import lambda_esf
 from derange.params import (
     _CHUNK,
     PSequence,
+    TableRangeError,
     ThetaSequence,
     conditional_theta,
     pushforward_theta,
@@ -184,3 +185,29 @@ def test_tabulated_reject_is_a_value_error():
         PSequence.tabulated([0.0, 1.0, 0.5]).values(4)
     with pytest.raises(ValueError, match="no entry for i=4"):
         ThetaSequence.tabulated([1.0, 1.0, 0.5])(4)
+
+
+@pytest.mark.parametrize("p", [
+    PSequence.eta(0.5),
+    PSequence.tabulated([0.0, 1.0] + [0.2 + 0.7 * ((k * 37) % 11) / 11 for k in range(3, 200)],
+                        tail_rule="constant"),
+    PSequence.from_theta_pushforward(ThetaSequence.eta_star(0.8)),
+], ids=["eta", "tabulated", "pushforward"])
+def test_conditional_theta_values_equal_scalar_calls(p):
+    # the array evaluator reads p once per index; values, coin_probs and
+    # seq(i) keep the expression (i-1)(1-p_i)/(p_i p_{i-1}) bit for bit
+    th = conditional_theta(p)
+    n = _CHUNK + 300
+    assert th.values(n)[1:].tolist() == [th(i) for i in range(1, n + 1)]
+    assert th.coin_probs(n)[1:].tolist() == [th.coin_prob(i) for i in range(1, n + 1)]
+    i = np.array([n, 7, 400, 3, _CHUNK])  # unsorted, gapped indices
+    assert th._eval(i).tolist() == [th(int(k)) for k in i]
+
+
+def test_conditional_theta_of_a_rejecting_table_raises_at_its_end():
+    th = conditional_theta(PSequence.tabulated([0.0, 1.0, 0.5, 0.6]))
+    assert th.values(4)[3:].tolist() == [th(3), th(4)]
+    with pytest.raises(TableRangeError, match="no entry for i=10"):
+        th.values(10)
+    with pytest.raises(TableRangeError, match="no entry for i=5"):
+        th(5)
