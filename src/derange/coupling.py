@@ -127,21 +127,65 @@ def _coin_theta(kind: ChainKind) -> ThetaSequence:
     return conditional_theta(kind.p) if kind.gap else kind.thetaseq
 
 
+# the most K-law mass k_distribution drops past its cap
+DROPPED_MASS = 2.0**-64
+
+
+def _k_cap(h: np.ndarray, gap: int) -> tuple[int, float]:
+    """(k_max, bound) with P(K > k_max) <= bound <= 2^-64: k_max is the
+    least k whose Chernoff bound is at most 2^-64, or n // (1 + gap), where
+    K stops (bound 0), if that is smaller.
+
+    A free index r shows a 1 exactly when U_r < h_r, for independent
+    uniforms U_r, and a gap only forces 0s, so K <= B = sum_r 1{U_r < h_r},
+    a Poisson-binomial sum of mean mu = sum_r h_r, and for t > mu
+    P(B >= t) <= e^-mu (e mu / t)^t.
+    """
+    n = h.size - 1
+    top = n // (1 + gap)
+    mu = math.fsum(memoryview(h[1:]))
+    log_tail = math.log(DROPPED_MASS)
+    for t in range(math.floor(mu) + 1, top + 1):
+        log_bound = t - mu + t * math.log(mu / t)
+        if log_bound <= log_tail:
+            return t - 1, math.exp(log_bound)
+    return top, 0.0
+
+
 def k_distribution(kind: ChainKind, n: int) -> DistTable:
-    """Exact law of the number of cycles K at horizon n, one per stored 1.
+    """Exact law of the number of cycles K at horizon n, one per stored 1,
+    at every k up to a cap k_max past which at most 2^-64 of mass lies.
 
     One DP from the virtual 1 at n + 1 down to index 1 over (value at the
     index, 1s so far): a free index shows a 1 with probability h_r, and
-    under a gap a 1 holds the index below it at 0.
+    under a gap a 1 holds the index below it at 0.  A count only moves up,
+    so the entries at k <= k_max are those of the uncapped DP, bit for bit,
+    and the table simply lacks the mass above k_max.  ``_k_cap`` derives
+    k_max from the chain by a Chernoff bound on P(K > k_max) (about 40 at
+    n = 10^5 for eta(0.5)), so the DP costs O(n k_max); the mass the DP
+    shifts past k_max is summed and NumericsError is raised if it exceeds
+    that bound.
     """
-    h = kind.one_probs(n).tolist()
-    zero = np.zeros(n + 1)  # zero[k], one[k] = P(value 0 / 1 here, k 1s so far)
-    one = np.zeros(n + 1)
+    h = kind.one_probs(n)
+    k_max, bound = _k_cap(h, kind.gap)
+    # zero[k], one[k] = P(value 0 / 1 here, k 1s so far); nxt is the next one
+    zero, one, nxt = np.zeros(k_max + 1), np.zeros(k_max + 1), np.zeros(k_max + 1)
     one[0] = 1.0  # the virtual 1 at n + 1, not counted
-    for r in range(n, 0, -1):
-        free, held = (zero, one) if kind.gap else (zero + one, 0.0)
-        one = np.concatenate(([0.0], free[:-1] * h[r]))
-        zero = held + free * (1.0 - h[r])
+    below, top = zero[:-1], memoryview(zero)  # zero is updated in place
+    dropped = 0.0
+    for hr in h[:0:-1].tolist():
+        if not kind.gap:
+            zero += one  # every index is free
+        dropped += top[k_max] * hr
+        nxt[0] = 0.0
+        np.multiply(below, hr, out=nxt[1:])
+        zero *= 1.0 - hr
+        if kind.gap:
+            zero += one  # a 1 above holds this index at 0
+        one, nxt = nxt, one
+    if dropped > bound:
+        raise NumericsError(f"the K law dropped mass {dropped} past k = {k_max}, "
+                            f"above its bound {bound}")
     law = zero + one
     return DistTable({k: v for k, v in enumerate(law.tolist()) if v > 0.0}, tol=1e-11)
 
@@ -176,8 +220,8 @@ def joint_cycle_counts(kind: ChainKind, c, n: int) -> float:
     j-cycles) at horizon n: a sum over the distinct orderings of the cycle
     sizes, by the recursion on the top cycle run bottom-up over every count
     vector below c.  A gap forbids 1-cycles and divides by gamma_n.  Past
-    ``MAX_STATES`` count vectors it raises ValueError, and a weight sum
-    that leaves the float range raises NumericsError."""
+    ``MAX_STATES`` count vectors it raises ValueError, and a probability
+    that underflows raises NumericsError."""
     c = tuple(int(v) for v in c)
     if any(v < 0 for v in c):
         raise ValueError("counts must be nonnegative")
@@ -195,24 +239,28 @@ def joint_cycle_counts(kind: ChainKind, c, n: int) -> float:
         )
 
     thetaseq = _coin_theta(kind)
-    # w[e] = theta_e / (e - 1), the weight of a cycle closed by a 1 at index
-    # e; the last cycle, closed at index 1, has weight 1
-    w = [0.0, 1.0] + (thetaseq.values(n)[2:] / np.arange(1.0, n)).tolist()
+    # the coin at index e shows 1 with probability c_e = theta_e / d_e and 0
+    # with probability (e - 1) / d_e, d_e = e - 1 + theta_e; c_1 = 1.
+    # zeros[m] = log of the product of the 0 probabilities over 2..m
+    t = thetaseq.values(n)
+    d = np.arange(-1.0, n) + t
+    ones = [0.0, 1.0] + (t[2:] / d[2:]).tolist()
+    zeros = [0.0, 0.0] + np.cumsum(np.log(np.arange(1.0, n) / d[2:])).tolist()
     # orderings[left]: the sum over the distinct orderings of the cycles
-    # counted by left, which fill indices 1..m, of the product of their
-    # weights; the top one closes at m + 1 - j.  Each left - e_j precedes
-    # left in the lexicographic order that itertools.product runs in.
+    # counted by left, which fill indices 1..m, of the coin probability of
+    # their word; the top cycle, of length j, closes with a 1 at
+    # e = m + 1 - j over 0s at e + 1..m.  Each left - e_j precedes left in
+    # the lexicographic order that itertools.product runs in.
     orderings = {}
     for left in itertools.product(*(range(v + 1) for v in c)):
         m = sum(j * cj for j, cj in enumerate(left, start=1))
         orderings[left] = 1.0 if m == 0 else sum(
-            w[m + 1 - j] * orderings[left[:j - 1] + (cj - 1,) + left[j:]]
+            ones[m + 1 - j] * math.exp(zeros[m] - zeros[m + 1 - j])
+            * orderings[left[:j - 1] + (cj - 1,) + left[j:]]
             for j, cj in enumerate(left, start=1) if cj)
-    weight = orderings[c]
-    if not 0.0 < weight < math.inf:
-        raise NumericsError(f"the weight sum of c is {weight}, outside the float range")
-    log_pref = math.lgamma(n) - _bracket_log_unit(thetaseq, n)
-    total = math.exp(log_pref + math.log(weight))
+    total = orderings[c]
+    if not total > 0.0:
+        raise NumericsError("the probability of c underflows the float range")
     return total / gamma_n(thetaseq, n) if kind.gap else total
 
 

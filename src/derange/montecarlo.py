@@ -406,8 +406,9 @@ def clt_diagnostic(p, n: int, reps: int, seed: int) -> EstimateReport:
     kind = ChainKind.x(p)
     h = kind.one_probs(n)
     q = h[1:]
-    qbar = math.fsum(q)
-    qqbar = math.fsum(q * q)
+    # memoryviews hand fsum Python floats, not one boxed numpy scalar each
+    qbar = math.fsum(memoryview(q))
+    qqbar = math.fsum(memoryview(q * q))
     sample = np.empty(reps)
     # the count is integer-valued; dither by Uniform(-1/2, 1/2), the first
     # draw of each replicate's stream, so the KS comparison against a

@@ -30,19 +30,29 @@ import numpy as np
 _CHUNK = 1 << 14  # indices per evaluator call in values(n): bounds its temporaries
 
 
+def _family(seq, i: np.ndarray) -> np.ndarray:
+    """The family at an index array with every index >= 3, range-checked."""
+    v = seq._eval(i)
+    if np.ndim(v) == 0:  # a constant family
+        v = np.full(i.shape, v, dtype=float)
+    ok = seq._ok(v)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise ValueError(seq._rule.format(i=int(i[k]), v=v[k]))
+    return v
+
+
 def _at(seq, i):
     """seq at index i: ``seq(i)`` for an int; for an index array, the
     conventions below index 3 and the family from 3 on, range-checked."""
     if not isinstance(i, np.ndarray):
         return seq(i)
+    if i.size and i.min() >= 3:
+        return _family(seq, i)
     v = np.take(seq._head, np.minimum(i, 2))
     top = i >= 3
     if top.any():
-        v[top] = seq._eval(i[top])
-    bad = top & ~seq._ok(v)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(seq._rule.format(i=int(i[k]), v=v[k]))
+        v[top] = _family(seq, i[top])
     return v
 
 
@@ -51,8 +61,9 @@ def _values(seq, n: int) -> np.ndarray:
     if n < 0:
         raise ValueError("n must be nonnegative")
     out = np.empty(n + 1)
-    for lo in range(0, n + 1, _CHUNK):
-        out[lo:lo + _CHUNK] = _at(seq, np.arange(lo, min(lo + _CHUNK, n + 1)))
+    out[:3] = seq._head[:n + 1]
+    for lo in range(3, n + 1, _CHUNK):
+        out[lo:lo + _CHUNK] = _family(seq, np.arange(lo, min(lo + _CHUNK, n + 1)))
     return out
 
 

@@ -312,6 +312,16 @@ def test_signed_quantities_match_library(capsys):
         ordered_star_prob((1, 2), 8, ThetaSequence.constant(1.0), w), rel=1e-8)
 
 
+def test_signed_lambda_at_large_n(capsys):
+    # the capped K law keeps the binomial mixture to about 40 circle counts
+    code, out, _ = run(capsys, "signed", "--quantity", "lambda", "--n", "10000",
+                       "--kappa", "0.4", "--format", "json")
+    assert code == EXIT_OK
+    res = json.loads(out)["results"]
+    assert math.fsum(res["law"].values()) == pytest.approx(1.0, abs=1e-10)
+    assert res["mean"] == pytest.approx(res["mean_identity"], rel=1e-10)
+
+
 def test_signed_cki_past_the_horizon(capsys):
     # no k-cycle fits when k > n, so C*_{k,i} = 0 with probability 1
     code, out, _ = run(capsys, "signed", "--quantity", "cki", "--k", "20", "--n", "10",

@@ -2,9 +2,10 @@ import itertools
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
-from derange import oracle
+from derange import coupling, oracle
 from derange.chains import ChainKind, cycle_statistics
 from derange.coupling import (
     MAX_STATES,
@@ -17,6 +18,7 @@ from derange.coupling import (
     ordered_cycle_prefix_prob,
     pgf_k,
 )
+from derange.moments import mean_k
 from derange.numerics import NumericsError
 from derange.params import PSequence, ThetaSequence
 
@@ -126,6 +128,70 @@ def test_coin_k_distribution_vs_enumeration(ts):
             assert law[k] == pytest.approx(pk, abs=1e-15), (n, k)
 
 
+def _uncapped_k_law(kind, n):
+    """The K-law DP over all n + 1 counts, as it ran before the cap."""
+    h = kind.one_probs(n).tolist()
+    zero = np.zeros(n + 1)
+    one = np.zeros(n + 1)
+    one[0] = 1.0
+    for r in range(n, 0, -1):
+        free, held = (zero, one) if kind.gap else (zero + one, 0.0)
+        one = np.concatenate(([0.0], free[:-1] * h[r]))
+        zero = held + free * (1.0 - h[r])
+    return zero + one
+
+
+_CAPPED_KINDS = {
+    **{f"eta({theta})": ChainKind.eta(theta) for theta in (0.01, 0.5, 3.0, 100.0)},
+    "eta_tilde(2)": ChainKind.eta_tilde(2.0),
+    "y(eta_star(0.7))": ChainKind.y(ThetaSequence.eta_star(0.7)),
+    "y(constant(1000))": ChainKind.y(ThetaSequence.constant(1000.0)),
+}
+
+
+@pytest.mark.parametrize("n", [12, 300, 2000])
+@pytest.mark.parametrize("name", sorted(_CAPPED_KINDS))
+def test_k_distribution_is_the_uncapped_law_below_its_cap(name, n):
+    kind = _CAPPED_KINDS[name]
+    full = _uncapped_k_law(kind, n)
+    k_max, bound = coupling._k_cap(kind.one_probs(n), kind.gap)
+    assert k_max <= n // (1 + kind.gap)
+    # bit for bit at every k <= k_max, nothing above
+    want = {k: v for k, v in enumerate(full[:k_max + 1].tolist()) if v > 0.0}
+    assert dict(k_distribution(kind, n).items()) == want
+    dropped = math.fsum(full[k_max + 1:].tolist())
+    assert dropped <= bound <= coupling.DROPPED_MASS
+    if n == 12:  # the cap bites only where K can exceed about 20
+        assert k_max == n // (1 + kind.gap) and bound == 0.0
+    if bound > 0.0:  # k_max is the least k whose Chernoff bound meets 2^-64
+        mu = math.fsum(kind.one_probs(n)[1:].tolist())
+
+        def meets(k):  # e^-mu (e mu / (k + 1))^(k + 1) <= 2^-64, for k + 1 > mu
+            t = k + 1
+            return t > mu and t - mu + t * math.log(mu / t) <= -64 * math.log(2)
+
+        assert meets(k_max) and not meets(k_max - 1)
+
+
+def test_k_distribution_at_large_n():
+    n = 10**5
+    kind = ChainKind.eta(0.5)
+    k_max, _ = coupling._k_cap(kind.one_probs(n), kind.gap)
+    law = k_distribution(kind, n)
+    assert len(law) <= k_max + 1 < 60
+    assert law.total() == pytest.approx(1.0, abs=1e-12)
+    # the mean from the marginal recursion, an independent engine
+    assert law.mean() == pytest.approx(mean_k(n, PSequence.eta(0.5)), rel=1e-12)
+
+
+def test_k_distribution_raises_past_its_bound(monkeypatch):
+    # the guard on the derivation: a cap whose bound understates the mass
+    # the DP shifts past it raises instead of returning a short law
+    monkeypatch.setattr(coupling, "_k_cap", lambda h, gap: (3, 1e-30))
+    with pytest.raises(NumericsError, match="dropped mass"):
+        k_distribution(ChainKind.eta(0.5), 300)
+
+
 def test_pgf_edge_cases():
     ts = ThetaSequence.constant(0.5)
     y, x = ChainKind.y(ts), ChainKind.x(PSequence.from_theta_conditional(ts))
@@ -168,6 +234,20 @@ def test_joint_cycle_counts_past_nine_cycles():
     # 150 two-cycles: few states, but the weight product underflows
     with pytest.raises(NumericsError):
         joint_cycle_counts(x, (0, 150), 300)
+
+
+def test_joint_cycle_counts_at_large_theta():
+    # theta_e / (e - 1) > 1 for e < theta: the weights of a linear-space sum
+    # overflow, the coin probabilities do not
+    ts = ThetaSequence.constant(1000.0)
+    y = ChainKind.y(ts)
+    # n one-cycles are the all-1s word, the product of the coin probabilities
+    coin = math.prod(ts.coin_prob(i) for i in range(1, 401))
+    assert joint_cycle_counts(y, (400,), 400) == pytest.approx(coin, rel=1e-13)
+    assert 1.6278604430e-31 == pytest.approx(coin, rel=1e-10)
+    with mpmath.workdps(40):
+        want = mpmath.fprod(mpmath.mpf(1000) / (i - 1 + 1000) for i in range(2, 101))
+    assert joint_cycle_counts(y, (100,), 100) == pytest.approx(float(want), rel=1e-13)
 
 
 def test_ordered_prefix_vs_enumeration():

@@ -7,6 +7,7 @@ from derange.coupling import g_values
 from derange.moments import lambda_esf
 from derange.params import (
     _CHUNK,
+    _at,
     PSequence,
     TableRangeError,
     ThetaSequence,
@@ -137,10 +138,10 @@ def test_values_equal_scalar_calls(name):
     if isinstance(seq, ThetaSequence):
         _assert_same(seq.coin_probs(n)[1:], [seq.coin_prob(i) for i in range(1, n + 1)],
                      coin_ulps)
-    # values(n) evaluates in chunks of indices; check across their seams
+    # values(n) evaluates in chunks of indices from 3 on; check across their seams
     n = 2 * _CHUNK + 5
     v = seq.values(n)
-    seams = (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK, n)
+    seams = (_CHUNK - 1, _CHUNK, _CHUNK + 1, _CHUNK + 2, _CHUNK + 3, 2 * _CHUNK + 3, n)
     _assert_same(v[list(seams)], [seq(i) for i in seams], ulps)
 
 
@@ -211,3 +212,20 @@ def test_conditional_theta_of_a_rejecting_table_raises_at_its_end():
         th.values(10)
     with pytest.raises(TableRangeError, match="no entry for i=5"):
         th(5)
+
+
+def test_array_range_errors_name_the_first_bad_index():
+    # past index 2 the family is evaluated without the head bookkeeping;
+    # the range check still names the first bad index, on both paths
+    p = PSequence.tabulated([0.0, 1.0, 0.5, 0.6, 1.5, 0.2, 2.0], tail_rule="constant")
+    with pytest.raises(ValueError, match=r"p_5 = 1.5 must lie in \(0, 1\)"):
+        p.values(7)
+    for i in (np.array([3, 4, 7, 5]), np.array([1, 2, 7, 5])):
+        with pytest.raises(ValueError, match=r"p_7 = 2.0 must lie"):
+            _at(p, i)
+    th = ThetaSequence("custom", lambda i: 4.0 - i)
+    with pytest.raises(ValueError, match=r"theta_4 = 0.0 is not positive"):
+        th.values(6)
+    # a constant family's evaluator returns one number for a whole array
+    assert _at(ThetaSequence.constant(2), np.array([3, 9])).tolist() == [2.0, 2.0]
+    assert _at(ThetaSequence.constant(2), np.array([9, 1, 2])).tolist() == [2.0, 1.0, 2.0]
