@@ -139,9 +139,9 @@ class SignedWord:
     kappa: float
 
     def __post_init__(self):
-        for s in self.steps:
-            if s not in SIGNED_STATES:
-                raise ValueError(f"invalid signed step {s!r}")
+        if not all(map(SIGNED_STATES.__contains__, self.steps)):
+            bad = next(s for s in self.steps if s not in SIGNED_STATES)
+            raise ValueError(f"invalid signed step {bad!r}")
 
     def projection(self):
         """The underlying 0/1 word (both 0-orientations collapse to 0)."""
@@ -187,17 +187,23 @@ def transition_matrix(kind: ChainKind, r: int, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # sampling
 
-def _jump_words(kind: ChainKind, n: int, seed: int, replicates: range, lead: int = 0):
-    """Yield (leading draws, 0/1 word) for each replicate in ``replicates``,
-    drawn by the jump sampler of ``montecarlo`` over that replicate's
-    stream; the word is a list in ascending chain index."""
+# the steps -0, +0 and 1 by code, as objects so a block's steps share them
+_STEP_NAMES = np.array(["-0", "+0", "1"], dtype=object)
+
+
+def _jump_blocks(kind: ChainKind, n: int, seed: int, replicates: range, lead: int = 0):
+    """Yield (leading draws, 1-positions, 0/1 words) per block of
+    ``replicates``, drawn by the jump sampler of ``montecarlo`` over each
+    replicate's stream: row r of the 1-positions lists replicate r's in
+    descending chain index, padded with 0, and row r of the words is its
+    word in ascending chain index."""
     from . import montecarlo
 
     h = kind.one_probs(n)
     for _, draws, ones in montecarlo._sample(kind, h, replicates, seed, lead):
         bits = np.zeros((ones.shape[0], n + 1), dtype=np.int8)
         np.put_along_axis(bits, ones, 1, axis=1)  # padding lands in column 0
-        yield from zip(draws, bits[:, 1:].tolist())
+        yield draws, ones, bits[:, 1:]
 
 
 def sample_paths(kind: ChainKind, n: int, seed: int, replicates: range) -> list:
@@ -206,7 +212,8 @@ def sample_paths(kind: ChainKind, n: int, seed: int, replicates: range) -> list:
     if kind.kappa is not None:
         pairs = generate_signed_many(n, kind.p, kind.kappa, seed, replicates)
         return [word for word, _ in pairs]
-    return [tuple(word) for _, word in _jump_words(kind, n, seed, replicates)]
+    return [tuple(word) for _, _, words in _jump_blocks(kind, n, seed, replicates)
+            for word in words.tolist()]
 
 
 def sample_path(kind: ChainKind, n: int, seed: int, rep: int = 0):
@@ -225,27 +232,22 @@ def generate_signed_many(n: int, p: PSequence, kappa: float, seed: int,
     label order is their argsort), then the jump uniforms of its word.
     """
     out = []
-    for lead, bits in _jump_words(ChainKind.signed(p, kappa), n, seed, replicates, 2 * n):
-        steps = tuple(np.where(bits, "1", np.where(lead[:n] < kappa, "+0", "-0")).tolist())
-        labels = (np.argsort(lead[n:]) + 1).tolist()
-        # index i's label sign comes from the step at index i+1
-        circles = []
-        current = []
-        above = "1"  # virtual step at index n+1
-        for idx in range(n, 0, -1):
-            lab = labels[n - idx]
-            if above == "1":
-                if current:
-                    circles.append(tuple(current))
-                current = [lab]  # circle leader, always positive
-            elif above == "+0":
-                current.append(lab)
-            else:
-                current.append(-lab)
-            above = steps[idx - 1]
-        circles.append(tuple(current))
-        out.append((SignedWord(steps=steps, kappa=kappa),
-                    SignedPermutation(circles=tuple(circles))))
+    kind = ChainKind.signed(p, kappa)
+    for lead, ones, bits in _jump_blocks(kind, n, seed, replicates, 2 * n):
+        plus = lead[:, :n] < kappa
+        steps = _STEP_NAMES[np.where(bits == 1, 2, plus)]
+        # label t belongs to index n - t; its sign is that of the step at
+        # index n - t + 1, the virtual 1 above index n counting as positive
+        labels = np.argsort(lead[:, n:], axis=1) + 1
+        labels[:, 1:] *= np.where((bits == 0) & ~plus, -1, 1)[:, :0:-1]
+        # the 1 at index i closes a circle, so the next one starts at label
+        # n + 1 - i; padding maps past the last label
+        starts = (n + 1 - ones).tolist()
+        for word, labs, cuts in zip(steps.tolist(), labels.tolist(), starts):
+            cuts = [0] + [c for c in cuts if c <= n]
+            circles = tuple(tuple(labs[a:b]) for a, b in zip(cuts, cuts[1:]))
+            out.append((SignedWord(steps=tuple(word), kappa=kappa),
+                        SignedPermutation(circles=circles)))
     return out
 
 

@@ -20,14 +20,22 @@ Past a few hundred draws per replicate (``_BLOCK_DRAWS``) building
 stream, so the sampler draws that way instead.  A replicate that needs
 more jumps than were drawn up front continues its stream with the block
 draw at a later offset, so every result depends only on (seed, r) and
-not on how replicates are batched.  That lets the sampler size its
-blocks by the draws a replicate needs, not by a fixed replicate count: a
-block holds about ``_PASS_SIZE`` up-front draws (one Philox pass) and at
-least ``_DEFAULT_CHUNK`` replicates, so 6 draws a replicate make 2730-row
-blocks and the numpy call overhead of a pass is paid once per 2730
-replicates, not per 512.  The two diagnostics test the normal limit of
-the cycle-count total and the GEM limit of the normalized ordered cycle
-lengths.
+not on how replicates are batched or how many jumps were drawn up front.
+That lets the sampler do only the work a statistic reads:
+
+- it stops each word after the jumps the statistic reads
+  (``_JUMP_DEPTH``: the first circle for A1, the first two for A2, A*_1
+  and the GEM diagnostic, every circle otherwise);
+- it draws mu + 3 sqrt(mu) + 2 jump uniforms up front, mu = sum h >= E[K]
+  (fewer when the depth is smaller), so only the words in the upper tail
+  of the circle count continue their streams;
+- it sizes a block by its up-front draws, at most ``_CHUNK_DRAWS`` of
+  them and at most ``_PASS_SIZE`` replicates, so either diagnostic with
+  2000 replicates at theta = 1, n = 10^6 is one block and a replicate
+  with 10^6 orientation draws is a block of its own.
+
+The two diagnostics test the normal limit of the cycle-count total and
+the GEM limit of the normalized ordered cycle lengths.
 """
 
 from __future__ import annotations
@@ -46,10 +54,11 @@ _SM64_MIX1 = 0xBF58476D1CE4E5B9
 _SM64_MIX2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
 
-# Fewest replicates in a chunk of _sample.  A chunk holds about
-# _PASS_SIZE draws (see _sample), so only replicates needing at least
-# _PASS_SIZE / _DEFAULT_CHUNK = 32 draws get this few.
-_DEFAULT_CHUNK = 512
+# Most up-front draws in a block of _sample (512 KiB of float64): a block
+# holds _CHUNK_DRAWS // (up-front draws per replicate) replicates, at least 1
+# and at most _PASS_SIZE, so the memory of a block (its draws and the
+# orientation prefix sums of _extract) does not grow with n.
+_CHUNK_DRAWS = 1 << 16
 _MIN_KS_REPS = 500
 
 
@@ -74,9 +83,9 @@ _PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _MASK32 = (1 << 32) - 1
 # rows x counters per Philox pass: each uint64 temporary is at most 128 KiB,
-# and of 2^12 .. 2^18 this size drew a 512 x 512 block fastest.  _sample
-# sizes a chunk to about this many draws, so few draws a replicate still
-# fill a pass.
+# and of 2^12 .. 2^18 this size drew a 512 x 512 block fastest.  It also
+# caps the rows of a block of _sample, so the temporaries of a pass stay at
+# that size.
 _PASS_SIZE = 1 << 14
 # Draws per replicate up to which _sample uses the block draw.  The numpy
 # Philox costs about 40 ns a uniform, a generator 15-25 us to build plus
@@ -104,14 +113,18 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple:
     return hi, x * m
 
 
-def _philox(keys: list, ctr: np.ndarray) -> np.ndarray:
+def _philox(key: tuple, ctr: np.ndarray) -> np.ndarray:
     """(rows, counters, 4) output words of Philox4x64-10 at the counters
-    ``ctr``, the row's round keys being ``keys[r]`` ((rows, 1) word pairs)."""
+    ``ctr``, row r's key being ``key`` ((rows, 1) word pairs), bumped by
+    ``_PHILOX_BUMP`` after each round."""
     # the counter words start as (1, 1) and (1, counters) arrays and
     # broadcast to (rows, counters) within the first three rounds
     zero = np.zeros((1, 1), dtype=np.uint64)
     c0, c1, c2, c3 = ctr[None, :], zero, zero, zero
-    for k0, k1 in keys:
+    k0, k1 = key
+    for r in range(_PHILOX_ROUNDS):
+        if r:  # one round key at a time: all ten take 1.6 MB at 10^4 rows
+            k0, k1 = k0 + _PHILOX_BUMP[0], k1 + _PHILOX_BUMP[1]
         hi0, lo0 = _mulhilo(_PHILOX_MUL[0], c0)
         hi1, lo1 = _mulhilo(_PHILOX_MUL[1], c2)
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
@@ -141,17 +154,13 @@ def replicate_uniforms(seed: int, replicates: np.ndarray, offset: int,
     base = _splitmix64(seed & _MASK64)
     key = (_splitmix64(base + replicates * _SM64_GAMMA)[:, None],
            _splitmix64(replicates ^ base)[:, None])
-    keys = [key]
-    for _ in range(_PHILOX_ROUNDS - 1):
-        key = tuple(k + bump for k, bump in zip(key, _PHILOX_BUMP))
-        keys.append(key)
     out = np.empty((rows, count))
     first, skip = divmod(offset, 4)  # out[:, j] is word 4 * first + skip + j
     blocks = (skip + count + 3) // 4
     step = max(1, _PASS_SIZE // max(rows, 1))
     for b in range(0, blocks, step):
         ctr = np.arange(first + b + 1, first + min(b + step, blocks) + 1, dtype=np.uint64)
-        raw = _philox(keys, ctr).reshape(rows, -1)
+        raw = _philox(key, ctr).reshape(rows, -1)
         lo, hi = max(4 * b - skip, 0), min(4 * (b + ctr.size) - skip, count)
         at = skip - 4 * b
         out[:, lo:hi] = (raw[:, lo + at:hi + at] >> 11) * 2.0**-53
@@ -189,12 +198,13 @@ def log_survival(h: np.ndarray) -> np.ndarray:
 
 
 def _jump_width(kind: ChainKind, h: np.ndarray) -> int:
-    """Jump uniforms drawn up front per replicate: about three times the
-    mean circle count (sum h bounds it), capped by the most circles a word
-    can have."""
+    """Jump uniforms drawn up front per replicate: mu + 3 sqrt(mu) + 2,
+    capped by the most circles a word can have.  mu = sum h is the mean of
+    the Poisson-binomial sum that bounds K (see ``coupling._k_cap``), so
+    few words need more and those continue their own streams."""
     n = h.size - 1
-    most = n // (1 + kind.gap)
-    return min(most, int(3.0 * h[1:].sum()) + 8)
+    mu = float(h[1:].sum())
+    return min(n // (1 + kind.gap), int(mu + 3.0 * math.sqrt(mu)) + 2)
 
 
 def _widen(u: np.ndarray, active: np.ndarray, extend) -> np.ndarray:
@@ -209,13 +219,16 @@ def _widen(u: np.ndarray, active: np.ndarray, extend) -> np.ndarray:
 
 
 def sample_bits(kind: ChainKind, n: int, u: np.ndarray, extend=None,
-                log_surv: np.ndarray | None = None) -> np.ndarray:
+                log_surv: np.ndarray | None = None,
+                depth: int | None = None) -> np.ndarray:
     """The 1-positions of a block of words, one row per replicate.
 
     Row i of ``u`` holds the jump uniforms of replicate i, one per circle.
     The result has shape (rows, K_max): each row lists its 1-positions in
     descending chain index (the closing index of the first-formed circle
-    first), padded with 0; the last 1 of every word is at index 1.  Rows
+    first), padded with 0; the last 1 of every word is at index 1.  With
+    ``depth``, every row stops after its first ``depth`` 1-positions, which
+    are those of the whole word, so K_max is at most ``depth``.  Rows
     needing more jumps than ``u`` has columns get them from
     ``extend(rows, width, count)``, which returns columns width..width +
     count - 1 of those rows' uniform streams, so the words do not depend
@@ -231,39 +244,43 @@ def sample_bits(kind: ChainKind, n: int, u: np.ndarray, extend=None,
     rows = u.shape[0]
     z = np.full(rows, n + 1 - gap)
     active = np.arange(rows)
-    cols = []
-    while active.size:
-        k = len(cols)
+    ones = np.zeros(u.shape, dtype=np.int64)
+    k = 0
+    while active.size and k != depth:
         if k == u.shape[1]:
             u = _widen(u, active, extend)
+            ones = np.concatenate((ones, np.zeros((rows, u.shape[1] - k), np.int64)), axis=1)
         # largest t < z whose survival from z - 1 down to t is below 1 - u
         target = log_surv[z[active]] + np.log1p(-u[active, k])
         t = np.searchsorted(log_surv, target) - 1
-        col = np.zeros(rows, dtype=np.int64)
-        col[active] = t
-        cols.append(col)
+        ones[active, k] = t
         z[active] = t - gap
         active = active[t > 1]
-    return np.stack(cols, axis=1)
+        k += 1
+    return ones[:, :k]
 
 
 def _sample(kind: ChainKind, h: np.ndarray, replicates: range, seed: int, lead: int,
-            chunk: int | None = None):
+            chunk: int | None = None, depth: int | None = None):
     """Yield (offset in ``replicates``, leading draws, 1-positions) per chunk.
 
     Each replicate's stream gives ``lead`` draws for the caller first, then
-    its jump uniforms.  A chunk takes them from one block draw when a
-    replicate needs at most ``_BLOCK_DRAWS``, else from one generator per
-    replicate; a word that needs more jumps than were drawn up front
-    continues its stream with the block draw at a later offset.  A chunk
-    holds ``chunk`` replicates or, by default, enough to draw about
-    ``_PASS_SIZE`` uniforms up front, and at least ``_DEFAULT_CHUNK``.
+    its jump uniforms; with ``depth`` a word stops after its first
+    ``depth`` 1-positions (see ``sample_bits``).  A chunk takes its
+    up-front draws from one block draw when a replicate needs at most
+    ``_BLOCK_DRAWS``, else from one generator per replicate; a word that
+    needs more jumps than were drawn up front continues its stream with
+    the block draw at a later offset.  A chunk holds ``chunk`` replicates
+    or, by default, ``_CHUNK_DRAWS`` over the up-front draws of one, at
+    least 1 and at most ``_PASS_SIZE``.
     """
     n = h.size - 1
     log_surv = log_survival(h)
     width = _jump_width(kind, h)
+    if depth is not None:
+        width = min(width, depth)
     if chunk is None:
-        chunk = max(_DEFAULT_CHUNK, _PASS_SIZE // (lead + width))
+        chunk = max(1, min(_PASS_SIZE, _CHUNK_DRAWS // (lead + width)))
     for start in range(0, len(replicates), chunk):
         reps = replicates[start:start + chunk]
         block = _replicate_numbers(reps)
@@ -277,7 +294,7 @@ def _sample(kind: ChainKind, h: np.ndarray, replicates: range, seed: int, lead: 
         def extend(rows, done, count, block=block):
             return replicate_uniforms(seed, block[rows], lead + done, count)
 
-        ones = sample_bits(kind, n, draws[:, lead:], extend, log_surv)
+        ones = sample_bits(kind, n, draws[:, lead:], extend, log_surv, depth)
         yield start, draws[:, :lead], ones
 
 
@@ -315,6 +332,9 @@ def _extract(statistic: str, ones: np.ndarray, orient: np.ndarray | None,
 
 _STATISTICS = ("K", "Cj", "A1", "A2", "Lambda", "Cstar_j", "Astar1")
 _NEEDS_ORIENT = ("Lambda", "Cstar_j", "Astar1")
+# the jumps (first-formed circles) a statistic reads; the others read all.
+# A*_1 reads the first circle and whether a second one follows.
+_JUMP_DEPTH = {"A1": 1, "A2": 2, "Astar1": 2}
 
 
 def estimate(statistic: str, kind: ChainKind, n: int, reps: int, seed: int,
@@ -351,7 +371,8 @@ def estimate(statistic: str, kind: ChainKind, n: int, reps: int, seed: int,
     lead = n if statistic in _NEEDS_ORIENT else 0
     sample = np.empty(reps)
     h = kind.one_probs(n)
-    for start, draws, ones in _sample(kind, h, range(reps), seed, lead, chunk):
+    depth = _JUMP_DEPTH.get(statistic)
+    for start, draws, ones in _sample(kind, h, range(reps), seed, lead, chunk, depth):
         orient = draws < kappa if lead else None
         sample[start:start + ones.shape[0]] = _extract(
             statistic, ones, orient, n, j, target
@@ -458,7 +479,8 @@ def gem_diagnostic(theta: float, n: int, reps: int, seed: int) -> EstimateReport
     kind = ChainKind.eta(theta)
     a1 = np.empty(reps)
     a2 = np.empty(reps)
-    for start, _, ones in _sample(kind, kind.one_probs(n), range(reps), seed, lead=0):
+    depth = _JUMP_DEPTH["A2"]  # A1 and A2
+    for start, _, ones in _sample(kind, kind.one_probs(n), range(reps), seed, 0, depth=depth):
         rows = slice(start, start + ones.shape[0])
         a1[rows] = _extract("A1", ones, None, n, None, None)
         a2[rows] = _extract("A2", ones, None, n, None, None)

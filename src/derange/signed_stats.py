@@ -21,13 +21,30 @@ from .dist import DistTable
 from .params import ThetaSequence
 
 
-def _binom_pmf(s, m: int, kappa: float):
-    """Binomial(m, kappa) probability of s successes (s an int or an int
-    array), in log space: the coefficient overflows a float from m ~ 1030."""
-    from scipy import special as _sp
+def _log_factorials(m: int) -> np.ndarray:
+    """log k! = math.lgamma(k + 1) for k = 0..m."""
+    return np.fromiter(map(math.lgamma, range(1, m + 2)), float, m + 1)
 
-    return np.exp(_sp.gammaln(m + 1) - _sp.gammaln(s + 1) - _sp.gammaln(m - s + 1)
-                  + _sp.xlogy(s, kappa) + _sp.xlog1py(m - s, -kappa))
+
+def _binom_pmf(s, m: int, kappa: float, log_fact: np.ndarray | None = None):
+    """Binomial(m, kappa) probability of s successes (s an int or an int
+    array), in log space: the coefficient overflows a float from m ~ 1030.
+    ``log_fact`` is ``_log_factorials(m')`` for some m' >= m; without it a
+    scalar s takes its three log factorials from math.lgamma and an array
+    s tabulates them once.  0 log 0 counts as 0, so kappa = 0 and 1 give
+    point masses."""
+    s = np.asarray(s)
+    if log_fact is None and not s.ndim:
+        log_choose = math.lgamma(m + 1) - math.lgamma(s + 1) - math.lgamma(m - s + 1)
+    else:
+        if log_fact is None:
+            log_fact = _log_factorials(m)
+        log_choose = log_fact[m] - log_fact[s] - log_fact[m - s]
+    log_in = math.log(kappa) if kappa > 0.0 else -math.inf
+    log_out = math.log1p(-kappa) if kappa < 1.0 else -math.inf
+    with np.errstate(invalid="ignore"):  # 0 * -inf, replaced by 0
+        return np.exp(log_choose + np.where(s == 0, 0.0, s * log_in)
+                      + np.where(s == m, 0.0, (m - s) * log_out))
 
 
 @dataclass(frozen=True)
@@ -130,9 +147,10 @@ def lambda_total(n: int, kappa: float, k_law: DistTable) -> tuple[DistTable, flo
     if not (0.0 <= kappa <= 1.0):
         raise ValueError("kappa must lie in [0, 1]")
     probs = np.zeros(n + 1)
+    log_fact = _log_factorials(n)
     for k, pk in k_law.items():
         # Lambda_n - k ~ Binomial(n - k, kappa)
-        probs[k:] += _binom_pmf(np.arange(n - k + 1), n - k, kappa) * pk
+        probs[k:] += _binom_pmf(np.arange(n - k + 1), n - k, kappa, log_fact) * pk
     law = DistTable({r: v for r, v in enumerate(probs.tolist()) if v > 0.0}, tol=1e-10)
     return law, law.mean()
 

@@ -1,8 +1,9 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
@@ -235,6 +236,53 @@ def test_words_do_not_depend_on_jump_width():
         sample_bits(kind, n, narrow)
 
 
+@pytest.mark.parametrize("depth", [1, 2, 5])
+def test_one_column_with_extend_gives_the_full_width_words(depth):
+    # depth None is test_words_do_not_depend_on_jump_width
+    kind = ChainKind.eta(4.0)
+    n, reps = 300, 40
+    full = np.array([replicate_rng(3, r).random(_full_width(kind, n)) for r in range(reps)])
+    numbers = np.arange(reps, dtype=np.uint64)
+
+    def extend(rows, width, count):
+        return replicate_uniforms(3, numbers[rows], width, count)
+
+    wide = sample_bits(kind, n, full, depth=depth)
+    assert wide.shape[1] == depth  # some word has more circles
+    assert np.array_equal(sample_bits(kind, n, full[:, :1].copy(), extend, depth=depth), wide)
+
+
+@settings(max_examples=60, deadline=None)
+@given(depth=st.integers(1, 4), lead=st.integers(0, 3), n=st.integers(2, 80),
+       reps=st.integers(1, 200), chunk=st.integers(1, 250), seed=st.integers(0, 2**32))
+def test_jump_depth_keeps_the_first_jumps(depth, lead, n, reps, chunk, seed):
+    kind = ChainKind.eta(2.5)
+    h = kind.one_probs(n)
+    for (_, d1, short), (_, d2, full) in zip(
+            montecarlo._sample(kind, h, range(reps), seed, lead, chunk, depth),
+            montecarlo._sample(kind, h, range(reps), seed, lead, chunk)):
+        assert np.array_equal(d1, d2)
+        assert np.array_equal(short, full[:, :depth])
+
+
+@settings(max_examples=40, deadline=None)
+@given(stat=st.sampled_from(("A1", "A2", "Astar1", "gem")), n=st.integers(2, 60),
+       reps=st.integers(2, 300), chunk=st.one_of(st.none(), st.integers(1, 400)),
+       seed=st.integers(0, 2**32))
+def test_jump_depth_gives_the_full_depth_results(stat, n, reps, chunk, seed):
+    kind = ChainKind.signed(PSequence.eta(1.3), 0.4)
+
+    def run():
+        if stat == "gem":
+            return gem_diagnostic(1.3, n, reps, seed)
+        return estimate(stat, kind, n, reps, seed, target=1, chunk=chunk)
+
+    got = run()
+    # every depth None: the statistics read whole words
+    with mock.patch.dict(montecarlo._JUMP_DEPTH, dict.fromkeys(montecarlo._JUMP_DEPTH)):
+        assert run() == got
+
+
 def test_results_do_not_depend_on_jump_width(monkeypatch):
     # width 1 sends every replicate through the stream continuation, after
     # its orientation or dither draws
@@ -343,15 +391,37 @@ def test_block_draw_count_spanning_several_passes():
 
 
 def test_default_chunk_holds_a_pass_of_draws():
-    def rows(kind, n, lead, reps):
+    def rows(kind, n, lead, reps, depth=None):
         return [ones.shape[0] for _, _, ones in
-                montecarlo._sample(kind, kind.one_probs(n), range(reps), 1, lead)]
+                montecarlo._sample(kind, kind.one_probs(n), range(reps), 1, lead, depth=depth)]
 
+    # mu + 3 sqrt(mu) + 2 jump draws up front, mu = sum h = 1.89 here
     kind = ChainKind.x(PSequence.eta(0.5))
-    assert rows(kind, 12, 0, 6000) == [2730, 2730, 540]  # 6 draws a replicate
-    assert rows(kind, 12, 12, 2000) == [910, 910, 180]  # 18 draws
+    assert montecarlo._jump_width(kind, kind.one_probs(12)) == 6
+    # a block holds _CHUNK_DRAWS // draws replicates
+    assert rows(kind, 12, 0, 40000) == [10922, 10922, 10922, 7234]  # 6 draws a replicate
+    assert rows(kind, 12, 12, 20000) == [3640] * 5 + [1800]  # 18 draws
     signed = ChainKind.signed(PSequence.eta(1.0), 0.5)
-    assert rows(signed, 50, 100, 1100) == [512, 512, 76]  # 119 draws
+    assert rows(signed, 50, 100, 1100) == [590, 510]  # 111 draws
+    # ... and at most _PASS_SIZE: one jump draw for A1
+    assert rows(kind, 12, 0, 20000, depth=1) == [montecarlo._PASS_SIZE, 20000 - montecarlo._PASS_SIZE]
+
+
+def test_a_block_of_long_replicates_is_sized_by_the_budget(monkeypatch):
+    # estimate('Lambda', n = 10**6) draws 10**6 orientations a replicate; a
+    # 512-row block of them would take 4 GB, so only the first block is
+    # drawn, and a block of more than 2 rows stops at its third stream
+    def guarded(seed, rep):
+        assert rep < 2, "the block holds more than 2 replicates"
+        return replicate_rng(seed, rep)
+
+    monkeypatch.setattr(montecarlo, "replicate_rng", guarded)
+    kind, n, lead = ChainKind.eta(1.0), 10**6, 10**6
+    h = kind.one_probs(n)
+    width = montecarlo._jump_width(kind, h)
+    _, draws, ones = next(montecarlo._sample(kind, h, range(600), 5, lead))
+    assert draws.shape[0] == ones.shape[0] == max(1, montecarlo._CHUNK_DRAWS // (lead + width))
+    assert np.array_equal(draws[0], replicate_rng(5, 0).random(lead))
 
 
 @pytest.mark.parametrize("stat, reps, kw", [

@@ -2,6 +2,8 @@ import itertools
 import math
 from collections import Counter
 
+import mpmath
+import numpy as np
 import pytest
 from scipy.stats import binom
 
@@ -15,9 +17,11 @@ from derange.chains import (
     sample_paths,
 )
 from derange.coupling import k_distribution
+from derange.montecarlo import replicate_rng
 from derange.params import PSequence, ThetaSequence
 from derange.signed_stats import (
     OrientationWeights,
+    _binom_pmf,
     cki_distribution,
     cstar_moments,
     lambda_mean_identity,
@@ -47,6 +51,23 @@ def test_omega_at_large_k():
     w = OrientationWeights.binomial(0.5)
     assert omega(1100, 550, w) == pytest.approx(binom.pmf(549, 1099, 0.5), rel=1e-12)
     assert math.fsum(omega(1100, i, w) for i in range(1, 1101)) == pytest.approx(1.0, abs=1e-11)
+
+
+@pytest.mark.parametrize("m", [1, 7, 200, 1029, 1030, 2000])
+@pytest.mark.parametrize("kappa", [0.0, 0.3, 0.5, 0.97, 1.0])
+def test_binom_pmf_matches_mpmath(m, kappa):
+    # from m = 1030 the coefficient C(m, m // 2) overflows a float; kappa
+    # 0 and 1 need 0 log 0 = 0 for their point masses
+    got = _binom_pmf(np.arange(m + 1), m, kappa)
+    with mpmath.workdps(40):
+        k = mpmath.mpf(kappa)
+        want = np.array([float(mpmath.binomial(m, s) * k**s * (1 - k) ** (m - s))
+                         for s in range(m + 1)])
+    normal = want > 1e-290
+    assert np.all(np.abs(got - want) <= 1e-14 * m * want + 1e-300 * ~normal)
+    # a scalar s gives the array's entry
+    for s in (0, m // 3, m):
+        assert _binom_pmf(s, m, kappa) == got[s]
 
 
 def test_omega_leader_always_in():
@@ -222,6 +243,37 @@ def test_generate_signed_circles_match_word():
             idx -= 1
         if r < 3:
             assert generate_signed(n, p, kappa, 8, r) == (word, perm)
+
+
+def _signed_by_loop(bits, draws, n, kappa):
+    """(steps, circles) of one replicate by a walk down its indices (the
+    reference): the stream holds n orientations, then n labeling uniforms."""
+    steps = tuple("1" if b else ("+0" if u < kappa else "-0") for b, u in zip(bits, draws))
+    labels = (np.argsort(draws[n:2 * n]) + 1).tolist()
+    circles, current, above = [], [], "1"  # the virtual 1 above index n
+    for idx in range(n, 0, -1):
+        lab = labels[n - idx]
+        if above == "1":
+            if current:
+                circles.append(tuple(current))
+            current = [lab]  # a circle leader is positive
+        else:
+            current.append(lab if above == "+0" else -lab)
+        above = steps[idx - 1]
+    circles.append(tuple(current))
+    return steps, tuple(circles)
+
+
+@pytest.mark.parametrize("n, seed", [(2, 5), (3, 3), (9, 8), (40, 21), (300, 2)])
+def test_generate_signed_matches_the_index_walk(n, seed):
+    p, kappa = PSequence.eta(1.2), 0.45
+    reps = range(10**6, 10**6 + 60)
+    pairs = generate_signed_many(n, p, kappa, seed, reps)
+    for r, (word, perm) in zip(reps, pairs):
+        draws = replicate_rng(seed, r).random(2 * n)
+        steps, circles = _signed_by_loop(word.projection(), draws, n, kappa)
+        assert (word.steps, perm.circles) == (steps, circles)
+        assert all(type(v) is int for c in perm.circles for v in c)
 
 
 def test_lambda_total_at_large_n():
