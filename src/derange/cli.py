@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import csv as _csv
+import functools
+import io
 import json
 import math
 import os
@@ -39,7 +41,7 @@ from .moments import (
     second_moments,
 )
 from .numerics import NumericsError
-from .params import PSequence, ThetaSequence, conditional_theta
+from .params import PSequence, ThetaSequence, check_theta, conditional_theta
 from .signed_stats import (
     OrientationWeights,
     cki_distribution,
@@ -63,42 +65,33 @@ _DIGITS = 9
 _PLAIN = (int, str, bool, type(None))
 
 
-def _fmt(x):
-    if isinstance(x, np.bool_):
-        return bool(x)
-    if isinstance(x, (float, np.floating)):
-        return float(f"{float(x):.{_DIGITS}g}")
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.ndarray):
-        return [_fmt(v) for v in x.tolist()]
-    return x
-
-
 def _sanitize(x):
+    """x as JSON-ready plain values: dict keys as strings, tuples and numpy
+    arrays as lists, numpy scalars as Python ones, floats rounded to
+    ``_DIGITS`` significant digits, other objects as their ``str``."""
     if type(x) in _PLAIN:
         return x
     if isinstance(x, dict):
         return {str(k): _sanitize(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_sanitize(v) for v in x]
-    out = _fmt(x)
-    if out is x and not isinstance(x, _PLAIN):
-        return str(x)
-    return out
+    if isinstance(x, np.ndarray):
+        return _sanitize(x.tolist())
+    if isinstance(x, (float, np.floating)):
+        return float(f"{float(x):.{_DIGITS}g}")
+    if isinstance(x, (np.integer, np.bool_)):
+        return x.item()
+    return x if isinstance(x, _PLAIN) else str(x)
 
 
 def _theta_seq(args) -> ThetaSequence:
-    fam = getattr(args, "theta_family", "constant") or "constant"
-    if fam == "constant":
-        return ThetaSequence.constant(args.theta)
-    if fam == "eta_star":
+    if args.theta_family == "eta_star":
         return ThetaSequence.eta_star(args.theta)
-    raise ValueError(f"unknown theta family {fam!r}")
+    return ThetaSequence.constant(args.theta)
 
 
 def _p_seq(args) -> PSequence:
-    kind = getattr(args, "kind", "eta") or "eta"
+    kind = args.kind or "eta"
     if kind == "eta":
         return PSequence.eta(args.theta)
     if kind == "eta_tilde":
@@ -151,37 +144,131 @@ QUANTITIES = {
 
 
 # ---------------------------------------------------------------------------
+# quantity registry for `signed`, along the eta chain
+
+def _weights(a) -> OrientationWeights:
+    weights = OrientationWeights.binomial(a.kappa)
+    check_theta(a.theta)  # every signed quantity checks theta, omega too
+    return weights
+
+
+def _eta_provider(a):
+    from . import oracle
+    return oracle.ExactCycleProvider(ChainKind.x(PSequence.eta(a.theta)), a.n)
+
+
+def _lambda(a) -> dict:
+    k_law = k_distribution(ChainKind.x(PSequence.eta(a.theta)), a.n)
+    law, mean = lambda_total(a.n, a.kappa, k_law)
+    return {
+        "mean": mean,
+        "mean_identity": lambda_mean_identity(a.n, a.kappa, k_law.mean()),
+        "law": {str(k): v for k, v in sorted(law.items())},
+    }
+
+
+SIGNED_QUANTITIES = {
+    "omega": lambda a: omega(a.k, a.i, _weights(a)),
+    "cki": lambda a: cki_distribution(a.k, a.i, a.l, a.n,
+                                      _eta_provider(a).c_law(a.k), _weights(a)),
+    "cstar": lambda a: dict(zip(("mean_cstar_j", "cov_cstar_ij"), cstar_moments(
+        a.i, a.j, a.n, _eta_provider(a), _weights(a)))),
+    "lambda": _lambda,
+    "ordered_star": lambda a: ordered_star_prob(
+        tuple(int(v) for v in a.astar.split(",")), a.n, _theta_seq(a), _weights(a)),
+}
+
+
+# ---------------------------------------------------------------------------
+# verification suites for `verify`: each returns (name of its measure, the
+# measure, the tolerance it must stay below)
+
+def _random_p(n: int, rng) -> PSequence:
+    vals = [0.0, 1.0] + list(0.15 + 0.8 * rng.random(max(n - 2, 0)))
+    return PSequence.tabulated(vals, tail_rule="constant")
+
+
+def _suite_conditional(args):
+    from . import oracle
+    from .montecarlo import replicate_rng
+    rng = replicate_rng(args.seed, 0)
+    ps = [_random_p(args.n, rng) for _ in range(args.trials)]
+    tvs = (compare_laws(oracle.exact_law(ChainKind.x(p), args.n),
+                        oracle.conditional_law(args.n, conditional_theta(p))).tv for p in ps)
+    return "max_tv", max(tvs, default=0.0), 1e-12
+
+
+def _suite_pushforward(args):
+    from . import oracle
+    tvs = (compare_laws(oracle.exact_law(ChainKind.x(PSequence.from_theta_pushforward(ts)), args.n),
+                        oracle.pushforward_law(args.n, ts)).tv
+           for ts in (ThetaSequence.constant(0.5), ThetaSequence.constant(1.0),
+                      ThetaSequence.eta_star(0.8)))
+    return "max_tv", max(tvs), 1e-12
+
+
+def _suite_tv(args):
+    gaps = (abs(tv_prefix(m, p, "theorem") - tv_prefix(m, p, "direct"))
+            for p in (PSequence.eta(0.5), PSequence.eta(1.0)) for m in range(3, args.n + 1))
+    return "max_gap", max(gaps, default=0.0), 1e-12
+
+
+def _suite_pgf(args):
+    ts = ThetaSequence.eta_star(0.7)
+    gaps = []
+    for m in (6, 12):
+        for kind in (ChainKind.x(PSequence.from_theta_conditional(ts)), ChainKind.y(ts)):
+            law = k_distribution(kind, m)
+            gaps += [abs(pgf_k(kind, s, m) - math.fsum(pk * s**k for k, pk in law.items()))
+                     for s in (0.25, 0.5, 1.0, 1.5, 2.0)]
+    return "max_gap", max(gaps), 1e-10
+
+
+def _suite_variance(args):
+    from . import oracle
+    p = PSequence.eta(0.5)
+    gaps = (abs(second_moments(args.n, j, p) - oracle.dp_moments(
+        ChainKind.x(p), args.n, targets=("var_cj",), j=j)["var_cj"]) for j in (2, 3, 4))
+    return "max_gap", max(gaps), 1e-10
+
+
+SUITES = {
+    "conditional": _suite_conditional,
+    "pushforward": _suite_pushforward,
+    "tv": _suite_tv,
+    "pgf": _suite_pgf,
+    "variance": _suite_variance,
+}
+
+
+# ---------------------------------------------------------------------------
 # output
 
 def emit_report(results, fmt: str, config: dict, stream=None) -> None:
-    stream = stream or sys.stdout
+    """Write the report in one piece: JSON on one line, or CSV (columns are
+    the union of the rows' keys, in order of first appearance) or text
+    after a comment line echoing the configuration."""
     results = _sanitize(results)
-    payload = {"config": config, "version": __version__, "results": results}
+    header = {"config": config, "version": __version__}
+    rows = results if isinstance(results, list) else [results]
     if fmt == "json":
-        json.dump(payload, stream, indent=2)
-        stream.write("\n")
-        return
-    if fmt == "csv":
-        rows = results if isinstance(results, list) else [results]
+        text = json.dumps({**header, "results": results}) + "\n"
+    elif fmt == "csv":
         rows = [r if isinstance(r, dict) else {"value": r} for r in rows]
-        stream.write("# " + json.dumps({"config": config, "version": __version__}) + "\n")
-        writer = _csv.DictWriter(stream, fieldnames=list(rows[0].keys()))
+        buf = io.StringIO()
+        buf.write(f"# {json.dumps(header)}\n")
+        writer = _csv.DictWriter(buf, fieldnames=list(dict.fromkeys(k for r in rows for k in r)))
         writer.writeheader()
-        for r in rows:
-            writer.writerow({k: _fmt(v) for k, v in r.items()})
-        return
-    if fmt == "text":
-        stream.write(f"# config: {json.dumps(config)} (version {__version__})\n")
-        rows = results if isinstance(results, list) else [results]
-        for r in rows:
-            if isinstance(r, dict):
-                stream.write(
-                    "  ".join(f"{k}={_fmt(v)}" for k, v in r.items()) + "\n"
-                )
-            else:
-                stream.write(f"{_fmt(r)}\n")
-        return
-    raise ValueError(f"unknown format {fmt!r}")
+        writer.writerows(rows)
+        text = buf.getvalue()
+    elif fmt == "text":
+        lines = [f"# config: {json.dumps(config)} (version {__version__})"]
+        lines += ["  ".join(f"{k}={v}" for k, v in r.items()) if isinstance(r, dict)
+                  else str(r) for r in rows]
+        text = "\n".join(lines) + "\n"
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    (stream or sys.stdout).write(text)
 
 
 def _config_echo(args) -> dict:
@@ -194,17 +281,13 @@ def _config_echo(args) -> dict:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_exact(args) -> int:
-    fn = QUANTITIES.get(args.quantity)
+def _cmd_quantity(registry: dict, args) -> int:
+    fn = registry.get(args.quantity)
     if fn is None:
-        print(
-            f"unknown quantity {args.quantity!r}; known: "
-            + ", ".join(sorted(QUANTITIES)),
-            file=sys.stderr,
-        )
+        print(f"unknown quantity {args.quantity!r}; known: " + ", ".join(sorted(registry)),
+              file=sys.stderr)
         return EXIT_UNKNOWN
-    result = fn(args)
-    emit_report(result, args.format, _config_echo(args))
+    emit_report(fn(args), args.format, _config_echo(args))
     return EXIT_OK
 
 
@@ -253,85 +336,20 @@ def _cmd_table2(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    suites = (
-        ["conditional", "pushforward", "tv", "pgf", "variance"]
-        if args.suite == "all" else [args.suite]
-    )
     results = []
-    ok = True
-    for suite in suites:
-        res = _run_suite(suite, args)
-        results.append(res)
-        ok = ok and res["passed"]
+    for suite in (SUITES if args.suite == "all" else [args.suite]):
+        measure, worst, tol = SUITES[suite](args)
+        results.append({"suite": suite, measure: worst, "passed": bool(worst < tol)})
     emit_report(results, args.format, _config_echo(args))
-    return EXIT_OK if ok else EXIT_FAIL
-
-
-def _random_p(n: int, rng) -> PSequence:
-    vals = [0.0, 1.0] + list(0.15 + 0.8 * rng.random(max(n - 2, 0)))
-    return PSequence.tabulated(vals, tail_rule="constant")
-
-
-def _run_suite(suite: str, args) -> dict:
-    from . import oracle
-    n = args.n
-    tol = 1e-12
-    if suite == "conditional":
-        from .montecarlo import replicate_rng
-        rng = replicate_rng(args.seed, 0)
-        worst = 0.0
-        for _ in range(args.trials):
-            p = _random_p(n, rng)
-            law_x = oracle.exact_law(ChainKind.x(p), n)
-            law_c = oracle.conditional_law(n, conditional_theta(p))
-            worst = max(worst, compare_laws(law_x, law_c).tv)
-        return {"suite": suite, "max_tv": worst, "passed": bool(worst < tol)}
-    if suite == "pushforward":
-        worst = 0.0
-        for theta_seq in (ThetaSequence.constant(0.5), ThetaSequence.constant(1.0),
-                          ThetaSequence.eta_star(0.8)):
-            p = PSequence.from_theta_pushforward(theta_seq)
-            law_x = oracle.exact_law(ChainKind.x(p), n)
-            law_pf = oracle.pushforward_law(n, theta_seq)
-            worst = max(worst, compare_laws(law_x, law_pf).tv)
-        return {"suite": suite, "max_tv": worst, "passed": bool(worst < tol)}
-    if suite == "tv":
-        worst = 0.0
-        for theta in (0.5, 1.0):
-            p = PSequence.eta(theta)
-            for m in range(3, n + 1):
-                gap = abs(tv_prefix(m, p, "theorem") - tv_prefix(m, p, "direct"))
-                worst = max(worst, gap)
-        return {"suite": suite, "max_gap": worst, "passed": bool(worst < tol)}
-    if suite == "pgf":
-        worst = 0.0
-        ts = ThetaSequence.eta_star(0.7)
-        for m in (6, 12):
-            for kind in (ChainKind.x(PSequence.from_theta_conditional(ts)), ChainKind.y(ts)):
-                law = k_distribution(kind, m)
-                for s in (0.25, 0.5, 1.0, 1.5, 2.0):
-                    direct = math.fsum(pk * s**k for k, pk in law.items())
-                    worst = max(worst, abs(pgf_k(kind, s, m) - direct))
-        return {"suite": suite, "max_gap": worst, "passed": bool(worst < 1e-10)}
-    if suite == "variance":
-        worst = 0.0
-        p = PSequence.eta(0.5)
-        for j in (2, 3, 4):
-            disp = second_moments(n, j, p)
-            dp = oracle.dp_moments(ChainKind.x(p), n, targets=("var_cj",), j=j)["var_cj"]
-            worst = max(worst, abs(disp - dp))
-        return {"suite": suite, "max_gap": worst, "passed": bool(worst < 1e-10)}
-    raise ValueError(f"unknown suite {suite!r}")
+    return EXIT_OK if all(r["passed"] for r in results) else EXIT_FAIL
 
 
 def _cmd_diagnose(args) -> int:
     from .montecarlo import clt_diagnostic, gem_diagnostic
     if args.which == "clt":
         rep = clt_diagnostic(PSequence.eta(args.theta), args.n, args.reps, args.seed)
-    elif args.which == "gem":
-        rep = gem_diagnostic(args.theta, args.n, args.reps, args.seed)
     else:
-        raise ValueError(f"unknown diagnostic {args.which!r}")
+        rep = gem_diagnostic(args.theta, args.n, args.reps, args.seed)
     result = {
         "statistic": rep.statistic, "mean": rep.mean,
         "std_error": rep.std_error, "ks_stat": rep.ks_stat,
@@ -339,44 +357,6 @@ def _cmd_diagnose(args) -> int:
     }
     emit_report(result, args.format, _config_echo(args))
     return EXIT_OK if (rep.p_value is None or rep.p_value > args.alpha) else EXIT_FAIL
-
-
-def _cmd_signed(args) -> int:
-    from . import oracle
-    w = OrientationWeights.binomial(args.kappa)
-    p = PSequence.eta(args.theta)
-    quantity = args.quantity
-    if quantity == "omega":
-        result = omega(args.k, args.i, w)
-    elif quantity == "cki":
-        provider = oracle.ExactCycleProvider(ChainKind.x(p), args.n)
-        result = cki_distribution(args.k, args.i, args.l, args.n,
-                                 provider.c_law(args.k), w)
-    elif quantity == "cstar":
-        provider = oracle.ExactCycleProvider(ChainKind.x(p), args.n)
-        mean, cov = cstar_moments(args.i, args.j, args.n, provider, w)
-        result = {"mean_cstar_j": mean, "cov_cstar_ij": cov}
-    elif quantity == "lambda":
-        k_law = k_distribution(ChainKind.x(p), args.n)
-        law, mean = lambda_total(args.n, args.kappa, k_law)
-        result = {
-            "mean": mean,
-            "mean_identity": lambda_mean_identity(args.n, args.kappa, k_law.mean()),
-            "law": {str(k): v for k, v in sorted(law.items())},
-        }
-    elif quantity == "ordered_star":
-        ts = _theta_seq(args)
-        astar = tuple(int(v) for v in args.astar.split(","))
-        result = ordered_star_prob(astar, args.n, ts, w)
-    else:
-        print(
-            f"unknown quantity {quantity!r}; known: omega, cki, cstar, "
-            "lambda, ordered_star",
-            file=sys.stderr,
-        )
-        return EXIT_UNKNOWN
-    emit_report(result, args.format, _config_echo(args))
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=float, default=1.0)
     sp.add_argument("--method", default=None)
     common(sp, seed=False)
-    sp.set_defaults(func=_cmd_exact)
+    sp.set_defaults(func=functools.partial(_cmd_quantity, QUANTITIES))
 
     sp = sub.add_parser("sample", help="draw chain words")
     sp.add_argument("--kind", default="eta",
@@ -436,8 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run oracle certification suites")
     sp.add_argument("--suite", default="all",
-                    choices=("conditional", "pushforward", "tv", "pgf",
-                             "variance", "all"))
+                    choices=(*SUITES, "all"))
     sp.add_argument("--trials", type=int, default=5)
     common(sp)
     sp.set_defaults(func=_cmd_verify)
@@ -458,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--l", type=int, default=0)
     sp.add_argument("--astar", default="1")
     common(sp, seed=False)
-    sp.set_defaults(func=_cmd_signed)
+    sp.set_defaults(func=functools.partial(_cmd_quantity, SIGNED_QUANTITIES))
 
     return parser
 

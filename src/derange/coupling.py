@@ -24,7 +24,7 @@ import numpy as np
 from .chains import ChainKind
 from .dist import DistTable
 from .numerics import NumericsError, beta_fn
-from .params import PSequence, ThetaSequence, conditional_theta
+from .params import PSequence, ThetaSequence, check_theta, conditional_theta
 
 
 def g_values(thetaseq: ThetaSequence, n: int) -> list[float]:
@@ -89,17 +89,24 @@ def delta_roots(theta: float):
 
 def delta_n(theta: float, theta2star: float = 1.0, n=None) -> float:
     """Closed form for gamma_n along the eta_star family; n = math.inf gives
-    the Beta-function limit."""
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+    the Beta-function limit.  A value that is not finite (theta near the
+    float range) raises NumericsError."""
+    check_theta(theta)
     if not (0 < theta2star <= 1):
         raise ValueError("theta2star must lie in (0, 1]")
     if n is None:
         raise ValueError("n required (integer or math.inf)")
     if n == math.inf:
         z1, z2 = delta_roots(theta)
-        return (theta * theta + theta + 2.0) * beta_fn(z1, z2) / (1.0 + theta2star)
-    n = int(n)
+        value = (theta * theta + theta + 2.0) * beta_fn(z1, z2) / (1.0 + theta2star)
+    else:
+        value = _delta_finite(theta, theta2star, int(n))
+    if not math.isfinite(value):
+        raise NumericsError(f"delta_n at theta = {theta!r} is {value!r}")
+    return value
+
+
+def _delta_finite(theta: float, theta2star: float, n: int) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
@@ -194,8 +201,8 @@ def pgf_k(kind: ChainKind, s: float, n: int) -> float:
     """E[s^K] in closed form: a ratio of bracket products for the coin
     chain, times gamma_n(s theta)/gamma_n(theta) under a gap, since the
     chain is then the coin chain given Delta_n."""
-    if s < 0:
-        raise ValueError("s must be nonnegative")
+    if not (math.isfinite(s) and s >= 0):
+        raise ValueError("s must be nonnegative and finite")
     kind.check_horizon(n)
     if s == 0.0:
         return 0.0  # K >= 1 always

@@ -24,7 +24,7 @@ from .chains import ChainKind
 from .coupling import delta_n, delta_roots
 from .moments import lambda_esf
 from .numerics import AccuracySpec, DEFAULT_ACC, NumericsError, beta_fn, kummer_m
-from .params import PSequence, ThetaSequence, conditional_theta
+from .params import PSequence, ThetaSequence, check_theta, conditional_theta
 
 # Probe horizons: the heavyweight context probe and the lightweight
 # cached check used on every phi evaluation.
@@ -307,7 +307,6 @@ def gamma_inf(i: int, thetaseq: ThetaSequence,
     # removes the leading powers of 1/N.
     horizon = max(4 * i, 1024)
     sweeps = [_gamma_inf_backward(i, thetaseq, horizon)]
-    table = [sweeps[:]]
     prev_best = sweeps[0]
     while True:
         horizon *= 2
@@ -337,8 +336,7 @@ def delta_i_inf(theta: float, i: int, theta2star: float = 1.0,
                 acc: AccuracySpec = DEFAULT_ACC) -> float:
     """gamma_{i,inf} along the eta_star family, in closed form where one
     exists (i = 2 and i >= 4) and by backward recursion at i = 3."""
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+    check_theta(theta)
     if i < 2:
         raise ValueError("index must be >= 2")
     if i == 2:

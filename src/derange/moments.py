@@ -32,7 +32,7 @@ from .numerics import (
     integrate,
     rising_factorial,
 )
-from .params import PSequence
+from .params import PSequence, check_theta
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,7 @@ def mean_k(n: int, p: PSequence) -> float:
 
 def mean_k_eta(n: int, theta: float) -> float:
     """Closed form for E[K_n] under the eta chain."""
+    check_theta(theta)
     if n < 2:
         raise ValueError("n must be >= 2")
     if n in (2, 3):
@@ -85,10 +86,9 @@ def mean_k_eta(n: int, theta: float) -> float:
         terms.append(theta / (theta + i - 1))
     for i in range(3, n - 1):
         # alternating tail in j with ratio -theta/(theta+i-2+j); truncate
-        # once the term can no longer move the fsum
-        t = -theta * theta / (
-            (theta + i - 1.0) * (theta + i)
-        )  # j = 2 term with sign (-1)^{j+1}
+        # once the term can no longer move the fsum.  The j = 2 term (sign
+        # (-1)^{j+1}) is a product of two ratios, so theta^2 cannot overflow
+        t = -(theta / (theta + i - 1.0)) * (theta / (theta + i))
         for j in range(2, n - i + 1):
             terms.append(t)
             if abs(t) < 1e-18:
@@ -112,8 +112,7 @@ def mean_k_eta_limit(theta: float, m: int = 3, method: str = "series",
     a-bar_{2m}); 'integral' (tail resummed as a double integral); 'pfq'
     (tail as a 2F2 evaluation).  All agree within combined tolerances.
     """
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+    check_theta(theta)
     head = 1.0 - theta * harmonic_h(theta + 1.0) + theta * EULER_GAMMA
     if method == "series":
         tail = math.fsum((-1) ** j * eta_abar(theta, j) for j in range(1, 2 * m))
@@ -163,6 +162,7 @@ def mean_cj(n: int, j: int, p: PSequence) -> float:
 
 def mean_cj_eta(n: int, j: int, theta: float) -> float:
     """Closed form for E[C_j(n)] under the eta chain."""
+    check_theta(theta)
     if n < 2:
         raise ValueError("n must be >= 2")
     if j < 2:
@@ -213,8 +213,7 @@ def mean_cj_eta_limit(theta: float, j: int, method: str = "series", m: int = 2,
     """
     if j < 2:
         raise ValueError("j must be >= 2")
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+    check_theta(theta)
     if method == "series":
         coef = theta
         if j >= 3:
@@ -327,8 +326,7 @@ def lambda_esf(n: int, theta: float) -> float:
 
     Every term is nonnegative, so large theta loses nothing to the
     cancellation of the alternating sum over fixed points."""
-    if not (math.isfinite(theta) and theta > 0):
-        raise ValueError("theta must be positive and finite")
+    check_theta(theta)
     if n < 1:
         raise ValueError("n must be >= 1")
     prev, cur = 1.0, 0.0

@@ -212,14 +212,11 @@ def dp_moments(kind: ChainKind, n: int, targets=("mean_k",), j: int | None = Non
     if any(t in targets for t in ("mean_cj", "mean_cj_sq", "var_cj")):
         if j is None:
             raise ValueError("targets involving C_j need j")
-        r_full = _pattern_probs_dp(rows, n, j)
-        mean_cj = math.fsum(r_full.values())
+        mean_cj = math.fsum(_pattern_probs_dp(rows, n, j).values())
         out["mean_cj"] = mean_cj
         if "mean_cj_sq" in targets or "var_cj" in targets:
-            # E[C_j^2] = E[C_j] + 2 sum_{u > v} P(cycles end at u and v)
-            e_sq = mean_cj + 2.0 * _renewal_sum(rows, r_full, j, j)
-            out["mean_cj_sq"] = e_sq
-            out["var_cj"] = e_sq - mean_cj * mean_cj
+            out["var_cj"] = _cov_cycle_counts(rows, n, j, j)
+            out["mean_cj_sq"] = out["var_cj"] + mean_cj * mean_cj
     if "cov_cij" in targets:
         if i is None or j is None:
             raise ValueError("cov_cij needs i and j")
@@ -232,6 +229,7 @@ def _cov_cycle_counts(rows: list, n: int, a: int, b: int) -> float:
     r_a = _pattern_probs_dp(rows, n, a)
     mean_a = math.fsum(r_a.values())
     if a == b:
+        # E[C_a^2] = E[C_a] + 2 sum_{u > v} P(a-cycles end at u and v)
         e_sq = mean_a + 2.0 * _renewal_sum(rows, r_a, a, a)
         return e_sq - mean_a * mean_a
     r_b = _pattern_probs_dp(rows, n, b)

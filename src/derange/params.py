@@ -27,6 +27,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+
+def check_theta(theta: float) -> None:
+    """Raise ValueError unless theta is a positive finite number."""
+    if not (math.isfinite(theta) and theta > 0):
+        raise ValueError("theta must be positive and finite")
+
+
 _CHUNK = 1 << 14  # indices per evaluator call in values(n): bounds its temporaries
 
 
@@ -113,16 +120,14 @@ class ThetaSequence:
 
     @classmethod
     def constant(cls, theta: float, theta2: float | None = None) -> "ThetaSequence":
-        if theta <= 0:
-            raise ValueError("theta must be positive")
+        check_theta(theta)
         t2 = theta if theta2 is None else theta2
         return cls("constant", lambda i: theta, theta2=t2, label=f"constant({theta})")
 
     @classmethod
     def eta_star(cls, theta: float, theta2: float = 1.0) -> "ThetaSequence":
         """The sequence for which conditioning reproduces the playground chain."""
-        if theta <= 0:
-            raise ValueError("theta must be positive")
+        check_theta(theta)
         if not (0 < theta2 <= 1):
             raise ValueError("theta2 must lie in (0, 1]")
 
@@ -229,8 +234,7 @@ class PSequence:
     @classmethod
     def eta(cls, theta: float) -> "PSequence":
         """p_i = (i-1)/(theta+i-1), the playground-game chain."""
-        if theta <= 0:
-            raise ValueError("theta must be positive")
+        check_theta(theta)
         seq = cls(lambda i: (i - 1) / (theta + i - 1), family="eta", label=f"eta({theta})")
         seq.theta = theta
         return seq

@@ -20,6 +20,8 @@ from derange.cli import (
     EXIT_OK,
     EXIT_UNKNOWN,
     QUANTITIES,
+    SIGNED_QUANTITIES,
+    SUITES,
     run_command,
 )
 
@@ -139,6 +141,29 @@ def test_signed_quantities(capsys):
     assert "ordered_star" in err
 
 
+def test_signed_unknown_quantity_lists_the_table(capsys):
+    code, out, err = run(capsys, "signed", "--quantity", "nope", "--format", "json")
+    assert code == EXIT_UNKNOWN and out == ""
+    assert err.strip().endswith("known: " + ", ".join(sorted(SIGNED_QUANTITIES)))
+
+
+def test_verify_all_as_csv(capsys):
+    # the conditional and push-forward suites report max_tv, the others
+    # max_gap: the columns are the union of the rows' keys
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--n", "8", "--format", "csv")
+    assert code == EXIT_OK
+    header, *rows = [ln for ln in out.splitlines() if not ln.startswith("#")]
+    assert header == "suite,max_tv,passed,max_gap"
+    assert [r.split(",")[0] for r in rows] == list(SUITES) and len(rows) == 5
+
+
+def test_json_report_is_one_line(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--n", "8", "--format", "json")
+    assert code == EXIT_OK
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert [r["suite"] for r in json.loads(out)["results"]] == list(SUITES)
+
+
 def test_config_echoed_everywhere(capsys):
     for argv in (
         ("exact", "--quantity", "phi", "--i", "4", "--format", "json"),
@@ -198,6 +223,22 @@ def test_sample_rejects_nonpositive_reps(capsys, reps, fmt):
 def test_lambda_esf_rejects_nonpositive_theta(capsys, theta):
     code, out, err = run(capsys, "exact", "--quantity", "lambda_esf", "--n", "2",
                          "--theta", theta, "--format", "json")
+    assert code == EXIT_GUARD
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("delta_n", "--theta", "nan", "--n", "5"),
+    ("delta_n", "--theta", "1e200", "--n", "10"),
+    ("delta_n", "--theta", "inf", "--n", "0"),
+    ("mean_k_eta", "--theta", "nan", "--n", "5"),
+    ("mean_cj_eta", "--theta", "nan", "--n", "5", "--j", "5"),
+    ("pgf_k", "--s", "inf", "--n", "5"),
+    ("gamma_n", "--theta", "inf", "--n", "10"),
+])
+def test_exact_rejects_non_finite_values(capsys, argv):
+    code, out, err = run(capsys, "exact", "--quantity", *argv, "--format", "json")
     assert code == EXIT_GUARD
     assert out == ""
     assert err.startswith("error:")

@@ -316,3 +316,16 @@ def test_erase11_rejects_items_outside_the_alphabet(bad):
         erase11((1, bad, 1, 0), 4)
     with pytest.raises(ValueError, match="0/1 word"):
         erase11((1, 0, bad, 0), math.inf)
+
+
+def test_pgf_and_delta_reject_non_finite_values():
+    with pytest.raises(ValueError, match="s must be nonnegative and finite"):
+        pgf_k(ChainKind.x(PSequence.eta(1.0)), math.inf, 5)
+    with pytest.raises(ValueError, match="s must be nonnegative and finite"):
+        pgf_k(ChainKind.y(ThetaSequence.constant(1.0)), math.nan, 5)
+    for n in (10, math.inf):
+        with pytest.raises(ValueError, match="theta must be positive and finite"):
+            delta_n(math.nan, n=n)
+        # theta^2 overflows: the value would be nan
+        with pytest.raises(NumericsError):
+            delta_n(1e200, n=n)

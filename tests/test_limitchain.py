@@ -111,6 +111,18 @@ def test_gamma_inf_at_theta_100_from_the_cli(capsys):
     assert json.loads(capsys.readouterr().out)["results"] > 0.0
 
 
+def test_gamma_inf_with_a_probed_context():
+    ts = ThetaSequence.eta_star(0.5)
+    ctx = LimitContext.probe(thetaseq=ts, horizon=10**4)
+    assert gamma_inf(3, ts, context=ctx) == gamma_inf(3, ts)
+    # c_i ~ i^-0.7: sum c_i c_{i+1} reads as divergent, so gamma_{i,inf} = 0
+    holst = ThetaSequence.holst(1.0, 2.0, 0.7)
+    failing = LimitContext.probe(thetaseq=holst, horizon=10**4)
+    assert failing.flags["eqcond2"] is False
+    with pytest.raises(ValueError, match="eqcond2"):
+        gamma_inf(3, holst, context=failing)
+
+
 def test_gamma_inf_raises_rather_than_return_zero(monkeypatch):
     monkeypatch.setattr(limitchain, "_gamma_inf_backward", lambda i, ts, horizon: 0.0)
     with pytest.raises(NumericsError):

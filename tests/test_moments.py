@@ -255,6 +255,24 @@ def test_lambda_esf_rejects_theta_outside_the_positive_reals(theta):
             lambda_esf(n, theta)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, 0.0])
+def test_eta_closed_forms_reject_theta_outside_the_positive_reals(theta):
+    # j = n and n < j return before the eta sequence is built
+    for call in (lambda: mean_cj_eta(5, 5, theta), lambda: mean_cj_eta(5, 7, theta),
+                 lambda: mean_k_eta(5, theta), lambda: mean_k(5, PSequence.eta(theta)),
+                 lambda: mean_cj_eta_limit(theta, 3)):
+        with pytest.raises(ValueError, match="theta must be positive and finite"):
+            call()
+
+
+def test_mean_k_eta_at_theta_near_the_float_range():
+    # theta^2 overflows at 1e200; the closed form takes the product of two
+    # ratios instead
+    for n in (10, 40):
+        assert mean_k_eta(n, 1e200) == pytest.approx(mean_k(n, PSequence.eta(1e200)),
+                                                      rel=1e-12)
+
+
 def test_cov_eta_at_large_n():
     # P(bit_i = bit_j = 1) - m_i m_j from the transition rows: the chain
     # runs down from j, so propagate from a 1 at j to index i

@@ -185,6 +185,12 @@ def test_package_import_leaves_scipy_unloaded():
     ["table1"],
     ["exact", "--quantity", "delta_n", "--n", "50", "--theta", "0.5"],
     ["exact", "--quantity", "mean_cj_eta", "--n", "7", "--j", "7", "--theta", "0.5"],
+    ["signed", "--quantity", "omega"],
+    ["signed", "--quantity", "cki", "--n", "8"],
+    ["signed", "--quantity", "cstar", "--n", "8"],
+    ["signed", "--quantity", "lambda", "--n", "10"],
+    ["signed", "--quantity", "ordered_star", "--astar", "1,2", "--n", "8"],
+    ["verify", "--suite", "all", "--n", "8"],
 ])
 def test_commands_leave_special_functions_unloaded(argv):
     code = ("import contextlib, io, sys; from derange import cli\n"

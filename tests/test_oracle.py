@@ -88,9 +88,13 @@ def test_dp_cov_vs_enumeration():
     kind = ChainKind.x(p)
     n = 10
     enum = oracle.enumeration_moments(kind, n, j_max=6)
-    for i, j in [(2, 3), (2, 4), (3, 5)]:
+    for i, j in [(2, 3), (2, 4), (3, 5), (2, 2), (3, 3), (5, 5)]:
         d = oracle.dp_moments(kind, n, targets=("cov_cij",), j=j, i=i)
         assert d["cov_cij"] == pytest.approx(enum["cov_c"][i][j], abs=1e-12)
+    # Var(C_j) is the i = j covariance
+    for j in (2, 3, 5):
+        d = oracle.dp_moments(kind, n, targets=("var_cj", "cov_cij"), j=j, i=j)
+        assert d["var_cj"] == d["cov_cij"]
 
 
 def test_exact_cycle_provider():
