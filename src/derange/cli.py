@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -360,7 +361,65 @@ def _cmd_diagnose(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: one entry per command, built alone or as a subparser of the full one
+
+class Command(NamedTuple):
+    help: str
+    func: Callable[[argparse.Namespace], int]
+    args: tuple = ()  # (flag, add_argument keywords), before the common ones
+    seed: bool = True  # takes --seed, whose default is DERANGE_SEED
+    theta: float = 1.0  # the default of --theta
+
+
+COMMANDS = {
+    "exact": Command("evaluate a named quantity", functools.partial(_cmd_quantity, QUANTITIES), (
+        ("--quantity", dict(required=True)), ("--kind", dict(default=None)),
+        ("--j", dict(type=int, default=2)), ("--i", dict(type=int, default=3)),
+        ("--m", dict(type=int, default=2)), ("--s", dict(type=float, default=1.0)),
+        ("--method", dict(default=None))), seed=False),
+    "sample": Command("draw chain words", _cmd_sample, (
+        ("--kind", dict(default="eta",
+                        choices=("eta", "eta_tilde", "cond", "push", "y", "signed"))),
+        ("--reps", dict(type=int, default=1)), ("--kappa", dict(type=float, default=0.5)))),
+    "table1": Command("limit of E[C_j] along the eta chain", _cmd_table1, (
+        ("--m", dict(type=int, default=2)), ("--rounded", dict(action="store_true"))),
+        seed=False, theta=0.5),
+    "table2": Command("Var(C_j(n)) along the eta chain", _cmd_table2, (
+        ("--rounded", dict(action="store_true")),), seed=False, theta=0.5),
+    "verify": Command("run oracle certification suites", _cmd_verify, (
+        ("--suite", dict(default="all", choices=(*SUITES, "all"))),
+        ("--trials", dict(type=int, default=5)))),
+    "diagnose": Command("asymptotic statistical diagnostics", _cmd_diagnose, (
+        ("--which", dict(required=True, choices=("clt", "gem"))),
+        ("--reps", dict(type=int, default=2000)), ("--alpha", dict(type=float, default=0.001)))),
+    "signed": Command("signed-model quantities",
+                      functools.partial(_cmd_quantity, SIGNED_QUANTITIES), (
+        ("--quantity", dict(required=True)), ("--kappa", dict(type=float, default=0.5)),
+        ("--k", dict(type=int, default=2)), ("--i", dict(type=int, default=1)),
+        ("--j", dict(type=int, default=1)), ("--l", dict(type=int, default=0)),
+        ("--astar", dict(default="1"))), seed=False),
+}
+
+
+def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """parser with the arguments and defaults of command ``name``."""
+    cmd = COMMANDS[name]
+    parser.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    for flag, kw in cmd.args:
+        parser.add_argument(flag, **kw)
+    parser.add_argument("--theta", type=float, default=cmd.theta)
+    parser.add_argument("--theta-family", choices=("constant", "eta_star"), default="constant")
+    parser.add_argument("--n", type=int, default=10)
+    if cmd.seed:
+        parser.add_argument("--seed", type=int, default=int(os.environ.get("DERANGE_SEED", "0")))
+    parser.set_defaults(command=name, func=cmd.func)
+    return parser
+
+
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of command ``name`` alone, as the full parser's subparser."""
+    return _add_command(argparse.ArgumentParser(prog=f"derange {name}"), name)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -368,83 +427,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Biased random derangement chains: exact laws, moments, "
                     "couplings, limits, verification.",
     )
-    default_seed = int(os.environ.get("DERANGE_SEED", "0"))
-    fmt_parent = argparse.ArgumentParser(add_help=False)
-    fmt_parent.add_argument("--format", choices=("json", "csv", "text"),
-                            default="text")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=lambda **kw: argparse.ArgumentParser(
-                                    parents=[fmt_parent], **kw))
-
-    def common(sp, seed=True):
-        sp.add_argument("--theta", type=float, default=1.0)
-        sp.add_argument("--theta-family", choices=("constant", "eta_star"),
-                        default="constant")
-        sp.add_argument("--n", type=int, default=10)
-        if seed:
-            sp.add_argument("--seed", type=int, default=default_seed)
-
-    sp = sub.add_parser("exact", help="evaluate a named quantity")
-    sp.add_argument("--quantity", required=True)
-    sp.add_argument("--kind", default=None)
-    sp.add_argument("--j", type=int, default=2)
-    sp.add_argument("--i", type=int, default=3)
-    sp.add_argument("--m", type=int, default=2)
-    sp.add_argument("--s", type=float, default=1.0)
-    sp.add_argument("--method", default=None)
-    common(sp, seed=False)
-    sp.set_defaults(func=functools.partial(_cmd_quantity, QUANTITIES))
-
-    sp = sub.add_parser("sample", help="draw chain words")
-    sp.add_argument("--kind", default="eta",
-                    choices=("eta", "eta_tilde", "cond", "push", "y", "signed"))
-    sp.add_argument("--reps", type=int, default=1)
-    sp.add_argument("--kappa", type=float, default=0.5)
-    common(sp)
-    sp.set_defaults(func=_cmd_sample)
-
-    sp = sub.add_parser("table1", help="limit of E[C_j] along the eta chain")
-    sp.add_argument("--m", type=int, default=2)
-    sp.add_argument("--rounded", action="store_true")
-    common(sp, seed=False)
-    sp.set_defaults(func=_cmd_table1, theta=0.5)
-
-    sp = sub.add_parser("table2", help="Var(C_j(n)) along the eta chain")
-    sp.add_argument("--rounded", action="store_true")
-    common(sp, seed=False)
-    sp.set_defaults(func=_cmd_table2, theta=0.5)
-
-    sp = sub.add_parser("verify", help="run oracle certification suites")
-    sp.add_argument("--suite", default="all",
-                    choices=(*SUITES, "all"))
-    sp.add_argument("--trials", type=int, default=5)
-    common(sp)
-    sp.set_defaults(func=_cmd_verify)
-
-    sp = sub.add_parser("diagnose", help="asymptotic statistical diagnostics")
-    sp.add_argument("--which", required=True, choices=("clt", "gem"))
-    sp.add_argument("--reps", type=int, default=2000)
-    sp.add_argument("--alpha", type=float, default=0.001)
-    common(sp)
-    sp.set_defaults(func=_cmd_diagnose)
-
-    sp = sub.add_parser("signed", help="signed-model quantities")
-    sp.add_argument("--quantity", required=True)
-    sp.add_argument("--kappa", type=float, default=0.5)
-    sp.add_argument("--k", type=int, default=2)
-    sp.add_argument("--i", type=int, default=1)
-    sp.add_argument("--j", type=int, default=1)
-    sp.add_argument("--l", type=int, default=0)
-    sp.add_argument("--astar", default="1")
-    common(sp, seed=False)
-    sp.set_defaults(func=functools.partial(_cmd_quantity, SIGNED_QUANTITIES))
-
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, cmd in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=cmd.help), name)
     return parser
 
 
 def run_command(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line: only the named command's parser is built, unless
+    argv names none or has arguments the command does not know, which the
+    full parser then rejects under its own usage line."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args, rest = (command_parser(argv[0]).parse_known_args(argv[1:])
+                  if argv and argv[0] in COMMANDS else (None, argv))
+    if args is None or rest:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OverflowError, NumericsError) as exc:
@@ -453,7 +450,7 @@ def run_command(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command())
+    sys.exit(run_command(sys.argv[1:]))
 
 
 if __name__ == "__main__":

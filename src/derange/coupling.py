@@ -23,7 +23,7 @@ import numpy as np
 
 from .chains import ChainKind
 from .dist import DistTable
-from .numerics import NumericsError, beta_fn
+from .numerics import NumericsError, beta_fn, overflow_is_numerics_error
 from .params import PSequence, ThetaSequence, check_theta, conditional_theta
 
 
@@ -197,6 +197,7 @@ def k_distribution(kind: ChainKind, n: int) -> DistTable:
     return DistTable({k: v for k, v in enumerate(law.tolist()) if v > 0.0}, tol=1e-11)
 
 
+@overflow_is_numerics_error
 def pgf_k(kind: ChainKind, s: float, n: int) -> float:
     """E[s^K] in closed form: a ratio of bracket products for the coin
     chain, times gamma_n(s theta)/gamma_n(theta) under a gap, since the

@@ -30,6 +30,7 @@ from .numerics import (
     _pfq_series,
     harmonic_h,
     integrate,
+    overflow_is_numerics_error,
     rising_factorial,
 )
 from .params import PSequence, check_theta
@@ -56,8 +57,10 @@ def _finite(est: LimitEstimate) -> LimitEstimate:
 
 
 def _within(est: LimitEstimate, acc: AccuracySpec) -> LimitEstimate:
-    """The integral estimate, or NumericsError when its error misses acc."""
-    if not est.error_bound <= max(acc.abs_tol, acc.rel_tol * abs(est.value)):
+    """The integral estimate, or NumericsError when it is not finite or its
+    error misses acc."""
+    if not (math.isfinite(est.value)
+            and est.error_bound <= max(acc.abs_tol, acc.rel_tol * abs(est.value))):
         raise NumericsError(f"quadrature error {est.error_bound:.3g} misses the "
                             f"tolerance for {est.value:.15g}")
     return est
@@ -104,6 +107,7 @@ def eta_abar(theta: float, j: int) -> float:
     return theta ** (j + 1) / (j * rising_factorial(theta + 2.0, j))
 
 
+@overflow_is_numerics_error
 def mean_k_eta_limit(theta: float, m: int = 3, method: str = "series",
                      acc: AccuracySpec = DEFAULT_ACC) -> LimitEstimate:
     """lim (E[K_n] - theta log n) for the eta chain.
@@ -204,6 +208,7 @@ def _exp_beta_integral(theta: float, power: float,
                      (0.0, 1.0), acc)
 
 
+@overflow_is_numerics_error
 def mean_cj_eta_limit(theta: float, j: int, method: str = "series", m: int = 2,
                       acc: AccuracySpec = DEFAULT_ACC) -> LimitEstimate:
     """lim_n E[C_j(n)] under the eta chain.

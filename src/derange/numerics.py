@@ -12,6 +12,7 @@ numpy only.  No module loads ``scipy.integrate``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,18 @@ import numpy as np
 
 class NumericsError(Exception):
     """Raised when a numeric routine cannot meet its accuracy contract."""
+
+
+def overflow_is_numerics_error(fn):
+    """fn raising NumericsError where a float operation in it raises
+    OverflowError: a value past the float range meets no accuracy contract."""
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OverflowError as exc:
+            raise NumericsError(f"{fn.__name__} overflows the float range: {exc}") from exc
+    return checked
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,10 @@ _CHUNK = 1 << 14  # indices per evaluator call in values(n): bounds its temporar
 
 
 def _family(seq, i: np.ndarray) -> np.ndarray:
-    """The family at an index array with every index >= 3, range-checked."""
-    v = seq._eval(i)
+    """The family at an index array with every index >= 3, range-checked;
+    the check rejects any inf or NaN, so numpy need not warn of them."""
+    with np.errstate(all="ignore"):
+        v = seq._eval(i)
     if np.ndim(v) == 0:  # a constant family
         v = np.full(i.shape, v, dtype=float)
     ok = seq._ok(v)
@@ -100,7 +102,7 @@ def _tabulated(values: Sequence[float], tail_rule: str, name: str) -> Callable:
 
 
 class ThetaSequence:
-    """Evaluator i -> theta_i > 0 with family metadata.
+    """Evaluator i -> theta_i, positive and finite, with family metadata.
 
     Families:
       constant(theta)       theta_i = theta for i >= 3
@@ -163,13 +165,13 @@ class ThetaSequence:
         if i < 3:
             return self._head[i]
         v = float(self._eval(i))
-        if not v > 0.0:
+        if not 0.0 < v < math.inf:
             raise ValueError(self._rule.format(i=i, v=v))
         return v
 
     values = _values
-    _ok = staticmethod(lambda v: v > 0.0)
-    _rule = "theta_{i} = {v} is not positive"
+    _ok = staticmethod(lambda v: (v > 0.0) & (v < math.inf))
+    _rule = "theta_{i} = {v} is not positive and finite"
 
     def with_theta2(self, theta2: float) -> "ThetaSequence":
         return ThetaSequence(self.family, self._eval, theta2=theta2, label=self.label)

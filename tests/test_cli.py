@@ -1,5 +1,10 @@
+import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,12 +21,15 @@ from derange.signed_stats import (
     ordered_star_prob,
 )
 from derange.cli import (
+    COMMANDS,
     EXIT_GUARD,
     EXIT_OK,
     EXIT_UNKNOWN,
     QUANTITIES,
     SIGNED_QUANTITIES,
     SUITES,
+    build_parser,
+    command_parser,
     run_command,
 )
 
@@ -56,6 +64,62 @@ def test_guard_violation_exit_code(capsys):
     code, _, err = run(capsys, "exact", "--quantity", "delta_n", "--theta", "-1")
     assert code == EXIT_GUARD
     assert "error" in err
+
+
+# the fewest arguments each command runs with
+MINIMAL_ARGV = {
+    "exact": ["--quantity", "mean_k"], "sample": [], "table1": [], "table2": [],
+    "verify": [], "diagnose": ["--which", "clt"], "signed": ["--quantity", "omega"],
+}
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_command_parser_matches_the_full_parser(name):
+    full = build_parser()
+    (sub,) = (a for a in full._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(COMMANDS) == list(MINIMAL_ARGV)
+    assert command_parser(name).format_help() == sub.choices[name].format_help()
+    assert (command_parser(name).parse_args(MINIMAL_ARGV[name])
+            == full.parse_args([name, *MINIMAL_ARGV[name]]))
+
+
+@pytest.mark.parametrize("argv, code, usage", [
+    ([], 2, "usage: derange [-h]"),
+    (["bogus"], 2, "usage: derange [-h]"),
+    (["-h"], 0, "usage: derange [-h]"),
+    (["table2", "--bogus"], 2, "usage: derange [-h]"),  # as the full parser reports it
+    (["table2", "--n", "x"], 2, "usage: derange table2 [-h]"),
+])
+def test_argv_the_command_parser_cannot_take(capsys, argv, code, usage):
+    with pytest.raises(SystemExit) as exc:
+        run_command(argv)
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    assert (captured.out if code == 0 else captured.err).startswith(usage)
+
+
+def test_env_seed_is_read_on_every_call(capsys, monkeypatch):
+    for seed in ("11", "12"):
+        monkeypatch.setenv("DERANGE_SEED", seed)
+        code, out, _ = run(capsys, "sample", "--n", "5", "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["config"]["seed"] == int(seed)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["table2", "--format", "json"], EXIT_OK),
+    (["exact", "--quantity", "nonsense"], EXIT_UNKNOWN),
+    ([], 2),
+])
+def test_module_entry_point(argv, code):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "derange.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    if argv[:1] == ["table2"]:
+        assert [r["j"] for r in json.loads(proc.stdout)["results"]] == [3, 4, 5, 6, 7]
+    elif not argv:
+        assert proc.stdout == "" and proc.stderr.startswith("usage: derange [-h]")
 
 
 def test_sample_deterministic(capsys):
@@ -236,6 +300,7 @@ def test_lambda_esf_rejects_nonpositive_theta(capsys, theta):
     ("mean_cj_eta", "--theta", "nan", "--n", "5", "--j", "5"),
     ("pgf_k", "--s", "inf", "--n", "5"),
     ("gamma_n", "--theta", "inf", "--n", "10"),
+    ("gamma_n", "--theta", "1e200", "--theta-family", "eta_star", "--n", "10"),
 ])
 def test_exact_rejects_non_finite_values(capsys, argv):
     code, out, err = run(capsys, "exact", "--quantity", *argv, "--format", "json")

@@ -318,6 +318,13 @@ def test_erase11_rejects_items_outside_the_alphabet(bad):
         erase11((1, 0, bad, 0), math.inf)
 
 
+def test_pgf_past_the_float_range_raises_numerics_error():
+    # the bracket-product ratio, about e^1147, leaves the float range before
+    # the gap factor scales it down (log-space evaluation would not)
+    with pytest.raises(NumericsError, match="pgf_k overflows the float range"):
+        pgf_k(ChainKind.x(PSequence.eta(1.0)), 1e100, 5)
+
+
 def test_pgf_and_delta_reject_non_finite_values():
     with pytest.raises(ValueError, match="s must be nonnegative and finite"):
         pgf_k(ChainKind.x(PSequence.eta(1.0)), math.inf, 5)

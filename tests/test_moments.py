@@ -273,6 +273,23 @@ def test_mean_k_eta_at_theta_near_the_float_range():
                                                       rel=1e-12)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: mean_cj_eta_limit(1e200, 3),
+    lambda: mean_k_eta_limit(1e200),
+], ids=["mean_cj_eta_limit", "mean_k_eta_limit"])
+def test_eta_limits_past_the_float_range_raise_numerics_error(call):
+    # (theta + 2)_(j) and theta^(j + 1) leave the float range at theta = 1e200
+    with pytest.raises(NumericsError, match="overflows the float range"):
+        call()
+
+
+def test_integral_limit_past_the_float_range_raises_numerics_error():
+    # theta^2 times the integral is -inf at theta = 1e200, with an inf error
+    # that a relative tolerance alone would pass
+    with pytest.raises(NumericsError, match="misses the tolerance for -inf"):
+        mean_k_eta_limit(1e200, method="integral")
+
+
 def test_cov_eta_at_large_n():
     # P(bit_i = bit_j = 1) - m_i m_j from the transition rows: the chain
     # runs down from j, so propagate from a 1 at j to index i

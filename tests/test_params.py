@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from derange.coupling import g_values
+from derange.coupling import g_values, gamma_n
 from derange.moments import lambda_esf
 from derange.params import (
     _CHUNK,
@@ -212,6 +212,23 @@ def test_conditional_theta_of_a_rejecting_table_raises_at_its_end():
         th.values(10)
     with pytest.raises(TableRangeError, match="no entry for i=5"):
         th(5)
+
+
+def test_theta_values_past_the_float_range_are_rejected():
+    # eta_star's theta_i = theta (1 + theta/(i - 2)) overflows from i = 4 at
+    # theta = 1e200; its coin probabilities would be inf/inf = NaN
+    seq = ThetaSequence.eta_star(1e200)
+    assert seq(3) == 1e200
+    with pytest.raises(ValueError, match=r"theta_4 = inf is not positive and finite"):
+        seq.values(6)
+    with pytest.raises(ValueError, match=r"theta_5 = inf is not positive and finite"):
+        seq(5)
+    with pytest.raises(ValueError, match="not positive and finite"):
+        gamma_n(seq, 10)
+    nan_seq = ThetaSequence("custom", lambda i: i * math.nan)
+    for call in (lambda: nan_seq.values(4), lambda: nan_seq(4)):
+        with pytest.raises(ValueError, match=r"theta_3 = nan|theta_4 = nan"):
+            call()
 
 
 def test_array_range_errors_name_the_first_bad_index():
