@@ -260,30 +260,13 @@ def generate_signed(n: int, p: PSequence, kappa: float, seed: int, rep: int = 0)
 # ---------------------------------------------------------------------------
 # exact evaluation
 
-def path_probability(kind: ChainKind, word, n: int | None = None,
-                     method: str = "auto") -> float:
-    """Exact probability of a word under the chain law; 0 off-support.
-
-    The 'auto' and 'product' methods are ``word_law(kind, n)(word)``.
-    'closed_form' (coin kinds) is the product formula in log space.
-    """
+def path_probability(kind: ChainKind, word, n: int | None = None) -> float:
+    """Exact probability of a word under the chain law, 0 off-support:
+    ``word_law(kind, n)(word)``, with n the word's length by default."""
     if n is None:
         n = len(word)
     if len(word) != n:
         raise ValueError("word length must equal n")
-    if method == "closed_form":
-        t = kind.thetaseq
-        if t is None:
-            raise ValueError("method 'closed_form' needs a coin kind")
-        if word[0] != 1:
-            return 0.0
-        log_p = math.lgamma(n) - t.bracket_product_log(n) + math.log(t.theta1)
-        for i in range(2, n + 1):
-            if word[i - 1] == 1:
-                log_p += math.log(t(i)) - math.log(i - 1)
-        return math.exp(log_p)
-    if method not in ("auto", "product"):
-        raise ValueError(f"unknown method {method!r}")
     return word_law(kind, n)(word)
 
 

@@ -24,55 +24,55 @@ import numpy as np
 from .chains import ChainKind
 from .dist import DistTable
 from .numerics import NumericsError, beta_fn, overflow_is_numerics_error
-from .params import PSequence, ThetaSequence, check_theta, conditional_theta
+from .params import PSequence, ThetaSequence, _coins, check_theta, conditional_theta
 
 
 def g_values(thetaseq: ThetaSequence, n: int) -> list[float]:
     """G_0..G_n: G_0 = 0, G_1 = G_2 = 1, G_m = G_{m-1} + theta_m/(m-1) G_{m-2}."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    t = thetaseq.values(n).tolist()
+    return _g(thetaseq.values(n).tolist())
+
+
+def _g(t: list) -> list[float]:
+    """G_0..G_n from theta_0..theta_n."""
     g = [0.0, 1.0, 1.0]
-    for m in range(3, n + 1):
+    for m in range(3, len(t)):
         g.append(g[m - 1] + t[m] / (m - 1) * g[m - 2])
-    return g[: n + 1]
+    return g[:len(t)]
 
 
-def _bracket_log_unit(thetaseq: ThetaSequence, n: int) -> float:
-    """log of the bracket product with the index-1 factor forced to 1."""
-    return thetaseq.bracket_product_log(n) - math.log(thetaseq.theta1)
+def _gamma(t: np.ndarray) -> float:
+    """gamma_n from the array theta_0..theta_n, n >= 2, by the recursion
+    gamma_i = (i-1)/(i-1+theta_i) (gamma_{i-1} + c_{i-1} gamma_{i-2})."""
+    c = _coins(t).tolist()
+    t = t.tolist()
+    prev, cur = 0.0, 1.0 / (1.0 + t[2])  # gamma_1, gamma_2
+    for i in range(3, len(t)):
+        prev, cur = cur, (i - 1) / (i - 1 + t[i]) * (cur + c[i - 1] * prev)
+    return cur
 
 
 def gamma_n(thetaseq: ThetaSequence, n: int, method: str = "recursion") -> float:
     """P(coin word of length n has no adjacent 1s and ends in 0)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if method == "recursion":
-        if n == 1:
-            return 0.0
-        # gamma_i = (i-1)/(i-1+theta_i) (gamma_{i-1} + c_{i-1} gamma_{i-2})
-        t = thetaseq.values(n).tolist()
-        c = thetaseq.coin_probs(n).tolist()
-        prev, cur = 0.0, 1.0 / (1.0 + t[2])  # gamma_1, gamma_2
-        for i in range(3, n + 1):
-            prev, cur = cur, (i - 1) / (i - 1 + t[i]) * (cur + c[i - 1] * prev)
-        return cur
-    if method == "g_product":
-        if n == 1:
-            return 0.0
-        g = g_values(thetaseq, n)
-        return math.exp(
-            math.log(g[n - 1]) + math.lgamma(n) - _bracket_log_unit(thetaseq, n)
-        )
+    if method not in ("recursion", "g_product", "p_product"):
+        raise ValueError(f"unknown method {method!r}")
+    if n == 1:
+        return 0.0
     if method == "p_product":
-        if n == 1:
-            return 0.0
         p = PSequence.from_theta_conditional(thetaseq).values(n).tolist()
         out = p[n] / (1.0 + thetaseq.theta2)
         for j in range(2, n):
             out *= p[j] / (p[j] * p[j + 1] + (1.0 - p[j + 1]))
         return out
-    raise ValueError(f"unknown method {method!r}")
+    t = thetaseq.values(n)
+    if method == "recursion":
+        return _gamma(t)
+    # G_{n-1} (n-1)!/prod_{i=2}^n (theta_i + i - 1), the product as log1p terms
+    log_brackets = math.fsum(np.log1p(t[2:] / np.arange(1.0, n)).tolist())
+    return math.exp(math.log(_g(t.tolist())[n - 1]) - log_brackets)
 
 
 def delta_roots(theta: float):
@@ -199,19 +199,26 @@ def k_distribution(kind: ChainKind, n: int) -> DistTable:
 
 @overflow_is_numerics_error
 def pgf_k(kind: ChainKind, s: float, n: int) -> float:
-    """E[s^K] in closed form: a ratio of bracket products for the coin
-    chain, times gamma_n(s theta)/gamma_n(theta) under a gap, since the
-    chain is then the coin chain given Delta_n."""
+    """E[s^K] in closed form: the coin chain's indices are independent
+    coins, so E[s^K] = prod_i (1 - c_i + s c_i) with c_1 = 1; under a gap
+    times gamma_n(s theta)/gamma_n(theta), since the chain is then the
+    coin chain given Delta_n."""
     if not (math.isfinite(s) and s >= 0):
         raise ValueError("s must be nonnegative and finite")
     kind.check_horizon(n)
     if s == 0.0:
         return 0.0  # K >= 1 always
-    thetaseq = _coin_theta(kind)
-    scaled = thetaseq.scaled(s)
-    pgf = math.exp(scaled.bracket_product_log(n) - thetaseq.bracket_product_log(n))
+    t = _coin_theta(kind).values(n)
+    pgf = math.exp(math.fsum(np.log1p((s - 1.0) * _coins(t)[1:]).tolist()))
     if kind.gap:
-        pgf *= gamma_n(scaled, n) / gamma_n(thetaseq, n)
+        with np.errstate(over="ignore"):  # checked below
+            st = s * t
+        if not np.isfinite(st).all():
+            raise OverflowError("s theta_i leaves the float range")
+        gamma = _gamma(t)
+        if gamma == 0.0:
+            raise NumericsError("gamma_n(theta) underflows the float range")
+        pgf *= _gamma(st) / gamma
     return pgf
 
 
@@ -246,14 +253,13 @@ def joint_cycle_counts(kind: ChainKind, c, n: int) -> float:
             f"budget {MAX_STATES}; use the Monte Carlo sampler instead"
         )
 
-    thetaseq = _coin_theta(kind)
     # the coin at index e shows 1 with probability c_e = theta_e / d_e and 0
     # with probability (e - 1) / d_e, d_e = e - 1 + theta_e; c_1 = 1.
     # zeros[m] = log of the product of the 0 probabilities over 2..m
-    t = thetaseq.values(n)
-    d = np.arange(-1.0, n) + t
-    ones = [0.0, 1.0] + (t[2:] / d[2:]).tolist()
-    zeros = [0.0, 0.0] + np.cumsum(np.log(np.arange(1.0, n) / d[2:])).tolist()
+    t = _coin_theta(kind).values(n)
+    ones = _coins(t).tolist()
+    e1 = np.arange(1.0, n)  # e - 1 at e = 2..n
+    zeros = [0.0, 0.0] + np.cumsum(np.log(e1 / (e1 + t[2:]))).tolist()
     # orderings[left]: the sum over the distinct orderings of the cycles
     # counted by left, which fill indices 1..m, of the coin probability of
     # their word; the top cycle, of length j, closes with a 1 at
@@ -269,7 +275,7 @@ def joint_cycle_counts(kind: ChainKind, c, n: int) -> float:
     total = orderings[c]
     if not total > 0.0:
         raise NumericsError("the probability of c underflows the float range")
-    return total / gamma_n(thetaseq, n) if kind.gap else total
+    return total / _gamma(t) if kind.gap else total
 
 
 def ordered_cycle_prefix_prob(a, n: int, thetaseq: ThetaSequence) -> float:
@@ -280,18 +286,17 @@ def ordered_cycle_prefix_prob(a, n: int, thetaseq: ThetaSequence) -> float:
     m = sum(a)
     if m >= n:
         raise ValueError("sum of prefix lengths must be < n")
-    log_p = (
-        math.lgamma(n + 1)
-        - math.lgamma(n - m + 1)
-        + _bracket_log_unit(thetaseq, n - m)
-        - _bracket_log_unit(thetaseq, n)
-    )
+    # prod over the top m indices of i/(theta_i + i - 1), then theta at each
+    # cycle end over the indices left below the cycle's start
+    t = thetaseq.values(n)
+    top = np.arange(n - m + 1.0, n + 1.0)
+    terms = (-np.log1p((t[n - m + 1:] - 1.0) / top)).tolist()
     pos = 0
-    for i, ai in enumerate(a):
-        log_p -= math.log(n - pos)
+    for ai in a:
+        terms.append(-math.log(n - pos))
         pos += ai
-        log_p += math.log(thetaseq(n + 1 - pos))
-    return math.exp(log_p)
+        terms.append(math.log(t[n + 1 - pos]))
+    return math.exp(math.fsum(terms))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .chains import ChainKind
 from .coupling import delta_n, delta_roots
 from .moments import lambda_esf
 from .numerics import AccuracySpec, DEFAULT_ACC, NumericsError, beta_fn, kummer_m
-from .params import PSequence, ThetaSequence, check_theta, conditional_theta
+from .params import _CHUNK, PSequence, ThetaSequence, check_theta, conditional_theta
 
 # Probe horizons: the heavyweight context probe and the lightweight
 # cached check used on every phi evaluation.
@@ -103,7 +103,8 @@ class LimitContext:
               thetaseq: ThetaSequence | None = None,
               horizon: int = DEFAULT_PROBE_HORIZON) -> "LimitContext":
         """Build a context from either parameter sequence, conditionally
-        linking the missing one, and run all condition probes."""
+        linking the missing one, and run all condition probes on one array
+        of p: the coin conditions read the theta linked to p."""
         if p is None and thetaseq is None:
             raise ValueError("provide p or thetaseq")
         if p is None:
@@ -114,18 +115,26 @@ class LimitContext:
             raise ValueError("probe horizon must be >= 64")
         flags: dict = {}
         tails: dict = {}
-        pv = p.values(horizon)
+        pv = p.values(horizon + 1)
         flags["divergence"], tails["divergence"] = _looks_divergent(
             _block_sums(pv, horizon))
         q_now, q_then = 1.0 - pv[horizon], 1.0 - pv[max(horizon // 10, 3)]
-        del pv  # freed before the coin array is built: peak memory at large horizons
         flags["q_vanishes"] = bool(q_now < 0.01 and q_now <= q_then + 1e-12)
         tails["q_vanishes"] = float(q_now)
-        coin = thetaseq.coin_probs(horizon + 1)
+        # pv becomes, in place, the coin probabilities of the linked theta,
+        # c_i = q_i/(q_i + p_i p_{i-1}), from index 3 (index 2 is 0/0; the
+        # blocks start above horizon/8).  Chunks run top down, so p_{i-1}
+        # below a chunk is still p, and the temporaries stay chunk-sized.
+        for hi in range(horizon + 2, 3, -_CHUNK):
+            lo = max(hi - _CHUNK, 3)
+            pp = pv[lo:hi] * pv[lo - 1:hi - 1]
+            q = np.subtract(1.0, pv[lo:hi], out=pv[lo:hi])
+            pp += q
+            np.divide(q, pp, out=q)
         flags["eqcond2"], tails["eqcond2"] = _looks_convergent(
-            _block_sums(coin, horizon, lag=1))
+            _block_sums(pv, horizon, lag=1))
         flags["eqcond4"], tails["eqcond4"] = _looks_convergent(
-            _block_sums(coin, horizon, lag=0))
+            _block_sums(pv, horizon, lag=0))
         return cls(p=p, thetaseq=thetaseq, probe_horizon=horizon,
                    flags=flags, tails=tails)
 

@@ -241,15 +241,17 @@ def mean_cj_eta_limit(theta: float, j: int, method: str = "series", m: int = 2,
                 # 1/d is log-singular at the (1, 0) corner, where nodes near
                 # t = 1 round; take t = 1 - x^theta, which puts the corner at
                 # the exact end t = 0, with 1 - x to full precision
-                with np.errstate(divide="ignore"):  # log1p(-1) at x = 0
-                    u = -np.expm1(np.log1p(-t) / theta)
+                u = -np.expm1(np.log1p(-t) / theta)
                 return theta * np.exp(-theta * y) * (1.0 - y) ** (theta + 1.0) / (u + (1.0 - u) * y)
             x = t ** (1.0 / theta)
             d = 1.0 - x + x * y
             return (theta * np.exp(-theta * y) * (1.0 - y) ** (theta + j - 1.0)
                     * ((1.0 - x) / d) ** (j - 2) / d)
 
-        val, err = integrate(f, ((0.0, 1.0), (0.0, 1.0)), acc)
+        # log1p(-1) at x = 0 or an overflow at large theta warns of nothing:
+        # integrate raises NumericsError when the nodes' sum is not finite
+        with np.errstate(all="ignore"):
+            val, err = integrate(f, ((0.0, 1.0), (0.0, 1.0)), acc)
         if j >= 3:
             scale = theta**2 * math.gamma(j - 1.0) / rising_factorial(theta + 1.0, j)
             shift, coef = scale * (theta + j - 1.0), scale * ((theta + j - 1.0) ** 2 + j - 1.0)

@@ -177,26 +177,11 @@ class ThetaSequence:
         return ThetaSequence(self.family, self._eval, theta2=theta2, label=self.label)
 
     def scaled(self, s: float) -> "ThetaSequence":
-        """Every theta_i (including theta_1) multiplied by s.
-
-        The index-1 value of the scaled sequence is s rather than 1; used by
-        the pgf identity.
-        """
+        """Every theta_i with i >= 2 multiplied by s; theta_1 stays 1."""
         if s < 0:
             raise ValueError("scale must be nonnegative")
-        base = self
-        seq = ThetaSequence(
-            f"scaled({s})*{self.family}",
-            lambda i: s * base._eval(i),
-            theta2=s * self.theta2,
-            label=f"{s}*{self.label}",
-        )
-        seq._theta1 = s
-        return seq
-
-    @property
-    def theta1(self) -> float:
-        return getattr(self, "_theta1", 1.0)
+        return ThetaSequence(f"scaled({s})*{self.family}", lambda i: s * self._eval(i),
+                             theta2=s * self.theta2, label=f"{s}*{self.label}")
 
     def coin_prob(self, i: int) -> float:
         """P(coin at index i shows 1) = theta_i/(i-1+theta_i); 1 at i=1."""
@@ -207,22 +192,15 @@ class ThetaSequence:
 
     def coin_probs(self, n: int) -> np.ndarray:
         """``coin_prob`` over 0..n as a float64 array (entry 0 unused)."""
-        t = self.values(n)
-        c = np.arange(-1.0, n)  # i - 1
-        c += t
-        return np.divide(t, c, out=c)
+        return _coins(self.values(n))
 
-    def bracket_product_log(self, n: int) -> float:
-        """log of theta_1(theta_2+1)...(theta_n+n-1).
 
-        For a scaled sequence theta_1 may differ from 1 and enters the
-        product; a zero first factor is rejected.
-        """
-        t1 = self.theta1
-        if t1 <= 0:
-            raise ValueError("bracket product undefined for theta_1 <= 0")
-        brackets = self.values(n)[2:] + np.arange(2, n + 1) - 1
-        return math.log(t1) + math.fsum(np.log(brackets))
+def _coins(t: np.ndarray) -> np.ndarray:
+    """The coin probabilities theta_i/(i-1+theta_i) from the array
+    theta_0..theta_n, as a new array (entry 0 unused)."""
+    c = np.arange(-1.0, t.size - 1)  # i - 1
+    c += t
+    return np.divide(t, c, out=c)
 
 
 class PSequence:

@@ -69,12 +69,17 @@ def test_path_probability_sums_to_one():
 
 
 def test_path_probability_coin_closed_form():
+    # the coin product formula (n-1)!/prod_{i=2}^n (theta_i + i - 1) times
+    # theta_i/(i-1) at each 1 above index 1, in log space
     ts = ThetaSequence.eta_star(0.9)
     kind = ChainKind.y(ts)
+    n = 5
+    log_base = math.lgamma(n) - math.fsum(math.log(ts(i) + i - 1) for i in range(2, n + 1))
     for w in [(1, 0, 1, 1, 0), (1, 1, 1, 1, 1), (1, 0, 0, 0, 0)]:
-        a = path_probability(kind, w, 5, method="product")
-        b = path_probability(kind, w, 5, method="closed_form")
-        assert a == pytest.approx(b, rel=1e-13)
+        log_p = log_base + math.fsum(math.log(ts(i) / (i - 1))
+                                     for i in range(2, n + 1) if w[i - 1])
+        assert path_probability(kind, w, n) == pytest.approx(math.exp(log_p), rel=1e-13)
+    assert path_probability(kind, (0, 1, 0, 1, 0), n) == 0.0  # index 1 must close
 
 
 @pytest.mark.parametrize("kind", [ChainKind.eta_tilde(0.7), ChainKind.y(ThetaSequence.eta_star(0.6))])

@@ -18,6 +18,7 @@ from derange.coupling import (
     ordered_cycle_prefix_prob,
     pgf_k,
 )
+from derange.limitchain import LimitContext
 from derange.moments import mean_k
 from derange.numerics import NumericsError
 from derange.params import PSequence, ThetaSequence
@@ -319,10 +320,20 @@ def test_erase11_rejects_items_outside_the_alphabet(bad):
 
 
 def test_pgf_past_the_float_range_raises_numerics_error():
-    # the bracket-product ratio, about e^1147, leaves the float range before
-    # the gap factor scales it down (log-space evaluation would not)
+    # the coin-chain factor prod (1 - c_i + s c_i), about e^1147, leaves the
+    # float range before the gap factor scales it down (log-space
+    # evaluation would not)
     with pytest.raises(NumericsError, match="pgf_k overflows the float range"):
         pgf_k(ChainKind.x(PSequence.eta(1.0)), 1e100, 5)
+
+
+@pytest.mark.parametrize("kind, s, n", [
+    (ChainKind.x(PSequence.eta(1e150)), 1e10, 5),  # s theta_i overflows
+    (ChainKind.x(PSequence.eta(800.0)), 0.5, 3000),  # gamma_n(theta) underflows
+])
+def test_pgf_gap_factor_past_the_float_range_raises_numerics_error(kind, s, n):
+    with pytest.raises(NumericsError):
+        pgf_k(kind, s, n)
 
 
 def test_pgf_and_delta_reject_non_finite_values():
@@ -336,3 +347,80 @@ def test_pgf_and_delta_reject_non_finite_values():
         # theta^2 overflows: the value would be nan
         with pytest.raises(NumericsError):
             delta_n(1e200, n=n)
+
+
+def _mp_gamma(th, s=1):
+    """gamma_n by its recursion in mpmath, from theta_0..theta_n scaled by s."""
+    prev, cur = mpmath.mpf(0), 1 / (1 + s * th[2])
+    c_prev = s * th[2] / (1 + s * th[2])
+    for i in range(3, len(th)):
+        st = s * th[i]
+        prev, cur = cur, (i - 1) / (i - 1 + st) * (cur + c_prev * prev)
+        c_prev = st / (i - 1 + st)
+    return cur
+
+
+def test_theta_products_match_30_digit_references():
+    # mpmath fed the same float theta_i.  Each product is an fsum of log1p
+    # terms, within a few ulps at n = 2e4; a difference of two sums of
+    # size n log n would cost about 1e-11 here
+    n, s = 2 * 10**4, 1.7
+    ts = ThetaSequence.eta_star(3.0)
+    x = ChainKind.x(PSequence.from_theta_conditional(ts))
+    with mpmath.workdps(30):
+        th = [mpmath.mpf(v) for v in ts.values(n).tolist()]
+        gamma = _mp_gamma(th)
+        coin = s * mpmath.fprod(1 + (s - 1) * th[i] / (i - 1 + th[i]) for i in range(2, n + 1))
+        want = {"g_product": (gamma_n(ts, n, "g_product"), gamma),
+                "pgf_k Y": (pgf_k(ChainKind.y(ts), s, n), coin),
+                "pgf_k X": (pgf_k(x, s, n), coin * _mp_gamma(th, s) / gamma)}
+        for a in [(3,), (n // 3, 5)]:
+            m, pos = sum(a), 0
+            ref = mpmath.fprod(i / (th[i] + i - 1) for i in range(n - m + 1, n + 1))
+            for ai in a:
+                ref /= n - pos
+                pos += ai
+                ref *= th[n + 1 - pos]
+            want[f"prefix {a}"] = (ordered_cycle_prefix_prob(a, n, ts), ref)
+        for key, (got, ref) in want.items():
+            assert abs(got - ref) <= 1e-13 * ref, key
+
+
+def _count_evaluations(seq):
+    """Wrap seq's family evaluator; the returned list's one entry counts
+    the indices it has seen."""
+    seen, ev = [0], seq._eval
+
+    def counted(i):
+        seen[0] += np.size(i)
+        return ev(i)
+
+    seq._eval = counted
+    return seen
+
+
+_N_COUNT = 4000
+_ONE_EVALUATION = {
+    "pgf_k Y": lambda ts, p: pgf_k(ChainKind.y(ts), 1.7, _N_COUNT),
+    "pgf_k X of a conditional inverse":
+        lambda ts, p: pgf_k(ChainKind.x(PSequence.from_theta_conditional(ts)), 1.7, _N_COUNT),
+    "pgf_k X of eta": lambda ts, p: pgf_k(ChainKind.x(p), 1.7, _N_COUNT),
+    "gamma_n": lambda ts, p: gamma_n(ts, _N_COUNT),
+    "gamma_n g_product": lambda ts, p: gamma_n(ts, _N_COUNT, "g_product"),
+    "ordered_cycle_prefix_prob": lambda ts, p: ordered_cycle_prefix_prob((3, 5), _N_COUNT, ts),
+    "joint_cycle_counts Y": lambda ts, p: joint_cycle_counts(
+        ChainKind.y(ts), (0,) * (_N_COUNT - 1) + (1,), _N_COUNT),
+    "joint_cycle_counts X": lambda ts, p: joint_cycle_counts(
+        ChainKind.x(p), (0,) * (_N_COUNT - 1) + (1,), _N_COUNT),
+    "LimitContext.probe": lambda ts, p: LimitContext.probe(p=p, horizon=_N_COUNT),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_EVALUATION))
+def test_one_sequence_evaluation_per_index(name):
+    # each call reads one array of its sequence: about one evaluation per
+    # index, not one per product it forms
+    ts, p = ThetaSequence.eta_star(3.0), PSequence.eta(0.5)
+    counts = _count_evaluations(ts), _count_evaluations(p)
+    _ONE_EVALUATION[name](ts, p)
+    assert 0 < counts[0][0] + counts[1][0] <= 1.01 * _N_COUNT, name

@@ -290,6 +290,14 @@ def test_integral_limit_past_the_float_range_raises_numerics_error():
         mean_k_eta_limit(1e200, method="integral")
 
 
+@pytest.mark.parametrize("theta", [1e50, 1e200])
+def test_mean_cj_integral_past_the_float_range_raises_numerics_error(theta):
+    # the j = 2 integrand overflows in a division; numpy's warning of it,
+    # an exception under warnings-as-errors, must not escape in its place
+    with pytest.raises(NumericsError, match="integrand is not finite"):
+        mean_cj_eta_limit(theta, 2, method="integral")
+
+
 def test_cov_eta_at_large_n():
     # P(bit_i = bit_j = 1) - m_i m_j from the transition rows: the chain
     # runs down from j, so propagate from a 1 at j to index i

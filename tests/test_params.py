@@ -94,7 +94,7 @@ def test_tabulated_roundtrip():
 def test_scaled_theta1():
     ts = ThetaSequence.constant(0.5)
     s = ts.scaled(2.0)
-    assert s.theta1 == 2.0
+    assert s(1) == 1.0  # the convention theta_1 = 1 is not scaled
     assert s(3) == pytest.approx(2.0 * ts(3))
 
 
