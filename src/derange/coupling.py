@@ -42,15 +42,20 @@ def _g(t: list) -> list[float]:
     return g[:len(t)]
 
 
-def _gamma(t: np.ndarray) -> float:
-    """gamma_n from the array theta_0..theta_n, n >= 2, by the recursion
-    gamma_i = (i-1)/(i-1+theta_i) (gamma_{i-1} + c_{i-1} gamma_{i-2})."""
+def _gamma(t: np.ndarray) -> tuple[float, int]:
+    """(m, e) with gamma_n = m 2^e, from the array theta_0..theta_n, n >= 2,
+    by the recursion gamma_i = (i-1)/(i-1+theta_i) (gamma_{i-1} + c_{i-1}
+    gamma_{i-2}).  Whenever gamma_i drops below 2^-600 both terms are
+    scaled by 2^600, which is exact, so m stays normal where gamma_n
+    underflows, and m 2^e is the unscaled recursion's value bit for bit."""
     c = _coins(t).tolist()
     t = t.tolist()
-    prev, cur = 0.0, 1.0 / (1.0 + t[2])  # gamma_1, gamma_2
+    prev, cur, e = 0.0, 1.0 / (1.0 + t[2]), 0  # gamma_1, gamma_2
     for i in range(3, len(t)):
         prev, cur = cur, (i - 1) / (i - 1 + t[i]) * (cur + c[i - 1] * prev)
-    return cur
+        if cur < 2.0**-600:
+            prev, cur, e = prev * 2.0**600, cur * 2.0**600, e - 600
+    return cur, e
 
 
 def gamma_n(thetaseq: ThetaSequence, n: int, method: str = "recursion") -> float:
@@ -69,7 +74,7 @@ def gamma_n(thetaseq: ThetaSequence, n: int, method: str = "recursion") -> float
         return out
     t = thetaseq.values(n)
     if method == "recursion":
-        return _gamma(t)
+        return math.ldexp(*_gamma(t))
     # G_{n-1} (n-1)!/prod_{i=2}^n (theta_i + i - 1), the product as log1p terms
     log_brackets = math.fsum(np.log1p(t[2:] / np.arange(1.0, n)).tolist())
     return math.exp(math.log(_g(t.tolist())[n - 1]) - log_brackets)
@@ -202,24 +207,26 @@ def pgf_k(kind: ChainKind, s: float, n: int) -> float:
     """E[s^K] in closed form: the coin chain's indices are independent
     coins, so E[s^K] = prod_i (1 - c_i + s c_i) with c_1 = 1; under a gap
     times gamma_n(s theta)/gamma_n(theta), since the chain is then the
-    coin chain given Delta_n."""
+    coin chain given Delta_n.  The factors are combined as one sum of logs,
+    so a value inside the float range is returned even where a factor
+    lies outside it."""
     if not (math.isfinite(s) and s >= 0):
         raise ValueError("s must be nonnegative and finite")
     kind.check_horizon(n)
     if s == 0.0:
         return 0.0  # K >= 1 always
     t = _coin_theta(kind).values(n)
-    pgf = math.exp(math.fsum(np.log1p((s - 1.0) * _coins(t)[1:]).tolist()))
+    logs = np.log1p((s - 1.0) * _coins(t)[1:]).tolist()
     if kind.gap:
         with np.errstate(over="ignore"):  # checked below
             st = s * t
         if not np.isfinite(st).all():
             raise OverflowError("s theta_i leaves the float range")
-        gamma = _gamma(t)
-        if gamma == 0.0:
-            raise NumericsError("gamma_n(theta) underflows the float range")
-        pgf *= _gamma(st) / gamma
-    return pgf
+        (m1, e1), (m0, e0) = _gamma(st), _gamma(t)
+        if not (m0 > 0.0 and m1 > 0.0):
+            raise NumericsError("gamma_n underflows the float range")
+        logs += [math.log(m1 / m0), (e1 - e0) * math.log(2.0)]
+    return math.exp(math.fsum(logs))
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +282,8 @@ def joint_cycle_counts(kind: ChainKind, c, n: int) -> float:
     total = orderings[c]
     if not total > 0.0:
         raise NumericsError("the probability of c underflows the float range")
-    return total / _gamma(t) if kind.gap else total
+    m, e = _gamma(t) if kind.gap else (1.0, 0)
+    return math.ldexp(total / m, -e)
 
 
 def ordered_cycle_prefix_prob(a, n: int, thetaseq: ThetaSequence) -> float:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class DistTable:
@@ -13,14 +13,13 @@ class DistTable:
     caller must not change it afterwards.
     """
 
-    def __init__(self, probs: dict, tol: float = 1e-9, check: bool = True):
+    def __init__(self, probs: dict, tol: float = 1e-9):
         self.probs = probs
-        if check:
-            total = math.fsum(self.probs.values())
-            if abs(total - 1.0) > tol:
-                raise ValueError(f"probabilities sum to {total}, not 1")
-            if any(v < -tol for v in self.probs.values()):
-                raise ValueError("negative probability in table")
+        total = math.fsum(probs.values())
+        if abs(total - 1.0) > tol:
+            raise ValueError(f"probabilities sum to {total}, not 1")
+        if any(v < -tol for v in probs.values()):
+            raise ValueError("negative probability in table")
 
     def __getitem__(self, outcome):
         return self.probs.get(outcome, 0.0)
@@ -52,18 +51,11 @@ class DistTable:
 class LawPair:
     """Two tables over a common (zero-extended) outcome space, compared."""
 
-    a: DistTable
-    b: DistTable
     tv: float
     max_gap: float
-    worst_outcomes: list = field(default_factory=list)
 
 
-def compare_laws(a: DistTable, b: DistTable, n_worst: int = 5) -> LawPair:
-    """Total variation distance plus the largest pointwise gaps."""
-    keys = set(a.probs) | set(b.probs)
-    gaps = sorted(((abs(a[k] - b[k]), k) for k in keys), reverse=True)
-    tv = 0.5 * math.fsum(g for g, _ in gaps)
-    max_gap = gaps[0][0] if gaps else 0.0
-    worst = [k for g, k in gaps[:n_worst] if g > 0]
-    return LawPair(a=a, b=b, tv=tv, max_gap=max_gap, worst_outcomes=worst)
+def compare_laws(a: DistTable, b: DistTable) -> LawPair:
+    """Total variation distance and the largest pointwise gap."""
+    gaps = [abs(a[k] - b[k]) for k in set(a.probs) | set(b.probs)]
+    return LawPair(tv=0.5 * math.fsum(gaps), max_gap=max(gaps, default=0.0))

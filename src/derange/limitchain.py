@@ -36,17 +36,16 @@ _LIGHT_PROBE_HORIZON = 10**4
 _RATIO_THRESHOLD = 0.75
 
 
-def _block_sums(a: np.ndarray, horizon: int, lag: int | None = None,
-                blocks: int = 3) -> list[float]:
-    """Sums of the terms over the dyadic blocks (h/2, h], (h/4, h/2], ...,
-    outermost block first.
+def _block_sums(a: np.ndarray, horizon: int, lag: int | None = None) -> list[float]:
+    """Sums of the terms over the three dyadic blocks (h/2, h], (h/4, h/2],
+    (h/8, h/4], outermost block first.
 
     The term at index i is ``a[i]``, or ``a[i] * a[i + lag]`` with a lag,
     formed one block at a time so that no full-length product array is
     built.  Each block is one numpy pairwise sum: for nonnegative terms it
     is within about (16 + log2 h) units in the last place of the exact sum.
     """
-    edges = [horizon // 2**k for k in range(blocks + 1)]
+    edges = [horizon // 2**k for k in range(4)]
     sums = []
     for hi, lo in zip(edges, edges[1:]):
         block = a[lo + 1:hi + 1]

@@ -128,6 +128,11 @@ def mean_k_eta_limit(theta: float, m: int = 3, method: str = "series",
         return _within(LimitEstimate(value=head - theta * theta * val,
                                      error_bound=theta * theta * err, m=0), acc)
     if method == "pfq":
+        # |term j| = theta^j/((j+1)(theta+3)_j) >= exp(-(3j + j^2/2)/theta)/(j+1) falls
+        # in j and the sums lie in (0.5, 1], so past abs_tol at max_terms it never stops
+        j = acc.max_terms
+        if math.exp(-(3.0 * j + 0.5 * j * j) / theta) / (j + 1) >= acc.abs_tol:
+            raise NumericsError(f"the 2F2 series cannot converge in {j} terms at theta={theta!r}")
         # the private series, for its truncation estimate; these parameters
         # pass every check of generalized_pfq
         f, f_err = _pfq_series((1.0, 1.0), (2.0, theta + 3.0), -theta, acc)

@@ -261,7 +261,7 @@ def sample_bits(kind: ChainKind, n: int, u: np.ndarray, extend=None,
 
 
 def _sample(kind: ChainKind, h: np.ndarray, replicates: range, seed: int, lead: int,
-            chunk: int | None = None, depth: int | None = None):
+            depth: int | None = None):
     """Yield (offset in ``replicates``, leading draws, 1-positions) per chunk.
 
     Each replicate's stream gives ``lead`` draws for the caller first, then
@@ -270,17 +270,16 @@ def _sample(kind: ChainKind, h: np.ndarray, replicates: range, seed: int, lead: 
     up-front draws from one block draw when a replicate needs at most
     ``_BLOCK_DRAWS``, else from one generator per replicate; a word that
     needs more jumps than were drawn up front continues its stream with
-    the block draw at a later offset.  A chunk holds ``chunk`` replicates
-    or, by default, ``_CHUNK_DRAWS`` over the up-front draws of one, at
-    least 1 and at most ``_PASS_SIZE``.
+    the block draw at a later offset.  A chunk holds ``_CHUNK_DRAWS`` over
+    the up-front draws of one replicate, at least 1 and at most
+    ``_PASS_SIZE`` replicates.
     """
     n = h.size - 1
     log_surv = log_survival(h)
     width = _jump_width(kind, h)
     if depth is not None:
         width = min(width, depth)
-    if chunk is None:
-        chunk = max(1, min(_PASS_SIZE, _CHUNK_DRAWS // (lead + width)))
+    chunk = max(1, min(_PASS_SIZE, _CHUNK_DRAWS // (lead + width)))
     for start in range(0, len(replicates), chunk):
         reps = replicates[start:start + chunk]
         block = _replicate_numbers(reps)
@@ -339,8 +338,7 @@ _JUMP_DEPTH = {"A1": 1, "A2": 2, "Astar1": 2}
 
 def estimate(statistic: str, kind: ChainKind, n: int, reps: int, seed: int,
              j: int | None = None, kappa: float | None = None,
-             target: int | None = None,
-             chunk: int | None = None) -> EstimateReport:
+             target: int | None = None) -> EstimateReport:
     """Mean and standard error of a per-word statistic over replicates.
 
     Statistics: 'K', 'Cj' (needs j), 'A1', 'A2', 'Lambda', 'Cstar_j'
@@ -350,9 +348,7 @@ def estimate(statistic: str, kind: ChainKind, n: int, reps: int, seed: int,
     kind's kappa or ``kappa``, which must lie in [0, 1] and agree with the
     kind's when both are given.  Orientation statistics draw one
     orientation uniform per index from each replicate's stream before its
-    jump uniforms.  ``chunk`` is the replicates per sampled block, by
-    default sized to the draws a replicate needs; it does not change the
-    result.
+    jump uniforms.
     """
     if reps < 2:
         raise ValueError("reps must be >= 2")
@@ -372,7 +368,7 @@ def estimate(statistic: str, kind: ChainKind, n: int, reps: int, seed: int,
     sample = np.empty(reps)
     h = kind.one_probs(n)
     depth = _JUMP_DEPTH.get(statistic)
-    for start, draws, ones in _sample(kind, h, range(reps), seed, lead, chunk, depth):
+    for start, draws, ones in _sample(kind, h, range(reps), seed, lead, depth):
         orient = draws < kappa if lead else None
         sample[start:start + ones.shape[0]] = _extract(
             statistic, ones, orient, n, j, target

@@ -60,8 +60,7 @@ DEFAULT_ACC = AccuracySpec()
 def rising_factorial(x: float, m: int) -> float:
     """x(x+1)...(x+m-1), the Pochhammer symbol, in linear space.
 
-    Raises OverflowError when the product leaves double range; callers
-    needing large m should use :func:`log_rising_factorial`.
+    Raises OverflowError when the product leaves double range.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -69,42 +68,8 @@ def rising_factorial(x: float, m: int) -> float:
     for k in range(m):
         out *= x + k
         if math.isinf(out):
-            raise OverflowError(
-                f"rising_factorial({x}, {m}) overflows; use log_rising_factorial"
-            )
+            raise OverflowError(f"rising_factorial({x}, {m}) overflows")
     return out
-
-
-def log_rising_factorial(x: float, m: int) -> tuple[float, int]:
-    """(log |x_(m)|, sign) of the rising factorial, stable for m up to 1e6.
-
-    The sign is 0 when a factor is exactly zero.
-    """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if m == 0:
-        return 0.0, 1
-    from scipy import special as _sp
-
-    if x > 0:
-        return float(_sp.gammaln(x + m) - _sp.gammaln(x)), 1
-    # Negative or zero start: peel off the nonpositive factors explicitly.
-    log_abs = 0.0
-    sign = 1
-    for k in range(m):
-        f = x + k
-        if f == 0.0:
-            return -math.inf, 0
-        if f > 0:
-            # the remaining factors are all positive
-            rest = m - k
-            return (
-                log_abs + float(_sp.gammaln(f + rest) - _sp.gammaln(f)),
-                sign,
-            )
-        log_abs += math.log(-f)
-        sign = -sign
-    return log_abs, sign
 
 
 def kummer_m(

@@ -52,7 +52,7 @@ def enumerate_delta(n: int):
     return sorted(w for w, _ in _walk([((1.0, 1.0),) * 2] * (n + 1), n, True))
 
 
-def exact_law(kind: ChainKind, n: int, check_tol: float = 1e-12) -> DistTable:
+def exact_law(kind: ChainKind, n: int) -> DistTable:
     """The full word law by exhaustive path probability over every word
     the chain's gap allows."""
     limit = MAX_DELTA_N if kind.gap else MAX_FULL_N
@@ -60,9 +60,9 @@ def exact_law(kind: ChainKind, n: int, check_tol: float = 1e-12) -> DistTable:
         raise ValueError(f"exact_law of {kind!r} needs {1 + kind.gap} <= n <= {limit}")
     probs = dict(_walk(_rows(kind, n), n, bool(kind.gap)))
     total = math.fsum(probs.values())
-    if abs(total - 1.0) > check_tol:
+    if abs(total - 1.0) > 1e-12:
         raise AssertionError(f"exact law sums to {total}, off by {total - 1.0:.3g}")
-    return DistTable(probs, tol=check_tol * 10)
+    return DistTable(probs, tol=1e-11)
 
 
 def conditional_law(n: int, thetaseq: ThetaSequence) -> DistTable:
@@ -182,8 +182,8 @@ def dp_moments(kind: ChainKind, n: int, targets=("mean_k",), j: int | None = Non
     closed forms.  The scalar transition rows are built once per call, by
     ``_rows``, and every DP, renewal horizons included, reads that table.
 
-    Recognized targets: 'mean_k', 'var_k', 'mean_cj' (needs j),
-    'mean_cj_sq' and 'var_cj' (need j), 'cov_cij' (needs i and j).
+    Recognized targets: 'mean_k', 'var_k', 'mean_cj' and 'var_cj' (need
+    j), 'cov_cij' (needs i and j).
     """
     if n > 5000:
         raise ValueError("dp moment engine limited to n <= 5000")
@@ -209,14 +209,12 @@ def dp_moments(kind: ChainKind, n: int, targets=("mean_k",), j: int | None = Non
                 pair_sum += marg[a] * below[r]
         e_k2 = total + 2.0 * pair_sum
         out["var_k"] = e_k2 - total * total
-    if any(t in targets for t in ("mean_cj", "mean_cj_sq", "var_cj")):
+    if "mean_cj" in targets or "var_cj" in targets:
         if j is None:
             raise ValueError("targets involving C_j need j")
-        mean_cj = math.fsum(_pattern_probs_dp(rows, n, j).values())
-        out["mean_cj"] = mean_cj
-        if "mean_cj_sq" in targets or "var_cj" in targets:
+        out["mean_cj"] = math.fsum(_pattern_probs_dp(rows, n, j).values())
+        if "var_cj" in targets:
             out["var_cj"] = _cov_cycle_counts(rows, n, j, j)
-            out["mean_cj_sq"] = out["var_cj"] + mean_cj * mean_cj
     if "cov_cij" in targets:
         if i is None or j is None:
             raise ValueError("cov_cij needs i and j")

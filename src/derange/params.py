@@ -44,7 +44,7 @@ def _family(seq, i: np.ndarray) -> np.ndarray:
         v = seq._eval(i)
     if np.ndim(v) == 0:  # a constant family
         v = np.full(i.shape, v, dtype=float)
-    ok = seq._ok(v)
+    ok = (v > 0.0) & (v < seq._top)
     if not ok.all():
         k = int(np.argmin(ok))
         raise ValueError(seq._rule.format(i=int(i[k]), v=v[k]))
@@ -62,6 +62,19 @@ def _at(seq, i):
     top = i >= 3
     if top.any():
         v[top] = _family(seq, i[top])
+    return v
+
+
+def _call(seq, i: int) -> float:
+    """seq at one int index, in plain Python: the conventions below index 3,
+    the family from 3 on, range-checked."""
+    if i < 1:
+        raise ValueError("index must be >= 1")
+    if i < 3:
+        return seq._head[i]
+    v = float(seq._eval(i))
+    if not 0.0 < v < seq._top:
+        raise ValueError(seq._rule.format(i=i, v=v))
     return v
 
 
@@ -159,18 +172,9 @@ class ThetaSequence:
         return cls("tabulated", _tabulated(values, tail_rule, "theta"), theta2=t2,
                    label="tabulated")
 
-    def __call__(self, i: int) -> float:
-        if i < 1:
-            raise ValueError("index must be >= 1")
-        if i < 3:
-            return self._head[i]
-        v = float(self._eval(i))
-        if not 0.0 < v < math.inf:
-            raise ValueError(self._rule.format(i=i, v=v))
-        return v
-
+    __call__ = _call
     values = _values
-    _ok = staticmethod(lambda v: (v > 0.0) & (v < math.inf))
+    _top = math.inf  # theta_i lies in (0, _top)
     _rule = "theta_{i} = {v} is not positive and finite"
 
     def with_theta2(self, theta2: float) -> "ThetaSequence":
@@ -248,18 +252,9 @@ class PSequence:
     def tabulated(cls, values: Sequence[float], tail_rule: str = "reject") -> "PSequence":
         return cls(_tabulated(values, tail_rule, "p"), family="tabulated", label="tabulated")
 
-    def __call__(self, i: int) -> float:
-        if i < 1:
-            raise ValueError("index must be >= 1")
-        if i < 3:
-            return self._head[i]
-        v = float(self._eval(i))
-        if not 0.0 < v < 1.0:
-            raise ValueError(self._rule.format(i=i, v=v))
-        return v
-
+    __call__ = _call
     values = _values
-    _ok = staticmethod(lambda v: (v > 0.0) & (v < 1.0))
+    _top = 1.0  # p_i lies in (0, _top)
     _rule = "p_{i} = {v} must lie in (0, 1)"
     _head = (0.0, 0.0, 1.0)  # entry 0 unused
 

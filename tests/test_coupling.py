@@ -319,17 +319,23 @@ def test_erase11_rejects_items_outside_the_alphabet(bad):
         erase11((1, 0, bad, 0), math.inf)
 
 
-def test_pgf_past_the_float_range_raises_numerics_error():
+@pytest.mark.parametrize("kind, s, n", [
     # the coin-chain factor prod (1 - c_i + s c_i), about e^1147, leaves the
-    # float range before the gap factor scales it down (log-space
-    # evaluation would not)
-    with pytest.raises(NumericsError, match="pgf_k overflows the float range"):
-        pgf_k(ChainKind.x(PSequence.eta(1.0)), 1e100, 5)
+    # float range before the gap factor scales it down; the pgf is 5e199
+    (ChainKind.x(PSequence.eta(1.0)), 1e100, 5),
+    # gamma_n(theta) underflows from n = 500 on; the pgf is 2.4e-64 .. 7.9e-230
+    (ChainKind.x(PSequence.eta(800.0)), 0.5, 500),
+    (ChainKind.x(PSequence.eta(800.0)), 0.5, 1000),
+    (ChainKind.x(PSequence.eta(800.0)), 0.5, 3000),
+], ids=["coin_factor_overflows", "gamma_underflows_n500", "gamma_underflows_n1000",
+        "gamma_underflows_n3000"])
+def test_pgf_past_the_float_range_matches_the_k_law(kind, s, n):
+    want = math.fsum(v * s**k for k, v in k_distribution(kind, n).items())
+    assert pgf_k(kind, s, n) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("kind, s, n", [
     (ChainKind.x(PSequence.eta(1e150)), 1e10, 5),  # s theta_i overflows
-    (ChainKind.x(PSequence.eta(800.0)), 0.5, 3000),  # gamma_n(theta) underflows
 ])
 def test_pgf_gap_factor_past_the_float_range_raises_numerics_error(kind, s, n):
     with pytest.raises(NumericsError):

@@ -14,7 +14,7 @@ def test_disttable_basics():
 
 def test_disttable_normalization_check():
     with pytest.raises(ValueError):
-        DistTable({0: 0.5, 1: 0.2}, check=True)
+        DistTable({0: 0.5, 1: 0.2})
 
 
 def test_compare_laws_tv():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath
 import pytest
@@ -288,6 +289,27 @@ def test_integral_limit_past_the_float_range_raises_numerics_error():
     # that a relative tolerance alone would pass
     with pytest.raises(NumericsError, match="misses the tolerance for -inf"):
         mean_k_eta_limit(1e200, method="integral")
+
+
+@pytest.mark.parametrize("theta", [1e11, 1e50])
+def test_pfq_limit_that_cannot_converge_raises_before_summing(theta):
+    # every 2F2 term up to max_terms is above abs_tol; summing them all took
+    # about a second.  The first call also loads scipy for the head term
+    for _ in range(2):
+        start = time.perf_counter()
+        with pytest.raises(NumericsError, match="cannot converge"):
+            mean_k_eta_limit(theta, method="pfq")
+    assert time.perf_counter() - start < 0.05
+
+
+@pytest.mark.parametrize("theta, value, bound", [
+    (0.5, 0.5550694087146668, 1.8639633889612684e-17),
+    (100.0, -529.4558488969133, 1.9633079022803015e-11),
+    (1e8, -1911382792.0762815, 9.983368559602089e-05),
+])
+def test_pfq_limit_below_the_convergence_bound_is_unchanged(theta, value, bound):
+    est = mean_k_eta_limit(theta, method="pfq")
+    assert (est.value, est.error_bound) == (value, bound)
 
 
 @pytest.mark.parametrize("theta", [1e50, 1e200])

@@ -106,10 +106,17 @@ def test_estimate_deterministic():
     assert r1.mean == r2.mean
 
 
+def _with_budget(budget, fn, *args, **kw):
+    """fn(*args, **kw) with the blocks of ``montecarlo._sample`` sized by the
+    draw budget ``budget`` in place of ``_CHUNK_DRAWS``."""
+    with mock.patch.object(montecarlo, "_CHUNK_DRAWS", budget):
+        return fn(*args, **kw)
+
+
 def test_chunk_size_invariance():
     kind = ChainKind.eta(0.8)
-    r1 = estimate("K", kind, 10, 300, seed=9, chunk=32)
-    r2 = estimate("K", kind, 10, 300, seed=9, chunk=300)
+    r1 = _with_budget(32, estimate, "K", kind, 10, 300, seed=9)
+    r2 = _with_budget(1 << 20, estimate, "K", kind, 10, 300, seed=9)
     assert r1.mean == r2.mean
     assert r1.std_error == r2.std_error
 
@@ -254,33 +261,40 @@ def test_one_column_with_extend_gives_the_full_width_words(depth):
 
 @settings(max_examples=60, deadline=None)
 @given(depth=st.integers(1, 4), lead=st.integers(0, 3), n=st.integers(2, 80),
-       reps=st.integers(1, 200), chunk=st.integers(1, 250), seed=st.integers(0, 2**32))
-def test_jump_depth_keeps_the_first_jumps(depth, lead, n, reps, chunk, seed):
+       reps=st.integers(1, 200), budget=st.integers(1, 1000), seed=st.integers(0, 2**32))
+def test_jump_depth_keeps_the_first_jumps(depth, lead, n, reps, budget, seed):
     kind = ChainKind.eta(2.5)
     h = kind.one_probs(n)
-    for (_, d1, short), (_, d2, full) in zip(
-            montecarlo._sample(kind, h, range(reps), seed, lead, chunk, depth),
-            montecarlo._sample(kind, h, range(reps), seed, lead, chunk)):
-        assert np.array_equal(d1, d2)
-        assert np.array_equal(short, full[:, :depth])
+
+    def rows(depth=None):
+        # the draw width sets the block sizes, so compare per replicate,
+        # each word's 1-positions without the block's 0 padding
+        blocks = list(montecarlo._sample(kind, h, range(reps), seed, lead, depth))
+        words = [tuple(r[r > 0]) for _, _, ones in blocks for r in ones]
+        return np.concatenate([d for _, d, _ in blocks]), words
+
+    (d1, short), (d2, full) = _with_budget(budget, rows, depth), _with_budget(budget, rows)
+    assert np.array_equal(d1, d2)
+    assert short == [w[:depth] for w in full]
 
 
 @settings(max_examples=40, deadline=None)
 @given(stat=st.sampled_from(("A1", "A2", "Astar1", "gem")), n=st.integers(2, 60),
-       reps=st.integers(2, 300), chunk=st.one_of(st.none(), st.integers(1, 400)),
+       reps=st.integers(2, 300),
+       budget=st.one_of(st.just(montecarlo._CHUNK_DRAWS), st.integers(1, 2000)),
        seed=st.integers(0, 2**32))
-def test_jump_depth_gives_the_full_depth_results(stat, n, reps, chunk, seed):
+def test_jump_depth_gives_the_full_depth_results(stat, n, reps, budget, seed):
     kind = ChainKind.signed(PSequence.eta(1.3), 0.4)
 
     def run():
         if stat == "gem":
             return gem_diagnostic(1.3, n, reps, seed)
-        return estimate(stat, kind, n, reps, seed, target=1, chunk=chunk)
+        return estimate(stat, kind, n, reps, seed, target=1)
 
-    got = run()
+    got = _with_budget(budget, run)
     # every depth None: the statistics read whole words
     with mock.patch.dict(montecarlo._JUMP_DEPTH, dict.fromkeys(montecarlo._JUMP_DEPTH)):
-        assert run() == got
+        assert _with_budget(budget, run) == got
 
 
 def test_results_do_not_depend_on_jump_width(monkeypatch):
@@ -291,7 +305,8 @@ def test_results_do_not_depend_on_jump_width(monkeypatch):
     ref = (estimate("Cstar_j", kind, 25, 200, seed=6, j=2),
            clt_diagnostic(p, 300, 100, seed=6))
     monkeypatch.setattr(montecarlo, "_jump_width", lambda kind, h: 1)
-    got = (estimate("Cstar_j", kind, 25, 200, seed=6, j=2, chunk=37),
+    monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", 37 * 26)  # 37 replicates of 26 draws
+    got = (estimate("Cstar_j", kind, 25, 200, seed=6, j=2),
            clt_diagnostic(p, 300, 100, seed=6))
     assert got == ref
 
@@ -299,8 +314,9 @@ def test_results_do_not_depend_on_jump_width(monkeypatch):
 def test_orientation_statistics_chunk_invariance():
     kind = ChainKind.signed(PSequence.eta(1.5), 0.35)
     for stat, kw in (("Lambda", {}), ("Cstar_j", {"j": 2}), ("Astar1", {"target": 1})):
-        r1 = estimate(stat, kind, 25, 300, seed=4, chunk=7, **kw)
-        r2 = estimate(stat, kind, 25, 300, seed=4, chunk=300, **kw)
+        # a few rows a block, then every row in one block
+        r1 = _with_budget(7 * 30, estimate, stat, kind, 25, 300, seed=4, **kw)
+        r2 = _with_budget(1 << 20, estimate, stat, kind, 25, 300, seed=4, **kw)
         assert (r1.mean, r1.std_error) == (r2.mean, r2.std_error), stat
 
 
@@ -430,15 +446,15 @@ def test_a_block_of_long_replicates_is_sized_by_the_budget(monkeypatch):
 def test_default_chunk_gives_the_fixed_chunk_results(stat, reps, kw):
     kind = ChainKind.x(PSequence.eta(0.5))
     got = estimate(stat, kind, 12, reps, 77, kappa=0.4, **kw)
-    for chunk in (7, 512):
-        assert estimate(stat, kind, 12, reps, 77, kappa=0.4, chunk=chunk, **kw) == got
+    for budget in (7 * 18, 512 * 18):  # 7 and 512 rows at Lambda's 18 draws a row
+        assert _with_budget(budget, estimate, stat, kind, 12, reps, 77, kappa=0.4, **kw) == got
 
 
 @given(stat=st.sampled_from(("K", "Cj", "A1", "A2", "Lambda", "Cstar_j", "Astar1")),
-       n=st.integers(2, 14), reps=st.integers(2, 400), chunk=st.integers(1, 500),
+       n=st.integers(2, 14), reps=st.integers(2, 400), budget=st.integers(1, 8000),
        seed=st.integers(0, 2**32))
-def test_default_chunk_matches_any_chunk(stat, n, reps, chunk, seed):
+def test_default_chunk_matches_any_chunk(stat, n, reps, budget, seed):
     kind = ChainKind.signed(PSequence.eta(1.3), 0.4)
     kw = {"j": 2, "target": 1}
-    assert (estimate(stat, kind, n, reps, seed, chunk=chunk, **kw)
+    assert (_with_budget(budget, estimate, stat, kind, n, reps, seed, **kw)
             == estimate(stat, kind, n, reps, seed, **kw))
