@@ -63,7 +63,7 @@ _DIGITS = 9
 
 # JSON-ready as they are: _sanitize returns items of exactly these types
 # unchanged (subclasses take the general path)
-_PLAIN = (int, str, bool, type(None))
+_PLAIN = frozenset((int, str, bool, type(None)))
 
 
 def _sanitize(x):
@@ -75,6 +75,9 @@ def _sanitize(x):
     if isinstance(x, dict):
         return {str(k): _sanitize(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
+        # a list of plain items (a circle's labels) is copied whole
+        if _PLAIN.issuperset(map(type, x)):
+            return list(x)
         return [_sanitize(v) for v in x]
     if isinstance(x, np.ndarray):
         return _sanitize(x.tolist())
@@ -82,7 +85,7 @@ def _sanitize(x):
         return float(f"{float(x):.{_DIGITS}g}")
     if isinstance(x, (np.integer, np.bool_)):
         return x.item()
-    return x if isinstance(x, _PLAIN) else str(x)
+    return x if isinstance(x, (int, str)) else str(x)  # subclasses of the plain types
 
 
 def _theta_seq(args) -> ThetaSequence:

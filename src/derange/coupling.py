@@ -46,15 +46,19 @@ def _gamma(t: np.ndarray) -> tuple[float, int]:
     """(m, e) with gamma_n = m 2^e, from the array theta_0..theta_n, n >= 2,
     by the recursion gamma_i = (i-1)/(i-1+theta_i) (gamma_{i-1} + c_{i-1}
     gamma_{i-2}).  Whenever gamma_i drops below 2^-600 both terms are
-    scaled by 2^600, which is exact, so m stays normal where gamma_n
-    underflows, and m 2^e is the unscaled recursion's value bit for bit."""
+    scaled by 2^600, which is exact, and the step is taken again on the
+    scaled sum, so m stays normal however small a factor is (theta_i near
+    the float range), and m 2^e is the unscaled recursion's value bit for
+    bit wherever that stays normal."""
     c = _coins(t).tolist()
     t = t.tolist()
     prev, cur, e = 0.0, 1.0 / (1.0 + t[2]), 0  # gamma_1, gamma_2
     for i in range(3, len(t)):
-        prev, cur = cur, (i - 1) / (i - 1 + t[i]) * (cur + c[i - 1] * prev)
-        if cur < 2.0**-600:
-            prev, cur, e = prev * 2.0**600, cur * 2.0**600, e - 600
+        f, total = (i - 1) / (i - 1 + t[i]), cur + c[i - 1] * prev
+        prev, cur = cur, f * total
+        while cur < 2.0**-600 and f > 0.0:
+            prev, total, e = prev * 2.0**600, total * 2.0**600, e - 600
+            cur = f * total
     return cur, e
 
 
@@ -222,9 +226,7 @@ def pgf_k(kind: ChainKind, s: float, n: int) -> float:
             st = s * t
         if not np.isfinite(st).all():
             raise OverflowError("s theta_i leaves the float range")
-        (m1, e1), (m0, e0) = _gamma(st), _gamma(t)
-        if not (m0 > 0.0 and m1 > 0.0):
-            raise NumericsError("gamma_n underflows the float range")
+        (m1, e1), (m0, e0) = _gamma(st), _gamma(t)  # m1, m0 normal
         logs += [math.log(m1 / m0), (e1 - e0) * math.log(2.0)]
     return math.exp(math.fsum(logs))
 

@@ -13,15 +13,18 @@ splitmix64 mix of (seed, r), in a fixed order: the leading draws a
 statistic needs (orientations or a KS dither), then one uniform per
 jump.  Philox is counter-based, so uniform k of a stream is a pure
 function of (key, k): ``replicate_uniforms`` computes a whole block of
-replicates' draws in one numpy pass, with no generator object per
-replicate, equal bit for bit to ``replicate_rng(seed, r)``'s stream.
-Past a few hundred draws per replicate (``_BLOCK_DRAWS``) building
-``replicate_rng(seed, r)`` per replicate is the cheaper way to the same
-stream, so the sampler draws that way instead.  A replicate that needs
-more jumps than were drawn up front continues its stream with the block
-draw at a later offset, so every result depends only on (seed, r) and
-not on how replicates are batched or how many jumps were drawn up front.
-That lets the sampler do only the work a statistic reads:
+replicates' draws in numpy, with no generator object per replicate,
+equal bit for bit to ``replicate_rng(seed, r)``'s stream.  It runs
+tiles of at most ``_PASS_SIZE`` rows x counters through six preallocated
+buffers, each round's two multiplies in one call on the stacked lanes,
+and writes the words straight into its float output.  Past a few hundred
+draws per replicate (``_BLOCK_DRAWS``) building ``replicate_rng(seed,
+r)`` per replicate is the cheaper way to the same stream, so the sampler
+draws that way instead.  A replicate that needs more jumps than were
+drawn up front continues its stream with the block draw at a later
+offset, so every result depends only on (seed, r) and not on how
+replicates are batched or how many jumps were drawn up front.  That lets
+the sampler do only the work a statistic reads:
 
 - it stops each word after the jumps the statistic reads
   (``_JUMP_DEPTH``: the first circle for A1, the first two for A2, A*_1
@@ -29,6 +32,9 @@ That lets the sampler do only the work a statistic reads:
 - it draws mu + 3 sqrt(mu) + 2 jump uniforms up front, mu = sum h >= E[K]
   (fewer when the depth is smaller), so only the words in the upper tail
   of the circle count continue their streams;
+- it ends the up-front draws, and each continuation, on a whole Philox
+  counter of 4 words, since a counter's words cost the same as one: the
+  up-front draws round down to it when a jump uniform remains;
 - it sizes a block by its up-front draws, at most ``_CHUNK_DRAWS`` of
   them and at most ``_PASS_SIZE`` replicates, so either diagnostic with
   2000 replicates at theta = 1, n = 10^6 is one block and a replicate
@@ -77,58 +83,51 @@ def replicate_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(k0 << 64) | k1))
 
 
-# Philox4x64-10 (Salmon, Moraes, Dror & Shaw 2011), as numpy's Philox runs it
-_PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+# Philox4x64-10 (Salmon, Moraes, Dror & Shaw 2011), as numpy's Philox runs
+# it: the multipliers and key bumps of its two lanes, as (2, 1, 1) arrays
+_PHILOX_MUL = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
+_PHILOX_BUMP = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
 _PHILOX_ROUNDS = 10
-_MASK32 = (1 << 32) - 1
-# rows x counters per Philox pass: each uint64 temporary is at most 128 KiB,
-# and of 2^12 .. 2^18 this size drew a 512 x 512 block fastest.  It also
-# caps the rows of a block of _sample, so the temporaries of a pass stay at
-# that size.
-_PASS_SIZE = 1 << 14
+# 0-d operands: the cheapest way to hand numpy a uint64 constant
+_MASK32, _32, _11 = (np.array(c, dtype=np.uint64) for c in ((1 << 32) - 1, 32, 11))
+_MUL_LO, _MUL_HI = _PHILOX_MUL & _MASK32, _PHILOX_MUL >> _32
+# what a pass's nine bumps add to a key, modulo 2^64
+_PHILOX_BUMPS = _PHILOX_BUMP * np.uint64(_PHILOX_ROUNDS - 1)
+# rows x counters per Philox pass: a pass keeps six two-lane uint64
+# buffers of this size (768 KiB), reused by every round.  A pass has a
+# fixed cost of about 0.3 ms (some 160 numpy calls), so a larger size draws
+# the benchmark's multi-counter tiles (4096 x 4, 2000 x 5, 400 x 27
+# counters) in fewer passes, but at 2^13 .. 2^14 the Monte Carlo jobs took
+# the same time within noise while estimate('K') at n = 12 peaked at 2.3
+# rather than 4.2 MB of numpy memory; 2^12 took a quarter longer.  It
+# also caps the rows of a block of _sample.
+_PASS_SIZE = 1 << 13
 # Draws per replicate up to which _sample uses the block draw.  The numpy
-# Philox costs about 40 ns a uniform, a generator 15-25 us to build plus
-# 4 ns a uniform; timing estimate('Lambda') over n = 200..800 put the
-# point where the two cost the same near 450 draws.
-_BLOCK_DRAWS = 448
+# Philox costs about 30 ns a uniform, a generator 15-20 us to build plus
+# 4 ns a uniform; timing estimate('Lambda') over n = 384..640 put the
+# point where the two cost the same near 600 draws.
+_BLOCK_DRAWS = 576
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple:
-    """(high, low) 64-bit words of the 128-bit products m * x; the high
-    word from 32-bit limbs (Warren, Hacker's Delight, mulhu)."""
-    m_lo, m_hi = m & _MASK32, m >> 32
-    # in place on fresh temporaries, never on x
-    lo, hi = x & _MASK32, x >> 32
-    t = lo * m_lo
-    t >>= 32
-    t += hi * m_lo
-    lo *= m_hi
-    lo += t & _MASK32  # the middle limb sum
-    lo >>= 32
-    t >>= 32
-    hi *= m_hi
-    hi += t
-    hi += lo
-    return hi, x * m
-
-
-def _philox(key: tuple, ctr: np.ndarray) -> np.ndarray:
-    """(rows, counters, 4) output words of Philox4x64-10 at the counters
-    ``ctr``, row r's key being ``key`` ((rows, 1) word pairs), bumped by
-    ``_PHILOX_BUMP`` after each round."""
-    # the counter words start as (1, 1) and (1, counters) arrays and
-    # broadcast to (rows, counters) within the first three rounds
-    zero = np.zeros((1, 1), dtype=np.uint64)
-    c0, c1, c2, c3 = ctr[None, :], zero, zero, zero
-    k0, k1 = key
-    for r in range(_PHILOX_ROUNDS):
-        if r:  # one round key at a time: all ten take 1.6 MB at 10^4 rows
-            k0, k1 = k0 + _PHILOX_BUMP[0], k1 + _PHILOX_BUMP[1]
-        hi0, lo0 = _mulhilo(_PHILOX_MUL[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_MUL[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return np.stack((c0, c1, c2, c3), axis=2)
+def _mulhi(x: np.ndarray, m_lo, m_hi, t: np.ndarray, u: np.ndarray,
+           w: np.ndarray) -> None:
+    """Overwrite x with the high words of the 128-bit products x * m, m =
+    m_hi 2^32 + m_lo, from 32-bit limbs (Warren, Hacker's Delight, mulhu);
+    t, u and w are scratch arrays of x's shape."""
+    np.bitwise_and(x, _MASK32, out=t)
+    np.right_shift(x, _32, out=x)
+    np.multiply(t, m_lo, out=u)
+    np.right_shift(u, _32, out=u)
+    np.multiply(t, m_hi, out=t)
+    np.add(t, u, out=t)  # x_lo m_hi + the carry of x_lo m_lo: below 2^64
+    np.multiply(x, m_lo, out=u)
+    np.multiply(x, m_hi, out=x)
+    np.right_shift(u, _32, out=w)
+    np.add(x, w, out=x)
+    np.bitwise_and(u, _MASK32, out=u)
+    np.add(t, u, out=t)
+    np.right_shift(t, _32, out=t)
+    np.add(x, t, out=x)
 
 
 def _replicate_numbers(replicates: range) -> np.ndarray:
@@ -149,21 +148,58 @@ def replicate_uniforms(seed: int, replicates: np.ndarray, offset: int,
     replicate's key, and its uniform is (raw >> 11) * 2^-53.
     """
     rows = replicates.size
+    out = np.empty((rows, count))
+    if not out.size:
+        return out
     # the keys of replicate_rng on uint64 arrays (its masks are no-ops
     # there); numpy holds the key (k0 << 64) | k1 as the words [k1, k0]
     base = _splitmix64(seed & _MASK64)
-    key = (_splitmix64(base + replicates * _SM64_GAMMA)[:, None],
-           _splitmix64(replicates ^ base)[:, None])
-    out = np.empty((rows, count))
+    keys = np.empty((2, 1, rows), dtype=np.uint64)
+    keys[0, 0] = _splitmix64(base + replicates * _SM64_GAMMA)
+    keys[1, 0] = _splitmix64(replicates ^ base)
     first, skip = divmod(offset, 4)  # out[:, j] is word 4 * first + skip + j
-    blocks = (skip + count + 3) // 4
-    step = max(1, _PASS_SIZE // max(rows, 1))
-    for b in range(0, blocks, step):
-        ctr = np.arange(first + b + 1, first + min(b + step, blocks) + 1, dtype=np.uint64)
-        raw = _philox(key, ctr).reshape(rows, -1)
-        lo, hi = max(4 * b - skip, 0), min(4 * (b + ctr.size) - skip, count)
-        at = skip - 4 * b
-        out[:, lo:hi] = (raw[:, lo + at:hi + at] >> 11) * 2.0**-53
+    counters = (skip + count + 3) // 4
+    # round 1 sees the counter words (ctr, 0, 0, 0), so its one product
+    # is a function of the counter alone
+    hi0 = np.arange(first + 1, first + counters + 1, dtype=np.uint64)[:, None]
+    lo0 = hi0 * _PHILOX_MUL[0]
+    _mulhi(hi0, _MUL_LO[0], _MUL_HI[0], *np.empty((3, counters, 1), dtype=np.uint64))
+    tile_rows = min(rows, _PASS_SIZE)
+    tile_ctrs = min(counters, _PASS_SIZE // tile_rows)
+    # the lanes (c0, c2) and (c1, c3) of a pass, a product buffer and
+    # scratch, each (lane, counter, row): a pass reshapes the first
+    # 2 * counters * rows words, and the keys broadcast along whole rows
+    bufs = np.empty((6, 2 * tile_rows * tile_ctrs), dtype=np.uint64)
+    for r0 in range(0, rows, tile_rows):
+        nr = min(tile_rows, rows - r0)
+        for c0 in range(0, counters, tile_ctrs):
+            nc = min(tile_ctrs, counters - c0)
+            a, b, p, t, u, w = (x[:2 * nc * nr].reshape(2, nc, nr) for x in bufs)
+            k = keys[:, :, r0:r0 + nr]  # bumped in place, restored after the pass
+            # the state after round 1: (k0, hi0 ^ k1) and (0, lo0)
+            np.copyto(a[0], k[0])
+            np.bitwise_xor(hi0[c0:c0 + nc], k[1], out=a[1])
+            b[0] = 0
+            np.copyto(b[1], lo0[c0:c0 + nc])
+            for _ in range(1, _PHILOX_ROUNDS):
+                np.add(k, _PHILOX_BUMP, out=k)
+                np.bitwise_xor(b, k, out=b)  # (c1 ^ k0, c3 ^ k1)
+                np.multiply(a[::-1], _PHILOX_MUL[::-1], out=p)  # (c1, c3) next
+                _mulhi(a, _MUL_LO, _MUL_HI, t, u, w)
+                np.bitwise_xor(b, a[::-1], out=b)  # (c0, c2) next
+                a, b, p = b, p, a
+            np.subtract(k, _PHILOX_BUMPS, out=k)
+            # word j of a counter is lane j // 2 of a (j even) or b (j odd)
+            np.right_shift(a, _11, out=a)
+            np.right_shift(b, _11, out=b)
+            for j, lane in enumerate((a[0], b[0], a[1], b[1])):
+                # counter c0 + i gives column 4 (c0 + i) + j - skip
+                i0 = max(0, -((4 * c0 + j - skip) // 4))
+                i1 = min(nc, (count + skip - j + 3) // 4 - c0)
+                if i1 > i0:
+                    col = 4 * (c0 + i0) + j - skip
+                    np.multiply(lane[i0:i1].T, 2.0**-53,
+                                out=out[r0:r0 + nr, col:col + 4 * (i1 - i0) - 3:4])
     return out
 
 
@@ -207,17 +243,6 @@ def _jump_width(kind: ChainKind, h: np.ndarray) -> int:
     return min(n // (1 + kind.gap), int(mu + 3.0 * math.sqrt(mu)) + 2)
 
 
-def _widen(u: np.ndarray, active: np.ndarray, extend) -> np.ndarray:
-    if extend is None:
-        raise ValueError("a word needs more jump uniforms than u holds")
-    width = u.shape[1]
-    more = max(width, 4)
-    wider = np.zeros((u.shape[0], width + more))
-    wider[:, :width] = u
-    wider[active, width:] = extend(active, width, more)
-    return wider
-
-
 def sample_bits(kind: ChainKind, n: int, u: np.ndarray, extend=None,
                 log_surv: np.ndarray | None = None,
                 depth: int | None = None) -> np.ndarray:
@@ -231,8 +256,8 @@ def sample_bits(kind: ChainKind, n: int, u: np.ndarray, extend=None,
     are those of the whole word, so K_max is at most ``depth``.  Rows
     needing more jumps than ``u`` has columns get them from
     ``extend(rows, width, count)``, which returns columns width..width +
-    count - 1 of those rows' uniform streams, so the words do not depend
-    on the width of ``u``; without ``extend`` such a row raises
+    count - 1 (or more) of those rows' uniform streams, so the words do not
+    depend on the width of ``u``; without ``extend`` such a row raises
     ValueError.  ``log_surv`` is ``log_survival(kind.one_probs(n))``,
     passed by callers that sample several blocks at one horizon.
     """
@@ -244,20 +269,26 @@ def sample_bits(kind: ChainKind, n: int, u: np.ndarray, extend=None,
     rows = u.shape[0]
     z = np.full(rows, n + 1 - gap)
     active = np.arange(rows)
-    ones = np.zeros(u.shape, dtype=np.int64)
-    k = 0
-    while active.size and k != depth:
-        if k == u.shape[1]:
-            u = _widen(u, active, extend)
-            ones = np.concatenate((ones, np.zeros((rows, u.shape[1] - k), np.int64)), axis=1)
+    # the active rows' jump uniforms: row at[i] of cols, from jump base on
+    cols, at, base = u, active, 0
+    steps = []  # (active rows, their 1-positions) per jump
+    while active.size and len(steps) != depth:
+        k = len(steps)
+        if k == base + cols.shape[1]:
+            if extend is None:
+                raise ValueError("a word needs more jump uniforms than u holds")
+            cols, at, base = extend(active, k, max(k, 4)), np.arange(active.size), k
         # largest t < z whose survival from z - 1 down to t is below 1 - u
-        target = log_surv[z[active]] + np.log1p(-u[active, k])
+        target = log_surv[z[active]] + np.log1p(-cols[at, k - base])
         t = np.searchsorted(log_surv, target) - 1
-        ones[active, k] = t
+        steps.append((active, t))
         z[active] = t - gap
-        active = active[t > 1]
-        k += 1
-    return ones[:, :k]
+        more = t > 1
+        active, at = active[more], at[more]
+    ones = np.zeros((rows, len(steps)), dtype=np.int64)
+    for k, (active, t) in enumerate(steps):
+        ones[active, k] = t
+    return ones
 
 
 def _sample(kind: ChainKind, h: np.ndarray, replicates: range, seed: int, lead: int,
@@ -266,35 +297,40 @@ def _sample(kind: ChainKind, h: np.ndarray, replicates: range, seed: int, lead: 
 
     Each replicate's stream gives ``lead`` draws for the caller first, then
     its jump uniforms; with ``depth`` a word stops after its first
-    ``depth`` 1-positions (see ``sample_bits``).  A chunk takes its
-    up-front draws from one block draw when a replicate needs at most
+    ``depth`` 1-positions (see ``sample_bits``).  The up-front draws end on
+    a whole Philox counter (4 draws) when that leaves a jump uniform.  A
+    chunk takes them from one block draw when a replicate needs at most
     ``_BLOCK_DRAWS``, else from one generator per replicate; a word that
     needs more jumps than were drawn up front continues its stream with
-    the block draw at a later offset.  A chunk holds ``_CHUNK_DRAWS`` over
-    the up-front draws of one replicate, at least 1 and at most
-    ``_PASS_SIZE`` replicates.
+    the block draw at a later offset, to a whole counter.  A chunk holds
+    ``_CHUNK_DRAWS`` over the up-front draws of one replicate, at least 1
+    and at most ``_PASS_SIZE`` replicates.
     """
     n = h.size - 1
     log_surv = log_survival(h)
     width = _jump_width(kind, h)
     if depth is not None:
         width = min(width, depth)
-    chunk = max(1, min(_PASS_SIZE, _CHUNK_DRAWS // (lead + width)))
+    draws = lead + width
+    if draws // 4 * 4 > lead:
+        draws = draws // 4 * 4
+    chunk = max(1, min(_PASS_SIZE, _CHUNK_DRAWS // draws))
     for start in range(0, len(replicates), chunk):
         reps = replicates[start:start + chunk]
         block = _replicate_numbers(reps)
-        if lead + width <= _BLOCK_DRAWS:
-            draws = replicate_uniforms(seed, block, 0, lead + width)
+        if draws <= _BLOCK_DRAWS:
+            u = replicate_uniforms(seed, block, 0, draws)
         else:
-            draws = np.empty((len(reps), lead + width))
-            for rep, row in zip(reps, draws):
+            u = np.empty((len(reps), draws))
+            for rep, row in zip(reps, u):
                 replicate_rng(seed, rep).random(out=row)
 
         def extend(rows, done, count, block=block):
-            return replicate_uniforms(seed, block[rows], lead + done, count)
+            offset = lead + done  # drawn on to the end of a counter
+            return replicate_uniforms(seed, block[rows], offset, count + (-offset - count) % 4)
 
-        ones = sample_bits(kind, n, draws[:, lead:], extend, log_surv, depth)
-        yield start, draws[:, :lead], ones
+        ones = sample_bits(kind, n, u[:, lead:], extend, log_surv, depth)
+        yield start, u[:, :lead], ones
 
 
 def _extract(statistic: str, ones: np.ndarray, orient: np.ndarray | None,

@@ -327,11 +327,18 @@ def test_erase11_rejects_items_outside_the_alphabet(bad):
     (ChainKind.x(PSequence.eta(800.0)), 0.5, 500),
     (ChainKind.x(PSequence.eta(800.0)), 0.5, 1000),
     (ChainKind.x(PSequence.eta(800.0)), 0.5, 3000),
+    # factors (i - 1)/(i - 1 + theta_i) of the gamma recursion near 1e-145
+    # and 1e-150, below 2^-474, so a step from a value near 2^-600
+    # underflows unless it is rescaled first; the pgf is 2.98e-8
+    (ChainKind.x(PSequence.eta(1e145)), 0.5, 50),
+    (ChainKind.x(PSequence.eta(1e150)), 0.5, 50),
 ], ids=["coin_factor_overflows", "gamma_underflows_n500", "gamma_underflows_n1000",
-        "gamma_underflows_n3000"])
+        "gamma_underflows_n3000", "gamma_factor_tiny_theta1e145", "gamma_factor_tiny_theta1e150"])
 def test_pgf_past_the_float_range_matches_the_k_law(kind, s, n):
     want = math.fsum(v * s**k for k, v in k_distribution(kind, n).items())
-    assert pgf_k(kind, s, n) == pytest.approx(want, rel=1e-12)
+    got = pgf_k(kind, s, n)
+    assert math.isfinite(got)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("kind, s, n", [

@@ -28,7 +28,6 @@ from derange.coupling import (
     gamma_n,
     joint_cycle_counts,
     ordered_cycle_prefix_prob,
-    pgf_k,
 )
 from derange.dist import DistTable
 from derange.limitchain import (
@@ -113,8 +112,6 @@ GUARDS = [
     (lambda: delta_n(1.0, 2.0, n=5), ValueError, "theta2star must lie in (0, 1]"),
     (lambda: delta_n(1.0), ValueError, "n required"),
     (lambda: delta_n(1.0, n=0), ValueError, "n must be >= 1"),
-    (lambda: pgf_k(ChainKind.x(PSequence.eta(1e150)), 0.5, 50), NumericsError,
-     "gamma_n underflows"),
     (lambda: joint_cycle_counts(X, (-1, 2), 3), ValueError, "counts must be nonnegative"),
     (lambda: joint_cycle_counts(X, (0, 1), 3), ValueError, "sum j*c_j = n"),
     (lambda: ordered_cycle_prefix_prob((0,), 5, TS), ValueError, "lengths must be >= 1"),

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -406,21 +407,66 @@ def test_block_draw_count_spanning_several_passes():
     assert np.array_equal(got, want)
 
 
+# rows of a pass of 4 counters
+_TILE = montecarlo._PASS_SIZE // 4
+
+
+@pytest.mark.parametrize("rows", [1, 3, _TILE - 1, _TILE, _TILE + 1, montecarlo._PASS_SIZE + 3])
+def test_block_draw_at_every_seam(rows):
+    # a pass holds all rows (or _PASS_SIZE of them) and the counters that
+    # fit beside them; counts cross counters (4 words) and passes, every
+    # offset 0..7 starts at another word of a counter
+    reps = range(2**40 + rows, 2**40 + 2 * rows)
+    per_pass = montecarlo._PASS_SIZE // min(rows, montecarlo._PASS_SIZE)
+    counts = [1, 5, 4 * per_pass + 3]
+    # the first and last row, either side of the row seam, and a stride
+    tile_end = min(rows, montecarlo._PASS_SIZE)
+    check = sorted({0, rows - 1, tile_end - 1, tile_end % rows, *range(0, rows, 509)})
+    streams = {i: replicate_rng(-5, reps[i]).random(8 + max(counts)) for i in check}
+    numbers = _replicate_numbers(reps)
+    for offset in range(8):
+        for count in counts:
+            got = replicate_uniforms(-5, numbers, offset, count)
+            assert got.shape == (rows, count)
+            for i in check:
+                assert np.array_equal(got[i], streams[i][offset:offset + count]), (offset, count, i)
+
+
+def test_block_draw_peak_memory():
+    # the peak traced allocation of a 16384-row draw of one counter: the
+    # kernel that built per-round temporaries and stacked its words
+    # peaked at 2 492 956 bytes, this one at 1 642 332
+    numbers = _replicate_numbers(range(16384))
+    replicate_uniforms(9, numbers, 0, 4)
+    tracemalloc.start()
+    try:
+        replicate_uniforms(9, numbers, 0, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_492_956
+
+
 def test_default_chunk_holds_a_pass_of_draws():
     def rows(kind, n, lead, reps, depth=None):
         return [ones.shape[0] for _, _, ones in
                 montecarlo._sample(kind, kind.one_probs(n), range(reps), 1, lead, depth=depth)]
 
-    # mu + 3 sqrt(mu) + 2 jump draws up front, mu = sum h = 1.89 here
+    # mu + 3 sqrt(mu) + 2 jump draws up front, mu = sum h = 1.89 here,
+    # rounded down to whole Philox counters of 4 draws
     kind = ChainKind.x(PSequence.eta(0.5))
     assert montecarlo._jump_width(kind, kind.one_probs(12)) == 6
-    # a block holds _CHUNK_DRAWS // draws replicates
-    assert rows(kind, 12, 0, 40000) == [10922, 10922, 10922, 7234]  # 6 draws a replicate
-    assert rows(kind, 12, 12, 20000) == [3640] * 5 + [1800]  # 18 draws
+    # a block holds _CHUNK_DRAWS // draws replicates, at most _PASS_SIZE
+    assert montecarlo._PASS_SIZE == 8192
+    assert rows(kind, 12, 0, 40000) == [8192] * 4 + [7232]  # 6 -> 4 draws a replicate
+    assert rows(kind, 12, 12, 20000) == [4096] * 4 + [3616]  # 18 -> 16 draws
     signed = ChainKind.signed(PSequence.eta(1.0), 0.5)
-    assert rows(signed, 50, 100, 1100) == [590, 510]  # 111 draws
-    # ... and at most _PASS_SIZE: one jump draw for A1
-    assert rows(kind, 12, 0, 20000, depth=1) == [montecarlo._PASS_SIZE, 20000 - montecarlo._PASS_SIZE]
+    assert rows(signed, 50, 100, 1100) == [606, 494]  # 111 -> 108 draws
+    # a draw count below one counter stays: one jump draw for A1
+    assert rows(kind, 12, 0, 20000, depth=1) == [8192, 8192, 3616]
+    # two jump draws for A2 after a lead: rounded down while one remains
+    assert rows(kind, 12, 11, 10000, depth=2) == [5461, 4539]  # 13 -> 12 draws
+    assert rows(kind, 12, 12, 10000, depth=2) == [4681, 4681, 638]  # 14 draws: 12 leaves none
 
 
 def test_a_block_of_long_replicates_is_sized_by_the_budget(monkeypatch):
@@ -446,7 +492,7 @@ def test_a_block_of_long_replicates_is_sized_by_the_budget(monkeypatch):
 def test_default_chunk_gives_the_fixed_chunk_results(stat, reps, kw):
     kind = ChainKind.x(PSequence.eta(0.5))
     got = estimate(stat, kind, 12, reps, 77, kappa=0.4, **kw)
-    for budget in (7 * 18, 512 * 18):  # 7 and 512 rows at Lambda's 18 draws a row
+    for budget in (7 * 18, 512 * 18):  # 7 and 576 rows at Lambda's 16 draws a row
         assert _with_budget(budget, estimate, stat, kind, 12, reps, 77, kappa=0.4, **kw) == got
 
 
