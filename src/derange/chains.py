@@ -204,6 +204,7 @@ def _jump_blocks(kind: ChainKind, n: int, seed: int, replicates: range, lead: in
         bits = np.zeros((ones.shape[0], n + 1), dtype=np.int8)
         np.put_along_axis(bits, ones, 1, axis=1)  # padding lands in column 0
         yield draws, ones, bits[:, 1:]
+        del draws, ones, bits  # the next block is drawn without this one alive
 
 
 def sample_paths(kind: ChainKind, n: int, seed: int, replicates: range) -> list:

@@ -237,7 +237,7 @@ def tv_prefix(n: int, p: PSequence, method: str = "theorem",
     limit chain and the horizon-n chain law.
 
     'theorem' evaluates phi_n directly; 'direct' enumerates both prefix
-    laws (n <= 18) and sums half the absolute differences.  The limit chain
+    laws (n <= 22) and sums half the absolute differences.  The limit chain
     runs upward from a 1 at index 1: a 1 is followed by a 0, and a 0 at
     index i by a 1 with probability ``xinf_transition(i, p)``.
     """
@@ -247,8 +247,8 @@ def tv_prefix(n: int, p: PSequence, method: str = "theorem",
         return phi(n, p, acc) if n > 1 else 0.0
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
-    if n > 18:
-        raise ValueError("direct enumeration limited to n <= 18")
+    if n > 22:
+        raise ValueError("direct enumeration limited to n <= 22")
     if n == 1:
         return 0.0
     phis = [0.0, 1.0] + [phi(i, p, acc) for i in range(2, n + 1)]

@@ -304,7 +304,8 @@ def _sample(kind: ChainKind, h: np.ndarray, replicates: range, seed: int, lead: 
     needs more jumps than were drawn up front continues its stream with
     the block draw at a later offset, to a whole counter.  A chunk holds
     ``_CHUNK_DRAWS`` over the up-front draws of one replicate, at least 1
-    and at most ``_PASS_SIZE`` replicates.
+    and at most ``_PASS_SIZE`` replicates.  A caller drops its references
+    to a chunk before asking for the next, so one block is alive at a draw.
     """
     n = h.size - 1
     log_surv = log_survival(h)
@@ -331,6 +332,7 @@ def _sample(kind: ChainKind, h: np.ndarray, replicates: range, seed: int, lead: 
 
         ones = sample_bits(kind, n, u[:, lead:], extend, log_surv, depth)
         yield start, u[:, :lead], ones
+        del u, ones, extend  # the next block is drawn without this one alive
 
 
 def _extract(statistic: str, ones: np.ndarray, orient: np.ndarray | None,
@@ -409,6 +411,7 @@ def estimate(statistic: str, kind: ChainKind, n: int, reps: int, seed: int,
         sample[start:start + ones.shape[0]] = _extract(
             statistic, ones, orient, n, j, target
         )
+        del draws, ones, orient
     mean = float(np.mean(sample))
     sd = float(np.std(sample, ddof=1))
     return EstimateReport(
@@ -471,6 +474,7 @@ def clt_diagnostic(p, n: int, reps: int, seed: int) -> EstimateReport:
         rows = slice(start, start + ones.shape[0])
         sample[rows] = np.count_nonzero(ones, axis=1)
         dither[rows] = draws[:, 0] - 0.5
+        del draws, ones
     dithered = sample + dither
     from scipy import special as _sp
 
@@ -512,10 +516,11 @@ def gem_diagnostic(theta: float, n: int, reps: int, seed: int) -> EstimateReport
     a1 = np.empty(reps)
     a2 = np.empty(reps)
     depth = _JUMP_DEPTH["A2"]  # A1 and A2
-    for start, _, ones in _sample(kind, kind.one_probs(n), range(reps), seed, 0, depth=depth):
+    for start, draws, ones in _sample(kind, kind.one_probs(n), range(reps), seed, 0, depth=depth):
         rows = slice(start, start + ones.shape[0])
         a1[rows] = _extract("A1", ones, None, n, None, None)
         a2[rows] = _extract("A2", ones, None, n, None, None)
+        del draws, ones
     beta_cdf = lambda x: 1.0 - (1.0 - np.clip(x, 0.0, 1.0)) ** theta
     d1 = ks_statistic(a1 / n, beta_cdf)
     # second stick: A_2 relative to what the first circle left over

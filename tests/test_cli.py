@@ -186,12 +186,22 @@ def test_verify_exit_zero(capsys):
 
 
 def test_verify_pushforward_near_the_enumeration_cap(capsys):
-    # 2^16 coin words per theta sequence, scored by the shared-prefix walk
+    # 2^16 coin words per theta sequence, scored by the level sweep
     code, out, _ = run(capsys, "verify", "--suite", "pushforward", "--n", "18",
                        "--format", "json")
     assert code == EXIT_OK
     (res,) = json.loads(out)["results"]
     assert res["passed"] is True and res["max_tv"] < 1e-12
+
+
+def test_verify_all_past_the_old_direct_cap(capsys):
+    # the tv suite runs tv_prefix(m, p, "direct") up to m = n, so its cap
+    # must reach the n <= 22 the conditional and push-forward suites accept
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--n", "20", "--format", "json")
+    assert code == EXIT_OK
+    res = json.loads(out)["results"]
+    assert [r["suite"] for r in res] == list(SUITES)
+    assert all(r["passed"] is True for r in res)
 
 
 def test_signed_quantities(capsys):

@@ -29,7 +29,7 @@ from derange.coupling import (
     joint_cycle_counts,
     ordered_cycle_prefix_prob,
 )
-from derange.dist import DistTable
+from derange.dist import DistTable, compare_laws
 from derange.limitchain import (
     LimitContext,
     delta_i_inf,
@@ -98,6 +98,12 @@ GUARDS = [
     (lambda: ThetaSequence.tabulated([1.0, -2.0]), ValueError, "must be positive"),
     (lambda: TS.scaled(-1.0), ValueError, "scale must be nonnegative"),
     (lambda: DistTable({0: 1.5, 1: -0.5}), ValueError, "negative probability"),
+    (lambda: compare_laws(DistTable({2: 1.0}), DistTable({(1, 0): 1.0})), ValueError,
+     "cannot compare a law on integers with one on words of length 2"),
+    (lambda: compare_laws(DistTable({(1, 2): 1.0}), DistTable({(1, 0): 1.0})), ValueError,
+     "is not a 0/1 word"),
+    (lambda: compare_laws(DistTable({(1,): 0.5, (1, 0): 0.5}), DistTable({1: 1.0})),
+     ValueError, "integers or 0/1 words of one length"),
     # chains
     (lambda: ChainKind.signed(P, 1.5), ValueError, "kappa must lie in [0, 1]"),
     (lambda: SignedWord(("1", "x"), 0.5), ValueError, "invalid signed step 'x'"),
@@ -136,7 +142,7 @@ GUARDS = [
     (lambda: xinf_transition(0, P), ValueError, "index must be >= 1"),
     (lambda: tv_prefix(0, P), ValueError, "n must be >= 1"),
     (lambda: tv_prefix(5, P, "bogus"), ValueError, "unknown method"),
-    (lambda: tv_prefix(19, P, "direct"), ValueError, "limited to n <= 18"),
+    (lambda: tv_prefix(23, P, "direct"), ValueError, "limited to n <= 22"),
     (lambda: gamma_inf(1, TS), ValueError, "index must be >= 2"),
     (lambda: gamma_inf(3, ThetaSequence.holst(1.0, 1.0, 0.5)), ValueError,
      "does not appear to converge"),

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from derange import oracle
@@ -190,7 +191,7 @@ def test_walked_image_is_erase11():
             assert law[erase11(w, n)] == 1.0
 
 
-@pytest.mark.parametrize("n", [4, 7, 10, 14])
+@pytest.mark.parametrize("n", [4, 7, 10, 14, 18])
 def test_pushforward_matches_per_word_enumeration(n):
     # the enumeration the walk replaced: every coin word scored and mapped
     # on its own
@@ -204,6 +205,20 @@ def test_pushforward_matches_per_word_enumeration(n):
     got = oracle.pushforward_law(n, ts)
     assert set(got) == set(want)
     assert max(abs(got[w] - want[w]) for w in want) <= 1e-15
+
+
+def test_blocks_of_prefixes_give_the_same_laws(monkeypatch):
+    # blocks of 16 words split the lower levels into hundreds of blocks;
+    # word probabilities stay bit-identical, images are summed in another order
+    ts = ThetaSequence.eta_star(0.8)
+    kinds = (ChainKind.x(PSequence.eta(0.7)), ChainKind.y(ts))
+    whole = [oracle.exact_law(kind, 13) for kind in kinds] + [oracle.pushforward_law(13, ts)]
+    monkeypatch.setattr(oracle, "_BLOCK", 16)
+    split = [oracle.exact_law(kind, 13) for kind in kinds] + [oracle.pushforward_law(13, ts)]
+    for a, b in zip(whole[:2], split):
+        assert np.array_equal(a.codes, b.codes) and np.array_equal(a.prob, b.prob)
+    assert np.array_equal(whole[2].codes, split[2].codes)
+    assert np.allclose(whole[2].prob, split[2].prob, rtol=0.0, atol=1e-16)
 
 
 def test_relations_detect_one_perturbed_link():
