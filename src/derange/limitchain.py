@@ -236,10 +236,10 @@ def tv_prefix(n: int, p: PSequence, method: str = "theorem",
     """Total variation distance between the first n coordinates of the
     limit chain and the horizon-n chain law.
 
-    'theorem' evaluates phi_n directly; 'direct' enumerates both prefix
-    laws (n <= 22) and sums half the absolute differences.  The limit chain
-    runs upward from a 1 at index 1: a 1 is followed by a 0, and a 0 at
-    index i by a 1 with probability ``xinf_transition(i, p)``.
+    'theorem' evaluates phi_n directly.  'direct' (n <= 22) is the
+    oracle's enumeration ``oracle.tv_prefixes``: one upward sweep over the
+    no-adjacent-1s words carries both prefix laws, with phi taken from the
+    oracle's marginal DP at a horizon past n, never from ``phi``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -251,27 +251,8 @@ def tv_prefix(n: int, p: PSequence, method: str = "theorem",
         raise ValueError("direct enumeration limited to n <= 22")
     if n == 1:
         return 0.0
-    phis = [0.0, 1.0] + [phi(i, p, acc) for i in range(2, n + 1)]
-    up = [0.0, 0.0] + [phis[i + 1] / (1.0 - phis[i]) for i in range(2, n)]  # xinf_transition
-    row = ChainKind.x(p).row
-    rows = [None] + [row(r) for r in range(1, n)]
-    # the no-adjacent-1s words grown from index n down, each entry carrying
-    # the horizon-n product (in chains.word_law's order) and the limit one:
-    # a 0 at i < n below a bit b pays up[i] (b = 1) or 1 - up[i] (b = 0).
-    # The horizon-n chain forces a 0 at index n; only the limit chain has a 1.
-    gaps = []
-    stack = [(n - 1, 1.0, 1.0, 0)] + ([(n - 1, 0.0, 1.0, 1)] if n > 2 else [])
-    while stack:  # (index to fill, horizon-n product, limit product, bit above)
-        r, pn, pinf, above = stack.pop()
-        if r == 1:
-            gaps.append(abs(pn * rows[1][1] - pinf))
-        elif above:
-            stack.append((r - 1, pn, pinf * up[r], 0))
-        else:
-            stack.append((r - 1, pn * rows[r][0], pinf * (1.0 - up[r]), 0))
-            if r > 2:
-                stack.append((r - 1, pn * rows[r][1], pinf, 1))
-    return 0.5 * math.fsum(gaps)
+    from . import oracle
+    return float(oracle.tv_prefixes(n, ChainKind.x(p))[n])
 
 
 def _gamma_inf_backward(i: int, thetaseq: ThetaSequence, horizon: int) -> float:

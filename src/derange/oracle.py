@@ -16,6 +16,12 @@ image bit, y_i and not the image bit above, the run parity of
 ``coupling.erase11``, and sums the images by Zeckendorf rank; it scores
 the 2^20 words of ``pushforward_law(22, ·)`` in about 0.02 s, at a
 process peak RSS of 30 MB, on a 2-CPU VM.
+
+The one upward sweep, ``tv_prefixes``, grows the words from index 1 and
+scores the total variation distance to the limit chain X^inf at every
+horizon m <= n on the way.  The limit chain's phi_r come from this
+module's own marginal DP at a horizon past n where the remaining product
+of q_r is below 1e-17, never from ``limitchain.phi``, which it certifies.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import math
 
 import numpy as np
 
-from .chains import ChainKind, cycle_statistics
+from .chains import ChainKind
 from .dist import DistTable, WordLaw, word_tuples
 from .params import ThetaSequence
 
@@ -36,6 +42,11 @@ MAX_FULL_N = 22
 # Most words a sweep holds in one array (128 KiB of float64): below the
 # level where the prefixes fill it, the sweep runs on blocks of prefixes.
 _BLOCK = 1 << 14
+
+# tv_prefixes reads phi off the marginals at the first horizon N > n with
+# q_{n+1} ... q_N < _TAIL, and gives up past N = n + _TAIL_CAP.
+_TAIL = 1e-17
+_TAIL_CAP = 10**4
 
 
 def _sweep(rows: list, top: int, weight: list, above: bool, no11: bool = False,
@@ -151,6 +162,46 @@ def pushforward_law(n: int, thetaseq: ThetaSequence) -> WordLaw:
                                erase=True):
         probs += np.bincount(ranks, prods, minlength=probs.size)
     return WordLaw(n, images | 1, probs, tol=1e-10)
+
+
+def tv_prefixes(n: int, kind: ChainKind) -> np.ndarray:
+    """tv[m], m = 2..n: the total variation distance between the limit
+    chain X^inf of the derangement chain ``kind`` on indices 1..m and its
+    horizon-m law, from one upward sweep (tv[0] = tv[1] = 0).
+
+    The words w_1..w_m, w_1 = 1, without adjacent 1s are grouped by w_m.
+    Each carries its horizon product less index m's factor (rows[m][0][w_m],
+    or 1 below w_{m+1} = 1) and its X^inf product, whose step up from a 0 at
+    index m is a 1 with probability phi_{m+1}/(1 - phi_m).  The horizon law
+    holds index m at 0, so tv[m] = (sum over w_m = 0 of |horizon - limit|
+    + sum over w_m = 1 of limit) / 2.  phi_r, r <= n + 1, is within
+    q_{n+1} ... q_N < ``_TAIL`` of the limit at horizon N; when sum p_r
+    converges no N gets there.
+    """
+    if not kind.gap or kind.kappa is not None:
+        raise ValueError(f"tv_prefixes needs a derangement chain, not {kind!r}")
+    if not (1 <= n <= MAX_DELTA_N):
+        raise ValueError(f"tv_prefixes limited to 1 <= n <= {MAX_DELTA_N}")
+    top, tail = n, 1.0
+    while tail >= _TAIL:
+        if top == n + _TAIL_CAP:
+            raise ValueError(
+                f"sum p_j does not appear to diverge: q_{n + 1} ... q_{top} stays "
+                f"above {_TAIL:g}, so the limit chain is not well defined")
+        top += 1
+        tail *= kind.row(top)[1]
+    rows = _rows(kind, top)
+    phi = _marginal_dp(rows, top)
+    tv = np.zeros(n + 1)
+    zero, one = (np.zeros(0), np.zeros(0)), (np.ones(1), np.ones(1))
+    for m in range(1, n):
+        up = phi[m + 1] / (1.0 - phi[m]) if m > 1 else 0.0  # no word has w_1 = 0
+        p_m, q_m = rows[m][0]
+        zero, one = ((np.concatenate((zero[0] * p_m, one[0] * q_m)),
+                      np.concatenate((zero[1] * (1.0 - up), one[1]))),
+                     (zero[0], zero[1] * up))
+        tv[m + 1] = 0.5 * (np.abs(zero[0] - zero[1]).sum() + one[1].sum())
+    return tv
 
 
 # ---------------------------------------------------------------------------
@@ -280,37 +331,42 @@ def _cov_cycle_counts(rows: list, n: int, a: int, b: int) -> float:
 
 def enumeration_moments(kind: ChainKind, n: int, j_max: int | None = None) -> dict:
     """Cycle-count moments by full enumeration (small n): means, second
-    moments, and the exact laws of K and each C_j."""
+    moments, and the exact laws of K and each C_j.
+
+    The counts come from the word codes in numpy, one level per index from
+    n down to 1: a 1 at index i closes a cycle of length (index of the
+    nearest 1 above it, the virtual one at n + 1 included) - i.  Every sum
+    adds its terms one after another in code order (``np.cumsum``'s last
+    row, and ``np.bincount`` for the laws), as a loop over the words would.
+    """
     law = exact_law(kind, n)
     j_max = j_max or n
-    mean_k = 0.0
-    e_k2 = 0.0
-    mean_c = [0.0] * (j_max + 1)
-    e_c2 = [[0.0] * (j_max + 1) for _ in range(j_max + 1)]
-    k_law: dict = {}
-    c_laws: list = [dict() for _ in range(j_max + 1)]
-    for w, pr in law.items():
-        counts, k, _ = cycle_statistics(w)
-        mean_k += pr * k
-        e_k2 += pr * k * k
-        k_law[k] = k_law.get(k, 0.0) + pr
-        for a in range(1, j_max + 1):
-            ca = counts[a - 1] if a <= len(counts) else 0
-            mean_c[a] += pr * ca
-            c_laws[a][ca] = c_laws[a].get(ca, 0.0) + pr
-            for b in range(1, j_max + 1):
-                cb = counts[b - 1] if b <= len(counts) else 0
-                e_c2[a][b] += pr * ca * cb
+    codes, probs = law.codes, law.prob
+    counts = np.zeros((codes.size, max(n, j_max) + 1))
+    above = np.full(codes.size, n + 1)
+    for i in range(n, 0, -1):
+        ones = np.flatnonzero(codes >> (i - 1) & 1)
+        counts[ones, above[ones] - i] += 1.0
+        above[ones] = i
+    k = counts.sum(axis=1)
+    counts = counts[:, :j_max + 1]
+    weighted = probs[:, None] * counts
+    mean_k = float(np.cumsum(probs * k)[-1])
+    mean_c = np.cumsum(weighted, axis=0)[-1]
+    e_c2 = np.array([np.cumsum(weighted[:, [a]] * counts, axis=0)[-1]
+                     for a in range(j_max + 1)])
+
+    def law_of(values):
+        keys, at = np.unique(values.astype(np.int64), return_inverse=True)
+        return DistTable(dict(zip(keys.tolist(), np.bincount(at, probs).tolist())), tol=1e-10)
+
     return {
         "mean_k": mean_k,
-        "var_k": e_k2 - mean_k * mean_k,
-        "mean_c": mean_c,
-        "cov_c": [
-            [e_c2[a][b] - mean_c[a] * mean_c[b] for b in range(j_max + 1)]
-            for a in range(j_max + 1)
-        ],
-        "k_law": DistTable(k_law, tol=1e-10),
-        "c_laws": [DistTable(cl, tol=1e-10) if cl else None for cl in c_laws],
+        "var_k": float(np.cumsum(probs * k * k)[-1]) - mean_k * mean_k,
+        "mean_c": mean_c.tolist(),
+        "cov_c": (e_c2 - np.outer(mean_c, mean_c)).tolist(),
+        "k_law": law_of(k),
+        "c_laws": [None] + [law_of(counts[:, a]) for a in range(1, j_max + 1)],
     }
 
 

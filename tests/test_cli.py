@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from derange import __version__, oracle
+from derange import __version__, cli, oracle
 from derange.chains import ChainKind, generate_signed, sample_path, word_to_string
 from derange.coupling import pgf_k
 from derange.moments import mean_k
@@ -22,6 +22,7 @@ from derange.signed_stats import (
 )
 from derange.cli import (
     COMMANDS,
+    EXIT_FAIL,
     EXIT_GUARD,
     EXIT_OK,
     EXIT_UNKNOWN,
@@ -194,9 +195,31 @@ def test_verify_pushforward_near_the_enumeration_cap(capsys):
     assert res["passed"] is True and res["max_tv"] < 1e-12
 
 
+def test_verify_tv_at_the_enumeration_cap(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "tv", "--n", "22", "--format", "json")
+    assert code == EXIT_OK
+    (res,) = json.loads(out)["results"]
+    assert res["passed"] is True and res["max_gap"] < 1e-12
+
+
+@pytest.mark.parametrize("scale, code", [(1.0, EXIT_OK), (1.0 + 1e-9, EXIT_FAIL)])
+def test_tv_suite_catches_one_perturbed_index(capsys, monkeypatch, scale, code):
+    # the theorem side reads a table copy of p with p_7 (about n/2) scaled:
+    # the copy alone passes, one part in 1e9 at one index fails the suite
+    theorem = cli.tv_prefix
+
+    def bent(m, p, method):
+        assert method == "theorem"
+        table = [p(i) * (scale if i == 7 else 1.0) for i in range(1, 40)]
+        return theorem(m, PSequence.tabulated(table, tail_rule="constant"), method)
+
+    monkeypatch.setattr(cli, "tv_prefix", bent)
+    assert run(capsys, "verify", "--suite", "tv", "--n", "14")[0] == code
+
+
 def test_verify_all_past_the_old_direct_cap(capsys):
-    # the tv suite runs tv_prefix(m, p, "direct") up to m = n, so its cap
-    # must reach the n <= 22 the conditional and push-forward suites accept
+    # the tv suite sweeps the words up to m = n once per family, and must
+    # reach the n <= 22 the conditional and push-forward suites accept
     code, out, _ = run(capsys, "verify", "--suite", "all", "--n", "20", "--format", "json")
     assert code == EXIT_OK
     res = json.loads(out)["results"]

@@ -20,7 +20,7 @@ from derange.chains import (
     path_probability,
     transition_matrix,
 )
-from derange.cli import emit_report
+from derange.cli import command_parser, emit_report
 from derange.coupling import (
     delta_n,
     erase11,
@@ -73,6 +73,15 @@ X = ChainKind.x(P)
 TS = ThetaSequence.constant(1.0)
 W = OrientationWeights.binomial(0.5)
 SHORT = AccuracySpec(max_terms=100)
+# sum p_i converges, so the product of the q_i never falls below 1e-17
+CONVERGENT = PSequence.tabulated([1.0 / (i * i) for i in range(1, 20_001)])
+
+
+def verify(*argv):
+    """The verify command on argv, its errors not mapped to exit codes."""
+    args = command_parser("verify").parse_args(argv)
+    return args.func(args)
+
 
 GUARDS = [
     # numerics
@@ -143,6 +152,8 @@ GUARDS = [
     (lambda: tv_prefix(0, P), ValueError, "n must be >= 1"),
     (lambda: tv_prefix(5, P, "bogus"), ValueError, "unknown method"),
     (lambda: tv_prefix(23, P, "direct"), ValueError, "limited to n <= 22"),
+    (lambda: tv_prefix(10, CONVERGENT, "direct"), ValueError,
+     "does not appear to diverge: q_11 ... q_"),
     (lambda: gamma_inf(1, TS), ValueError, "index must be >= 2"),
     (lambda: gamma_inf(3, ThetaSequence.holst(1.0, 1.0, 0.5)), ValueError,
      "does not appear to converge"),
@@ -175,6 +186,8 @@ GUARDS = [
     (lambda: oracle.dp_moments(X, 5, targets=("cov_cij",), j=2), ValueError,
      "cov_cij needs i and j"),
     (lambda: oracle.ExactCycleProvider(X, 15), ValueError, "limited to n <= 14"),
+    (lambda: oracle.tv_prefixes(5, ChainKind.y(TS)), ValueError, "needs a derangement chain"),
+    (lambda: oracle.tv_prefixes(31, X), ValueError, "limited to 1 <= n <= 30"),
     # signed statistics
     (lambda: OrientationWeights.binomial(-0.1), ValueError, "kappa must lie in [0, 1]"),
     (lambda: OrientationWeights.from_table({(2, 3): 1.0}), ValueError, "outside 1 <= i <= k"),
@@ -187,6 +200,10 @@ GUARDS = [
     (lambda: lambda_total(5, 1.5, DistTable({1: 1.0})), ValueError, "kappa must lie in [0, 1]"),
     # cli
     (lambda: emit_report([], "xml", {}, io.StringIO()), ValueError, "unknown format 'xml'"),
+    (lambda: verify("--suite", "tv", "--n", "2"), ValueError, "needs --n >= 3"),
+    (lambda: verify("--suite", "all", "--n", "2"), ValueError, "needs --n >= 3"),
+    (lambda: verify("--suite", "conditional", "--trials", "0"), ValueError,
+     "--trials must be >= 1"),
 ]
 
 

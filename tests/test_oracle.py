@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from derange import oracle
-from derange.chains import ChainKind, in_delta, word_law
+from derange import limitchain, oracle
+from derange.chains import ChainKind, cycle_statistics, in_delta, word_law
 from derange.coupling import erase11
 from derange.dist import compare_laws
+from derange.limitchain import phi, xinf_transition
 from derange.params import PSequence, ThetaSequence
 
 
@@ -108,6 +109,92 @@ def test_exact_cycle_provider():
         assert provider.mean(k) == pytest.approx(enum["mean_c"][k], abs=1e-12)
     assert provider.cov(2, 3) == pytest.approx(enum["cov_c"][2][3], abs=1e-12)
     assert provider.k_law().total() == pytest.approx(1.0, abs=1e-12)
+
+
+def _moments_by_loop(kind, n):
+    """enumeration_moments as a loop over the words, each scored by
+    cycle_statistics."""
+    law = oracle.exact_law(kind, n)
+    mean_k = e_k2 = 0.0
+    mean_c = [0.0] * (n + 1)
+    e_c2 = [[0.0] * (n + 1) for _ in range(n + 1)]
+    k_law: dict = {}
+    c_laws: list = [{} for _ in range(n + 1)]
+    for w, pr in law.items():
+        counts, k, _ = cycle_statistics(w)
+        counts = (0,) + counts
+        mean_k += pr * k
+        e_k2 += pr * k * k
+        k_law[k] = k_law.get(k, 0.0) + pr
+        for a in range(1, n + 1):
+            mean_c[a] += pr * counts[a]
+            c_laws[a][counts[a]] = c_laws[a].get(counts[a], 0.0) + pr
+            for b in range(1, n + 1):
+                e_c2[a][b] += pr * counts[a] * counts[b]
+    cov = [[e_c2[a][b] - mean_c[a] * mean_c[b] for b in range(n + 1)] for a in range(n + 1)]
+    return mean_k, e_k2 - mean_k * mean_k, mean_c, cov, k_law, c_laws
+
+
+@pytest.mark.parametrize("kind, n", [(ChainKind.eta_tilde(1.3), 14),
+                                     (ChainKind.y(ThetaSequence.eta_star(0.8)), 12)])
+def test_enumeration_moments_match_a_loop_over_the_words(kind, n):
+    mean_k, var_k, mean_c, cov, k_law, c_laws = _moments_by_loop(kind, n)
+    enum = oracle.enumeration_moments(kind, n)
+    got = [enum["mean_k"], enum["var_k"], *enum["mean_c"], *sum(enum["cov_c"], [])]
+    want = [mean_k, var_k, *mean_c, *sum(cov, [])]
+    assert len(got) == len(want) and max(abs(a - b) for a, b in zip(got, want)) <= 1e-15
+    for table, law in [(enum["k_law"], k_law)] + list(zip(enum["c_laws"][1:], c_laws[1:])):
+        assert set(table) == set(law)
+        assert max(abs(table[v] - law[v]) for v in law) <= 1e-15
+
+
+def _tv_by_words(p, m):
+    """The TV distance between the horizon-m law and X^inf on indices 1..m,
+    each no-adjacent-1s word scored on its own: ``word_law`` for the first
+    (0 when w_m = 1), a product of ``xinf_transition`` steps up from the 1
+    at index 1 for the second."""
+    horizon = word_law(ChainKind.x(p), m)
+    up = [0.0] + [xinf_transition(i, p) for i in range(1, m)]
+    gaps = []
+    for bits in itertools.product((0, 1), repeat=m - 1):
+        w = (1,) + bits
+        if any(a and b for a, b in zip(w, bits)):
+            continue
+        limit = math.prod(up[i] if w[i] else 1.0 - up[i]
+                          for i in range(1, m) if not w[i - 1])
+        gaps.append(abs(horizon(w) - limit))
+    return 0.5 * math.fsum(gaps)
+
+
+@pytest.mark.parametrize("p", [
+    PSequence.eta(0.5), PSequence.eta_tilde(3.0),
+    PSequence.tabulated([0.0, 1.0] + [0.2 + 0.5 * (5 * i % 7) / 7 for i in range(3, 40)],
+                        tail_rule="constant")], ids=["eta", "eta_tilde", "tabulated"])
+def test_tv_sweep_matches_word_by_word_scoring(p):
+    tv = oracle.tv_prefixes(12, ChainKind.x(p))
+    assert tv[0] == tv[1] == 0.0
+    for m in range(2, 13):
+        assert tv[m] == pytest.approx(_tv_by_words(p, m), abs=1e-12), m
+
+
+@pytest.mark.parametrize("theta", [0.05, 0.5, 3.0, 30.0, 100.0])
+def test_tv_sweep_matches_the_theorem(theta):
+    p = PSequence.eta(theta)
+    tv = oracle.tv_prefixes(oracle.MAX_FULL_N, ChainKind.x(p))
+    assert max(abs(tv[m] - phi(m, p)) for m in range(2, oracle.MAX_FULL_N + 1)) <= 1e-12
+
+
+def test_direct_tv_never_calls_phi(monkeypatch):
+    # the oracle side reads phi off its own marginal DP, so the series
+    # under test can be broken without the enumeration noticing
+    p = PSequence.eta(0.5)
+    want = limitchain.tv_prefix(16, p, "theorem")
+
+    def broken(*args, **kwargs):
+        raise AssertionError("phi called")
+
+    monkeypatch.setattr(limitchain, "phi", broken)
+    assert limitchain.tv_prefix(16, p, "direct") == pytest.approx(want, abs=1e-12)
 
 
 def test_guard_large_n():
