@@ -40,8 +40,8 @@ print(f"\ntotal looking in: E[Lambda] = {mean:.10f}")
 print(f"identity n*kappa + (1-kappa)E[K] = "
       f"{lambda_mean_identity(n, kappa, k_law.mean()):.10f}")
 
-provider = oracle.ExactCycleProvider(ChainKind.x(p), n)
-m1, v1 = cstar_moments(1, 1, n, provider, w)
+moments = oracle.enumeration_moments(ChainKind.x(p), n)
+m1, v1 = cstar_moments(1, 1, moments["mean_c"], moments["cov_c"], w)
 print(f"\ncircles with exactly one in-looker: mean {m1:.6f}, variance {v1:.6f}")
 
 ts = ThetaSequence.constant(theta)

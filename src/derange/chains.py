@@ -14,10 +14,11 @@ probability h_r, and index 1 always closes the last one (h_1 = 1):
   index is free.
 
 Words are stored ascending by chain index (w_1 first); string serialization
-reverses to the visual top-down order.  The signed chain (``signed``) is
-the derangement chain with an orientation probability kappa: each 0-step
-is '+0' with probability kappa, else '-0', and the word extends to a
-signed permutation by uniform labeling.
+reverses to the visual top-down order.  A signed word is a derangement
+word with an orientation: ``generate_signed_many`` takes the orientation
+probability kappa as an argument, makes each 0-step '+0' with
+probability kappa, else '-0', and extends the word to a signed
+permutation by uniform labeling.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ SIGNED_STATES = ("+0", "-0", "1")
 
 
 class ChainKind:
-    """A chain family: its closing probabilities, its gap and, for the
-    signed chain, kappa.
+    """A chain family: its closing probabilities and its gap.
 
     Use the classmethod constructors.  A derangement kind carries a
     PSequence ``p`` and has ``gap`` 1; a coin kind carries a
@@ -45,12 +45,10 @@ class ChainKind:
     """
 
     def __init__(self, label: str, p: PSequence | None = None,
-                 thetaseq: ThetaSequence | None = None,
-                 kappa: float | None = None):
+                 thetaseq: ThetaSequence | None = None):
         self.label = label.upper()
         self.p = p
         self.thetaseq = thetaseq
-        self.kappa = kappa
         self.gap = 0 if p is None else 1
 
     @classmethod
@@ -74,12 +72,6 @@ class ChainKind:
     @classmethod
     def xi_tilde(cls, theta: float) -> "ChainKind":
         return cls("xi_tilde", thetaseq=ThetaSequence.constant(theta))
-
-    @classmethod
-    def signed(cls, p: PSequence, kappa: float) -> "ChainKind":
-        if not (0.0 <= kappa <= 1.0):
-            raise ValueError("kappa must lie in [0, 1]")
-        return cls("signed", p=p, kappa=kappa)
 
     def row(self, r: int) -> tuple:
         """(P(0), P(1)) at a free index r, from the scalar sequence:
@@ -160,9 +152,6 @@ class SignedPermutation:
 
     circles: tuple
 
-    def n(self) -> int:
-        return sum(len(c) for c in self.circles)
-
 
 # ---------------------------------------------------------------------------
 # transition structure
@@ -177,8 +166,6 @@ def transition_matrix(kind: ChainKind, r: int, n: int) -> np.ndarray:
     """
     if not (1 <= r <= n):
         raise ValueError(f"index r={r} outside 1..{n}")
-    if kind.kappa is not None:
-        raise ValueError(f"{kind!r} has three states, not a 0/1 transition matrix")
     free = kind.row(r)
     after_one = (1.0, 0.0) if kind.gap else free
     return np.array([after_one if r == n else free, after_one])
@@ -210,9 +197,6 @@ def _jump_blocks(kind: ChainKind, n: int, seed: int, replicates: range, lead: in
 def sample_paths(kind: ChainKind, n: int, seed: int, replicates: range) -> list:
     """The words of replicates ``replicates`` of run ``seed``; word r is
     ``sample_path(kind, n, seed, r)``."""
-    if kind.kappa is not None:
-        pairs = generate_signed_many(n, kind.p, kind.kappa, seed, replicates)
-        return [word for word, _ in pairs]
     return [tuple(word) for _, _, words in _jump_blocks(kind, n, seed, replicates)
             for word in words.tolist()]
 
@@ -232,9 +216,10 @@ def generate_signed_many(n: int, p: PSequence, kappa: float, seed: int,
     i is '+0' when the i-th is below kappa), then n labeling uniforms (the
     label order is their argsort), then the jump uniforms of its word.
     """
+    if not (0.0 <= kappa <= 1.0):
+        raise ValueError("kappa must lie in [0, 1]")
     out = []
-    kind = ChainKind.signed(p, kappa)
-    for lead, ones, bits in _jump_blocks(kind, n, seed, replicates, 2 * n):
+    for lead, ones, bits in _jump_blocks(ChainKind.x(p), n, seed, replicates, 2 * n):
         plus = lead[:, :n] < kappa
         steps = _STEP_NAMES[np.where(bits == 1, 2, plus)]
         # label t belongs to index n - t; its sign is that of the step at
@@ -277,8 +262,6 @@ def word_law(kind: ChainKind, n: int):
     entry of each free index and rejects a 1 where the gap forces a 0.
     The rows of (kind, n) are evaluated once, for every word it scores.
     """
-    if kind.kappa is not None:
-        raise ValueError(f"{kind!r} has three states, not a 0/1 word law")
     gap = kind.gap
     if n < 1 + gap:
         return lambda word: 0.0  # the virtual 1 would force index 1 to 0, yet it must close

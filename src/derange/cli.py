@@ -29,7 +29,7 @@ from .chains import (
     word_to_string,
 )
 from .coupling import delta_n, gamma_n, k_distribution, pgf_k
-from .dist import compare_laws
+from .dist import DistTable, compare_laws
 from .limitchain import delta_i_inf, gamma_inf, phi, tv_prefix
 from .moments import (
     lambda_esf,
@@ -156,9 +156,25 @@ def _weights(a) -> OrientationWeights:
     return weights
 
 
-def _eta_provider(a):
+def _eta_moments(a) -> dict:
+    """``oracle.enumeration_moments`` of the eta chain, which cki and cstar
+    read; enumeration caps n."""
+    if a.n > 14:
+        raise ValueError("signed cki and cstar enumerate every word: limited to n <= 14")
     from . import oracle
-    return oracle.ExactCycleProvider(ChainKind.x(PSequence.eta(a.theta)), a.n)
+    return oracle.enumeration_moments(ChainKind.x(PSequence.eta(a.theta)), a.n)
+
+
+def _cki(a) -> float:
+    laws = _eta_moments(a)["c_laws"]
+    c_law = laws[a.k] if 1 <= a.k <= a.n else DistTable({0: 1.0})  # no k-circle past n
+    return cki_distribution(a.k, a.i, a.l, a.n, c_law, _weights(a))
+
+
+def _cstar(a) -> dict:
+    m = _eta_moments(a)
+    mean, cov = cstar_moments(a.i, a.j, m["mean_c"], m["cov_c"], _weights(a))
+    return {"mean_cstar_j": mean, "cov_cstar_ij": cov}
 
 
 def _lambda(a) -> dict:
@@ -173,10 +189,8 @@ def _lambda(a) -> dict:
 
 SIGNED_QUANTITIES = {
     "omega": lambda a: omega(a.k, a.i, _weights(a)),
-    "cki": lambda a: cki_distribution(a.k, a.i, a.l, a.n,
-                                      _eta_provider(a).c_law(a.k), _weights(a)),
-    "cstar": lambda a: dict(zip(("mean_cstar_j", "cov_cstar_ij"), cstar_moments(
-        a.i, a.j, a.n, _eta_provider(a), _weights(a)))),
+    "cki": _cki,
+    "cstar": _cstar,
     "lambda": _lambda,
     "ordered_star": lambda a: ordered_star_prob(
         tuple(int(v) for v in a.astar.split(",")), a.n, _theta_seq(a), _weights(a)),

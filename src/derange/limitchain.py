@@ -89,6 +89,13 @@ class LimitContext:
       eqcond2      sum c_i c_{i+1} < inf (gamma_{i,inf} > 0)
       eqcond4      sum c_i^2 < inf (finite-dimensional cycle-count laws
                    converge), where c_i = theta_i/(i-1+theta_i)
+
+    Each series flag is the dyadic block-ratio rule's verdict on the sums
+    over (h/8, h/4], (h/4, h/2], (h/2, h] at the probe horizon h: converging
+    when every outer-to-inner ratio is below 0.75, diverging when none is.
+    Its error is one-sided: a convergent series whose blocks shrink more
+    slowly (sum i^-1.1, sum 1/(i log^2 i)) reads as divergent, so
+    ``require`` may refuse valid input.
     """
 
     p: PSequence

@@ -382,9 +382,8 @@ def estimate(statistic: str, kind: ChainKind, n: int, reps: int, seed: int,
     Statistics: 'K', 'Cj' (needs j), 'A1', 'A2', 'Lambda', 'Cstar_j'
     (signed; need j and an orientation probability), 'Astar1' (signed;
     indicator of the first circle having ``target`` members looking in
-    with more circles following).  The orientation probability is the
-    kind's kappa or ``kappa``, which must lie in [0, 1] and agree with the
-    kind's when both are given.  Orientation statistics draw one
+    with more circles following).  The orientation probability is
+    ``kappa``, which must lie in [0, 1].  Orientation statistics draw one
     orientation uniform per index from each replicate's stream before its
     jump uniforms.
     """
@@ -394,12 +393,8 @@ def estimate(statistic: str, kind: ChainKind, n: int, reps: int, seed: int,
         raise ValueError(f"unknown statistic {statistic!r}")
     if statistic in ("Cj", "Cstar_j") and j is None:
         raise ValueError(f"statistic {statistic!r} needs j")
-    if kappa is None:
-        kappa = kind.kappa
-    elif not 0.0 <= kappa <= 1.0:
+    if kappa is not None and not 0.0 <= kappa <= 1.0:
         raise ValueError("kappa must lie in [0, 1]")
-    elif kind.kappa not in (None, kappa):
-        raise ValueError(f"kappa={kappa} conflicts with the kappa={kind.kappa} of {kind!r}")
     if statistic in _NEEDS_ORIENT and kappa is None:
         raise ValueError(f"statistic {statistic!r} needs an orientation probability")
     lead = n if statistic in _NEEDS_ORIENT else 0

@@ -178,7 +178,7 @@ def tv_prefixes(n: int, kind: ChainKind) -> np.ndarray:
     q_{n+1} ... q_N < ``_TAIL`` of the limit at horizon N; when sum p_r
     converges no N gets there.
     """
-    if not kind.gap or kind.kappa is not None:
+    if not kind.gap:
         raise ValueError(f"tv_prefixes needs a derangement chain, not {kind!r}")
     if not (1 <= n <= MAX_DELTA_N):
         raise ValueError(f"tv_prefixes limited to 1 <= n <= {MAX_DELTA_N}")
@@ -216,8 +216,6 @@ def _rows(kind: ChainKind, n: int) -> list:
     the row after a 0 at index h, which no DP reaches, since the value
     above index h is the virtual 1.
     """
-    if kind.kappa is not None:
-        raise ValueError(f"{kind!r} has three states, not 0/1 transition rows")
     rows = [None]
     for r in range(1, n + 1):
         free = kind.row(r)
@@ -368,29 +366,3 @@ def enumeration_moments(kind: ChainKind, n: int, j_max: int | None = None) -> di
         "k_law": law_of(k),
         "c_laws": [None] + [law_of(counts[:, a]) for a in range(1, j_max + 1)],
     }
-
-
-class ExactCycleProvider:
-    """Unsigned cycle-count moments for the signed-statistics layer,
-    backed by enumeration (n <= 14)."""
-
-    def __init__(self, kind: ChainKind, n: int):
-        if n > 14:
-            raise ValueError("exact cycle provider limited to n <= 14")
-        self.n = n
-        self._m = enumeration_moments(kind, n)
-
-    def mean(self, k: int) -> float:
-        return self._m["mean_c"][k] if k <= self.n else 0.0
-
-    def cov(self, k: int, kp: int) -> float:
-        if k > self.n or kp > self.n:
-            return 0.0
-        return self._m["cov_c"][k][kp]
-
-    def k_law(self) -> DistTable:
-        return self._m["k_law"]
-
-    def c_law(self, k: int) -> DistTable:
-        law = self._m["c_laws"][k] if k <= self.n else None
-        return law if law is not None else DistTable({0: 1.0})

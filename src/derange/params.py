@@ -264,22 +264,36 @@ class PSequence:
 
 class _ConditionalInverse(PSequence):
     """p_i = G_{i-1}/G_i by the ratio recursion p_i = 1/(1 + theta_i
-    p_{i-1}/(i-1)) from p_2 = 1, the G recursion divided by G_{i-1}: O(n)
-    for ``values(n)``, O(i) for one index (it is not pointwise)."""
+    p_{i-1}/(i-1)) from p_2 = 1, the G recursion divided by G_{i-1}.  The
+    recursion is not pointwise, so the instance keeps the array it has run
+    and runs it on when a larger index is asked for: any sequence of calls
+    up to index n costs O(n)."""
 
     def __init__(self, thetaseq: ThetaSequence, family: str, label: str):
-        super().__init__(lambda i: self.values(int(np.max(i)))[i], family, label)
+        super().__init__(lambda i: self._upto(i if type(i) is int else int(np.max(i)))[i],
+                         family, label)
         self.thetaseq = thetaseq
+        self._p, self._top = np.array([0.0, 0.0, 1.0]), 2  # p_0..p_top are run
+
+    def _upto(self, n: int) -> np.ndarray:
+        """The kept array, run on to index n if it stops short of it."""
+        top = self._top
+        if n > top:
+            theta = memoryview(_at(self.thetaseq, np.arange(top + 1, n + 1)))
+            if n >= self._p.size:  # at least double the room: growing runs stay O(n)
+                self._p = np.concatenate((self._p[:top + 1], np.empty(max(n, 2 * top) - top)))
+            p = memoryview(self._p)
+            prev = p[top]
+            for k in range(top + 1, n + 1):
+                prev = 1.0 / (1.0 + theta[k - top - 1] * prev / (k - 1))
+                p[k] = prev
+            self._top = n
+        return self._p
 
     def values(self, n: int) -> np.ndarray:
-        theta = memoryview(self.thetaseq.values(n))
-        out = np.zeros(n + 1)
-        out[2:3] = 1.0
-        p, prev = memoryview(out), 1.0
-        for k in range(3, n + 1):
-            prev = 1.0 / (1.0 + theta[k] * prev / (k - 1))
-            p[k] = prev
-        return out
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        return self._upto(n)[:n + 1].copy()
 
 
 def conditional_theta(p: PSequence, theta2: float = 1.0) -> ThetaSequence:

@@ -3,10 +3,11 @@
 Each circle of size k carries an orientation pattern; the number of
 in-looking members of a k-circle is i with probability omega_{ki},
 independently across circles given the cycle counts.  From the omega
-weights and the unsigned laws (exact or formula-based) this module derives
-the laws and moments of the oriented counts: C_{ki} (k-circles with i
-looking in), C*_j (circles with j looking in), Lambda_n (total looking
-in), and A*_i (in-looking counts of the circles in formation order).
+weights and the unsigned laws and moments, passed in as a law, an
+orientation probability kappa or arrays, this module derives the laws
+and moments of the oriented counts: C_{ki} (k-circles with i looking in),
+C*_j (circles with j looking in), Lambda_n (total looking in), and A*_i
+(in-looking counts of the circles in formation order).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import ordered_cycle_prefix_prob
 from .dist import DistTable
 from .params import ThetaSequence
 
@@ -31,8 +31,8 @@ def _binom_pmf(s, m: int, kappa: float, log_fact: np.ndarray | None = None):
     array), in log space: the coefficient overflows a float from m ~ 1030.
     ``log_fact`` is ``_log_factorials(m')`` for some m' >= m; without it a
     scalar s takes its three log factorials from math.lgamma and an array
-    s tabulates them once.  0 log 0 counts as 0, so kappa = 0 and 1 give
-    point masses."""
+    s tabulates them once; with ``log_fact``, m may be an array too.  0 log 0
+    counts as 0, so kappa = 0 and 1 give point masses."""
     s = np.asarray(s)
     if log_fact is None and not s.ndim:
         log_choose = math.lgamma(m + 1) - math.lgamma(s + 1) - math.lgamma(m - s + 1)
@@ -81,9 +81,6 @@ class OrientationWeights:
                 raise ValueError(f"row k={k} sums to {s}, not 1")
         return cls(mode="custom", table=tuple(sorted(table.items())))
 
-    def __call__(self, k: int, i: int) -> float:
-        return omega(k, i, self)
-
 
 def omega(k: int, i: int, weights: OrientationWeights) -> float:
     """Probability that a k-circle has exactly i members looking in."""
@@ -107,37 +104,47 @@ def cki_distribution(k: int, i: int, ell: int, n: int, k_law: DistTable,
     return math.fsum(_binom_pmf(ell, m, w) * pm for m, pm in k_law.items() if m >= ell)
 
 
-def cstar_moments(i: int, j: int, n: int, provider,
+def _omega_column(i: int, n: int, weights: OrientationWeights) -> np.ndarray:
+    """omega_{ki} for k = 0..n as an array, 0 for k < i: the entries of
+    ``omega``, read at once."""
+    col = np.zeros(n + 1)
+    if weights.mode == "binomial":
+        if i <= n:
+            col[i:] = _binom_pmf(i - 1, np.arange(i - 1, n), weights.kappa,
+                                 _log_factorials(n))
+        return col
+    for (k, ki), w in weights.table:
+        if ki == i and k <= n:
+            col[k] = w
+    return col
+
+
+def cstar_moments(i: int, j: int, mean_c, cov_c,
                   weights: OrientationWeights) -> tuple[float, float]:
     """(E[C*_j], Cov(C*_i, C*_j)) for the counts of circles with exactly
     i or j members looking in.
 
-    ``provider`` supplies the unsigned moments: ``provider.mean(k)`` =
-    E[C_k] and ``provider.cov(k, kp)`` = Cov(C_k, C_kp), for k, kp <= n.
+    ``mean_c[k]`` = E[C_k] and ``cov_c[k][kp]`` = Cov(C_k, C_kp) are the
+    unsigned cycle-count moments for k, kp = 0..n (as in
+    ``oracle.enumeration_moments``); n is read from their length.
     """
+    mean_c, cov_c = np.asarray(mean_c, dtype=float), np.asarray(cov_c, dtype=float)
+    n = mean_c.size - 1
+    if mean_c.ndim != 1 or cov_c.shape != (n + 1, n + 1):
+        raise ValueError(f"cov_c has shape {cov_c.shape}, not ({n + 1}, {n + 1}) "
+                         f"for {n + 1} means")
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("require 1 <= i, j <= n")
-    mean_j = math.fsum(
-        omega(k, j, weights) * provider.mean(k) for k in range(j, n + 1)
-    )
-    cov_terms = []
-    for k in range(i, n + 1):
-        w_ki = omega(k, i, weights)
-        if w_ki == 0.0:
-            continue
-        for kp in range(j, n + 1):
-            w_kj = omega(kp, j, weights)
-            if w_kj == 0.0:
-                continue
-            cov_terms.append(w_ki * w_kj * provider.cov(k, kp))
-    for k in range(max(i, j), n + 1):
-        cov_terms.append(-omega(k, i, weights) * omega(k, j, weights) * provider.mean(k))
+    w_i, w_j = _omega_column(i, n, weights), _omega_column(j, n, weights)
+    mean_terms = w_j[j:] * mean_c[j:]
+    top = max(i, j)
+    cov_terms = [(np.outer(w_i[i:], w_j[j:]) * cov_c[i:, j:]).ravel(),
+                 -w_i[top:] * w_j[top:] * mean_c[top:]]
     if i == j:
         # diagonal of the conditional multinomial covariance is the binomial
         # variance C_k w(1-w), not -C_k w^2; the extra C_k w part lands here
-        for k in range(j, n + 1):
-            cov_terms.append(omega(k, j, weights) * provider.mean(k))
-    return mean_j, math.fsum(cov_terms)
+        cov_terms.append(mean_terms)
+    return math.fsum(mean_terms.tolist()), math.fsum(np.concatenate(cov_terms).tolist())
 
 
 def lambda_total(n: int, kappa: float, k_law: DistTable) -> tuple[DistTable, float]:
@@ -163,25 +170,28 @@ def lambda_mean_identity(n: int, kappa: float, mean_k: float) -> float:
 def ordered_star_prob(astar, n: int, thetaseq: ThetaSequence,
                       weights: OrientationWeights) -> float:
     """P(A*_1 = a*_1, ..., A*_k = a*_k, K_n > k): joint in-looking counts
-    of the first k circles in formation order, for the coin process."""
+    of the first k circles in formation order, for the coin process.
+
+    A DP over b, the indices the circles so far take from the top: a circle
+    on a+1..b has weight omega_{b-a,a*} theta_{n+1-b}/(n-a) prod_{i=n-b+1}^{n-a}
+    i/(theta_i+i-1) (``coupling.ordered_cycle_prefix_prob``'s factors).  The
+    products chain into one over the top b indices, so a step is one
+    convolution with an omega column: O(k n^2) time, O(n) memory.
+    """
     astar = tuple(int(a) for a in astar)
     if any(a < 1 for a in astar):
         raise ValueError("in-looking counts must be >= 1 (leaders look in)")
     if sum(astar) >= n:
         raise ValueError("sum of in-looking counts must be < n")
-    k = len(astar)
-    total = []
-
-    def rec(pos: int, used: int, r_prefix: tuple):
-        if pos == k:
-            total.append(
-                ordered_cycle_prefix_prob(r_prefix, n, thetaseq)
-                * math.prod(omega(r_prefix[l], astar[l], weights) for l in range(k))
-            )
-            return
-        min_rest = sum(astar[pos + 1:])
-        for r in range(astar[pos], n - used - min_rest):
-            rec(pos + 1, used + r, r_prefix + (r,))
-
-    rec(0, 0, ())
-    return math.fsum(total)
+    t = thetaseq.values(n)
+    # b = 0..n-1 indices taken (the last circle leaves one): top[b] is
+    # prod_{i=n-b+1}^{n} i/(theta_i+i-1) and theta_end[b] = theta_{n+1-b}
+    i = np.arange(n, 1, -1)
+    top = np.cumprod(np.concatenate(([1.0], i / (t[i] + (i - 1)))))
+    theta_end = np.concatenate(([0.0], t[i]))
+    left = np.arange(n, 0, -1)  # n - a
+    f = np.zeros(n)
+    f[0] = 1.0
+    for a in astar:
+        f = theta_end * np.convolve(f / left, _omega_column(a, n, weights))[:n]
+    return math.fsum((top * f).tolist())

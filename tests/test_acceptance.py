@@ -287,37 +287,18 @@ def test_criterion_12_lambda_identity():
             ), (kappa, n)
 
 
-class _DPCycleProvider:
-    """mean/cov of cycle counts from the marginal-recursion DP (any n)."""
-
-    def __init__(self, kind, n):
-        self.kind, self.n = kind, n
-        self._mean, self._cov = {}, {}
-
-    def mean(self, k):
-        if k not in self._mean:
-            if k < 2 or k > self.n:
-                self._mean[k] = 0.0
-            else:
-                self._mean[k] = oracle.dp_moments(
-                    self.kind, self.n, targets=("mean_cj",), j=k
-                )["mean_cj"]
-        return self._mean[k]
-
-    def cov(self, k, kp):
-        key = (min(k, kp), max(k, kp))
-        if key not in self._cov:
-            if k < 2 or kp < 2 or k > self.n or kp > self.n:
-                self._cov[key] = 0.0
-            elif k == kp:
-                self._cov[key] = oracle.dp_moments(
-                    self.kind, self.n, targets=("var_cj",), j=k
-                )["var_cj"]
-            else:
-                self._cov[key] = oracle.dp_moments(
-                    self.kind, self.n, targets=("cov_cij",), i=key[0], j=key[1]
-                )["cov_cij"]
-        return self._cov[key]
+def _dp_cycle_moments(kind, n):
+    """(E[C_k], Cov(C_k, C_kp)) for k, kp = 0..n as arrays, from the
+    marginal-recursion DP (any n); C_0 and C_1 are 0 on a derangement."""
+    mean = np.zeros(n + 1)
+    cov = np.zeros((n + 1, n + 1))
+    for k in range(2, n + 1):
+        mean[k] = oracle.dp_moments(kind, n, targets=("mean_cj",), j=k)["mean_cj"]
+        cov[k, k] = oracle.dp_moments(kind, n, targets=("var_cj",), j=k)["var_cj"]
+        for kp in range(k + 1, n + 1):
+            cov[k, kp] = cov[kp, k] = oracle.dp_moments(
+                kind, n, targets=("cov_cij",), i=k, j=kp)["cov_cij"]
+    return mean, cov
 
 
 @pytest.mark.slow
@@ -331,11 +312,11 @@ def test_criterion_12_signed_monte_carlo():
 
     n, reps, kappa = 20, 100000, 0.3
     p = PSequence.eta(1.0)
-    kind = ChainKind.signed(p, kappa)
+    kind = ChainKind.x(p)
     w = OrientationWeights.binomial(kappa)
-    provider = _DPCycleProvider(ChainKind.x(p), n)
+    mean_c, cov_c = _dp_cycle_moments(kind, n)
     for j in (1, 2):
-        exact_mean, exact_var = cstar_moments(j, j, n, provider, w)
+        exact_mean, exact_var = cstar_moments(j, j, mean_c, cov_c, w)
         rep = estimate("Cstar_j", kind, n, reps, seed=29, j=j, kappa=kappa)
         assert abs(rep.mean - exact_mean) < 3 * rep.std_error, j
         # the exact variance should also be near the sample variance

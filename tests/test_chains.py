@@ -131,13 +131,6 @@ def test_sampled_path_law_matches_exact(kind, n):
 
 
 def test_unsupported_kinds_raise():
-    p = PSequence.eta(1.0)
-    for call in (lambda k: transition_matrix(k, 2, 6),
-                 lambda k: path_probability(k, (1, 0, 1, 0, 0, 0)),
-                 lambda k: path_probability(k, (1, 1)),
-                 lambda k: oracle.exact_law(k, 6)):
-        with pytest.raises(ValueError):
-            call(ChainKind.signed(p, 0.5))
     # the n -> infinity marginal is limitchain.phi
     with pytest.raises(ValueError, match="limitchain.phi"):
         marginal_one(ChainKind.eta(1.0), 3, math.inf)

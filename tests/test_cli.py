@@ -423,7 +423,7 @@ def test_diagnose_reports_library_result(capsys, which):
 def test_signed_quantities_match_library(capsys):
     common = ("--n", "8", "--kappa", "0.4", "--format", "json")
     w = OrientationWeights.binomial(0.4)
-    provider = oracle.ExactCycleProvider(ChainKind.x(PSequence.eta(1.0)), 8)
+    m = oracle.enumeration_moments(ChainKind.x(PSequence.eta(1.0)), 8)
 
     code, out, _ = run(capsys, "signed", "--quantity", "lambda", *common)
     assert code == EXIT_OK
@@ -435,12 +435,12 @@ def test_signed_quantities_match_library(capsys):
                        "--l", "1", *common)
     assert code == EXIT_OK
     assert json.loads(out)["results"] == pytest.approx(
-        cki_distribution(3, 2, 1, 8, provider.c_law(3), w), rel=1e-8)
+        cki_distribution(3, 2, 1, 8, m["c_laws"][3], w), rel=1e-8)
 
     code, out, _ = run(capsys, "signed", "--quantity", "cstar", "--i", "1", "--j", "2",
                        *common)
     assert code == EXIT_OK
-    mean, cov = cstar_moments(1, 2, 8, provider, w)
+    mean, cov = cstar_moments(1, 2, m["mean_c"], m["cov_c"], w)
     assert json.loads(out)["results"] == pytest.approx(
         {"mean_cstar_j": mean, "cov_cstar_ij": cov}, rel=1e-8)
 
@@ -467,6 +467,17 @@ def test_signed_cki_past_the_horizon(capsys):
                        "--l", "0", "--format", "json")
     assert code == EXIT_OK
     assert json.loads(out)["results"] == 1.0
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["signed", "--quantity", "cstar", "--n", "15"], "limited to n <= 14"),
+    (["signed", "--quantity", "cki", "--n", "15"], "limited to n <= 14"),
+    (["exact", "--quantity", "mean_k", "--kind", "foo"], "unknown p-sequence kind 'foo'"),
+])
+def test_guard_rows_exit_3(capsys, argv, fragment):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, out) == (EXIT_GUARD, "")
+    assert fragment in err
 
 
 def test_signed_lambda_needs_a_derangement(capsys):

@@ -16,6 +16,7 @@ from derange.chains import (
     ChainKind,
     SignedWord,
     cycle_statistics,
+    generate_signed_many,
     marginal_one,
     path_probability,
     transition_matrix,
@@ -77,10 +78,14 @@ SHORT = AccuracySpec(max_terms=100)
 CONVERGENT = PSequence.tabulated([1.0 / (i * i) for i in range(1, 20_001)])
 
 
-def verify(*argv):
-    """The verify command on argv, its errors not mapped to exit codes."""
-    args = command_parser("verify").parse_args(argv)
+def cli_call(command, *argv):
+    """The command on argv, its errors not mapped to exit codes."""
+    args = command_parser(command).parse_args(argv)
     return args.func(args)
+
+
+def verify(*argv):
+    return cli_call("verify", *argv)
 
 
 GUARDS = [
@@ -114,7 +119,8 @@ GUARDS = [
     (lambda: compare_laws(DistTable({(1,): 0.5, (1, 0): 0.5}), DistTable({1: 1.0})),
      ValueError, "integers or 0/1 words of one length"),
     # chains
-    (lambda: ChainKind.signed(P, 1.5), ValueError, "kappa must lie in [0, 1]"),
+    (lambda: generate_signed_many(5, P, 1.5, 0, range(1)), ValueError,
+     "kappa must lie in [0, 1]"),
     (lambda: SignedWord(("1", "x"), 0.5), ValueError, "invalid signed step 'x'"),
     (lambda: transition_matrix(X, 0, 5), ValueError, "outside 1..5"),
     (lambda: path_probability(X, (1, 0, 0), 4), ValueError, "word length must equal n"),
@@ -174,8 +180,6 @@ GUARDS = [
     (lambda: estimate("bogus", X, 5, 10, 0), ValueError, "unknown statistic 'bogus'"),
     (lambda: estimate("Cj", X, 5, 10, 0), ValueError, "needs j"),
     (lambda: estimate("K", X, 5, 10, 0, kappa=1.5), ValueError, "kappa must lie in [0, 1]"),
-    (lambda: estimate("K", ChainKind.signed(P, 0.4), 5, 10, 0, kappa=0.5), ValueError,
-     "conflicts"),
     (lambda: estimate("Lambda", X, 5, 10, 0), ValueError, "needs an orientation probability"),
     # oracle
     (lambda: oracle.enumerate_delta(0), ValueError, "n must lie in 1.."),
@@ -185,7 +189,6 @@ GUARDS = [
     (lambda: oracle.dp_moments(X, 5, targets=("mean_cj",)), ValueError, "need j"),
     (lambda: oracle.dp_moments(X, 5, targets=("cov_cij",), j=2), ValueError,
      "cov_cij needs i and j"),
-    (lambda: oracle.ExactCycleProvider(X, 15), ValueError, "limited to n <= 14"),
     (lambda: oracle.tv_prefixes(5, ChainKind.y(TS)), ValueError, "needs a derangement chain"),
     (lambda: oracle.tv_prefixes(31, X), ValueError, "limited to 1 <= n <= 30"),
     # signed statistics
@@ -196,7 +199,10 @@ GUARDS = [
     (lambda: OrientationWeights.from_table({(2, 1): 0.5}), ValueError, "row k=2 sums to"),
     (lambda: cki_distribution(2, 1, -1, 5, DistTable({1: 1.0}), W), ValueError,
      "ell must be nonnegative"),
-    (lambda: cstar_moments(0, 1, 5, None, W), ValueError, "require 1 <= i, j <= n"),
+    (lambda: cstar_moments(0, 1, np.zeros(6), np.zeros((6, 6)), W), ValueError,
+     "require 1 <= i, j <= n"),
+    (lambda: cstar_moments(1, 1, np.zeros(6), np.zeros((5, 5)), W), ValueError,
+     "not (6, 6) for 6 means"),
     (lambda: lambda_total(5, 1.5, DistTable({1: 1.0})), ValueError, "kappa must lie in [0, 1]"),
     # cli
     (lambda: emit_report([], "xml", {}, io.StringIO()), ValueError, "unknown format 'xml'"),
@@ -204,6 +210,8 @@ GUARDS = [
     (lambda: verify("--suite", "all", "--n", "2"), ValueError, "needs --n >= 3"),
     (lambda: verify("--suite", "conditional", "--trials", "0"), ValueError,
      "--trials must be >= 1"),
+    (lambda: cli_call("signed", "--quantity", "cstar", "--n", "15"), ValueError,
+     "limited to n <= 14"),
 ]
 
 

@@ -222,3 +222,23 @@ def test_probe_does_no_long_fsum(monkeypatch):
     ctx = LimitContext.probe(p=PSequence.eta(0.5), horizon=10**6)
     assert all(ctx.flags.values())
     assert np.isfinite(list(ctx.tails.values())).all()
+
+
+@pytest.mark.parametrize("coin, verdict", [
+    (lambda i: i**-0.55, False),  # sum c_i^2 = sum i^-1.1 converges
+    (lambda i: 1.0 / (np.sqrt(i) * np.log(i)), False),  # c_i^2 = 1/(i log^2 i) converges
+    (lambda i: 1.0 / i, True),
+], ids=["i^-1.1", "1/(i log^2 i)", "1/i^2"])
+def test_eqcond4_is_the_block_ratio_rule(coin, verdict):
+    # the probe reads three dyadic blocks at the horizon: a series that
+    # converges with block ratios above 0.75 reads False, and require
+    # refuses it, though sum c_i^2 is finite
+    h = 10**5
+    i = np.arange(3, h + 2, dtype=float)
+    c = coin(i)
+    ts = ThetaSequence.tabulated([1.0, 1.0] + ((i - 1) * c / (1 - c)).tolist())
+    ctx = LimitContext.probe(thetaseq=ts, horizon=h)
+    assert ctx.flags["eqcond4"] is verdict
+    if not verdict:
+        with pytest.raises(ValueError, match="'eqcond4' failed its probe"):
+            ctx.require("eqcond4")

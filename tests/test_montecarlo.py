@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from collections import deque
@@ -286,12 +287,12 @@ def test_jump_depth_keeps_the_first_jumps(depth, lead, n, reps, budget, seed):
        budget=st.one_of(st.just(montecarlo._CHUNK_DRAWS), st.integers(1, 2000)),
        seed=st.integers(0, 2**32))
 def test_jump_depth_gives_the_full_depth_results(stat, n, reps, budget, seed):
-    kind = ChainKind.signed(PSequence.eta(1.3), 0.4)
+    kind = ChainKind.x(PSequence.eta(1.3))
 
     def run():
         if stat == "gem":
             return gem_diagnostic(1.3, n, reps, seed)
-        return estimate(stat, kind, n, reps, seed, target=1)
+        return estimate(stat, kind, n, reps, seed, kappa=0.4, target=1)
 
     got = _with_budget(budget, run)
     # every depth None: the statistics read whole words
@@ -302,23 +303,23 @@ def test_jump_depth_gives_the_full_depth_results(stat, n, reps, budget, seed):
 def test_results_do_not_depend_on_jump_width(monkeypatch):
     # width 1 sends every replicate through the stream continuation, after
     # its orientation or dither draws
-    kind = ChainKind.signed(PSequence.eta(1.5), 0.35)
+    kind = ChainKind.x(PSequence.eta(1.5))
     p = PSequence.eta(2.0)
-    ref = (estimate("Cstar_j", kind, 25, 200, seed=6, j=2),
+    ref = (estimate("Cstar_j", kind, 25, 200, seed=6, j=2, kappa=0.35),
            clt_diagnostic(p, 300, 100, seed=6))
     monkeypatch.setattr(montecarlo, "_jump_width", lambda kind, h: 1)
     monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", 37 * 26)  # 37 replicates of 26 draws
-    got = (estimate("Cstar_j", kind, 25, 200, seed=6, j=2),
+    got = (estimate("Cstar_j", kind, 25, 200, seed=6, j=2, kappa=0.35),
            clt_diagnostic(p, 300, 100, seed=6))
     assert got == ref
 
 
 def test_orientation_statistics_chunk_invariance():
-    kind = ChainKind.signed(PSequence.eta(1.5), 0.35)
+    kind = ChainKind.x(PSequence.eta(1.5))
     for stat, kw in (("Lambda", {}), ("Cstar_j", {"j": 2}), ("Astar1", {"target": 1})):
         # a few rows a block, then every row in one block
-        r1 = _with_budget(7 * 30, estimate, stat, kind, 25, 300, seed=4, **kw)
-        r2 = _with_budget(1 << 20, estimate, stat, kind, 25, 300, seed=4, **kw)
+        r1 = _with_budget(7 * 30, estimate, stat, kind, 25, 300, seed=4, kappa=0.35, **kw)
+        r2 = _with_budget(1 << 20, estimate, stat, kind, 25, 300, seed=4, kappa=0.35, **kw)
         assert (r1.mean, r1.std_error) == (r2.mean, r2.std_error), stat
 
 
@@ -363,7 +364,7 @@ def test_small_inputs_rejected():
     with pytest.raises(ValueError):
         estimate("K", ChainKind.eta(1.0), 1, 10, 1)
     with pytest.raises(ValueError):
-        estimate("Lambda", ChainKind.signed(p, 0.5), 1, 10, 1)
+        estimate("Lambda", ChainKind.x(p), 1, 10, 1, kappa=0.5)
     with pytest.raises(ValueError):
         clt_diagnostic(p, 1, 100, 1)
     with pytest.raises(ValueError):
@@ -377,13 +378,13 @@ def test_small_inputs_rejected():
 
 
 def test_kappa_is_checked():
-    signed = ChainKind.signed(PSequence.eta(1.0), 0.4)
-    with pytest.raises(ValueError, match="conflicts"):
-        estimate("Lambda", signed, 10, 10, 1, kappa=0.5)
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        estimate("Lambda", ChainKind.eta(1.0), 10, 10, 1, kappa=1.5)
-    # a matching kappa is the kind's own
-    assert estimate("Lambda", signed, 10, 10, 1, kappa=0.4) == estimate("Lambda", signed, 10, 10, 1)
+    for kappa in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            estimate("Lambda", ChainKind.eta(1.0), 10, 10, 1, kappa=kappa)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            generate_signed(10, PSequence.eta(1.0), kappa, 1)
+    # kappa = 1 is in the range: every member looks in
+    assert estimate("Lambda", ChainKind.eta(1.0), 10, 10, 1, kappa=1.0).mean == 10.0
 
 
 @pytest.mark.parametrize("offset, count", [(0, 5), (7, 9)])
@@ -491,8 +492,7 @@ def test_default_chunk_holds_a_pass_of_draws():
     assert montecarlo._PASS_SIZE == 8192
     assert rows(kind, 12, 0, 40000) == [8192] * 4 + [7232]  # 6 -> 4 draws a replicate
     assert rows(kind, 12, 12, 20000) == [4096] * 4 + [3616]  # 18 -> 16 draws
-    signed = ChainKind.signed(PSequence.eta(1.0), 0.5)
-    assert rows(signed, 50, 100, 1100) == [606, 494]  # 111 -> 108 draws
+    assert rows(ChainKind.eta(1.0), 50, 100, 1100) == [606, 494]  # 111 -> 108 draws
     # a draw count below one counter stays: one jump draw for A1
     assert rows(kind, 12, 0, 20000, depth=1) == [8192, 8192, 3616]
     # two jump draws for A2 after a lead: rounded down while one remains
@@ -531,7 +531,7 @@ def test_default_chunk_gives_the_fixed_chunk_results(stat, reps, kw):
        n=st.integers(2, 14), reps=st.integers(2, 400), budget=st.integers(1, 8000),
        seed=st.integers(0, 2**32))
 def test_default_chunk_matches_any_chunk(stat, n, reps, budget, seed):
-    kind = ChainKind.signed(PSequence.eta(1.3), 0.4)
-    kw = {"j": 2, "target": 1}
+    kind = ChainKind.x(PSequence.eta(1.3))
+    kw = {"j": 2, "kappa": 0.4, "target": 1}
     assert (_with_budget(budget, estimate, stat, kind, n, reps, seed, **kw)
             == estimate(stat, kind, n, reps, seed, **kw))

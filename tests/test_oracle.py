@@ -99,18 +99,6 @@ def test_dp_cov_vs_enumeration():
         assert d["var_cj"] == d["cov_cij"]
 
 
-def test_exact_cycle_provider():
-    p = PSequence.eta(0.9)
-    n = 9
-    kind = ChainKind.x(p)
-    provider = oracle.ExactCycleProvider(kind, n)
-    enum = oracle.enumeration_moments(kind, n)
-    for k in range(2, n + 1):
-        assert provider.mean(k) == pytest.approx(enum["mean_c"][k], abs=1e-12)
-    assert provider.cov(2, 3) == pytest.approx(enum["cov_c"][2][3], abs=1e-12)
-    assert provider.k_law().total() == pytest.approx(1.0, abs=1e-12)
-
-
 def _moments_by_loop(kind, n):
     """enumeration_moments as a loop over the words, each scored by
     cycle_statistics."""

@@ -157,6 +157,8 @@ def test_values_conventions_and_checks():
         ThetaSequence.tabulated([1.0, 1.0, 0.5])(4)
     with pytest.raises(ValueError):
         PSequence.eta(0.5).values(-1)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        PSequence.eta_tilde(0.5).values(-1)
 
 
 @pytest.mark.parametrize("ts", [ThetaSequence.constant(0.7), ThetaSequence.constant(40.0),
@@ -169,6 +171,57 @@ def test_conditional_inverse_is_g_ratio(ts):
     want = [0.0, 0.0, 1.0] + [g[i - 1] / g[i] for i in range(3, n + 1)]
     got = PSequence.from_theta_conditional(ts).values(n)
     assert got.tolist() == pytest.approx(want, rel=1e-13)
+
+
+def _ratio_recursion(ts, n):
+    """p_0..p_n of the conditional inverse of ts by one run of the ratio
+    recursion from p_2 = 1 (the reference)."""
+    theta, out = ts.values(n).tolist(), [0.0, 0.0, 1.0]
+    for k in range(3, n + 1):
+        out.append(1.0 / (1.0 + theta[k] * out[-1] / (k - 1)))
+    return out[:n + 1]
+
+
+@pytest.mark.parametrize("make", [lambda: PSequence.eta_tilde(1.3),
+                                  lambda: PSequence.from_theta_conditional(
+                                      ThetaSequence.eta_star(0.8))],
+                         ids=["eta_tilde", "cond_eta_star"])
+def test_conditional_inverse_runs_on_bit_for_bit(make):
+    n = 2000
+    want = _ratio_recursion(make().thetaseq, n)
+    up, down, mixed = make(), make(), make()
+    assert [up(i) for i in range(1, n + 1)] == want[1:]
+    assert [down(i) for i in range(n, 0, -1)] == want[:0:-1]
+    order = np.random.default_rng(3).permutation(np.arange(1, n + 1)).tolist()
+    for i in order[:300]:
+        assert mixed(i) == want[i]
+        assert mixed.values(i // 2).tolist() == want[:i // 2 + 1]
+    assert mixed.values(n).tolist() == want
+    # values(n) is a fresh array: writing into it leaves the sequence alone
+    mixed.values(n)[:] = 0.5
+    assert mixed.values(n).tolist() == want and mixed(n) == want[n]
+
+
+def test_conditional_inverse_reads_each_theta_once():
+    # calls at growing indices run the recursion on, never from p_2 again
+    seen = []
+
+    def ev(i):
+        seen.extend(np.atleast_1d(i).tolist())
+        return 0.7
+
+    p = PSequence.from_theta_conditional(ThetaSequence("counted", ev))
+    for i in range(1, 501):
+        p(i)
+    p.values(400)
+    assert seen == list(range(3, 501))
+    # a refused index leaves the run so far in place
+    table = ThetaSequence.tabulated([1.0] * 8)
+    q = PSequence.from_theta_conditional(table)
+    assert q(5) == _ratio_recursion(table, 5)[5]
+    with pytest.raises(ValueError, match="no entry for i=9"):
+        q.values(9)
+    assert q.values(8).tolist() == _ratio_recursion(table, 8)
 
 
 def test_eta_tilde_matches_derangement_probabilities():

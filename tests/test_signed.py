@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from collections import Counter
 
 import mpmath
@@ -14,9 +15,8 @@ from derange.chains import (
     generate_signed,
     generate_signed_many,
     path_probability,
-    sample_paths,
 )
-from derange.coupling import k_distribution
+from derange.coupling import k_distribution, ordered_cycle_prefix_prob
 from derange.montecarlo import replicate_rng
 from derange.params import PSequence, ThetaSequence
 from derange.signed_stats import (
@@ -87,10 +87,9 @@ def test_custom_table_validation():
 def test_cki_vs_direct_sum():
     p = PSequence.eta(0.8)
     n = 9
-    provider = oracle.ExactCycleProvider(ChainKind.x(p), n)
     w = OrientationWeights.binomial(0.3)
     k, i = 3, 2
-    c_law = provider.c_law(k)
+    c_law = oracle.enumeration_moments(ChainKind.x(p), n)["c_laws"][k]
     for ell in range(0, 4):
         direct = math.fsum(
             math.comb(m, ell) * omega(k, i, w) ** ell
@@ -104,9 +103,9 @@ def test_cki_vs_direct_sum():
 
 def test_cki_support_guard():
     p = PSequence.eta(0.8)
-    provider = oracle.ExactCycleProvider(ChainKind.x(p), 9)
+    c_law = oracle.enumeration_moments(ChainKind.x(p), 9)["c_laws"][4]
     w = OrientationWeights.binomial(0.3)
-    assert cki_distribution(4, 2, 3, 9, provider.c_law(4), w) == 0.0  # 4*3 > 9
+    assert cki_distribution(4, 2, 3, 9, c_law, w) == 0.0  # 4*3 > 9
 
 
 def test_lambda_mean_identity_exact():
@@ -121,12 +120,30 @@ def test_lambda_mean_identity_exact():
             )
 
 
+# a custom table with no binomial rows, every weight distinct
+TABLE = OrientationWeights.from_table({
+    (1, 1): 1.0, (2, 1): 0.3, (2, 2): 0.7, (3, 1): 0.2, (3, 2): 0.5, (3, 3): 0.3,
+    (4, 1): 0.1, (4, 2): 0.2, (4, 3): 0.3, (4, 4): 0.4,
+    (5, 1): 0.15, (5, 2): 0.25, (5, 3): 0.05, (5, 4): 0.35, (5, 5): 0.2,
+})
+
+
+def _in_look_patterns(lengths, w):
+    """(in-look counts, probability) of each orientation pattern of the
+    circles ``lengths``: each circle independently has omega(len, .)."""
+    for combo in itertools.product(*[range(1, a + 1) for a in lengths]):
+        yield combo, math.prod(omega(a, c, w) for a, c in zip(lengths, combo))
+
+
 def test_cstar_vs_exhaustive():
+    for w in (OrientationWeights.binomial(0.4), TABLE):
+        _check_cstar_vs_exhaustive(w)
+
+
+def _check_cstar_vs_exhaustive(w):
     # exhaustive check over words and orientation patterns at small n
     p = PSequence.eta(1.0)
     n = 6
-    kappa = 0.4
-    w = OrientationWeights.binomial(kappa)
     kind = ChainKind.x(p)
     law = oracle.exact_law(kind, n)
     j = 2
@@ -136,51 +153,100 @@ def test_cstar_vs_exhaustive():
     cross_direct = 0.0
     i = 1
     for word, pr in law.items():
-        _, k, lengths = cycle_statistics(word)
-        # orientation patterns: each circle independently has in-look count
-        # distributed omega(len, .)
-        for combo in itertools.product(*[range(1, a + 1) for a in lengths]):
-            pw = pr * math.prod(
-                omega(lengths[m], combo[m], w) for m in range(k)
-            )
+        _, _, lengths = cycle_statistics(word)
+        for combo, pw in _in_look_patterns(lengths, w):
+            pw *= pr
             cj = sum(1 for v in combo if v == j)
             ci = sum(1 for v in combo if v == i)
             mean_direct += pw * cj
             sq_direct += pw * cj * cj
             mean_i_direct += pw * ci
             cross_direct += pw * ci * cj
-    provider = oracle.ExactCycleProvider(kind, n)
-    mean_j, cov_jj = cstar_moments(j, j, n, provider, w)
+    m = oracle.enumeration_moments(kind, n)
+    mean_j, cov_jj = cstar_moments(j, j, m["mean_c"], m["cov_c"], w)
     assert mean_j == pytest.approx(mean_direct, abs=1e-12)
     assert cov_jj == pytest.approx(sq_direct - mean_direct**2, abs=1e-12)
-    _, cov_ij = cstar_moments(i, j, n, provider, w)
+    _, cov_ij = cstar_moments(i, j, m["mean_c"], m["cov_c"], w)
     assert cov_ij == pytest.approx(
         cross_direct - mean_i_direct * mean_direct, abs=1e-12
     )
 
 
+def test_cstar_moments_shapes_must_agree():
+    m = oracle.enumeration_moments(ChainKind.eta(1.0), 6)
+    w = OrientationWeights.binomial(0.4)
+    with pytest.raises(ValueError, match=r"not \(7, 7\)"):
+        cstar_moments(1, 2, m["mean_c"], np.asarray(m["cov_c"])[:6, :6], w)
+    with pytest.raises(ValueError, match=r"require 1 <= i, j <= n"):
+        cstar_moments(1, 7, m["mean_c"], m["cov_c"], w)
+
+
+def _prefix_probs(law, k: int) -> dict:
+    """{(A_1, ..., A_k): P(the first k circles have these lengths, K > k)},
+    summed over the words of ``law``."""
+    probs: dict = {}
+    for word, pr in law.items():
+        _, count, lengths = cycle_statistics(word)
+        if count > k:
+            probs.setdefault(lengths[:k], []).append(pr)
+    return {r: math.fsum(v) for r, v in probs.items()}
+
+
+def _ordered_star_by_enumeration(astar, prefix_probs: dict, w) -> float:
+    """P(A*_1.. = astar, K > k): each word weighed by the omega of its
+    first k circles, grouped by their lengths."""
+    return math.fsum(pr * math.prod(omega(r, a, w) for r, a in zip(lengths, astar))
+                     for lengths, pr in prefix_probs.items()
+                     if all(a <= r for a, r in zip(astar, lengths)))
+
+
 def test_ordered_star_vs_enumeration():
-    ts = ThetaSequence.constant(1.0)
-    n = 6
-    kappa = 0.5
-    w = OrientationWeights.binomial(kappa)
-    law = oracle.exact_law(ChainKind.y(ts), n)
-    for astar in [(1,), (2,), (1, 1)]:
-        r = len(astar)
-        direct = 0.0
-        for word, pr in law.items():
-            _, k, lengths = cycle_statistics(word)
-            if k <= r:
-                continue
-            for combo in itertools.product(*[range(1, a + 1) for a in lengths[:r]]):
-                if tuple(combo) != astar:
-                    continue
-                direct += pr * math.prod(
-                    omega(lengths[m], combo[m], w) for m in range(r)
-                )
-        assert ordered_star_prob(astar, n, ts, w) == pytest.approx(
-            direct, abs=1e-12
-        )
+    weights = [OrientationWeights.binomial(0.0), OrientationWeights.binomial(0.4),
+               OrientationWeights.binomial(1.0), TABLE]
+    for ts in (ThetaSequence.constant(0.5), ThetaSequence.constant(3.0),
+               ThetaSequence.eta_star(0.7)):
+        for n in (4, 7, 12):
+            law = oracle.exact_law(ChainKind.y(ts), n)
+            for k in (1, 2, 3):
+                prefixes = _prefix_probs(law, k)
+                for astar in itertools.product(range(1, 4), repeat=k):
+                    if sum(astar) >= n:
+                        continue
+                    for w in weights:
+                        direct = _ordered_star_by_enumeration(astar, prefixes, w)
+                        got = ordered_star_prob(astar, n, ts, w)
+                        assert abs(got - direct) <= 1e-13 * direct, (ts, n, astar, w)
+
+
+def test_ordered_star_enumeration_check_sees_one_weight():
+    # one omega entry moved by 1e-9 (its row no longer sums to 1) moves the
+    # dynamic program's value past the check's tolerance
+    ts, n, astar = ThetaSequence.constant(3.0), 10, (2, 1)
+    prefixes = _prefix_probs(oracle.exact_law(ChainKind.y(ts), n), len(astar))
+    table = dict(TABLE.table)
+    table[(3, 2)] += 1e-9
+    moved = OrientationWeights(mode="custom", table=tuple(sorted(table.items())))
+    direct = _ordered_star_by_enumeration(astar, prefixes, TABLE)
+    assert abs(ordered_star_prob(astar, n, ts, TABLE) - direct) <= 1e-13 * direct
+    assert abs(ordered_star_prob(astar, n, ts, moved) - direct) > 1e-13 * direct
+
+
+@pytest.mark.parametrize("n", [12, 300, 2000])
+@pytest.mark.parametrize("ts", [ThetaSequence.constant(0.5), ThetaSequence.constant(3.0),
+                                ThetaSequence.eta_star(0.7)], ids=lambda ts: ts.label)
+def test_ordered_star_with_every_member_looking_in(ts, n):
+    # with kappa = 1 a circle's in-look count is its length
+    w = OrientationWeights.binomial(1.0)
+    for a in [(1,), (5,), (2, 3), (1, 7, 2), (4, 1, 3)]:
+        want = ordered_cycle_prefix_prob(a, n, ts)
+        assert ordered_star_prob(a, n, ts, w) == pytest.approx(want, rel=1e-13, abs=0.0), a
+
+
+def test_ordered_star_at_large_n_is_fast():
+    ts, w = ThetaSequence.constant(1.0), OrientationWeights.binomial(0.5)
+    start = time.perf_counter()
+    ordered_star_prob((2, 1, 1), 120, ts, w)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_ordered_star_guards():
@@ -215,13 +281,6 @@ def test_generate_signed_law_matches_exact():
     law = _signed_law(p, n, kappa)
     assert math.fsum(law.values()) == pytest.approx(1.0, abs=1e-12)
     assert _chi_square_p(counts, law, reps) > 1e-3
-
-
-def test_sample_paths_of_signed_kind_are_generated_words():
-    p, n, kappa = PSequence.eta(0.8), 9, 0.4
-    words = sample_paths(ChainKind.signed(p, kappa), n, 4, range(2, 40))
-    assert words == [word for word, _ in generate_signed_many(n, p, kappa, 4, range(2, 40))]
-    assert words[0] == generate_signed(n, p, kappa, 4, 2)[0]
 
 
 def test_generate_signed_circles_match_word():
