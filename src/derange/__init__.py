@@ -58,6 +58,7 @@ from .moments import (
     mean_k_eta,
     mean_k_eta_limit,
     second_moments,
+    var_cj_horizons,
 )
 from .numerics import AccuracySpec, NumericsError, kummer_m
 from .signed_stats import (
@@ -121,6 +122,7 @@ __all__ = [
     "second_moments",
     "transition_matrix",
     "tv_prefix",
+    "var_cj_horizons",
     "word_from_string",
     "word_to_string",
     "xinf_transition",

@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import shutil
 import sys
 from typing import Callable, NamedTuple
 
@@ -40,6 +41,7 @@ from .moments import (
     mean_k_eta,
     mean_k_eta_limit,
     second_moments,
+    var_cj_horizons,
 )
 from .numerics import NumericsError
 from .params import PSequence, ThetaSequence, check_theta, conditional_theta
@@ -349,13 +351,12 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_table2(args) -> int:
-    p = PSequence.eta(args.theta)
+    js, cols = range(3, 8), (20, 50, 100)
     rows = []
-    for j in range(3, 8):
+    for j, var in zip(js, var_cj_horizons(cols[-1], js, PSequence.eta(args.theta)).tolist()):
         row = {"j": j}
-        for n in (20, 50, 100):
-            v = second_moments(n, j, p)
-            row[f"n{n}"] = float(f"{v:.6g}") if args.rounded else v
+        for n in cols:
+            row[f"n{n}"] = float(f"{var[n]:.6g}") if args.rounded else var[n]
         rows.append(row)
     emit_report(rows, args.format, _config_echo(args))
     return EXIT_OK
@@ -441,20 +442,30 @@ def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.Argumen
     return parser
 
 
+def _formatter() -> Callable:
+    """The stdlib's default help formatter at the terminal width read once:
+    argparse would read it again for every argument it adds."""
+    return functools.partial(argparse.HelpFormatter,
+                             width=shutil.get_terminal_size().columns - 2)
+
+
 def command_parser(name: str) -> argparse.ArgumentParser:
     """The parser of command ``name`` alone, as the full parser's subparser."""
-    return _add_command(argparse.ArgumentParser(prog=f"derange {name}"), name)
+    return _add_command(argparse.ArgumentParser(prog=f"derange {name}",
+                                                formatter_class=_formatter()), name)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    formatter = _formatter()
     parser = argparse.ArgumentParser(
         prog="derange",
         description="Biased random derangement chains: exact laws, moments, "
                     "couplings, limits, verification.",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, cmd in COMMANDS.items():
-        _add_command(sub.add_parser(name, help=cmd.help), name)
+        _add_command(sub.add_parser(name, help=cmd.help, formatter_class=formatter), name)
     return parser
 
 

@@ -9,7 +9,8 @@ the marginals and E[C_j(n)] the sum of the probabilities c_l m_l that a
 j-cycle ends at each index l.  Var(C_j(n)) sums E[C_j(h)] over the horizons
 h below each cycle end, and the horizon-h marginals are exactly
 m_l + (1 - m_{h+1}) prod_{i=l}^{h} (-q_i): one O(n) pass gives every
-E[C_j(h)] (``_horizon_means``).  Closed forms specialized to the eta chain
+E[C_j(h)], and a second gives Var(C_j(h)) at every horizon
+(``var_cj_horizons``).  Closed forms specialized to the eta chain
 (p_i = (i-1)/(theta+i-1)) carry `_eta` in their names and must agree
 with the generic routines — that agreement is a test, not an assumption.
 """
@@ -144,10 +145,10 @@ def mean_k_eta_limit(theta: float, m: int = 3, method: str = "series",
 # ---------------------------------------------------------------------------
 # E[C_j(n)]
 
-def _cycle_ends(pv: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """(c, m) over l = 0..n+1, where pv is ``p.values(n)``: m the marginals
-    and c_l = q_{l-j} p_{l-j+1} ... p_{l-2} (0 for l <= j), so that a
-    j-cycle ends at l with probability c_l m_l (m_{n+1} = 1 for the top
+def _cycle_weights(pv: np.ndarray, j: int) -> np.ndarray:
+    """c over l = 0..n+1, where pv is ``p.values(n)``: c_l = q_{l-j}
+    p_{l-j+1} ... p_{l-2} (0 for l <= j), so that a j-cycle ends at l with
+    probability c_l m_l under the marginals m (m_{n+1} = 1 for the top
     cycle).  c does not depend on the horizon."""
     n = pv.size - 1
     c = np.zeros(n + 2)
@@ -155,7 +156,7 @@ def _cycle_ends(pv: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
         c[j + 1:] = 1.0 - pv[1:n + 2 - j]
         for d in range(2, j):
             c[j + 1:] *= pv[j + 1 - d:n + 2 - d]
-    return c, marginals(1.0 - pv, 1)
+    return c
 
 
 def mean_cj(n: int, j: int, p: PSequence) -> float:
@@ -165,8 +166,8 @@ def mean_cj(n: int, j: int, p: PSequence) -> float:
         raise ValueError("n must be >= 2")
     if j < 2:
         raise ValueError("j must be >= 2 (no 1-cycles in a derangement)")
-    c, m = _cycle_ends(p.values(n), j)
-    return math.fsum(memoryview(c * m))
+    pv = p.values(n)
+    return math.fsum(memoryview(_cycle_weights(pv, j) * marginals(1.0 - pv, 1)))
 
 
 def mean_cj_eta(n: int, j: int, theta: float) -> float:
@@ -272,39 +273,80 @@ def mean_cj_eta_limit(theta: float, j: int, method: str = "series", m: int = 2,
 # ---------------------------------------------------------------------------
 # second moments
 
-def _horizon_means(pv: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """(r, S): the cycle-end probabilities r_l = c_l m_l at horizon
-    n = pv.size - 1, and S[h] = E[C_j(h)] at every horizon h = 0..n.
-    The horizon-h marginals obey the horizon-n recursion from 1 at h + 1,
-    so they are m_l + (1 - m_{h+1}) prod_{i=l}^{h} (-q_i), exactly, and
-    S[h] = sum_{l<=h+1} c_l m_l + (1 - m_{h+1}) t_h, where
-    t_h = sum_{l<=h+1} c_l prod_{i=l}^{h} (-q_i) = c_{h+1} - q_h t_{h-1}.
+def _horizon_sums(q: np.ndarray, m: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_{u<=h+1} w_u V_h(u) at every horizon h = 0..n, for weights w over
+    u = 0..n+1, where q = 1 - ``p.values(n)`` and m are the horizon-n
+    marginals.  The horizon-h marginals obey the horizon-n recursion from 1
+    at h + 1, so they are V_h(u) = m_u + (1 - m_{h+1}) prod_{i=u}^{h} (-q_i),
+    exactly, and the sum is sum_{u<=h+1} w_u m_u + (1 - m_{h+1}) t_h, where
+    t_h = sum_{u<=h+1} w_u prod_{i=u}^{h} (-q_i) = w_{h+1} - q_h t_{h-1}.
     """
-    c, m = _cycle_ends(pv, j)
-    t = np.zeros(pv.size)
+    t = np.zeros(q.size)
     # memoryviews read and write Python floats without list copies
-    above, tv, cv, qv = 0.0, memoryview(t), memoryview(c), memoryview(1.0 - pv)
-    for h in range(j, pv.size):  # |q_h| <= 1: errors in t never grow
-        tv[h] = above = cv[h + 1] - qv[h] * above
-    r = c * m
-    return r, np.cumsum(r)[1:] + (1.0 - m[1:]) * t
+    above, tv, wv, qv = 0.0, memoryview(t), memoryview(w), memoryview(q)
+    for h in range(q.size):  # |q_h| <= 1: errors in t never grow
+        tv[h] = above = wv[h + 1] - qv[h] * above
+    return np.cumsum(w * m)[1:] + (1.0 - m[1:]) * t
+
+
+def _renewal(pv: np.ndarray, q: np.ndarray, m: np.ndarray,
+             j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(c, S, w) for ``p.values(n)`` = pv, q = 1 - pv and the horizon-n
+    marginals m: the cycle-end weights c, S[h] = E[C_j(h)] at every horizon
+    h = 0..n, and the renewal weights w_u = c_u S[u-j-1] (0 for u <= j).
+    Below a j-cycle ending at u, index u-j-1 is forced to 0 and the chain
+    renews at horizon u-j-1, so E[C_j(h)^2] = S[h] + 2 sum_{u<=h+1} w_u V_h(u).
+    """
+    c = _cycle_weights(pv, j)
+    s = _horizon_sums(q, m, c)
+    w = np.zeros(c.size)
+    ends = c[j + 1:]  # cycle ends u = j+1..n+1, renewed at horizon u-j-1
+    w[j + 1:] = ends * s[:ends.size]
+    return c, s, w
 
 
 def second_moments(n: int, j: int, p: PSequence) -> float:
-    """Var(C_j(n)) in one O(n) pass.  Below a j-cycle ending at u, index
-    u-j-1 is forced to 0 and the chain renews at horizon u-j-1, so
-    E[C_j^2] = E[C_j] + 2 sum_u r_u S[u-j-1].  Every S[h] = E[C_j(h)] comes
-    from the horizon-n marginals m by the exact identity V_h(l) = m_l +
-    (1 - m_{h+1}) prod_{i=l}^{h} (-q_i) (``_horizon_means``)."""
+    """Var(C_j(n)) in one O(n) pass: E[C_j^2] = E[C_j] + 2 sum_u w_u m_u,
+    with the renewal weights w of ``_renewal``, whose S[h] = E[C_j(h)] come
+    from the horizon-n marginals by the exact identity V_h(l) = m_l +
+    (1 - m_{h+1}) prod_{i=l}^{h} (-q_i) (``_horizon_sums``)."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if j < 2:
         raise ValueError("j must be >= 2")
-    r, s = _horizon_means(p.values(n), j)
-    mean = math.fsum(memoryview(r))
-    ends = r[j + 1:]  # cycle ends u = j+1..n+1, renewed at horizon u-j-1
-    cross = math.fsum(memoryview(ends * s[:ends.size]))
+    pv = p.values(n)
+    q = 1.0 - pv
+    m = marginals(q, 1)
+    c, _, w = _renewal(pv, q, m, j)
+    mean = math.fsum(memoryview(c * m))
+    cross = math.fsum(memoryview(w * m))
     return math.fsum((mean, 2.0 * cross, -mean * mean))
+
+
+def var_cj_horizons(n: int, js, p: PSequence) -> np.ndarray:
+    """Var(C_j(h)) for each j in js at every horizon h = 0..n, as a
+    (len(js), n + 1) array.  p.values(n), q and the horizon-n marginals are
+    built once; each j then costs two O(n) passes of ``_horizon_sums``, one
+    for S[h] = E[C_j(h)] and one for the cross term X_h = sum_{u<=h+1}
+    w_u V_h(u), so Var(C_j(h)) = S[h] + 2 X_h - S[h]^2.  At h = n this is
+    ``second_moments``' formula, summed by ``np.cumsum`` instead of fsum."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    js = list(js)
+    if not js:
+        raise ValueError("js must name at least one j")
+    if min(js) < 2:
+        raise ValueError("j must be >= 2")
+    pv = p.values(n)
+    q = 1.0 - pv
+    m = marginals(q, 1)
+    out = np.empty((len(js), n + 1))
+    for row, j in zip(out, js):
+        _, s, w = _renewal(pv, q, m, j)
+        # where no j-cycle fits, S[h] cancels to a rounding residue that may
+        # be negative, and so may the variance: it is 0 there
+        np.maximum(s + 2.0 * _horizon_sums(q, m, w) - s * s, 0.0, out=row)
+    return out
 
 
 def cov_eta(n: int, i: int, j: int, theta: float) -> float:

@@ -216,10 +216,10 @@ def _rows(kind: ChainKind, n: int) -> list:
     the row after a 0 at index h, which no DP reaches, since the value
     above index h is the virtual 1.
     """
-    rows = [None]
-    for r in range(1, n + 1):
+    rows = [None] * (n + 1)
+    for r in range(n, 0, -1):  # from the top: a sequence kept as a run array runs once
         free = kind.row(r)
-        rows.append((free, (1.0, 0.0) if kind.gap else free))
+        rows[r] = (free, (1.0, 0.0) if kind.gap else free)
     return rows
 
 

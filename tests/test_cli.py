@@ -84,6 +84,23 @@ def test_command_parser_matches_the_full_parser(name):
             == full.parse_args([name, *MINIMAL_ARGV[name]]))
 
 
+def test_help_is_the_default_formatters(monkeypatch):
+    def helps():
+        full = build_parser()
+        (sub,) = (a for a in full._actions if isinstance(a, argparse._SubParsersAction))
+        return [full.format_help(), *(sub.choices[name].format_help() for name in COMMANDS),
+                *(command_parser(name).format_help() for name in COMMANDS)]
+
+    texts = {}
+    for columns in ("50", "150"):
+        monkeypatch.setenv("COLUMNS", columns)
+        texts[columns] = helps()
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_formatter", lambda: argparse.HelpFormatter)
+            assert texts[columns] == helps(), columns
+    assert texts["50"] != texts["150"]  # the width is read, not fixed
+
+
 @pytest.mark.parametrize("argv, code, usage", [
     ([], 2, "usage: derange [-h]"),
     (["bogus"], 2, "usage: derange [-h]"),
@@ -168,6 +185,16 @@ def test_table2_shape(capsys):
     assert [r["j"] for r in rows] == [3, 4, 5, 6, 7]
     for r in rows:
         assert set(r) == {"j", "n20", "n50", "n100"}
+
+
+def test_table2_cells_match_the_oracle_dp(capsys):
+    code, out, _ = run(capsys, "table2", "--format", "json")
+    assert code == EXIT_OK
+    kind = ChainKind.x(PSequence.eta(0.5))
+    for r in json.loads(out)["results"]:
+        for n in (20, 50, 100):
+            dp = oracle.dp_moments(kind, n, targets=("var_cj",), j=r["j"])["var_cj"]
+            assert abs(r[f"n{n}"] - dp) <= 5e-9 * dp, (r["j"], n, r[f"n{n}"], dp)
 
 
 def test_json_roundtrip(capsys):
@@ -288,6 +315,18 @@ def test_verify_passed_is_json_bool(capsys):
     assert code == EXIT_OK
     res = json.loads(out)["results"]
     assert res[0]["passed"] is True
+    assert '"passed": true' in out
+
+
+def test_verify_failed_is_json_bool(capsys, monkeypatch):
+    suite = SUITES["variance"]
+    monkeypatch.setitem(SUITES, "variance", lambda args: (*suite(args)[:2], 0.0))
+    code, out, _ = run(capsys, "verify", "--suite", "variance", "--n", "12",
+                       "--format", "json")
+    assert code == EXIT_FAIL
+    (res,) = json.loads(out)["results"]
+    assert res["passed"] is False
+    assert '"passed": false' in out
 
 
 def test_overflowed_limit_series_exit_code(capsys):

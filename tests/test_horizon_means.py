@@ -1,5 +1,7 @@
 """Var(C_j(n)) by the one-pass all-horizon identity, against a 40-digit DP,
-the oracle's renewal DP, and E[C_j(h)] recomputed at each horizon."""
+the oracle's renewal DP, and E[C_j(h)] recomputed at each horizon; and
+Var(C_j(h)) at every horizon h <= n from one call, against the same
+references and against ``second_moments`` at each horizon."""
 
 import json
 import math
@@ -11,8 +13,9 @@ import pytest
 from derange import oracle
 from derange.chains import ChainKind
 from derange.cli import EXIT_OK, run_command
-from derange.moments import _horizon_means, mean_cj, second_moments
-from derange.params import PSequence
+from derange.chains import marginals
+from derange.moments import _renewal, mean_cj, second_moments, var_cj_horizons
+from derange.params import PSequence, ThetaSequence
 
 
 def _mp_variance(pv, j):
@@ -66,9 +69,11 @@ def test_variance_matches_oracle_dp():
 @pytest.mark.parametrize("theta, j", [(0.01, 7), (0.5, 3), (100.0, 2)])
 def test_all_horizon_means_match_mean_cj(theta, j):
     p = PSequence.eta(theta)
-    r, s = _horizon_means(p.values(10**5), j)
+    pv = p.values(10**5)
+    m = marginals(1.0 - pv, 1)
+    c, s, _ = _renewal(pv, 1.0 - pv, m, j)
     assert s.size == 10**5 + 1
-    assert math.fsum(r.tolist()) == pytest.approx(s[-1], rel=1e-12)
+    assert math.fsum((c * m).tolist()) == pytest.approx(s[-1], rel=1e-12)
     assert not s[:j].any()
     for h in np.unique(np.geomspace(2, 10**5, 16).astype(int)):
         assert s[h] == pytest.approx(mean_cj(int(h), j, p), rel=1e-12, abs=1e-16), h
@@ -80,3 +85,54 @@ def test_var_cj_at_large_n_from_the_cli(capsys):
     assert code == EXIT_OK
     value = json.loads(capsys.readouterr().out)["results"]
     assert math.isfinite(value) and value > 0.0
+
+
+JS = (2, 3, 7)
+
+
+@pytest.mark.parametrize("theta", [0.01, 1.0, 100.0])
+def test_every_horizon_variance_matches_mpmath(theta):
+    p = PSequence.eta(theta)
+    var = var_cj_horizons(300, JS, p)
+    assert var.shape == (len(JS), 301)
+    for row, j in zip(var, JS):
+        for h in (20, 77, 150, 300):
+            ref = _mp_variance(p.values(h), j)
+            assert abs(row[h] - ref) <= 1e-12 * abs(ref), (j, h, row[h], ref)
+
+
+@pytest.mark.parametrize("p", [
+    PSequence.eta(0.5),
+    PSequence.eta_tilde(3.0),
+    PSequence.from_theta_conditional(ThetaSequence.eta_star(0.8)),
+    PSequence.from_theta_pushforward(ThetaSequence.constant(0.5)),
+], ids=["eta", "eta_tilde", "conditional", "pushforward"])
+def test_every_horizon_variance_matches_oracle_dp(p):
+    var = var_cj_horizons(14, JS, p)
+    assert not var[:, :2].any()
+    kind = ChainKind.x(p)
+    for row, j in zip(var, JS):
+        for h in range(2, 15):
+            dp = oracle.dp_moments(kind, h, targets=("var_cj",), j=j)["var_cj"]
+            assert abs(row[h] - dp) <= 1e-13, (j, h, row[h], dp)
+
+
+@pytest.mark.parametrize("p", [PSequence.eta(0.5), PSequence.eta(30.0),
+                               PSequence.eta_tilde(3.0)], ids=lambda p: p.label)
+def test_every_horizon_variance_matches_second_moments(p):
+    var = var_cj_horizons(10**5, JS, p)
+    assert np.isfinite(var).all() and (var >= 0.0).all()
+    for row, j in zip(var, JS):
+        for h in (10, 100, 10**3, 10**4, 10**5):
+            ref = second_moments(h, j, p)
+            assert abs(row[h] - ref) <= 1e-12 * ref, (j, h, row[h], ref)
+
+
+def test_one_perturbed_index_moves_only_the_horizons_above_it():
+    values = PSequence.eta(0.5).values(200)[1:].tolist()
+    base = var_cj_horizons(200, JS, PSequence.tabulated(values))
+    values[99] += 1e-3  # p_100
+    moved = var_cj_horizons(200, JS, PSequence.tabulated(values))
+    for before, after, j in zip(base, moved, JS):
+        assert np.abs(after[:101] - before[:101]).max() <= 1e-13, j
+        assert np.abs(after[100 + j:] - before[100 + j:]).min() > 1e-6, j

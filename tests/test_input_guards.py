@@ -49,6 +49,7 @@ from derange.moments import (
     mean_k_eta,
     mean_k_eta_limit,
     second_moments,
+    var_cj_horizons,
 )
 from derange.montecarlo import estimate
 from derange.numerics import (
@@ -173,6 +174,9 @@ GUARDS = [
     (lambda: mean_cj_eta_limit(1.0, 1), ValueError, "j must be >= 2"),
     (lambda: mean_cj_eta_limit(1.0, 2, method="bogus"), ValueError, "unknown method"),
     (lambda: second_moments(10, 1, P), ValueError, "j must be >= 2"),
+    (lambda: var_cj_horizons(1, (3,), P), ValueError, "n must be >= 2"),
+    (lambda: var_cj_horizons(10, (3, 1), P), ValueError, "j must be >= 2"),
+    (lambda: var_cj_horizons(10, (), P), ValueError, "js must name at least one j"),
     (lambda: cov_eta(10, 4, 3, 1.0), ValueError, "require 2 < i < j < n-1"),
     (lambda: lambda_esf(0, 1.0), ValueError, "n must be >= 1"),
     # montecarlo
