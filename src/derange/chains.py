@@ -246,14 +246,10 @@ def generate_signed(n: int, p: PSequence, kappa: float, seed: int, rep: int = 0)
 # ---------------------------------------------------------------------------
 # exact evaluation
 
-def path_probability(kind: ChainKind, word, n: int | None = None) -> float:
+def path_probability(kind: ChainKind, word) -> float:
     """Exact probability of a word under the chain law, 0 off-support:
-    ``word_law(kind, n)(word)``, with n the word's length by default."""
-    if n is None:
-        n = len(word)
-    if len(word) != n:
-        raise ValueError("word length must equal n")
-    return word_law(kind, n)(word)
+    ``word_law(kind, len(word))(word)``."""
+    return word_law(kind, len(word))(word)
 
 
 def word_law(kind: ChainKind, n: int):

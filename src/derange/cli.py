@@ -244,7 +244,7 @@ def _suite_tv(args):
 def _suite_pgf(args):
     ts = ThetaSequence.eta_star(0.7)
     gaps = []
-    for m in (6, 12):
+    for m in dict.fromkeys((max(2, args.n // 2), args.n)):
         for kind in (ChainKind.x(PSequence.from_theta_conditional(ts)), ChainKind.y(ts)):
             law = k_distribution(kind, m)
             gaps += [abs(pgf_k(kind, s, m) - math.fsum(pk * s**k for k, pk in law.items()))
@@ -254,9 +254,11 @@ def _suite_pgf(args):
 
 def _suite_variance(args):
     from . import oracle
-    p = PSequence.eta(0.5)
-    gaps = (abs(second_moments(args.n, j, p) - oracle.dp_moments(
-        ChainKind.x(p), args.n, targets=("var_cj",), j=j)["var_cj"]) for j in (2, 3, 4))
+    p, js = PSequence.eta(0.5), (2, 3, 4)
+    gaps = []
+    for j, at_n in zip(js, var_cj_horizons(args.n, js, p)[:, args.n].tolist()):
+        dp = oracle.dp_moments(ChainKind.x(p), args.n, targets=("var_cj",), j=j)["var_cj"]
+        gaps += [abs(second_moments(args.n, j, p) - dp), abs(at_n - dp)]
     return "max_gap", max(gaps), 1e-10
 
 
@@ -392,38 +394,46 @@ def _cmd_diagnose(args) -> int:
 class Command(NamedTuple):
     help: str
     func: Callable[[argparse.Namespace], int]
-    args: tuple = ()  # (flag, add_argument keywords), before the common ones
+    args: tuple = ()  # (flag, add_argument keywords) of each flag it reads but --format, --seed
     seed: bool = True  # takes --seed, whose default is DERANGE_SEED
-    theta: float = 1.0  # the default of --theta
 
+
+def _theta(default: float = 1.0) -> tuple:
+    return "--theta", dict(type=float, default=default)
+
+
+_FAMILY = ("--theta-family", dict(choices=("constant", "eta_star"), default="constant"))
+_N = ("--n", dict(type=int, default=10))
 
 COMMANDS = {
     "exact": Command("evaluate a named quantity", functools.partial(_cmd_quantity, QUANTITIES), (
         ("--quantity", dict(required=True)), ("--kind", dict(default=None)),
         ("--j", dict(type=int, default=2)), ("--i", dict(type=int, default=3)),
         ("--m", dict(type=int, default=2)), ("--s", dict(type=float, default=1.0)),
-        ("--method", dict(default=None))), seed=False),
+        ("--method", dict(default=None)), _theta(), _FAMILY, _N), seed=False),
     "sample": Command("draw chain words", _cmd_sample, (
         ("--kind", dict(default="eta",
                         choices=("eta", "eta_tilde", "cond", "push", "y", "signed"))),
-        ("--reps", dict(type=int, default=1)), ("--kappa", dict(type=float, default=0.5)))),
+        ("--reps", dict(type=int, default=1)), ("--kappa", dict(type=float, default=0.5)),
+        _theta(), _FAMILY, _N)),
     "table1": Command("limit of E[C_j] along the eta chain", _cmd_table1, (
-        ("--m", dict(type=int, default=2)), ("--rounded", dict(action="store_true"))),
-        seed=False, theta=0.5),
+        ("--m", dict(type=int, default=2)), ("--rounded", dict(action="store_true")),
+        _theta(0.5)), seed=False),
     "table2": Command("Var(C_j(n)) along the eta chain", _cmd_table2, (
-        ("--rounded", dict(action="store_true")),), seed=False, theta=0.5),
+        ("--rounded", dict(action="store_true")), _theta(0.5)), seed=False),
     "verify": Command("run oracle certification suites", _cmd_verify, (
         ("--suite", dict(default="all", choices=(*SUITES, "all"))),
-        ("--trials", dict(type=int, default=5)))),
+        ("--trials", dict(type=int, default=5)), _N)),
     "diagnose": Command("asymptotic statistical diagnostics", _cmd_diagnose, (
         ("--which", dict(required=True, choices=("clt", "gem"))),
-        ("--reps", dict(type=int, default=2000)), ("--alpha", dict(type=float, default=0.001)))),
+        ("--reps", dict(type=int, default=2000)), ("--alpha", dict(type=float, default=0.001)),
+        _theta(), _N)),
     "signed": Command("signed-model quantities",
                       functools.partial(_cmd_quantity, SIGNED_QUANTITIES), (
         ("--quantity", dict(required=True)), ("--kappa", dict(type=float, default=0.5)),
         ("--k", dict(type=int, default=2)), ("--i", dict(type=int, default=1)),
         ("--j", dict(type=int, default=1)), ("--l", dict(type=int, default=0)),
-        ("--astar", dict(default="1"))), seed=False),
+        ("--astar", dict(default="1")), _theta(), _FAMILY, _N), seed=False),
 }
 
 
@@ -433,9 +443,6 @@ def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.Argumen
     parser.add_argument("--format", choices=("json", "csv", "text"), default="text")
     for flag, kw in cmd.args:
         parser.add_argument(flag, **kw)
-    parser.add_argument("--theta", type=float, default=cmd.theta)
-    parser.add_argument("--theta-family", choices=("constant", "eta_star"), default="constant")
-    parser.add_argument("--n", type=int, default=10)
     if cmd.seed:
         parser.add_argument("--seed", type=int, default=int(os.environ.get("DERANGE_SEED", "0")))
     parser.set_defaults(command=name, func=cmd.func)

@@ -108,14 +108,14 @@ class LimitContext:
     def probe(cls, p: PSequence | None = None,
               thetaseq: ThetaSequence | None = None,
               horizon: int = DEFAULT_PROBE_HORIZON) -> "LimitContext":
-        """Build a context from either parameter sequence, conditionally
-        linking the missing one, and run all condition probes on one array
+        """Build a context from one parameter sequence, conditionally
+        linking the other, and run all condition probes on one array
         of p: the coin conditions read the theta linked to p."""
-        if p is None and thetaseq is None:
-            raise ValueError("provide p or thetaseq")
+        if (p is None) == (thetaseq is None):
+            raise ValueError("provide p or thetaseq, not both")
         if p is None:
             p = PSequence.from_theta_conditional(thetaseq)
-        if thetaseq is None:
+        else:
             thetaseq = conditional_theta(p)
         if horizon < 64:
             raise ValueError("probe horizon must be >= 64")
@@ -171,6 +171,8 @@ def phi(i: int, p: PSequence, acc: AccuracySpec = DEFAULT_ACC,
     """
     if i < 1:
         raise ValueError("index must be >= 1")
+    if method not in ("series", "closed_form"):
+        raise ValueError(f"unknown method {method!r}")
     if i == 1:
         return 1.0
     if i == 2:
@@ -187,8 +189,6 @@ def phi(i: int, p: PSequence, acc: AccuracySpec = DEFAULT_ACC,
         if p.family == "eta_tilde" and theta is not None:
             return phi_eta_tilde(i, theta, acc)
         raise ValueError(f"no closed form for family {p.family!r}")
-    if method != "series":
-        raise ValueError(f"unknown method {method!r}")
     total = 0.0
     prod = 1.0
     for j in range(acc.max_terms):
@@ -243,7 +243,7 @@ def tv_prefix(n: int, p: PSequence, method: str = "theorem",
     """Total variation distance between the first n coordinates of the
     limit chain and the horizon-n chain law.
 
-    'theorem' evaluates phi_n directly.  'direct' (n <= 22) is the
+    'theorem' evaluates phi_n directly.  'direct' (n <= 30) is the
     oracle's enumeration ``oracle.tv_prefixes``: one upward sweep over the
     no-adjacent-1s words carries both prefix laws, with phi taken from the
     oracle's marginal DP at a horizon past n, never from ``phi``.
@@ -254,10 +254,6 @@ def tv_prefix(n: int, p: PSequence, method: str = "theorem",
         return phi(n, p, acc) if n > 1 else 0.0
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
-    if n > 22:
-        raise ValueError("direct enumeration limited to n <= 22")
-    if n == 1:
-        return 0.0
     from . import oracle
     return float(oracle.tv_prefixes(n, ChainKind.x(p))[n])
 
@@ -275,28 +271,24 @@ def _gamma_inf_backward(i: int, thetaseq: ThetaSequence, horizon: int) -> float:
 
 
 def gamma_inf(i: int, thetaseq: ThetaSequence,
-              acc: AccuracySpec = DEFAULT_ACC,
-              context: LimitContext | None = None) -> float:
+              acc: AccuracySpec = DEFAULT_ACC) -> float:
     """gamma_{i,inf}: no 1 at index i and no 11-pattern at or above it, in
     the infinite coin process.
 
     Computed by backward iteration from a horizon that is doubled until
     two successive extrapolated values agree to acc.rel_tol; a value that
-    underflows to 0 raises NumericsError.  Requires the
-    eqcond2 probe (otherwise the value is 0 and the sweep meaningless).
+    underflows to 0 raises NumericsError.  Requires the light eqcond2
+    probe (otherwise the value is 0 and the sweep meaningless).
     """
     if i < 2:
         raise ValueError("index must be >= 2")
-    if context is not None:
-        context.require("eqcond2")
-    else:
-        coin = thetaseq.coin_probs(_LIGHT_PROBE_HORIZON + 1)
-        ok, _ = _looks_convergent(_block_sums(coin, _LIGHT_PROBE_HORIZON, lag=1))
-        if not ok:
-            raise ValueError(
-                "sum c_j c_{j+1} does not appear to converge; gamma_{i,inf} "
-                "would be 0"
-            )
+    coin = thetaseq.coin_probs(_LIGHT_PROBE_HORIZON + 1)
+    ok, _ = _looks_convergent(_block_sums(coin, _LIGHT_PROBE_HORIZON, lag=1))
+    if not ok:
+        raise ValueError(
+            "sum c_j c_{j+1} does not appear to converge; gamma_{i,inf} "
+            "would be 0"
+        )
     # Seeding the sweep with 1 at a finite horizon N leaves an O(1/N) bias
     # (the ignored tail of 11-pattern probabilities), so raw doubling
     # converges too slowly; Richardson extrapolation over doubled horizons

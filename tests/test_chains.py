@@ -63,7 +63,7 @@ def test_sample_determinism():
 def test_path_probability_sums_to_one():
     kind = ChainKind.eta(0.6)
     total = math.fsum(
-        path_probability(kind, w, 7) for w in oracle.enumerate_delta(7)
+        path_probability(kind, w) for w in oracle.enumerate_delta(7)
     )
     assert total == pytest.approx(1.0, abs=1e-13)
 
@@ -78,8 +78,8 @@ def test_path_probability_coin_closed_form():
     for w in [(1, 0, 1, 1, 0), (1, 1, 1, 1, 1), (1, 0, 0, 0, 0)]:
         log_p = log_base + math.fsum(math.log(ts(i) / (i - 1))
                                      for i in range(2, n + 1) if w[i - 1])
-        assert path_probability(kind, w, n) == pytest.approx(math.exp(log_p), rel=1e-13)
-    assert path_probability(kind, (0, 1, 0, 1, 0), n) == 0.0  # index 1 must close
+        assert path_probability(kind, w) == pytest.approx(math.exp(log_p), rel=1e-13)
+    assert path_probability(kind, (0, 1, 0, 1, 0)) == 0.0  # index 1 must close
 
 
 @pytest.mark.parametrize("kind", [ChainKind.eta_tilde(0.7), ChainKind.y(ThetaSequence.eta_star(0.6))])
@@ -93,7 +93,7 @@ def test_path_probability_is_the_transition_product(kind):
         for r in range(n, 0, -1):
             want *= transition_matrix(kind, r, n)[above][word[r - 1]]
             above = word[r - 1]
-        got = path_probability(kind, word, n)
+        got = path_probability(kind, word)
         assert type(got) is float
         assert got == pytest.approx(want, rel=1e-15, abs=0.0), word
 

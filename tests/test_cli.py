@@ -10,8 +10,8 @@ import pytest
 
 from derange import __version__, cli, oracle
 from derange.chains import ChainKind, generate_signed, sample_path, word_to_string
-from derange.coupling import pgf_k
-from derange.moments import mean_k
+from derange.coupling import k_distribution, pgf_k
+from derange.moments import mean_k, var_cj_horizons
 from derange.montecarlo import clt_diagnostic, gem_diagnostic
 from derange.params import PSequence, ThetaSequence
 from derange.signed_stats import (
@@ -106,7 +106,15 @@ def test_help_is_the_default_formatters(monkeypatch):
     (["bogus"], 2, "usage: derange [-h]"),
     (["-h"], 0, "usage: derange [-h]"),
     (["table2", "--bogus"], 2, "usage: derange [-h]"),  # as the full parser reports it
-    (["table2", "--n", "x"], 2, "usage: derange table2 [-h]"),
+    (["table2", "--theta", "x"], 2, "usage: derange table2 [-h]"),
+    # flags a command never reads are unknown to it
+    (["table1", "--n", "20"], 2, "usage: derange [-h]"),
+    (["table1", "--theta-family", "eta_star"], 2, "usage: derange [-h]"),
+    (["table2", "--n", "20"], 2, "usage: derange [-h]"),
+    (["table2", "--theta-family", "eta_star"], 2, "usage: derange [-h]"),
+    (["verify", "--theta", "0.5"], 2, "usage: derange [-h]"),
+    (["verify", "--theta-family", "eta_star"], 2, "usage: derange [-h]"),
+    (["diagnose", "--which", "clt", "--theta-family", "eta_star"], 2, "usage: derange [-h]"),
 ])
 def test_argv_the_command_parser_cannot_take(capsys, argv, code, usage):
     with pytest.raises(SystemExit) as exc:
@@ -114,6 +122,46 @@ def test_argv_the_command_parser_cannot_take(capsys, argv, code, usage):
     assert exc.value.code == code
     captured = capsys.readouterr()
     assert (captured.out if code == 0 else captured.err).startswith(usage)
+
+
+# argv that, between them, take each command down every path that reads a flag
+EVERY_PATH = {
+    "exact": [["--quantity", q] for q in QUANTITIES],
+    "sample": [["--kind", k] for k in ("eta", "eta_tilde", "cond", "push", "y", "signed")],
+    "table1": [[]],
+    "table2": [[]],
+    "verify": [["--suite", s] for s in SUITES],
+    "diagnose": [["--which", w, "--n", "300", "--reps", "500", "--seed", "3"]
+                 for w in ("clt", "gem")],
+    "signed": [["--quantity", q] for q in SIGNED_QUANTITIES],
+}
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_every_accepted_flag_is_read(capsys, name):
+    # the record lives outside the namespace, whose vars() the report echoes
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, attr):
+            reads.add(attr)
+            return super().__getattribute__(attr)
+
+    parser = command_parser(name)
+    for argv in EVERY_PATH[name]:
+        args = Recording(**vars(parser.parse_args(argv)))  # argparse's own reads not counted
+        assert args.func(args) == EXIT_OK, argv
+    capsys.readouterr()
+    accepted = {a.dest for a in parser._actions if a.dest != "help"}
+    assert accepted - reads == set()
+
+
+def test_main_exits_with_the_command_code(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["derange", "table1", "--format", "json"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == EXIT_OK
+    assert len(json.loads(capsys.readouterr().out)["results"]) == 6
 
 
 def test_env_seed_is_read_on_every_call(capsys, monkeypatch):
@@ -242,6 +290,26 @@ def test_tv_suite_catches_one_perturbed_index(capsys, monkeypatch, scale, code):
 
     monkeypatch.setattr(cli, "tv_prefix", bent)
     assert run(capsys, "verify", "--suite", "tv", "--n", "14")[0] == code
+
+
+@pytest.mark.parametrize("n, horizons", [(2, [2]), (8, [4, 8]), (15, [7, 15])])
+def test_pgf_suite_horizons_follow_n(capsys, monkeypatch, n, horizons):
+    seen = []
+
+    def recording(kind, m):
+        seen.append(m)
+        return k_distribution(kind, m)
+
+    monkeypatch.setattr(cli, "k_distribution", recording)
+    assert run(capsys, "verify", "--suite", "pgf", "--n", str(n))[0] == EXIT_OK
+    assert seen == [m for m in horizons for _ in range(2)]  # the X and the Y chain
+
+
+@pytest.mark.parametrize("offset, code", [(0.0, EXIT_OK), (1e-6, EXIT_FAIL)])
+def test_variance_suite_checks_the_table2_path(capsys, monkeypatch, offset, code):
+    monkeypatch.setattr(cli, "var_cj_horizons",
+                        lambda n, js, p: var_cj_horizons(n, js, p) + offset)
+    assert run(capsys, "verify", "--suite", "variance", "--n", "30")[0] == code
 
 
 def test_verify_all_past_the_old_direct_cap(capsys):

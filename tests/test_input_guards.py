@@ -18,7 +18,6 @@ from derange.chains import (
     cycle_statistics,
     generate_signed_many,
     marginal_one,
-    path_probability,
     transition_matrix,
 )
 from derange.cli import command_parser, emit_report
@@ -124,7 +123,6 @@ GUARDS = [
      "kappa must lie in [0, 1]"),
     (lambda: SignedWord(("1", "x"), 0.5), ValueError, "invalid signed step 'x'"),
     (lambda: transition_matrix(X, 0, 5), ValueError, "outside 1..5"),
-    (lambda: path_probability(X, (1, 0, 0), 4), ValueError, "word length must equal n"),
     (lambda: marginal_one(X, 6, 5), ValueError, "index 6 outside 1..5"),
     (lambda: cycle_statistics((0, 1)), ValueError, "requires w_1 = 1"),
     # coupling
@@ -145,6 +143,8 @@ GUARDS = [
     (lambda: erase11((1, 0), 5), ValueError, "need input length >= 4"),
     # limitchain
     (lambda: LimitContext.probe(), ValueError, "provide p or thetaseq"),
+    (lambda: LimitContext.probe(P, ThetaSequence.holst(1.0, 2.0, 0.7), 64), ValueError,
+     "not both"),
     (lambda: LimitContext.probe(P, horizon=63), ValueError, "horizon must be >= 64"),
     (lambda: LimitContext.probe(P, horizon=64).require("bogus"), ValueError,
      "unknown condition flag 'bogus'"),
@@ -154,11 +154,12 @@ GUARDS = [
     (lambda: phi(5, PSequence.from_theta_pushforward(TS), method="closed_form"), ValueError,
      "no closed form"),
     (lambda: phi(5, P, method="bogus"), ValueError, "unknown method"),
+    (lambda: phi(1, P, method="bogus"), ValueError, "unknown method"),
     (lambda: phi(3, PSequence.eta(1000.0), SHORT), NumericsError, "did not converge"),
     (lambda: xinf_transition(0, P), ValueError, "index must be >= 1"),
     (lambda: tv_prefix(0, P), ValueError, "n must be >= 1"),
     (lambda: tv_prefix(5, P, "bogus"), ValueError, "unknown method"),
-    (lambda: tv_prefix(23, P, "direct"), ValueError, "limited to n <= 22"),
+    (lambda: tv_prefix(31, P, "direct"), ValueError, "tv_prefixes limited to 1 <= n <= 30"),
     (lambda: tv_prefix(10, CONVERGENT, "direct"), ValueError,
      "does not appear to diverge: q_11 ... q_"),
     (lambda: gamma_inf(1, TS), ValueError, "index must be >= 2"),
