@@ -88,13 +88,21 @@ class ChainKind:
         if n < 1 + self.gap:
             raise ValueError(f"{self!r} needs n >= {1 + self.gap}")
 
-    def one_probs(self, n: int) -> np.ndarray:
-        """h[r] = P(value 1 at index r | index r is free), r = 1..n, from
-        the array form of the sequence; h[0] unused."""
+    def rows(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The arrays (P(0), P(1)) of ``row`` at r = 0..n (entry 0 unused),
+        from one evaluation of the sequence; a coin kind's are the quotients
+        (r-1)/d_r and theta_r/d_r, d_r = r - 1 + theta_r, with no 1 - c."""
         self.check_horizon(n)
         if self.p is not None:
-            return 1.0 - self.p.values(n)
-        return self.thetaseq.coin_probs(n)
+            pv = self.p.values(n)
+            return pv, 1.0 - pv
+        t = self.thetaseq.values(n)
+        d = np.arange(-1.0, n) + t
+        return np.arange(-1.0, n) / d, t / d
+
+    def one_probs(self, n: int) -> np.ndarray:
+        """h[r] = P(value 1 at index r | index r is free): ``rows(n)[1]``."""
+        return self.rows(n)[1]
 
     def __repr__(self):
         return f"ChainKind({self.label})"
@@ -296,6 +304,26 @@ def marginals(h: np.ndarray, gap: int) -> np.ndarray:
     for i in range(n, 0, -1):
         m[i] = above = h[i] * (1.0 - g * above)
     return out
+
+
+def cycle_weights(stay: np.ndarray, h: np.ndarray, gap: int, j: int) -> np.ndarray:
+    """c over l = 0..n+1 for (stay, h) = ``kind.rows(n)``: the weight
+    h_{l-j} stay_{l-j+1} ... stay_{l-1-gap} of a top circle of length j at
+    horizon l - 1 (0 for l <= j), so a j-circle ends at l with probability
+    c_l m_l under the marginals m (m_{n+1} = 1).  Few ends of long circles
+    take one window product each, else one shifted array per factor."""
+    n = h.size - 1
+    c = np.zeros(n + 2)
+    if n >= j:  # position k of each slice below is index l = j + 1 + k
+        c[j + 1:] = h[1:n + 2 - j]
+        if j - 1 - gap > n + 1 - j:
+            s = stay.tolist()
+            for l in range(j + 1, n + 2):  # the multiply order of the arrays below
+                c[l] = math.prod(s[l - 1 - gap:l - j:-1], start=c[l])
+        else:
+            for d in range(1 + gap, j):
+                c[j + 1:] *= stay[j + 1 - d:n + 2 - d]
+    return c
 
 
 def marginal_one(kind: ChainKind, i: int, horizon: int) -> float:

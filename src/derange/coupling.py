@@ -7,10 +7,9 @@ here: exact laws of the cycle-count total K, the pgf identity, joint cycle
 counts, ordered cycle-length prefixes, and the 11-erasing maps that push
 the coin law onto the derangement-chain law.
 
-The K law, the pgf and the joint counts take a ``ChainKind`` and read only
-its gap: without one it is the coin chain, with its own theta sequence;
-with one it is the derangement chain, which is the coin chain for the theta
-sequence conditionally linked to p, given Delta_n.
+The K law, the pgf and the joint counts take a ``ChainKind``.  The pgf
+reads its gap: without one it is the coin chain; with one it is the coin
+chain of the theta sequence conditionally linked to p, given Delta_n.
 """
 
 from __future__ import annotations
@@ -18,10 +17,11 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import sys
 
 import numpy as np
 
-from .chains import ChainKind
+from .chains import ChainKind, cycle_weights
 from .dist import DistTable
 from .numerics import NumericsError, beta_fn, overflow_is_numerics_error
 from .params import PSequence, ThetaSequence, _coins, check_theta, conditional_theta
@@ -136,13 +136,6 @@ def _delta_finite(theta: float, theta2star: float, n: int) -> float:
 # ---------------------------------------------------------------------------
 # K distributions and the pgf identity
 
-def _coin_theta(kind: ChainKind) -> ThetaSequence:
-    """The coin chain's theta sequence: its own without a gap; under a gap,
-    the one conditionally linked to p, so that the chain is the coin chain
-    given Delta_n."""
-    return conditional_theta(kind.p) if kind.gap else kind.thetaseq
-
-
 # the most K-law mass k_distribution drops past its cap
 DROPPED_MASS = 2.0**-64
 
@@ -219,7 +212,7 @@ def pgf_k(kind: ChainKind, s: float, n: int) -> float:
     kind.check_horizon(n)
     if s == 0.0:
         return 0.0  # K >= 1 always
-    t = _coin_theta(kind).values(n)
+    t = (conditional_theta(kind.p) if kind.gap else kind.thetaseq).values(n)
     logs = np.log1p((s - 1.0) * _coins(t)[1:]).tolist()
     if kind.gap:
         with np.errstate(over="ignore"):  # checked below
@@ -242,10 +235,10 @@ MAX_STATES = 10**5
 def joint_cycle_counts(kind: ChainKind, c, n: int) -> float:
     """Exact probability of the full cycle-count vector c (c_j counts
     j-cycles) at horizon n: a sum over the distinct orderings of the cycle
-    sizes, by the recursion on the top cycle run bottom-up over every count
-    vector below c.  A gap forbids 1-cycles and divides by gamma_n.  Past
-    ``MAX_STATES`` count vectors it raises ValueError, and a probability
-    that underflows raises NumericsError."""
+    sizes, by the recursion on the top cycle, weighted by ``cycle_weights``
+    over the kind's own rows, run bottom-up over every count vector below
+    c.  A gap forbids 1-cycles.  Past ``MAX_STATES`` count vectors it raises
+    ValueError; a probability below the normal float range raises NumericsError."""
     c = tuple(int(v) for v in c)
     if any(v < 0 for v in c):
         raise ValueError("counts must be nonnegative")
@@ -262,30 +255,23 @@ def joint_cycle_counts(kind: ChainKind, c, n: int) -> float:
             f"budget {MAX_STATES}; use the Monte Carlo sampler instead"
         )
 
-    # the coin at index e shows 1 with probability c_e = theta_e / d_e and 0
-    # with probability (e - 1) / d_e, d_e = e - 1 + theta_e; c_1 = 1.
-    # zeros[m] = log of the product of the 0 probabilities over 2..m
-    t = _coin_theta(kind).values(n)
-    ones = _coins(t).tolist()
-    e1 = np.arange(1.0, n)  # e - 1 at e = 2..n
-    zeros = [0.0, 0.0] + np.cumsum(np.log(e1 / (e1 + t[2:]))).tolist()
     # orderings[left]: the sum over the distinct orderings of the cycles
-    # counted by left, which fill indices 1..m, of the coin probability of
-    # their word; the top cycle, of length j, closes with a 1 at
-    # e = m + 1 - j over 0s at e + 1..m.  Each left - e_j precedes left in
-    # the lexicographic order that itertools.product runs in.
+    # counted by left, which fill indices 1..m, of their word's probability,
+    # the top one of length j weighing weights[j][m + 1].  Each left - e_j
+    # precedes left in the lexicographic order that itertools.product runs in.
+    stay, h = kind.rows(n)
+    weights = {j: cycle_weights(stay, h, kind.gap, j).tolist()
+               for j, cj in enumerate(c, start=1) if cj}
     orderings = {}
     for left in itertools.product(*(range(v + 1) for v in c)):
         m = sum(j * cj for j, cj in enumerate(left, start=1))
         orderings[left] = 1.0 if m == 0 else sum(
-            ones[m + 1 - j] * math.exp(zeros[m] - zeros[m + 1 - j])
-            * orderings[left[:j - 1] + (cj - 1,) + left[j:]]
+            weights[j][m + 1] * orderings[left[:j - 1] + (cj - 1,) + left[j:]]
             for j, cj in enumerate(left, start=1) if cj)
     total = orderings[c]
-    if not total > 0.0:
-        raise NumericsError("the probability of c underflows the float range")
-    m, e = _gamma(t) if kind.gap else (1.0, 0)
-    return math.ldexp(total / m, -e)
+    if not total >= sys.float_info.min:
+        raise NumericsError(f"the probability of c, {total!r}, underflows the float range")
+    return total
 
 
 def ordered_cycle_prefix_prob(a, n: int, thetaseq: ThetaSequence) -> float:

@@ -162,7 +162,7 @@ def _divergence_ok(p: PSequence) -> bool:
     return verdict
 
 
-def phi(i: int, p: PSequence, acc: AccuracySpec = DEFAULT_ACC,
+def phi(i: int, p: PSequence, *, acc: AccuracySpec = DEFAULT_ACC,
         method: str = "series") -> float:
     """Limiting marginal P(index i carries a 1) as the horizon -> infinity.
 
@@ -185,9 +185,9 @@ def phi(i: int, p: PSequence, acc: AccuracySpec = DEFAULT_ACC,
     if method == "closed_form":
         theta = getattr(p, "theta", None)
         if p.family == "eta" and theta is not None:
-            return phi_eta(i, theta, acc)
+            return phi_eta(i, theta, acc=acc)
         if p.family == "eta_tilde" and theta is not None:
-            return phi_eta_tilde(i, theta, acc)
+            return phi_eta_tilde(i, theta, acc=acc)
         raise ValueError(f"no closed form for family {p.family!r}")
     total = 0.0
     prod = 1.0
@@ -200,16 +200,16 @@ def phi(i: int, p: PSequence, acc: AccuracySpec = DEFAULT_ACC,
     raise NumericsError(f"phi series did not converge in {acc.max_terms} terms")
 
 
-def phi_eta(i: int, theta: float, acc: AccuracySpec = DEFAULT_ACC) -> float:
+def phi_eta(i: int, theta: float, *, acc: AccuracySpec = DEFAULT_ACC) -> float:
     """Closed form for the eta chain: theta/(theta+i-1) M(1, theta+i, -theta)."""
     if i == 1:
         return 1.0
     if i == 2:
         return 0.0
-    return theta / (theta + i - 1.0) * kummer_m(1.0, theta + i, -theta, acc)
+    return theta / (theta + i - 1.0) * kummer_m(1.0, theta + i, -theta, acc=acc)
 
 
-def phi_eta_tilde(i: int, theta: float, acc: AccuracySpec = DEFAULT_ACC) -> float:
+def phi_eta_tilde(i: int, theta: float, *, acc: AccuracySpec = DEFAULT_ACC) -> float:
     """Closed form for the eta_tilde chain, built from the derangement
     probability of the theta-biased permutation."""
     if i == 1:
@@ -218,11 +218,11 @@ def phi_eta_tilde(i: int, theta: float, acc: AccuracySpec = DEFAULT_ACC) -> floa
         return 0.0
     return (
         theta * math.exp(theta) * lambda_esf(i - 1, theta) / (theta + i - 1.0)
-        * kummer_m(theta + 1.0, theta + i, -theta, acc)
+        * kummer_m(theta + 1.0, theta + i, -theta, acc=acc)
     )
 
 
-def xinf_transition(i: int, p: PSequence, acc: AccuracySpec = DEFAULT_ACC) -> float:
+def xinf_transition(i: int, p: PSequence, *, acc: AccuracySpec = DEFAULT_ACC) -> float:
     """One-step probability of moving 0 -> 1 from index i to i + 1 in the
     limit chain: phi_{i+1}/(1 - phi_i).
 
@@ -233,12 +233,12 @@ def xinf_transition(i: int, p: PSequence, acc: AccuracySpec = DEFAULT_ACC) -> fl
         raise ValueError("index must be >= 1")
     if i == 1:
         return 0.0
-    num = phi(i + 1, p, acc)
-    den = 1.0 - phi(i, p, acc)
+    num = phi(i + 1, p, acc=acc)
+    den = 1.0 - phi(i, p, acc=acc)
     return num / den
 
 
-def tv_prefix(n: int, p: PSequence, method: str = "theorem",
+def tv_prefix(n: int, p: PSequence, method: str = "theorem", *,
               acc: AccuracySpec = DEFAULT_ACC) -> float:
     """Total variation distance between the first n coordinates of the
     limit chain and the horizon-n chain law.
@@ -251,7 +251,7 @@ def tv_prefix(n: int, p: PSequence, method: str = "theorem",
     if n < 1:
         raise ValueError("n must be >= 1")
     if method == "theorem":
-        return phi(n, p, acc) if n > 1 else 0.0
+        return phi(n, p, acc=acc) if n > 1 else 0.0
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
     from . import oracle
@@ -270,7 +270,7 @@ def _gamma_inf_backward(i: int, thetaseq: ThetaSequence, horizon: int) -> float:
     return g_next
 
 
-def gamma_inf(i: int, thetaseq: ThetaSequence,
+def gamma_inf(i: int, thetaseq: ThetaSequence, *,
               acc: AccuracySpec = DEFAULT_ACC) -> float:
     """gamma_{i,inf}: no 1 at index i and no 11-pattern at or above it, in
     the infinite coin process.
@@ -320,7 +320,7 @@ def gamma_inf(i: int, thetaseq: ThetaSequence,
             )
 
 
-def delta_i_inf(theta: float, i: int, theta2star: float = 1.0,
+def delta_i_inf(theta: float, i: int, theta2star: float = 1.0, *,
                 acc: AccuracySpec = DEFAULT_ACC) -> float:
     """gamma_{i,inf} along the eta_star family, in closed form where one
     exists (i = 2 and i >= 4) and by backward recursion at i = 3."""
@@ -330,7 +330,7 @@ def delta_i_inf(theta: float, i: int, theta2star: float = 1.0,
     if i == 2:
         return delta_n(theta, theta2star, math.inf)
     if i == 3:
-        return gamma_inf(3, ThetaSequence.eta_star(theta, theta2star), acc)
+        return gamma_inf(3, ThetaSequence.eta_star(theta, theta2star), acc=acc)
     z1, z2 = delta_roots(theta)
-    m_val = kummer_m(1.0, theta + i - 1.0, -theta, acc)
+    m_val = kummer_m(1.0, theta + i - 1.0, -theta, acc=acc)
     return m_val * beta_fn(z1 + i - 3, z2 + i - 3) / beta_fn(i - 2.0, theta + i - 1.0)

@@ -2,17 +2,18 @@
 limit.
 
 Conventions: q_1 = 1, q_2 = 0 (the chain is forced at those indices).  The
-finite-horizon moments all come from the marginals m_i = P(value at index
-i is 1), which obey the backward recursion m_i = q_i (1 - m_{i+1})
+finite-horizon moments read the rows (p, q) of ``ChainKind.x(p).rows(n)``
+through the marginals m_i = P(value at index i is 1) = q_i (1 - m_{i+1})
 (``chains.marginals``).  Each 1 closes a cycle, so E[K_n] is the sum of
 the marginals and E[C_j(n)] the sum of the probabilities c_l m_l that a
-j-cycle ends at each index l.  Var(C_j(n)) sums E[C_j(h)] over the horizons
-h below each cycle end, and the horizon-h marginals are exactly
-m_l + (1 - m_{h+1}) prod_{i=l}^{h} (-q_i): one O(n) pass gives every
-E[C_j(h)], and a second gives Var(C_j(h)) at every horizon
-(``var_cj_horizons``).  Closed forms specialized to the eta chain
-(p_i = (i-1)/(theta+i-1)) carry `_eta` in their names and must agree
-with the generic routines — that agreement is a test, not an assumption.
+j-cycle ends at each index l (``chains.cycle_weights``).  Var(C_j(n))
+sums E[C_j(h)] over the horizons h below each cycle end, and the
+horizon-h marginals are exactly m_l + (1 - m_{h+1}) prod_{i=l}^{h}
+(-q_i): one O(n) pass gives every E[C_j(h)], and a second gives
+Var(C_j(h)) at every horizon (``var_cj_horizons``).  Closed forms
+specialized to the eta chain (p_i = (i-1)/(theta+i-1)) carry `_eta` in
+their names and must agree with the generic routines — that agreement is
+a test, not an assumption.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import marginals
+from .chains import ChainKind, cycle_weights, marginals
 from .numerics import (
     AccuracySpec,
     DEFAULT_ACC,
@@ -75,7 +76,7 @@ def mean_k(n: int, p: PSequence) -> float:
     stored 1 closes a cycle, so E[K_n] = m_1 + ... + m_n."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    return math.fsum(memoryview(marginals(1.0 - p.values(n), 1)[1:n + 1]))
+    return math.fsum(memoryview(marginals(ChainKind.x(p).rows(n)[1], 1)[1:n + 1]))
 
 
 def mean_k_eta(n: int, theta: float) -> float:
@@ -145,20 +146,6 @@ def mean_k_eta_limit(theta: float, m: int = 3, method: str = "series",
 # ---------------------------------------------------------------------------
 # E[C_j(n)]
 
-def _cycle_weights(pv: np.ndarray, j: int) -> np.ndarray:
-    """c over l = 0..n+1, where pv is ``p.values(n)``: c_l = q_{l-j}
-    p_{l-j+1} ... p_{l-2} (0 for l <= j), so that a j-cycle ends at l with
-    probability c_l m_l under the marginals m (m_{n+1} = 1 for the top
-    cycle).  c does not depend on the horizon."""
-    n = pv.size - 1
-    c = np.zeros(n + 2)
-    if n >= j:  # position k of each slice below is index l = j + 1 + k
-        c[j + 1:] = 1.0 - pv[1:n + 2 - j]
-        for d in range(2, j):
-            c[j + 1:] *= pv[j + 1 - d:n + 2 - d]
-    return c
-
-
 def mean_cj(n: int, j: int, p: PSequence) -> float:
     """Expected number of j-cycles at horizon n, the sum of the cycle-end
     probabilities c_l m_l."""
@@ -166,8 +153,8 @@ def mean_cj(n: int, j: int, p: PSequence) -> float:
         raise ValueError("n must be >= 2")
     if j < 2:
         raise ValueError("j must be >= 2 (no 1-cycles in a derangement)")
-    pv = p.values(n)
-    return math.fsum(memoryview(_cycle_weights(pv, j) * marginals(1.0 - pv, 1)))
+    pv, q = ChainKind.x(p).rows(n)
+    return math.fsum(memoryview(cycle_weights(pv, q, 1, j) * marginals(q, 1)))
 
 
 def mean_cj_eta(n: int, j: int, theta: float) -> float:
@@ -275,12 +262,12 @@ def mean_cj_eta_limit(theta: float, j: int, method: str = "series", m: int = 2,
 
 def _horizon_sums(q: np.ndarray, m: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_{u<=h+1} w_u V_h(u) at every horizon h = 0..n, for weights w over
-    u = 0..n+1, where q = 1 - ``p.values(n)`` and m are the horizon-n
-    marginals.  The horizon-h marginals obey the horizon-n recursion from 1
-    at h + 1, so they are V_h(u) = m_u + (1 - m_{h+1}) prod_{i=u}^{h} (-q_i),
-    exactly, and the sum is sum_{u<=h+1} w_u m_u + (1 - m_{h+1}) t_h, where
-    t_h = sum_{u<=h+1} w_u prod_{i=u}^{h} (-q_i) = w_{h+1} - q_h t_{h-1}.
-    """
+    u = 0..n+1, where q = ``ChainKind.x(p).rows(n)[1]`` and m are the
+    horizon-n marginals.  The horizon-h marginals obey the horizon-n
+    recursion from 1 at h + 1, so they are V_h(u) = m_u + (1 - m_{h+1})
+    prod_{i=u}^{h} (-q_i), exactly, and the sum is sum_{u<=h+1} w_u m_u +
+    (1 - m_{h+1}) t_h, where t_h = sum_{u<=h+1} w_u prod_{i=u}^{h} (-q_i)
+    = w_{h+1} - q_h t_{h-1}."""
     t = np.zeros(q.size)
     # memoryviews read and write Python floats without list copies
     above, tv, wv, qv = 0.0, memoryview(t), memoryview(w), memoryview(q)
@@ -291,13 +278,13 @@ def _horizon_sums(q: np.ndarray, m: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _renewal(pv: np.ndarray, q: np.ndarray, m: np.ndarray,
              j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(c, S, w) for ``p.values(n)`` = pv, q = 1 - pv and the horizon-n
-    marginals m: the cycle-end weights c, S[h] = E[C_j(h)] at every horizon
-    h = 0..n, and the renewal weights w_u = c_u S[u-j-1] (0 for u <= j).
-    Below a j-cycle ending at u, index u-j-1 is forced to 0 and the chain
-    renews at horizon u-j-1, so E[C_j(h)^2] = S[h] + 2 sum_{u<=h+1} w_u V_h(u).
-    """
-    c = _cycle_weights(pv, j)
+    """(c, S, w) for the rows (pv, q) of ``ChainKind.x(p).rows(n)`` and the
+    horizon-n marginals m: the cycle-end weights c, S[h] = E[C_j(h)] at
+    every horizon h = 0..n, and the renewal weights w_u = c_u S[u-j-1] (0
+    for u <= j).  Below a j-cycle ending at u, index u-j-1 is forced to 0
+    and the chain renews at horizon u-j-1, so E[C_j(h)^2] = S[h] + 2
+    sum_{u<=h+1} w_u V_h(u)."""
+    c = cycle_weights(pv, q, 1, j)
     s = _horizon_sums(q, m, c)
     w = np.zeros(c.size)
     ends = c[j + 1:]  # cycle ends u = j+1..n+1, renewed at horizon u-j-1
@@ -314,8 +301,7 @@ def second_moments(n: int, j: int, p: PSequence) -> float:
         raise ValueError("n must be >= 2")
     if j < 2:
         raise ValueError("j must be >= 2")
-    pv = p.values(n)
-    q = 1.0 - pv
+    pv, q = ChainKind.x(p).rows(n)
     m = marginals(q, 1)
     c, _, w = _renewal(pv, q, m, j)
     mean = math.fsum(memoryview(c * m))
@@ -325,11 +311,12 @@ def second_moments(n: int, j: int, p: PSequence) -> float:
 
 def var_cj_horizons(n: int, js, p: PSequence) -> np.ndarray:
     """Var(C_j(h)) for each j in js at every horizon h = 0..n, as a
-    (len(js), n + 1) array.  p.values(n), q and the horizon-n marginals are
-    built once; each j then costs two O(n) passes of ``_horizon_sums``, one
-    for S[h] = E[C_j(h)] and one for the cross term X_h = sum_{u<=h+1}
-    w_u V_h(u), so Var(C_j(h)) = S[h] + 2 X_h - S[h]^2.  At h = n this is
-    ``second_moments``' formula, summed by ``np.cumsum`` instead of fsum."""
+    (len(js), n + 1) array.  The rows (p, q) and the horizon-n marginals
+    are built once; each j then costs two O(n) passes of
+    ``_horizon_sums``, one for S[h] = E[C_j(h)] and one for the cross term
+    X_h = sum_{u<=h+1} w_u V_h(u), so Var(C_j(h)) = S[h] + 2 X_h -
+    S[h]^2.  At h = n this is ``second_moments``' formula, summed by
+    ``np.cumsum`` instead of fsum."""
     if n < 2:
         raise ValueError("n must be >= 2")
     js = list(js)
@@ -337,8 +324,7 @@ def var_cj_horizons(n: int, js, p: PSequence) -> np.ndarray:
         raise ValueError("js must name at least one j")
     if min(js) < 2:
         raise ValueError("j must be >= 2")
-    pv = p.values(n)
-    q = 1.0 - pv
+    pv, q = ChainKind.x(p).rows(n)
     m = marginals(q, 1)
     out = np.empty((len(js), n + 1))
     for row, j in zip(out, js):

@@ -73,7 +73,7 @@ def rising_factorial(x: float, m: int) -> float:
 
 
 def kummer_m(
-    a: float, b: float, z: float, acc: AccuracySpec = DEFAULT_ACC, method: str = "series"
+    a: float, b: float, z: float, *, acc: AccuracySpec = DEFAULT_ACC, method: str = "series"
 ) -> float:
     """Confluent hypergeometric function M(a, b, z) = sum a_(j) z^j / (b_(j) j!)."""
     if b <= 0 and b == int(b):
@@ -97,7 +97,7 @@ def kummer_m(
 
 
 def generalized_pfq(
-    a: tuple[float, ...], b: tuple[float, ...], z: float, acc: AccuracySpec = DEFAULT_ACC
+    a: tuple[float, ...], b: tuple[float, ...], z: float, *, acc: AccuracySpec = DEFAULT_ACC
 ) -> float:
     """Generalized hypergeometric series pFq(a; b; z)."""
     for bi in b:

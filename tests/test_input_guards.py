@@ -100,7 +100,7 @@ GUARDS = [
     (lambda: generalized_pfq((1.0,), (0.0,), 0.5), ValueError, "no lower parameter"),
     (lambda: generalized_pfq((1.0, 1.0, 1.0), (2.0,), 0.5), ValueError, "divergent series"),
     (lambda: generalized_pfq((1.0, 1.0), (2.0,), 1.5), ValueError, "requires |z| < 1"),
-    (lambda: generalized_pfq((1.0,), (1.0,), 50.0, SHORT), NumericsError, "did not converge"),
+    (lambda: generalized_pfq((1.0,), (1.0,), 50.0, acc=SHORT), NumericsError, "did not converge"),
     (lambda: beta_fn(0, 1), ValueError, "requires Re(z1), Re(z2) > 0"),
     (lambda: integrate(np.exp, (1.0, 0.0)), ValueError, "empty integration interval"),
     (lambda: harmonic_h(-1), ValueError, "requires y > -1"),
@@ -155,7 +155,10 @@ GUARDS = [
      "no closed form"),
     (lambda: phi(5, P, method="bogus"), ValueError, "unknown method"),
     (lambda: phi(1, P, method="bogus"), ValueError, "unknown method"),
-    (lambda: phi(3, PSequence.eta(1000.0), SHORT), NumericsError, "did not converge"),
+    (lambda: phi(3, PSequence.eta(1000.0), acc=SHORT), NumericsError, "did not converge"),
+    # the accuracy is keyword-only: a positional one is refused, not misread
+    (lambda: phi(1, P, "bogus"), TypeError, "phi() takes 2 positional arguments but 3"),
+    (lambda: phi(5, P, "bogus"), TypeError, "phi() takes 2 positional arguments but 3"),
     (lambda: xinf_transition(0, P), ValueError, "index must be >= 1"),
     (lambda: tv_prefix(0, P), ValueError, "n must be >= 1"),
     (lambda: tv_prefix(5, P, "bogus"), ValueError, "unknown method"),
@@ -165,6 +168,7 @@ GUARDS = [
     (lambda: gamma_inf(1, TS), ValueError, "index must be >= 2"),
     (lambda: gamma_inf(3, ThetaSequence.holst(1.0, 1.0, 0.5)), ValueError,
      "does not appear to converge"),
+    (lambda: gamma_inf(3, TS, "x"), TypeError, "gamma_inf() takes 2 positional arguments but 3"),
     (lambda: delta_i_inf(1.0, 1), ValueError, "index must be >= 2"),
     # moments
     (lambda: mean_k(1, P), ValueError, "n must be >= 2"),

@@ -194,7 +194,7 @@ def test_oracle_stays_independent():
     # the oracle certifies the closed forms, the array path, the word
     # product and the 11-erasing map, so it may import only the chain
     # definitions, and never reads a sequence's array form (dict .values()
-    # takes no argument)
+    # takes no argument) nor a kind's array rows
     import ast
     from pathlib import Path
 
@@ -215,6 +215,8 @@ def test_oracle_stays_independent():
             assert not (node.module or "").startswith("derange"), node.module
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             assert not (node.func.attr == "values" and (node.args or node.keywords)), \
+                ast.unparse(node)
+            assert node.func.attr not in ("rows", "one_probs", "coin_probs"), \
                 ast.unparse(node)
 
 
