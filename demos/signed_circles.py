@@ -44,8 +44,9 @@ moments = oracle.enumeration_moments(ChainKind.x(p), n)
 m1, v1 = cstar_moments(1, 1, moments["mean_c"], moments["cov_c"], w)
 print(f"\ncircles with exactly one in-looker: mean {m1:.6f}, variance {v1:.6f}")
 
-ts = ThetaSequence.constant(theta)
-print("\nfirst-circle in-look counts for the coin process "
-      "(more circles following):")
+print("\nfirst-circle in-look counts (more circles following), for the "
+      "derangement chain X and the coin process Y:")
 for a in (1, 2, 3):
-    print(f"  P(A*_1 = {a}, K > 1) = {ordered_star_prob((a,), n, ts, w):.6f}")
+    x_prob = ordered_star_prob(ChainKind.x(p), (a,), n, w)
+    y_prob = ordered_star_prob(ChainKind.y(ThetaSequence.constant(theta)), (a,), n, w)
+    print(f"  P(A*_1 = {a}, K > 1) = {x_prob:.6f} (X), {y_prob:.6f} (Y)")

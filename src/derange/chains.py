@@ -97,8 +97,9 @@ class ChainKind:
             pv = self.p.values(n)
             return pv, 1.0 - pv
         t = self.thetaseq.values(n)
-        d = np.arange(-1.0, n) + t
-        return np.arange(-1.0, n) / d, t / d
+        r1 = np.arange(-1.0, n)  # r - 1
+        d = r1 + t
+        return np.divide(r1, d, out=r1), np.divide(t, d, out=d)
 
     def one_probs(self, n: int) -> np.ndarray:
         """h[r] = P(value 1 at index r | index r is free): ``rows(n)[1]``."""

@@ -130,12 +130,13 @@ def _estimate(est) -> dict:
 QUANTITIES = {
     "mean_k": lambda a: mean_k(a.n, _p_seq(a)),
     "mean_k_eta": lambda a: mean_k_eta(a.n, a.theta),
-    "mean_k_eta_limit": lambda a: _estimate(
-        mean_k_eta_limit(a.theta, m=a.m, method=a.method or "series")),
+    # without --m each limit takes its own default m
+    "mean_k_eta_limit": lambda a: _estimate(mean_k_eta_limit(
+        a.theta, method=a.method or "series", **({} if a.m is None else {"m": a.m}))),
     "mean_cj": lambda a: mean_cj(a.n, a.j, _p_seq(a)),
     "mean_cj_eta": lambda a: mean_cj_eta(a.n, a.j, a.theta),
-    "mean_cj_eta_limit": lambda a: _estimate(
-        mean_cj_eta_limit(a.theta, a.j, method=a.method or "series", m=a.m)),
+    "mean_cj_eta_limit": lambda a: _estimate(mean_cj_eta_limit(
+        a.theta, a.j, method=a.method or "series", **({} if a.m is None else {"m": a.m}))),
     "var_cj": lambda a: second_moments(a.n, a.j, _p_seq(a)),
     "gamma_n": lambda a: gamma_n(_theta_seq(a), a.n, method=a.method or "recursion"),
     "delta_n": lambda a: delta_n(a.theta, n=math.inf if a.n == 0 else a.n),
@@ -194,8 +195,8 @@ SIGNED_QUANTITIES = {
     "cki": _cki,
     "cstar": _cstar,
     "lambda": _lambda,
-    "ordered_star": lambda a: ordered_star_prob(
-        tuple(int(v) for v in a.astar.split(",")), a.n, _theta_seq(a), _weights(a)),
+    "ordered_star": lambda a: ordered_star_prob(ChainKind.y(_theta_seq(a)),
+        tuple(int(v) for v in a.astar.split(",")), a.n, _weights(a)),
 }
 
 
@@ -409,7 +410,7 @@ COMMANDS = {
     "exact": Command("evaluate a named quantity", functools.partial(_cmd_quantity, QUANTITIES), (
         ("--quantity", dict(required=True)), ("--kind", dict(default=None)),
         ("--j", dict(type=int, default=2)), ("--i", dict(type=int, default=3)),
-        ("--m", dict(type=int, default=2)), ("--s", dict(type=float, default=1.0)),
+        ("--m", dict(type=int, default=None)), ("--s", dict(type=float, default=1.0)),
         ("--method", dict(default=None)), _theta(), _FAMILY, _N), seed=False),
     "sample": Command("draw chain words", _cmd_sample, (
         ("--kind", dict(default="eta",

@@ -7,9 +7,10 @@ here: exact laws of the cycle-count total K, the pgf identity, joint cycle
 counts, ordered cycle-length prefixes, and the 11-erasing maps that push
 the coin law onto the derangement-chain law.
 
-The K law, the pgf and the joint counts take a ``ChainKind``.  The pgf
-reads its gap: without one it is the coin chain; with one it is the coin
-chain of the theta sequence conditionally linked to p, given Delta_n.
+The K law, the pgf, the joint counts and the ordered prefixes take a
+``ChainKind``.  The pgf reads its gap: without one it is the coin chain;
+with one it is the coin chain of the theta sequence conditionally linked
+to p, given Delta_n.
 """
 
 from __future__ import annotations
@@ -274,25 +275,30 @@ def joint_cycle_counts(kind: ChainKind, c, n: int) -> float:
     return total
 
 
-def ordered_cycle_prefix_prob(a, n: int, thetaseq: ThetaSequence) -> float:
-    """P(first r cycle lengths are a_1..a_r and more cycles remain)."""
+def ordered_cycle_prefix_prob(kind: ChainKind, a, n: int) -> float:
+    """P(first r cycle lengths are a_1..a_r and more cycles remain), as
+    one sum of logs of the kind's rows over the top a_1 + ... + a_r indices:
+    stay, but h at each closing index, and under a gap 1 at each circle's
+    top index, held at 0; so a gap gives 1-cycles probability 0, and a
+    prefix that leaves fewer than 2 indices below it."""
     a = tuple(int(v) for v in a)
     if any(v < 1 for v in a):
         raise ValueError("cycle lengths must be >= 1")
     m = sum(a)
     if m >= n:
         raise ValueError("sum of prefix lengths must be < n")
-    # prod over the top m indices of i/(theta_i + i - 1), then theta at each
-    # cycle end over the indices left below the cycle's start
-    t = thetaseq.values(n)
-    top = np.arange(n - m + 1.0, n + 1.0)
-    terms = (-np.log1p((t[n - m + 1:] - 1.0) / top)).tolist()
-    pos = 0
-    for ai in a:
-        terms.append(-math.log(n - pos))
-        pos += ai
-        terms.append(math.log(t[n + 1 - pos]))
-    return math.exp(math.fsum(terms))
+    stay, h = kind.rows(n)
+    if kind.gap and (1 in a or n - m < 2):
+        return 0.0
+    # entry e is index n - m + 1 + e: circle k closes at entry m - cum[k]
+    # and its top index is entry m - 1 - cum[k - 1]
+    cum = np.cumsum((0,) + a)
+    factors = stay[n - m + 1:].copy()
+    factors[m - cum[1:]] = h[n + 1 - cum[1:]]
+    if kind.gap:
+        factors[m - 1 - cum[:-1]] = 1.0
+    with np.errstate(divide="ignore"):  # a factor that underflows to 0 gives 0
+        return math.exp(math.fsum(np.log(factors, out=factors).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -361,10 +361,7 @@ def _extract(statistic: str, ones: np.ndarray, orient: np.ndarray | None,
     if statistic == "Cstar_j":
         return np.count_nonzero(closed & (in_look == j), axis=1).astype(float)
     # Astar1: the first-formed circle, when more circles follow
-    hit = k > 1
-    if target is not None:
-        hit &= in_look[:, 0] == target
-    return hit.astype(float)
+    return ((k > 1) & (in_look[:, 0] == target)).astype(float)
 
 
 _STATISTICS = ("K", "Cj", "A1", "A2", "Lambda", "Cstar_j", "Astar1")
@@ -381,9 +378,9 @@ def estimate(statistic: str, kind: ChainKind, n: int, reps: int, seed: int,
 
     Statistics: 'K', 'Cj' (needs j), 'A1', 'A2', 'Lambda', 'Cstar_j'
     (signed; need j and an orientation probability), 'Astar1' (signed;
-    indicator of the first circle having ``target`` members looking in
-    with more circles following).  The orientation probability is
-    ``kappa``, which must lie in [0, 1].  Orientation statistics draw one
+    needs ``target``: indicator of the first circle having ``target``
+    members looking in with more circles following).  The orientation
+    probability is ``kappa``, which must lie in [0, 1].  Orientation statistics draw one
     orientation uniform per index from each replicate's stream before its
     jump uniforms.
     """
@@ -393,6 +390,8 @@ def estimate(statistic: str, kind: ChainKind, n: int, reps: int, seed: int,
         raise ValueError(f"unknown statistic {statistic!r}")
     if statistic in ("Cj", "Cstar_j") and j is None:
         raise ValueError(f"statistic {statistic!r} needs j")
+    if statistic == "Astar1" and target is None:
+        raise ValueError("statistic 'Astar1' needs target")
     if kappa is not None and not 0.0 <= kappa <= 1.0:
         raise ValueError("kappa must lie in [0, 1]")
     if statistic in _NEEDS_ORIENT and kappa is None:

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chains import ChainKind
 from .dist import DistTable
-from .params import ThetaSequence
+from .numerics import NumericsError
 
 
 def _log_factorials(m: int) -> np.ndarray:
@@ -167,31 +168,40 @@ def lambda_mean_identity(n: int, kappa: float, mean_k: float) -> float:
     return n * kappa + (1.0 - kappa) * mean_k
 
 
-def ordered_star_prob(astar, n: int, thetaseq: ThetaSequence,
-                      weights: OrientationWeights) -> float:
+def ordered_star_prob(kind: ChainKind, astar, n: int, weights: OrientationWeights) -> float:
     """P(A*_1 = a*_1, ..., A*_k = a*_k, K_n > k): joint in-looking counts
-    of the first k circles in formation order, for the coin process.
+    of the first k circles in formation order, for a chain kind.
 
-    A DP over b, the indices the circles so far take from the top: a circle
-    on a+1..b has weight omega_{b-a,a*} theta_{n+1-b}/(n-a) prod_{i=n-b+1}^{n-a}
-    i/(theta_i+i-1) (``coupling.ordered_cycle_prefix_prob``'s factors).  The
-    products chain into one over the top b indices, so a step is one
-    convolution with an omega column: O(k n^2) time, O(n) memory.
+    A DP over b, the indices the circles so far take from the top, on the
+    kind's rows (``coupling.ordered_cycle_prefix_prob``'s factors): they
+    tile the top b indices, so stay_n ... stay_{n+1-b} is applied once at
+    the end, and a circle on a+1..b weighs omega_{b-a,a*} h_s/stay_s,
+    s = n + 1 - b; under a gap also 1/stay_{n-a} for its top index, held
+    at 0, with no 1-circles and 2 indices left below.  A step is one
+    convolution with an omega column: O(k n^2) time, O(n) memory.  A sum
+    past the float range (theta near it) raises NumericsError.
     """
     astar = tuple(int(a) for a in astar)
     if any(a < 1 for a in astar):
         raise ValueError("in-looking counts must be >= 1 (leaders look in)")
     if sum(astar) >= n:
         raise ValueError("sum of in-looking counts must be < n")
-    t = thetaseq.values(n)
-    # b = 0..n-1 indices taken (the last circle leaves one): top[b] is
-    # prod_{i=n-b+1}^{n} i/(theta_i+i-1) and theta_end[b] = theta_{n+1-b}
-    i = np.arange(n, 1, -1)
-    top = np.cumprod(np.concatenate(([1.0], i / (t[i] + (i - 1)))))
-    theta_end = np.concatenate(([0.0], t[i]))
-    left = np.arange(n, 0, -1)  # n - a
-    f = np.zeros(n)
-    f[0] = 1.0
-    for a in astar:
-        f = theta_end * np.convolve(f / left, _omega_column(a, n, weights))[:n]
-    return math.fsum((top * f).tolist())
+    stay, h = kind.rows(n)
+    # b = 0..size-1 indices taken, leaving 1 + gap or more; index s = n+1-b
+    size = n - kind.gap
+    s = np.arange(n, kind.gap + 1, -1)
+    with np.errstate(all="ignore"):  # a sum past the float range is refused below
+        top = np.cumprod(np.concatenate(([1.0], stay[s])))
+        close = np.concatenate(([0.0], h[s] / stay[s]))
+        start = 1.0 / stay[n:n - size:-1] if kind.gap else 1.0
+        f = np.zeros(size)
+        f[0] = 1.0
+        for a in astar:
+            col = _omega_column(a, n, weights)
+            if kind.gap:
+                col[1] = 0.0  # no 1-cycles
+            f = close * np.convolve(f * start, col)[:size]
+        total = math.fsum((top * f).tolist())
+    if not math.isfinite(total):
+        raise NumericsError(f"the ordered in-look law at n = {n} is {total!r}")
+    return total

@@ -326,7 +326,7 @@ def test_criterion_12_signed_monte_carlo():
     ts = ThetaSequence.constant(1.0)
     kind_y = ChainKind.y(ts)
     for target in (1, 2):
-        exact = ordered_star_prob((target,), n, ts, w)
+        exact = ordered_star_prob(kind_y, (target,), n, w)
         rep = estimate("Astar1", kind_y, n, reps, seed=31,
                        kappa=kappa, target=target)
         assert abs(rep.mean - exact) < 3 * rep.std_error + 1e-9, target

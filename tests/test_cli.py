@@ -11,7 +11,7 @@ import pytest
 from derange import __version__, cli, oracle
 from derange.chains import ChainKind, generate_signed, sample_path, word_to_string
 from derange.coupling import k_distribution, pgf_k
-from derange.moments import mean_k, var_cj_horizons
+from derange.moments import mean_cj_eta_limit, mean_k, mean_k_eta_limit, var_cj_horizons
 from derange.montecarlo import clt_diagnostic, gem_diagnostic
 from derange.params import PSequence, ThetaSequence
 from derange.signed_stats import (
@@ -52,6 +52,23 @@ def test_exact_known_quantity(capsys):
     assert payload["results"]["value"] == pytest.approx(0.255318, abs=2e-6)
     assert payload["config"]["quantity"] == "mean_cj_eta_limit"
     assert "version" in payload
+
+
+def test_exact_limit_takes_the_library_default_m(capsys):
+    # without --m each limit quantity is the library's default call; an
+    # explicit --m is passed on
+    for quantity, fn, extra in (("mean_k_eta_limit", mean_k_eta_limit, ()),
+                                ("mean_cj_eta_limit", mean_cj_eta_limit, (3,))):
+        args = ["exact", "--quantity", quantity, "--theta", "1", "--format", "json"]
+        if extra:
+            args += ["--j", str(extra[0])]
+        for flag, kw in (((), {}), (("--m", "2"), {"m": 2})):
+            code, out, _ = run(capsys, *args, *flag)
+            assert code == EXIT_OK
+            want = fn(1.0, *extra, **kw)
+            got = json.loads(out)["results"]
+            assert f"{got['value']:.9g}" == f"{want.value:.9g}", (quantity, flag)
+            assert f"{got['error_bound']:.9g}" == f"{want.error_bound:.9g}", (quantity, flag)
 
 
 def test_exact_unknown_quantity(capsys):
@@ -555,7 +572,7 @@ def test_signed_quantities_match_library(capsys):
                        *common)
     assert code == EXIT_OK
     assert json.loads(out)["results"] == pytest.approx(
-        ordered_star_prob((1, 2), 8, ThetaSequence.constant(1.0), w), rel=1e-8)
+        ordered_star_prob(ChainKind.y(ThetaSequence.constant(1.0)), (1, 2), 8, w), rel=1e-8)
 
 
 def test_signed_lambda_at_large_n(capsys):

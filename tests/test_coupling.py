@@ -22,6 +22,7 @@ from derange.limitchain import LimitContext
 from derange.moments import mean_k
 from derange.numerics import NumericsError
 from derange.params import PSequence, ThetaSequence
+from derange.signed_stats import OrientationWeights, ordered_star_prob
 
 
 def test_g_recursion_seed():
@@ -262,7 +263,7 @@ def test_ordered_prefix_vs_enumeration():
             r = len(prefix)
             if k > r and tuple(lengths[:r]) == prefix:
                 brute += pr
-        assert ordered_cycle_prefix_prob(prefix, n, ts) == pytest.approx(
+        assert ordered_cycle_prefix_prob(ChainKind.y(ts), prefix, n) == pytest.approx(
             brute, abs=1e-13
         )
 
@@ -394,7 +395,7 @@ def test_theta_products_match_30_digit_references():
                 ref /= n - pos
                 pos += ai
                 ref *= th[n + 1 - pos]
-            want[f"prefix {a}"] = (ordered_cycle_prefix_prob(a, n, ts), ref)
+            want[f"prefix {a}"] = (ordered_cycle_prefix_prob(ChainKind.y(ts), a, n), ref)
         for key, (got, ref) in want.items():
             assert abs(got - ref) <= 1e-13 * ref, key
 
@@ -420,7 +421,14 @@ _ONE_EVALUATION = {
     "pgf_k X of eta": lambda ts, p: pgf_k(ChainKind.x(p), 1.7, _N_COUNT),
     "gamma_n": lambda ts, p: gamma_n(ts, _N_COUNT),
     "gamma_n g_product": lambda ts, p: gamma_n(ts, _N_COUNT, "g_product"),
-    "ordered_cycle_prefix_prob": lambda ts, p: ordered_cycle_prefix_prob((3, 5), _N_COUNT, ts),
+    "ordered_cycle_prefix_prob": lambda ts, p: ordered_cycle_prefix_prob(
+        ChainKind.y(ts), (3, 5), _N_COUNT),
+    "ordered_cycle_prefix_prob X": lambda ts, p: ordered_cycle_prefix_prob(
+        ChainKind.x(p), (3, 5), _N_COUNT),
+    "ordered_star_prob Y": lambda ts, p: ordered_star_prob(
+        ChainKind.y(ts), (3, 5), _N_COUNT, OrientationWeights.binomial(0.4)),
+    "ordered_star_prob X": lambda ts, p: ordered_star_prob(
+        ChainKind.x(p), (3, 5), _N_COUNT, OrientationWeights.binomial(0.4)),
     "joint_cycle_counts Y": lambda ts, p: joint_cycle_counts(
         ChainKind.y(ts), (0,) * (_N_COUNT - 1) + (1,), _N_COUNT),
     "joint_cycle_counts X": lambda ts, p: joint_cycle_counts(

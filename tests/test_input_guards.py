@@ -134,8 +134,9 @@ GUARDS = [
     (lambda: delta_n(1.0, n=0), ValueError, "n must be >= 1"),
     (lambda: joint_cycle_counts(X, (-1, 2), 3), ValueError, "counts must be nonnegative"),
     (lambda: joint_cycle_counts(X, (0, 1), 3), ValueError, "sum j*c_j = n"),
-    (lambda: ordered_cycle_prefix_prob((0,), 5, TS), ValueError, "lengths must be >= 1"),
-    (lambda: ordered_cycle_prefix_prob((2, 3), 5, TS), ValueError, "must be < n"),
+    (lambda: ordered_cycle_prefix_prob(ChainKind.y(TS), (0,), 5), ValueError,
+     "lengths must be >= 1"),
+    (lambda: ordered_cycle_prefix_prob(ChainKind.y(TS), (2, 3), 5), ValueError, "must be < n"),
     (lambda: erase11((0, 1), 3), ValueError, "must start with a 1"),
     (lambda: erase11((1, 2), 3), ValueError, "must be a 0/1 word"),
     (lambda: erase11((1, 1), math.inf), ValueError, "window ends inside a run"),
@@ -188,6 +189,7 @@ GUARDS = [
     (lambda: estimate("K", X, 5, 1, 0), ValueError, "reps must be >= 2"),
     (lambda: estimate("bogus", X, 5, 10, 0), ValueError, "unknown statistic 'bogus'"),
     (lambda: estimate("Cj", X, 5, 10, 0), ValueError, "needs j"),
+    (lambda: estimate("Astar1", X, 5, 10, 0, kappa=0.4), ValueError, "needs target"),
     (lambda: estimate("K", X, 5, 10, 0, kappa=1.5), ValueError, "kappa must lie in [0, 1]"),
     (lambda: estimate("Lambda", X, 5, 10, 0), ValueError, "needs an orientation probability"),
     # oracle

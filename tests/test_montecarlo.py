@@ -12,7 +12,7 @@ from scipy.stats import chisquare
 
 from derange import chains, montecarlo, oracle
 from derange.chains import ChainKind, cycle_statistics, generate_signed, sample_path, sample_paths
-from derange.coupling import k_distribution
+from derange.coupling import k_distribution, ordered_cycle_prefix_prob
 from derange.montecarlo import (
     _extract,
     _replicate_numbers,
@@ -227,6 +227,44 @@ def test_sampled_k_law_matches_exact(theta, n):
     sampled = {int(v): int(c) for v, c in zip(values, counts)}
     law = dict(k_distribution(ChainKind.x(p), n).items())
     assert _chi_square_p(sampled, law, reps) > 1e-3
+
+
+def _first_jump_cdf_distance(sampled: ChainKind, exact: ChainKind, n: int,
+                             draws: int) -> float:
+    """max |CDF difference| between A_1 = n + 1 - (first 1-position) drawn
+    by the jump sampler of ``sampled`` at the midpoints (k + 1/2)/draws and
+    the exact A_1 law of ``exact``, ``ordered_cycle_prefix_prob`` below n
+    and the remainder at n."""
+    u = (np.arange(draws) + 0.5) / draws
+    a1 = n + 1 - sample_bits(sampled, n, u[:, None], depth=1)[:, 0]
+    law = np.zeros(n + 1)
+    law[1:n] = [ordered_cycle_prefix_prob(exact, (a,), n) for a in range(1, n)]
+    law[n] = 1.0 - math.fsum(law.tolist())
+    cdf = np.cumsum(np.bincount(a1, minlength=n + 1)) / draws
+    return float(np.abs(cdf - np.cumsum(law)).max())
+
+
+_A1_N, _A1_DRAWS = 2000, 2**18
+
+
+@pytest.mark.parametrize("kind", [ChainKind.eta(0.5), ChainKind.eta(3.0),
+                                  ChainKind.eta_tilde(3.0),
+                                  ChainKind.y(ThetaSequence.eta_star(0.8))],
+                         ids=["X eta(0.5)", "X eta(3)", "X eta_tilde(3)", "Y eta_star(0.8)"])
+def test_first_jump_is_the_exact_a1_law(kind):
+    # the first jump inverts the A_1 law: at midpoint uniforms every CDF
+    # value is hit within half a grid step, with no seed and no test level
+    assert _first_jump_cdf_distance(kind, kind, _A1_N, _A1_DRAWS) <= 1.0 / _A1_DRAWS
+
+
+def test_first_jump_check_sees_one_closing_probability():
+    # one closing probability raised by 10% at index n/2 on the sampler's
+    # side moves the CDF by about ten grid steps
+    kind, n = ChainKind.eta(0.5), _A1_N
+    q = 1.0 - kind.p.values(n)
+    q[n // 2] *= 1.1
+    moved = ChainKind.x(PSequence.tabulated((1.0 - q[1:]).tolist()))
+    assert _first_jump_cdf_distance(moved, kind, n, _A1_DRAWS) > 5.0 / _A1_DRAWS
 
 
 def test_words_do_not_depend_on_jump_width():

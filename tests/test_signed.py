@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import warnings
 from collections import Counter
 
 import mpmath
@@ -18,6 +19,7 @@ from derange.chains import (
 )
 from derange.coupling import k_distribution, ordered_cycle_prefix_prob
 from derange.montecarlo import replicate_rng
+from derange.numerics import NumericsError
 from derange.params import PSequence, ThetaSequence
 from derange.signed_stats import (
     OrientationWeights,
@@ -214,8 +216,45 @@ def test_ordered_star_vs_enumeration():
                         continue
                     for w in weights:
                         direct = _ordered_star_by_enumeration(astar, prefixes, w)
-                        got = ordered_star_prob(astar, n, ts, w)
+                        got = ordered_star_prob(ChainKind.y(ts), astar, n, w)
                         assert abs(got - direct) <= 1e-13 * direct, (ts, n, astar, w)
+
+
+_KINDS = {
+    "X eta(0.7)": ChainKind.eta(0.7),
+    "X eta_tilde(1.3)": ChainKind.eta_tilde(1.3),
+    "X push<-eta_star(0.8)":
+        ChainKind.x(PSequence.from_theta_pushforward(ThetaSequence.eta_star(0.8))),
+    "Y constant(0.5)": ChainKind.y(ThetaSequence.constant(0.5)),
+    "Y constant(3)": ChainKind.y(ThetaSequence.constant(3.0)),
+    "Y eta_star(0.7)": ChainKind.y(ThetaSequence.eta_star(0.7)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KINDS))
+def test_ordered_laws_vs_enumeration_for_each_kind(name):
+    # on a kind's own rows both ordered laws are those of its words, the
+    # zeros of a gap (no 1-cycles, two indices left below) included
+    kind = _KINDS[name]
+    weights = [OrientationWeights.binomial(0.0), OrientationWeights.binomial(0.4),
+               OrientationWeights.binomial(1.0), TABLE]
+    for n in (4, 7, 10, 12):
+        law = oracle.exact_law(kind, n)
+        for k in (1, 2, 3):
+            prefixes = _prefix_probs(law, k)
+            for a in itertools.product(range(1, n), repeat=k):
+                if sum(a) >= n:
+                    continue
+                want = prefixes.get(a, 0.0)
+                got = ordered_cycle_prefix_prob(kind, a, n)
+                assert abs(got - want) <= 1e-13 * want, (n, a)
+            for astar in itertools.product(range(1, 4), repeat=k):
+                if sum(astar) >= n:
+                    continue
+                for w in weights:
+                    direct = _ordered_star_by_enumeration(astar, prefixes, w)
+                    got = ordered_star_prob(kind, astar, n, w)
+                    assert abs(got - direct) <= 1e-13 * direct, (n, astar, w)
 
 
 def test_ordered_star_enumeration_check_sees_one_weight():
@@ -227,8 +266,8 @@ def test_ordered_star_enumeration_check_sees_one_weight():
     table[(3, 2)] += 1e-9
     moved = OrientationWeights(mode="custom", table=tuple(sorted(table.items())))
     direct = _ordered_star_by_enumeration(astar, prefixes, TABLE)
-    assert abs(ordered_star_prob(astar, n, ts, TABLE) - direct) <= 1e-13 * direct
-    assert abs(ordered_star_prob(astar, n, ts, moved) - direct) > 1e-13 * direct
+    assert abs(ordered_star_prob(ChainKind.y(ts), astar, n, TABLE) - direct) <= 1e-13 * direct
+    assert abs(ordered_star_prob(ChainKind.y(ts), astar, n, moved) - direct) > 1e-13 * direct
 
 
 @pytest.mark.parametrize("n", [12, 300, 2000])
@@ -238,14 +277,93 @@ def test_ordered_star_with_every_member_looking_in(ts, n):
     # with kappa = 1 a circle's in-look count is its length
     w = OrientationWeights.binomial(1.0)
     for a in [(1,), (5,), (2, 3), (1, 7, 2), (4, 1, 3)]:
-        want = ordered_cycle_prefix_prob(a, n, ts)
-        assert ordered_star_prob(a, n, ts, w) == pytest.approx(want, rel=1e-13, abs=0.0), a
+        want = ordered_cycle_prefix_prob(ChainKind.y(ts), a, n)
+        assert ordered_star_prob(ChainKind.y(ts), a, n, w) == pytest.approx(
+            want, rel=1e-13, abs=0.0), a
+
+
+@pytest.mark.parametrize("n", [12, 300, 2000])
+@pytest.mark.parametrize("name", [name for name in sorted(_KINDS) if name[0] == "X"])
+def test_ordered_star_with_every_member_looking_in_on_x(name, n):
+    # the same identity on the derangement chain, whose gap gives
+    # 1-cycles probability 0 in both laws
+    kind, w = _KINDS[name], OrientationWeights.binomial(1.0)
+    for a in [(1,), (5,), (2, 3), (1, 7, 2), (4, 1, 3), (2, 2, 2)]:
+        want = ordered_cycle_prefix_prob(kind, a, n)
+        assert ordered_star_prob(kind, a, n, w) == pytest.approx(want, rel=1e-13, abs=0.0), a
+
+
+@pytest.mark.parametrize("theta", [1e100, 1e200, 1e300])
+@pytest.mark.parametrize("n", [10, 400])
+def test_ordered_laws_at_extreme_theta(theta, n):
+    # the prefix law is a sum of logs of probabilities, so it stays in
+    # [0, 1]; the star law's separable DP may leave the float range, and
+    # then raises NumericsError, with no numpy warning escaping
+    w = OrientationWeights.binomial(0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind, a in ((ChainKind.y(ThetaSequence.constant(theta)), (1, 1)),
+                        (ChainKind.eta(theta), (2, 2))):
+            assert 0.0 <= ordered_cycle_prefix_prob(kind, a, n) <= 1.0
+            try:
+                value = ordered_star_prob(kind, a, n, w)
+            except NumericsError:
+                continue
+            assert 0.0 <= value <= 1.0, (kind, value)
+
+
+def test_ordered_laws_where_a_closing_probability_underflows():
+    # h_n = theta/(n - 1 + theta) is 0.0 for a subnormal theta: a
+    # probability 0, with no log-of-zero warning
+    kind = ChainKind.y(ThetaSequence.constant(1e-322))
+    assert kind.one_probs(5000)[5000] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ordered_cycle_prefix_prob(kind, (1,), 5000) == 0.0
+        assert ordered_star_prob(kind, (1,), 5000, OrientationWeights.binomial(1.0)) == 0.0
+
+
+def test_ordered_laws_at_large_theta_and_n():
+    # theta = 1e3 at n = 2000 stays inside the float range on both chains
+    w = OrientationWeights.binomial(1.0)
+    for kind in (ChainKind.y(ThetaSequence.constant(1e3)), ChainKind.eta(1e3)):
+        for a in [(2, 3), (5, 2, 2)]:
+            want = ordered_cycle_prefix_prob(kind, a, 2000)
+            assert 0.0 < want < 1.0
+            assert ordered_star_prob(kind, a, 2000, w) == pytest.approx(want, rel=1e-12), a
+
+
+def test_ordered_laws_read_only_the_kind_rows():
+    # the one door: the ordered laws take the chain kind and read its rows,
+    # so signed_stats needs nothing from params, and neither law reads a
+    # sequence's array form or names a theta sequence
+    import ast
+    from pathlib import Path
+
+    from derange import coupling, signed_stats
+
+    for module, name in ((coupling, "ordered_cycle_prefix_prob"),
+                         (signed_stats, "ordered_star_prob")):
+        tree = ast.parse(Path(module.__file__).read_text())
+        if module is signed_stats:
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    assert (node.module or "").split(".")[-1] != "params", ast.unparse(node)
+                elif isinstance(node, ast.Import):
+                    assert not any(a.name.endswith("params") for a in node.names)
+        [fn] = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name]
+        for node in ast.walk(fn):
+            assert not (isinstance(node, ast.Attribute) and node.attr == "values"), \
+                ast.unparse(node)
+            assert "thetaseq" not in {getattr(node, "id", None), getattr(node, "attr", None),
+                                      getattr(node, "arg", None)}, ast.unparse(node)
 
 
 def test_ordered_star_at_large_n_is_fast():
     ts, w = ThetaSequence.constant(1.0), OrientationWeights.binomial(0.5)
     start = time.perf_counter()
-    ordered_star_prob((2, 1, 1), 120, ts, w)
+    ordered_star_prob(ChainKind.y(ts), (2, 1, 1), 120, w)
     assert time.perf_counter() - start < 0.1
 
 
@@ -253,9 +371,9 @@ def test_ordered_star_guards():
     ts = ThetaSequence.constant(1.0)
     w = OrientationWeights.binomial(0.5)
     with pytest.raises(ValueError):
-        ordered_star_prob((0,), 5, ts, w)
+        ordered_star_prob(ChainKind.y(ts), (0,), 5, w)
     with pytest.raises(ValueError):
-        ordered_star_prob((3, 2), 5, ts, w)
+        ordered_star_prob(ChainKind.y(ts), (3, 2), 5, w)
 
 
 def _signed_law(p, n, kappa):
