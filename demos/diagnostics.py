@@ -5,11 +5,11 @@ the cycle count K_n is asymptotically normal, and the renormalized cycle
 lengths converge to the GEM stick-breaking law.
 """
 
+from derange.chains import ChainKind
 from derange.montecarlo import clt_diagnostic, gem_diagnostic
-from derange.params import PSequence
 
 print("normality of K_n (n = 20000, 2000 replicates, theta = 1):")
-rep = clt_diagnostic(PSequence.eta(1.0), 20000, 2000, seed=11)
+rep = clt_diagnostic(ChainKind.eta(1.0), 20000, 2000, seed=11)
 print(f"  sample mean {rep.mean:.4f}, KS = {rep.ks_stat:.4f}, "
       f"p = {rep.p_value:.3f}")
 print(f"  theorem-standardized KS = {rep.extras['ks_stat_theoretical']:.4f}, "

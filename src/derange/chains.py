@@ -88,6 +88,11 @@ class ChainKind:
         if n < 1 + self.gap:
             raise ValueError(f"{self!r} needs n >= {1 + self.gap}")
 
+    def check_cycle_length(self, j: int) -> None:
+        """Raise ValueError unless the chain has j-circles: a gap rules out 1-circles."""
+        if j < 1 + self.gap:
+            raise ValueError(f"j must be >= {1 + self.gap} for {self!r}")
+
     def rows(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The arrays (P(0), P(1)) of ``row`` at r = 0..n (entry 0 unused),
         from one evaluation of the sequence; a coin kind's are the quotients

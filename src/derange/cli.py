@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv as _csv
+import dataclasses
 import functools
 import io
 import json
@@ -96,57 +97,53 @@ def _theta_seq(args) -> ThetaSequence:
     return ThetaSequence.constant(args.theta)
 
 
-def _p_seq(args) -> PSequence:
-    kind = args.kind or "eta"
-    if kind == "eta":
-        return PSequence.eta(args.theta)
-    if kind == "eta_tilde":
-        return PSequence.eta_tilde(args.theta)
-    if kind == "cond":
-        return PSequence.from_theta_conditional(_theta_seq(args))
-    if kind == "push":
-        return PSequence.from_theta_pushforward(_theta_seq(args))
-    raise ValueError(f"unknown p-sequence kind {kind!r}")
+# the chains of ``--kind``, from --theta and, past eta and eta_tilde,
+# --theta-family: four derangement chains and the coin chain y
+KINDS = {
+    "eta": lambda a: ChainKind.eta(a.theta),
+    "eta_tilde": lambda a: ChainKind.eta_tilde(a.theta),
+    "cond": lambda a: ChainKind.x(PSequence.from_theta_conditional(_theta_seq(a))),
+    "push": lambda a: ChainKind.x(PSequence.from_theta_pushforward(_theta_seq(a))),
+    "y": lambda a: ChainKind.y(_theta_seq(a)),
+}
 
 
-def _pgf_kind(args) -> ChainKind:
-    """``--kind`` of the pgf: Y (default) is the coin chain of the theta
-    sequence, X the derangement chain conditionally linked to it."""
-    ts = _theta_seq(args)
-    if (args.kind or "Y") == "Y":
-        return ChainKind.y(ts)
-    if args.kind == "X":
-        return ChainKind.x(PSequence.from_theta_conditional(ts))
-    raise ValueError(f"unknown pgf kind {args.kind!r}; use X or Y")
+def _kind(args) -> ChainKind:
+    return KINDS[args.kind or "eta"](args)
+
+
+def _kind_p(args) -> PSequence:
+    """The p sequence of ``--kind``, which must be a derangement chain."""
+    p = _kind(args).p
+    if p is None:
+        raise ValueError(f"--quantity {args.quantity} needs a derangement chain, "
+                         f"not --kind {args.kind}")
+    return p
 
 
 # ---------------------------------------------------------------------------
 # quantity registry for `exact`
 
-def _estimate(est) -> dict:
-    return {"value": est.value, "error_bound": est.error_bound}
-
-
 QUANTITIES = {
-    "mean_k": lambda a: mean_k(a.n, _p_seq(a)),
+    "mean_k": lambda a: mean_k(_kind(a), a.n),
     "mean_k_eta": lambda a: mean_k_eta(a.n, a.theta),
-    # without --m each limit takes its own default m
-    "mean_k_eta_limit": lambda a: _estimate(mean_k_eta_limit(
+    # without --m each limit takes its own default m, which its result reports
+    "mean_k_eta_limit": lambda a: dataclasses.asdict(mean_k_eta_limit(
         a.theta, method=a.method or "series", **({} if a.m is None else {"m": a.m}))),
-    "mean_cj": lambda a: mean_cj(a.n, a.j, _p_seq(a)),
+    "mean_cj": lambda a: mean_cj(_kind(a), a.n, a.j),
     "mean_cj_eta": lambda a: mean_cj_eta(a.n, a.j, a.theta),
-    "mean_cj_eta_limit": lambda a: _estimate(mean_cj_eta_limit(
+    "mean_cj_eta_limit": lambda a: dataclasses.asdict(mean_cj_eta_limit(
         a.theta, a.j, method=a.method or "series", **({} if a.m is None else {"m": a.m}))),
-    "var_cj": lambda a: second_moments(a.n, a.j, _p_seq(a)),
+    "var_cj": lambda a: second_moments(_kind(a), a.n, a.j),
     "gamma_n": lambda a: gamma_n(_theta_seq(a), a.n, method=a.method or "recursion"),
     "delta_n": lambda a: delta_n(a.theta, n=math.inf if a.n == 0 else a.n),
-    "pgf_k": lambda a: pgf_k(_pgf_kind(a), a.s, a.n),
-    "phi": lambda a: phi(a.i, _p_seq(a), method=a.method or "series"),
-    "tv_prefix": lambda a: tv_prefix(a.n, _p_seq(a), method=a.method or "theorem"),
+    "pgf_k": lambda a: pgf_k(_kind(a), a.s, a.n),
+    "phi": lambda a: phi(a.i, _kind_p(a), method=a.method or "series"),
+    "tv_prefix": lambda a: tv_prefix(a.n, _kind_p(a), method=a.method or "theorem"),
     "gamma_inf": lambda a: gamma_inf(a.i, _theta_seq(a)),
     "delta_i_inf": lambda a: delta_i_inf(a.theta, a.i),
     "lambda_esf": lambda a: lambda_esf(a.n, a.theta),
-    "marginal_one": lambda a: marginal_one(ChainKind.x(_p_seq(a)), a.i, a.n),
+    "marginal_one": lambda a: marginal_one(_kind(a), a.i, a.n),
 }
 
 
@@ -165,7 +162,7 @@ def _eta_moments(a) -> dict:
     if a.n > 14:
         raise ValueError("signed cki and cstar enumerate every word: limited to n <= 14")
     from . import oracle
-    return oracle.enumeration_moments(ChainKind.x(PSequence.eta(a.theta)), a.n)
+    return oracle.enumeration_moments(ChainKind.eta(a.theta), a.n)
 
 
 def _cki(a) -> float:
@@ -181,7 +178,7 @@ def _cstar(a) -> dict:
 
 
 def _lambda(a) -> dict:
-    k_law = k_distribution(ChainKind.x(PSequence.eta(a.theta)), a.n)
+    k_law = k_distribution(ChainKind.eta(a.theta), a.n)
     law, mean = lambda_total(a.n, a.kappa, k_law)
     return {
         "mean": mean,
@@ -255,11 +252,11 @@ def _suite_pgf(args):
 
 def _suite_variance(args):
     from . import oracle
-    p, js = PSequence.eta(0.5), (2, 3, 4)
+    kind, js = ChainKind.eta(0.5), (2, 3, 4)
     gaps = []
-    for j, at_n in zip(js, var_cj_horizons(args.n, js, p)[:, args.n].tolist()):
-        dp = oracle.dp_moments(ChainKind.x(p), args.n, targets=("var_cj",), j=j)["var_cj"]
-        gaps += [abs(second_moments(args.n, j, p) - dp), abs(at_n - dp)]
+    for j, at_n in zip(js, var_cj_horizons(kind, args.n, js)[:, args.n].tolist()):
+        dp = oracle.dp_moments(kind, args.n, targets=("var_cj",), j=j)["var_cj"]
+        gaps += [abs(second_moments(kind, args.n, j) - dp), abs(at_n - dp)]
     return "max_gap", max(gaps), 1e-10
 
 
@@ -332,9 +329,8 @@ def _cmd_sample(args) -> int:
         words = [{"word": word.to_string(), "circles": [list(c) for c in perm.circles]}
                  for word, perm in pairs]
     else:
-        kind = ChainKind.y(_theta_seq(args)) if args.kind == "y" else ChainKind.x(_p_seq(args))
         words = [{"word": word_to_string(w)}
-                 for w in sample_paths(kind, args.n, args.seed, reps)]
+                 for w in sample_paths(_kind(args), args.n, args.seed, reps)]
     emit_report(words, args.format, _config_echo(args))
     return EXIT_OK
 
@@ -356,7 +352,7 @@ def _cmd_table1(args) -> int:
 def _cmd_table2(args) -> int:
     js, cols = range(3, 8), (20, 50, 100)
     rows = []
-    for j, var in zip(js, var_cj_horizons(cols[-1], js, PSequence.eta(args.theta)).tolist()):
+    for j, var in zip(js, var_cj_horizons(ChainKind.eta(args.theta), cols[-1], js).tolist()):
         row = {"j": j}
         for n in cols:
             row[f"n{n}"] = float(f"{var[n]:.6g}") if args.rounded else var[n]
@@ -377,7 +373,7 @@ def _cmd_verify(args) -> int:
 def _cmd_diagnose(args) -> int:
     from .montecarlo import clt_diagnostic, gem_diagnostic
     if args.which == "clt":
-        rep = clt_diagnostic(PSequence.eta(args.theta), args.n, args.reps, args.seed)
+        rep = clt_diagnostic(ChainKind.eta(args.theta), args.n, args.reps, args.seed)
     else:
         rep = gem_diagnostic(args.theta, args.n, args.reps, args.seed)
     result = {
@@ -408,13 +404,12 @@ _N = ("--n", dict(type=int, default=10))
 
 COMMANDS = {
     "exact": Command("evaluate a named quantity", functools.partial(_cmd_quantity, QUANTITIES), (
-        ("--quantity", dict(required=True)), ("--kind", dict(default=None)),
+        ("--quantity", dict(required=True)), ("--kind", dict(default=None, choices=tuple(KINDS))),
         ("--j", dict(type=int, default=2)), ("--i", dict(type=int, default=3)),
         ("--m", dict(type=int, default=None)), ("--s", dict(type=float, default=1.0)),
         ("--method", dict(default=None)), _theta(), _FAMILY, _N), seed=False),
     "sample": Command("draw chain words", _cmd_sample, (
-        ("--kind", dict(default="eta",
-                        choices=("eta", "eta_tilde", "cond", "push", "y", "signed"))),
+        ("--kind", dict(default="eta", choices=(*KINDS, "signed"))),
         ("--reps", dict(type=int, default=1)), ("--kappa", dict(type=float, default=0.5)),
         _theta(), _FAMILY, _N)),
     "table1": Command("limit of E[C_j] along the eta chain", _cmd_table1, (

@@ -1,19 +1,20 @@
 """First and second moments of cycle counts, exact and in the n -> infinity
 limit.
 
-Conventions: q_1 = 1, q_2 = 0 (the chain is forced at those indices).  The
-finite-horizon moments read the rows (p, q) of ``ChainKind.x(p).rows(n)``
-through the marginals m_i = P(value at index i is 1) = q_i (1 - m_{i+1})
+The finite-horizon moments take a ``ChainKind`` first, as the circle laws
+do, and read its rows (stay, h) = ``kind.rows(n)`` through the marginals
+m_i = P(value at index i is 1) = h_i (1 - gap m_{i+1})
 (``chains.marginals``).  Each 1 closes a cycle, so E[K_n] is the sum of
 the marginals and E[C_j(n)] the sum of the probabilities c_l m_l that a
 j-cycle ends at each index l (``chains.cycle_weights``).  Var(C_j(n))
 sums E[C_j(h)] over the horizons h below each cycle end, and the
 horizon-h marginals are exactly m_l + (1 - m_{h+1}) prod_{i=l}^{h}
-(-q_i): one O(n) pass gives every E[C_j(h)], and a second gives
-Var(C_j(h)) at every horizon (``var_cj_horizons``).  Closed forms
-specialized to the eta chain (p_i = (i-1)/(theta+i-1)) carry `_eta` in
-their names and must agree with the generic routines — that agreement is
-a test, not an assumption.
+(-gap h_i): one O(n) pass gives every E[C_j(h)], and a second gives
+Var(C_j(h)) at every horizon (``var_cj_horizons``).  The derangement
+chains (gap 1) and the coin chains (gap 0) share every line.  Closed
+forms specialized to the eta chain (p_i = (i-1)/(theta+i-1)) carry `_eta`
+in their names and must agree with the generic routines — that agreement
+is a test, not an assumption.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .numerics import (
     overflow_is_numerics_error,
     rising_factorial,
 )
-from .params import PSequence, check_theta
+from .params import check_theta
 
 
 @dataclass(frozen=True)
@@ -71,12 +72,10 @@ def _within(est: LimitEstimate, acc: AccuracySpec) -> LimitEstimate:
 # ---------------------------------------------------------------------------
 # E[K_n]
 
-def mean_k(n: int, p: PSequence) -> float:
-    """Expected number of cycles of the derangement chain at horizon n: each
-    stored 1 closes a cycle, so E[K_n] = m_1 + ... + m_n."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    return math.fsum(memoryview(marginals(ChainKind.x(p).rows(n)[1], 1)[1:n + 1]))
+def mean_k(kind: ChainKind, n: int) -> float:
+    """Expected number of cycles of the chain at horizon n: each stored 1
+    closes a cycle, so E[K_n] = m_1 + ... + m_n."""
+    return math.fsum(memoryview(marginals(kind.rows(n)[1], kind.gap)[1:n + 1]))
 
 
 def mean_k_eta(n: int, theta: float) -> float:
@@ -146,15 +145,12 @@ def mean_k_eta_limit(theta: float, m: int = 3, method: str = "series",
 # ---------------------------------------------------------------------------
 # E[C_j(n)]
 
-def mean_cj(n: int, j: int, p: PSequence) -> float:
+def mean_cj(kind: ChainKind, n: int, j: int) -> float:
     """Expected number of j-cycles at horizon n, the sum of the cycle-end
     probabilities c_l m_l."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if j < 2:
-        raise ValueError("j must be >= 2 (no 1-cycles in a derangement)")
-    pv, q = ChainKind.x(p).rows(n)
-    return math.fsum(memoryview(cycle_weights(pv, q, 1, j) * marginals(q, 1)))
+    kind.check_cycle_length(j)
+    stay, h = kind.rows(n)
+    return math.fsum(memoryview(cycle_weights(stay, h, kind.gap, j) * marginals(h, kind.gap)))
 
 
 def mean_cj_eta(n: int, j: int, theta: float) -> float:
@@ -173,7 +169,7 @@ def mean_cj_eta(n: int, j: int, theta: float) -> float:
         # summed as logs of ratios near 1: lgamma differences of size n log n
         # would cost ~n ulps
         return math.exp(-math.fsum(math.log1p(theta / k) for k in range(2, n - 1)))
-    return mean_cj(n, j, PSequence.eta(theta))
+    return mean_cj(ChainKind.eta(theta), n, j)
 
 
 def eta_bbar(theta: float, j: int, k: int) -> float:
@@ -262,8 +258,8 @@ def mean_cj_eta_limit(theta: float, j: int, method: str = "series", m: int = 2,
 
 def _horizon_sums(q: np.ndarray, m: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_{u<=h+1} w_u V_h(u) at every horizon h = 0..n, for weights w over
-    u = 0..n+1, where q = ``ChainKind.x(p).rows(n)[1]`` and m are the
-    horizon-n marginals.  The horizon-h marginals obey the horizon-n
+    u = 0..n+1, where q = gap h for (stay, h) = ``kind.rows(n)`` and m are
+    the horizon-n marginals.  The horizon-h marginals obey the horizon-n
     recursion from 1 at h + 1, so they are V_h(u) = m_u + (1 - m_{h+1})
     prod_{i=u}^{h} (-q_i), exactly, and the sum is sum_{u<=h+1} w_u m_u +
     (1 - m_{h+1}) t_h, where t_h = sum_{u<=h+1} w_u prod_{i=u}^{h} (-q_i)
@@ -276,62 +272,56 @@ def _horizon_sums(q: np.ndarray, m: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.cumsum(w * m)[1:] + (1.0 - m[1:]) * t
 
 
-def _renewal(pv: np.ndarray, q: np.ndarray, m: np.ndarray,
+def _renewal(stay: np.ndarray, h: np.ndarray, gap: int, m: np.ndarray,
              j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(c, S, w) for the rows (pv, q) of ``ChainKind.x(p).rows(n)`` and the
-    horizon-n marginals m: the cycle-end weights c, S[h] = E[C_j(h)] at
-    every horizon h = 0..n, and the renewal weights w_u = c_u S[u-j-1] (0
-    for u <= j).  Below a j-cycle ending at u, index u-j-1 is forced to 0
-    and the chain renews at horizon u-j-1, so E[C_j(h)^2] = S[h] + 2
-    sum_{u<=h+1} w_u V_h(u)."""
-    c = cycle_weights(pv, q, 1, j)
-    s = _horizon_sums(q, m, c)
+    """(c, S, w) for the rows (stay, h) = ``kind.rows(n)``, gap =
+    ``kind.gap`` and the horizon-n marginals m: the cycle-end weights c,
+    S[h] = E[C_j(h)] at every horizon h = 0..n, and the renewal weights
+    w_u = c_u S[u-j-1] (0 for u <= j).  Below a j-cycle ending at u, the 1
+    at u-j acts as the virtual 1 of a chain at horizon u-j-1, so
+    E[C_j(h)^2] = S[h] + 2 sum_{u<=h+1} w_u V_h(u)."""
+    c = cycle_weights(stay, h, gap, j)
+    s = _horizon_sums(h * gap, m, c)
     w = np.zeros(c.size)
     ends = c[j + 1:]  # cycle ends u = j+1..n+1, renewed at horizon u-j-1
     w[j + 1:] = ends * s[:ends.size]
     return c, s, w
 
 
-def second_moments(n: int, j: int, p: PSequence) -> float:
+def second_moments(kind: ChainKind, n: int, j: int) -> float:
     """Var(C_j(n)) in one O(n) pass: E[C_j^2] = E[C_j] + 2 sum_u w_u m_u,
     with the renewal weights w of ``_renewal``, whose S[h] = E[C_j(h)] come
     from the horizon-n marginals by the exact identity V_h(l) = m_l +
-    (1 - m_{h+1}) prod_{i=l}^{h} (-q_i) (``_horizon_sums``)."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if j < 2:
-        raise ValueError("j must be >= 2")
-    pv, q = ChainKind.x(p).rows(n)
-    m = marginals(q, 1)
-    c, _, w = _renewal(pv, q, m, j)
+    (1 - m_{h+1}) prod_{i=l}^{h} (-gap h_i) (``_horizon_sums``)."""
+    kind.check_cycle_length(j)
+    stay, h = kind.rows(n)
+    m = marginals(h, kind.gap)
+    c, _, w = _renewal(stay, h, kind.gap, m, j)
     mean = math.fsum(memoryview(c * m))
     cross = math.fsum(memoryview(w * m))
     return math.fsum((mean, 2.0 * cross, -mean * mean))
 
 
-def var_cj_horizons(n: int, js, p: PSequence) -> np.ndarray:
+def var_cj_horizons(kind: ChainKind, n: int, js) -> np.ndarray:
     """Var(C_j(h)) for each j in js at every horizon h = 0..n, as a
-    (len(js), n + 1) array.  The rows (p, q) and the horizon-n marginals
+    (len(js), n + 1) array.  The rows and the horizon-n marginals
     are built once; each j then costs two O(n) passes of
     ``_horizon_sums``, one for S[h] = E[C_j(h)] and one for the cross term
     X_h = sum_{u<=h+1} w_u V_h(u), so Var(C_j(h)) = S[h] + 2 X_h -
     S[h]^2.  At h = n this is ``second_moments``' formula, summed by
     ``np.cumsum`` instead of fsum."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
     js = list(js)
     if not js:
         raise ValueError("js must name at least one j")
-    if min(js) < 2:
-        raise ValueError("j must be >= 2")
-    pv, q = ChainKind.x(p).rows(n)
-    m = marginals(q, 1)
+    kind.check_cycle_length(min(js))
+    stay, h = kind.rows(n)
+    m = marginals(h, kind.gap)
     out = np.empty((len(js), n + 1))
     for row, j in zip(out, js):
-        _, s, w = _renewal(pv, q, m, j)
+        _, s, w = _renewal(stay, h, kind.gap, m, j)
         # where no j-cycle fits, S[h] cancels to a rounding residue that may
         # be negative, and so may the variance: it is 0 there
-        np.maximum(s + 2.0 * _horizon_sums(q, m, w) - s * s, 0.0, out=row)
+        np.maximum(s + 2.0 * _horizon_sums(h * kind.gap, m, w) - s * s, 0.0, out=row)
     return out
 
 
@@ -371,5 +361,6 @@ def lambda_esf(n: int, theta: float) -> float:
         raise ValueError("n must be >= 1")
     prev, cur = 1.0, 0.0
     for m in range(2, n + 1):
-        prev, cur = cur, (m - 1) / (theta + m - 1.0) * (cur + theta * prev / (theta + m - 2.0))
+        # theta + (m - 2): (theta + m) - 2.0 would round a tiny theta to 0 or worse
+        prev, cur = cur, (m - 1) / (theta + (m - 1)) * (cur + theta * prev / (theta + (m - 2)))
     return cur

@@ -392,6 +392,13 @@ def estimate(statistic: str, kind: ChainKind, n: int, reps: int, seed: int,
         raise ValueError(f"statistic {statistic!r} needs j")
     if statistic == "Astar1" and target is None:
         raise ValueError("statistic 'Astar1' needs target")
+    # an index no word can show would score every replicate 0.0
+    if statistic == "Cj":
+        kind.check_cycle_length(j)
+    if statistic == "Cstar_j" and j < 1:
+        raise ValueError("statistic 'Cstar_j' needs j >= 1")
+    if statistic == "Astar1" and target < 1:
+        raise ValueError("statistic 'Astar1' needs target >= 1 (leaders look in)")
     if kappa is not None and not 0.0 <= kappa <= 1.0:
         raise ValueError("kappa must lie in [0, 1]")
     if statistic in _NEEDS_ORIENT and kappa is None:
@@ -441,19 +448,19 @@ def ks_p_value(d: float, m: int) -> float:
 # ---------------------------------------------------------------------------
 # diagnostics
 
-def clt_diagnostic(p, n: int, reps: int, seed: int) -> EstimateReport:
+def clt_diagnostic(kind: ChainKind, n: int, reps: int, seed: int) -> EstimateReport:
     """KS test of the standardized cycle-count total against the standard
     normal.
 
     The KS test z-scores the sample by its own moments, testing the
     distributional shape the limit theorem asserts.  The theorem's
-    standardization, centered at sum q_i and scaled by its square root, is
-    still offset by an O(1) term at reachable horizons that a large-sample
-    KS test resolves; its KS result is reported in the extras.
+    standardization, centered at sum h_i (h = ``kind.one_probs(n)``) and
+    scaled by its square root, is still offset by an O(1) term at
+    reachable horizons that a large-sample KS test resolves; its KS result
+    is reported in the extras.
     """
     if reps < 2:
         raise ValueError("reps must be >= 2")
-    kind = ChainKind.x(p)
     h = kind.one_probs(n)
     q = h[1:]
     # memoryviews hand fsum Python floats, not one boxed numpy scalar each

@@ -66,11 +66,10 @@ TABLE2 = {
 
 def test_criterion_2_variance_display_vs_dp():
     start = time.monotonic()
-    p = PSequence.eta(0.5)
-    kind = ChainKind.x(p)
+    kind = ChainKind.eta(0.5)
     for j in range(3, 8):
         for n in (20, 50, 100):
-            display = second_moments(n, j, p)
+            display = second_moments(kind, n, j)
             dp = oracle.dp_moments(kind, n, targets=("var_cj",), j=j)["var_cj"]
             assert display == pytest.approx(dp, abs=1e-10), (j, n)
     assert time.monotonic() - start < 30.0
@@ -88,10 +87,10 @@ def test_criterion_2_variance_reference_values():
     variant, raw marginals); they appear to be erroneous.  The check is
     kept at its stated tolerance rather than weakened.
     """
-    p = PSequence.eta(0.5)
+    kind = ChainKind.eta(0.5)
     for j, row in TABLE2.items():
         for n, value in row.items():
-            assert second_moments(n, j, p) == pytest.approx(value, abs=1e-6), (j, n)
+            assert second_moments(kind, n, j) == pytest.approx(value, abs=1e-6), (j, n)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +248,7 @@ def test_criterion_10_clt():
     from derange.montecarlo import clt_diagnostic
 
     start = time.monotonic()
-    rep = clt_diagnostic(PSequence.eta(1.0), 20000, 2000, seed=11)
+    rep = clt_diagnostic(ChainKind.eta(1.0), 20000, 2000, seed=11)
     assert rep.p_value > 0.001
     assert time.monotonic() - start < 180.0
 

@@ -26,6 +26,7 @@ from derange.cli import (
     EXIT_GUARD,
     EXIT_OK,
     EXIT_UNKNOWN,
+    KINDS,
     QUANTITIES,
     SIGNED_QUANTITIES,
     SUITES,
@@ -132,6 +133,9 @@ def test_help_is_the_default_formatters(monkeypatch):
     (["verify", "--theta", "0.5"], 2, "usage: derange [-h]"),
     (["verify", "--theta-family", "eta_star"], 2, "usage: derange [-h]"),
     (["diagnose", "--which", "clt", "--theta-family", "eta_star"], 2, "usage: derange [-h]"),
+    # --kind has one vocabulary, checked by argparse: the pgf's old X is gone too
+    (["exact", "--quantity", "mean_k", "--kind", "foo"], 2, "usage: derange exact [-h]"),
+    (["exact", "--quantity", "pgf_k", "--kind", "X"], 2, "usage: derange exact [-h]"),
 ])
 def test_argv_the_command_parser_cannot_take(capsys, argv, code, usage):
     with pytest.raises(SystemExit) as exc:
@@ -144,7 +148,7 @@ def test_argv_the_command_parser_cannot_take(capsys, argv, code, usage):
 # argv that, between them, take each command down every path that reads a flag
 EVERY_PATH = {
     "exact": [["--quantity", q] for q in QUANTITIES],
-    "sample": [["--kind", k] for k in ("eta", "eta_tilde", "cond", "push", "y", "signed")],
+    "sample": [["--kind", k] for k in (*KINDS, "signed")],
     "table1": [[]],
     "table2": [[]],
     "verify": [["--suite", s] for s in SUITES],
@@ -325,7 +329,7 @@ def test_pgf_suite_horizons_follow_n(capsys, monkeypatch, n, horizons):
 @pytest.mark.parametrize("offset, code", [(0.0, EXIT_OK), (1e-6, EXIT_FAIL)])
 def test_variance_suite_checks_the_table2_path(capsys, monkeypatch, offset, code):
     monkeypatch.setattr(cli, "var_cj_horizons",
-                        lambda n, js, p: var_cj_horizons(n, js, p) + offset)
+                        lambda kind, n, js: var_cj_horizons(kind, n, js) + offset)
     assert run(capsys, "verify", "--suite", "variance", "--n", "30")[0] == code
 
 
@@ -440,6 +444,48 @@ def test_sample_rejects_nonpositive_reps(capsys, reps, fmt):
     assert err.startswith("error:")
 
 
+def test_lambda_esf_at_a_theta_below_the_float_spacing(capsys):
+    code, out, _ = run(capsys, "exact", "--quantity", "lambda_esf", "--theta", "1e-17",
+                       "--n", "5", "--format", "json")
+    assert code == EXIT_OK
+    assert 0.0 <= json.loads(out)["results"] <= 1.0
+
+
+@pytest.mark.parametrize("argv, m", [
+    (("mean_k_eta_limit",), 3),
+    (("mean_k_eta_limit", "--m", "5"), 5),
+    (("mean_k_eta_limit", "--method", "integral"), 0),
+    (("mean_k_eta_limit", "--method", "pfq"), 0),
+    (("mean_cj_eta_limit",), 2),
+    (("mean_cj_eta_limit", "--method", "integral"), 0),
+])
+def test_limit_results_report_their_series_depth(capsys, argv, m):
+    code, out, _ = run(capsys, "exact", "--quantity", *argv, "--theta", "0.5",
+                       "--format", "json")
+    assert code == EXIT_OK
+    res = json.loads(out)["results"]
+    assert list(res) == ["value", "error_bound", "m"] and res["m"] == m
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+@pytest.mark.parametrize("quantity", ["mean_k", "mean_cj", "var_cj", "pgf_k", "marginal_one"])
+def test_every_kind_evaluates(capsys, quantity, kind):
+    code, out, _ = run(capsys, "exact", "--quantity", quantity, "--kind", kind,
+                       "--theta", "0.7", "--theta-family", "eta_star", "--n", "12",
+                       "--format", "json")
+    assert code == EXIT_OK
+    assert math.isfinite(json.loads(out)["results"])
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_every_kind_samples(capsys, kind):
+    code, out, _ = run(capsys, "sample", "--kind", kind, "--theta-family", "eta_star",
+                       "--n", "12", "--reps", "4", "--format", "json")
+    assert code == EXIT_OK
+    words = [w["word"] for w in json.loads(out)["results"]]
+    assert len(words) == 4 and all(len(w) == 12 and w[-1] == "1" for w in words)
+
+
 @pytest.mark.parametrize("theta", ["0", "-1"])
 def test_lambda_esf_rejects_nonpositive_theta(capsys, theta):
     code, out, err = run(capsys, "exact", "--quantity", "lambda_esf", "--n", "2",
@@ -467,10 +513,10 @@ def test_exact_rejects_non_finite_values(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ("pgf_k", "--kind", "X", "--n", "1"),
-    ("pgf_k", "--kind", "X", "--n", "0"),
-    ("pgf_k", "--kind", "Y", "--n", "0"),
-    ("pgf_k", "--kind", "bogus", "--n", "5"),
+    ("pgf_k", "--kind", "cond", "--n", "1"),
+    ("pgf_k", "--kind", "cond", "--n", "0"),
+    ("pgf_k", "--kind", "y", "--n", "0"),
+    ("mean_k", "--kind", "y", "--n", "0"),
     ("var_cj", "--n", "1"),
     ("mean_cj", "--n", "1"),
     ("mean_cj_eta", "--n", "1"),
@@ -482,10 +528,10 @@ def test_exact_rejects_horizons_without_a_word(capsys, argv):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("kind", ["X", "Y"])
+@pytest.mark.parametrize("kind", ["cond", "y"], ids=["X", "Y"])
 def test_pgf_kind_maps_to_a_chain_kind(capsys, kind):
     ts = ThetaSequence.constant(0.7)
-    chain = (ChainKind.x(PSequence.from_theta_conditional(ts)) if kind == "X"
+    chain = (ChainKind.x(PSequence.from_theta_conditional(ts)) if kind == "cond"
              else ChainKind.y(ts))
     code, out, _ = run(capsys, "exact", "--quantity", "pgf_k", "--kind", kind,
                        "--theta", "0.7", "--s", "0.5", "--n", "9", "--format", "json")
@@ -511,7 +557,7 @@ def test_exact_p_sequence_kinds(capsys, kind, p):
                        "--theta", "0.7", "--theta-family", "eta_star", "--n", "12",
                        "--format", "json")
     assert code == EXIT_OK
-    assert json.loads(out)["results"] == pytest.approx(mean_k(12, p), rel=1e-8)
+    assert json.loads(out)["results"] == pytest.approx(mean_k(ChainKind.x(p), 12), rel=1e-8)
 
 
 def test_text_is_the_default_format(capsys):
@@ -534,7 +580,7 @@ def test_diagnose_reports_library_result(capsys, which):
     assert code == EXIT_OK
     res = json.loads(out)["results"]
     if which == "clt":
-        rep = clt_diagnostic(PSequence.eta(1.0), 300, 500, 3)
+        rep = clt_diagnostic(ChainKind.eta(1.0), 300, 500, 3)
         assert res["statistic"] == "K standardized (qbar, sample)"
     else:
         rep = gem_diagnostic(1.0, 300, 500, 3)
@@ -596,7 +642,8 @@ def test_signed_cki_past_the_horizon(capsys):
 @pytest.mark.parametrize("argv, fragment", [
     (["signed", "--quantity", "cstar", "--n", "15"], "limited to n <= 14"),
     (["signed", "--quantity", "cki", "--n", "15"], "limited to n <= 14"),
-    (["exact", "--quantity", "mean_k", "--kind", "foo"], "unknown p-sequence kind 'foo'"),
+    (["exact", "--quantity", "phi", "--kind", "y"], "needs a derangement chain"),
+    (["exact", "--quantity", "tv_prefix", "--kind", "y"], "needs a derangement chain"),
 ])
 def test_guard_rows_exit_3(capsys, argv, fragment):
     code, out, err = run(capsys, *argv, "--format", "json")

@@ -183,7 +183,7 @@ def test_k_distribution_at_large_n():
     assert len(law) <= k_max + 1 < 60
     assert law.total() == pytest.approx(1.0, abs=1e-12)
     # the mean from the marginal recursion, an independent engine
-    assert law.mean() == pytest.approx(mean_k(n, PSequence.eta(0.5)), rel=1e-12)
+    assert law.mean() == pytest.approx(mean_k(kind, n), rel=1e-12)
 
 
 def test_k_distribution_raises_past_its_bound(monkeypatch):

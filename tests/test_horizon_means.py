@@ -56,14 +56,14 @@ def _mp_variance(pv, j):
 def test_variance_matches_mpmath(theta, j):
     p = PSequence.eta(theta)
     ref = _mp_variance(p.values(300), j)
-    got = second_moments(300, j, p)
+    got = second_moments(ChainKind.x(p), 300, j)
     assert abs(got - ref) <= 1e-12 * abs(ref), (got, ref)
 
 
 def test_variance_matches_oracle_dp():
-    p = PSequence.eta(100.0)
-    dp = oracle.dp_moments(ChainKind.x(p), 1000, targets=("var_cj",), j=2)
-    assert abs(second_moments(1000, 2, p) - dp["var_cj"]) <= 1e-10
+    kind = ChainKind.eta(100.0)
+    dp = oracle.dp_moments(kind, 1000, targets=("var_cj",), j=2)
+    assert abs(second_moments(kind, 1000, 2) - dp["var_cj"]) <= 1e-10
 
 
 @pytest.mark.parametrize("theta, j", [(0.01, 7), (0.5, 3), (100.0, 2)])
@@ -71,12 +71,12 @@ def test_all_horizon_means_match_mean_cj(theta, j):
     p = PSequence.eta(theta)
     pv = p.values(10**5)
     m = marginals(1.0 - pv, 1)
-    c, s, _ = _renewal(pv, 1.0 - pv, m, j)
+    c, s, _ = _renewal(pv, 1.0 - pv, 1, m, j)
     assert s.size == 10**5 + 1
     assert math.fsum((c * m).tolist()) == pytest.approx(s[-1], rel=1e-12)
     assert not s[:j].any()
     for h in np.unique(np.geomspace(2, 10**5, 16).astype(int)):
-        assert s[h] == pytest.approx(mean_cj(int(h), j, p), rel=1e-12, abs=1e-16), h
+        assert s[h] == pytest.approx(mean_cj(ChainKind.x(p), int(h), j), rel=1e-12, abs=1e-16), h
 
 
 def test_var_cj_at_large_n_from_the_cli(capsys):
@@ -93,7 +93,7 @@ JS = (2, 3, 7)
 @pytest.mark.parametrize("theta", [0.01, 1.0, 100.0])
 def test_every_horizon_variance_matches_mpmath(theta):
     p = PSequence.eta(theta)
-    var = var_cj_horizons(300, JS, p)
+    var = var_cj_horizons(ChainKind.x(p), 300, JS)
     assert var.shape == (len(JS), 301)
     for row, j in zip(var, JS):
         for h in (20, 77, 150, 300):
@@ -108,9 +108,9 @@ def test_every_horizon_variance_matches_mpmath(theta):
     PSequence.from_theta_pushforward(ThetaSequence.constant(0.5)),
 ], ids=["eta", "eta_tilde", "conditional", "pushforward"])
 def test_every_horizon_variance_matches_oracle_dp(p):
-    var = var_cj_horizons(14, JS, p)
-    assert not var[:, :2].any()
     kind = ChainKind.x(p)
+    var = var_cj_horizons(kind, 14, JS)
+    assert not var[:, :2].any()
     for row, j in zip(var, JS):
         for h in range(2, 15):
             dp = oracle.dp_moments(kind, h, targets=("var_cj",), j=j)["var_cj"]
@@ -120,19 +120,20 @@ def test_every_horizon_variance_matches_oracle_dp(p):
 @pytest.mark.parametrize("p", [PSequence.eta(0.5), PSequence.eta(30.0),
                                PSequence.eta_tilde(3.0)], ids=lambda p: p.label)
 def test_every_horizon_variance_matches_second_moments(p):
-    var = var_cj_horizons(10**5, JS, p)
+    kind = ChainKind.x(p)
+    var = var_cj_horizons(kind, 10**5, JS)
     assert np.isfinite(var).all() and (var >= 0.0).all()
     for row, j in zip(var, JS):
         for h in (10, 100, 10**3, 10**4, 10**5):
-            ref = second_moments(h, j, p)
+            ref = second_moments(kind, h, j)
             assert abs(row[h] - ref) <= 1e-12 * ref, (j, h, row[h], ref)
 
 
 def test_one_perturbed_index_moves_only_the_horizons_above_it():
     values = PSequence.eta(0.5).values(200)[1:].tolist()
-    base = var_cj_horizons(200, JS, PSequence.tabulated(values))
+    base = var_cj_horizons(ChainKind.x(PSequence.tabulated(values)), 200, JS)
     values[99] += 1e-3  # p_100
-    moved = var_cj_horizons(200, JS, PSequence.tabulated(values))
+    moved = var_cj_horizons(ChainKind.x(PSequence.tabulated(values)), 200, JS)
     for before, after, j in zip(base, moved, JS):
         assert np.abs(after[:101] - before[:101]).max() <= 1e-13, j
         assert np.abs(after[100 + j:] - before[100 + j:]).min() > 1e-6, j

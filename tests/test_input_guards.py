@@ -42,6 +42,7 @@ from derange.moments import (
     cov_eta,
     eta_abar,
     lambda_esf,
+    mean_cj,
     mean_cj_eta,
     mean_cj_eta_limit,
     mean_k,
@@ -172,17 +173,20 @@ GUARDS = [
     (lambda: gamma_inf(3, TS, "x"), TypeError, "gamma_inf() takes 2 positional arguments but 3"),
     (lambda: delta_i_inf(1.0, 1), ValueError, "index must be >= 2"),
     # moments
-    (lambda: mean_k(1, P), ValueError, "n must be >= 2"),
+    (lambda: mean_k(X, 1), ValueError, "needs n >= 2"),
+    (lambda: mean_k(ChainKind.y(TS), 0), ValueError, "ChainKind(Y) needs n >= 1"),
     (lambda: mean_k_eta(1, 1.0), ValueError, "n must be >= 2"),
     (lambda: eta_abar(1.0, 0), ValueError, "j must be >= 1"),
     (lambda: mean_k_eta_limit(1.0, method="bogus"), ValueError, "unknown method"),
     (lambda: mean_cj_eta(10, 1, 1.0), ValueError, "j must be >= 2"),
     (lambda: mean_cj_eta_limit(1.0, 1), ValueError, "j must be >= 2"),
     (lambda: mean_cj_eta_limit(1.0, 2, method="bogus"), ValueError, "unknown method"),
-    (lambda: second_moments(10, 1, P), ValueError, "j must be >= 2"),
-    (lambda: var_cj_horizons(1, (3,), P), ValueError, "n must be >= 2"),
-    (lambda: var_cj_horizons(10, (3, 1), P), ValueError, "j must be >= 2"),
-    (lambda: var_cj_horizons(10, (), P), ValueError, "js must name at least one j"),
+    (lambda: second_moments(X, 10, 1), ValueError, "j must be >= 2"),
+    (lambda: var_cj_horizons(X, 1, (3,)), ValueError, "needs n >= 2"),
+    (lambda: var_cj_horizons(X, 10, (3, 1)), ValueError, "j must be >= 2"),
+    (lambda: var_cj_horizons(X, 10, ()), ValueError, "js must name at least one j"),
+    # the coin chain has 1-circles, but none of length 0
+    (lambda: mean_cj(ChainKind.y(TS), 10, 0), ValueError, "j must be >= 1 for ChainKind(Y)"),
     (lambda: cov_eta(10, 4, 3, 1.0), ValueError, "require 2 < i < j < n-1"),
     (lambda: lambda_esf(0, 1.0), ValueError, "n must be >= 1"),
     # montecarlo
@@ -192,6 +196,14 @@ GUARDS = [
     (lambda: estimate("Astar1", X, 5, 10, 0, kappa=0.4), ValueError, "needs target"),
     (lambda: estimate("K", X, 5, 10, 0, kappa=1.5), ValueError, "kappa must lie in [0, 1]"),
     (lambda: estimate("Lambda", X, 5, 10, 0), ValueError, "needs an orientation probability"),
+    # indices no word shows, which would score every replicate 0.0
+    (lambda: estimate("Cj", X, 5, 10, 0, j=1), ValueError, "j must be >= 2 for ChainKind(X)"),
+    (lambda: estimate("Cj", ChainKind.y(TS), 5, 10, 0, j=0), ValueError,
+     "j must be >= 1 for ChainKind(Y)"),
+    (lambda: estimate("Cstar_j", X, 5, 10, 0, j=0, kappa=0.4), ValueError,
+     "'Cstar_j' needs j >= 1"),
+    (lambda: estimate("Astar1", X, 5, 10, 0, kappa=0.4, target=0), ValueError,
+     "needs target >= 1 (leaders look in)"),
     # oracle
     (lambda: oracle.enumerate_delta(0), ValueError, "n must lie in 1.."),
     (lambda: oracle.conditional_law(1, TS), ValueError, "limited to 2 <= n"),

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import mpmath
@@ -29,37 +30,37 @@ def enum():
 
 def test_mean_k_vs_enumeration(enum):
     p, moments = enum
-    assert mean_k(10, p) == pytest.approx(moments["mean_k"], abs=1e-12)
+    assert mean_k(ChainKind.x(p), 10) == pytest.approx(moments["mean_k"], abs=1e-12)
 
 
 def test_mean_cj_vs_enumeration(enum):
     p, moments = enum
     for j in range(2, 11):
-        assert mean_cj(10, j, p) == pytest.approx(moments["mean_c"][j], abs=1e-12)
+        assert mean_cj(ChainKind.x(p), 10, j) == pytest.approx(moments["mean_c"][j], abs=1e-12)
 
 
 def test_mean_c1_rejected():
     # derangements have no fixed points; 1-cycle requests are guard errors
     with pytest.raises(ValueError):
-        mean_cj(10, 1, PSequence.eta(0.6))
+        mean_cj(ChainKind.eta(0.6), 10, 1)
 
 
-@pytest.mark.parametrize("call", [
-    lambda n: mean_cj(n, 2, PSequence.eta(0.6)),
-    lambda n: mean_cj_eta(n, 2, 0.6),
-    lambda n: second_moments(n, 2, PSequence.eta(0.6)),
+@pytest.mark.parametrize("call, fragment", [
+    (lambda n: mean_cj(ChainKind.eta(0.6), n, 2), "ChainKind(ETA) needs n >= 2"),
+    (lambda n: mean_cj_eta(n, 2, 0.6), "n must be >= 2"),
+    (lambda n: second_moments(ChainKind.eta(0.6), n, 2), "ChainKind(ETA) needs n >= 2"),
 ], ids=["mean_cj", "mean_cj_eta", "second_moments"])
-def test_cycle_moments_need_a_derangement(call):
+def test_cycle_moments_need_a_derangement(call, fragment):
     # as mean_k: no derangement of fewer than 2 points
     for n in (0, 1):
-        with pytest.raises(ValueError, match="n must be >= 2"):
+        with pytest.raises(ValueError, match=re.escape(fragment)):
             call(n)
 
 
 def test_var_vs_enumeration(enum):
     p, moments = enum
     for j in range(2, 9):
-        assert second_moments(10, j, p) == pytest.approx(
+        assert second_moments(ChainKind.x(p), 10, j) == pytest.approx(
             moments["cov_c"][j][j], abs=1e-12
         )
 
@@ -83,10 +84,10 @@ def test_eta_closed_forms_match_generic():
     theta = 0.8
     p = PSequence.eta(theta)
     for n in (8, 15):
-        assert mean_k_eta(n, theta) == pytest.approx(mean_k(n, p), rel=1e-12)
+        assert mean_k_eta(n, theta) == pytest.approx(mean_k(ChainKind.x(p), n), rel=1e-12)
         for j in range(2, n + 1):
             assert mean_cj_eta(n, j, theta) == pytest.approx(
-                mean_cj(n, j, p), rel=1e-11, abs=1e-13
+                mean_cj(ChainKind.x(p), n, j), rel=1e-11, abs=1e-13
             )
 
 
@@ -249,6 +250,19 @@ def test_lambda_esf_at_large_theta(theta):
             assert lambda_esf(n, theta) == pytest.approx(float(ref), rel=1e-13)
 
 
+@pytest.mark.parametrize("theta", [1e-300, 1e-17, 1e-15, 1e-8, 0.01])
+def test_lambda_esf_at_small_theta(theta):
+    # the sum over fixed points at 60 digits, sum_k (-theta)^k/k! n!/(n-k)!
+    # / (theta+n-k)_(k), its theta + (n - k) formed first: (theta + n) - k
+    # would round theta away below the float spacing near n
+    with mpmath.workdps(60):
+        th = mpmath.mpf(theta)
+        for n in (2, 3, 5, 30, 100):
+            ref = mpmath.fsum((-th) ** k / mpmath.factorial(k) * mpmath.ff(n, k)
+                              / mpmath.rf(th + (n - k), k) for k in range(n + 1))
+            assert lambda_esf(n, theta) == pytest.approx(float(ref), rel=1e-13, abs=0.0), n
+
+
 @pytest.mark.parametrize("theta", [0.0, -1.0, -0.5, math.nan, math.inf])
 def test_lambda_esf_rejects_theta_outside_the_positive_reals(theta):
     for n in (1, 2, 5):
@@ -260,7 +274,7 @@ def test_lambda_esf_rejects_theta_outside_the_positive_reals(theta):
 def test_eta_closed_forms_reject_theta_outside_the_positive_reals(theta):
     # j = n and n < j return before the eta sequence is built
     for call in (lambda: mean_cj_eta(5, 5, theta), lambda: mean_cj_eta(5, 7, theta),
-                 lambda: mean_k_eta(5, theta), lambda: mean_k(5, PSequence.eta(theta)),
+                 lambda: mean_k_eta(5, theta), lambda: mean_k(ChainKind.eta(theta), 5),
                  lambda: mean_cj_eta_limit(theta, 3)):
         with pytest.raises(ValueError, match="theta must be positive and finite"):
             call()
@@ -270,7 +284,7 @@ def test_mean_k_eta_at_theta_near_the_float_range():
     # theta^2 overflows at 1e200; the closed form takes the product of two
     # ratios instead
     for n in (10, 40):
-        assert mean_k_eta(n, 1e200) == pytest.approx(mean_k(n, PSequence.eta(1e200)),
+        assert mean_k_eta(n, 1e200) == pytest.approx(mean_k(ChainKind.eta(1e200), n),
                                                       rel=1e-12)
 
 

@@ -63,7 +63,7 @@ def test_seeded_outputs_are_pinned():
     assert (r.mean, r.std_error) == (1.772525, 0.0037768849242289966)
     r = estimate("Lambda", kind, 12, 20000, 777, kappa=0.4)
     assert (r.mean, r.std_error) == (5.84765, 0.011572539481829514)
-    r = clt_diagnostic(PSequence.eta(1.0), 20000, 2000, 99)
+    r = clt_diagnostic(ChainKind.eta(1.0), 20000, 2000, 99)
     assert (r.mean, r.p_value) == (-0.08431931262667572, 0.24021531509977942)
     word = sample_path(ChainKind.eta(1.0), 30, 5, 10**12 + 7)
     assert "".join(map(str, word)) == "100000010000000000000100000000"
@@ -81,7 +81,7 @@ def test_replicate_generators_only_past_the_block_draw(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "replicate_rng", counted)
     estimate("Lambda", ChainKind.eta(1.0), 12, 1000, 1, kappa=0.4)
-    clt_diagnostic(PSequence.eta(1.0), 300, 600, 2)
+    clt_diagnostic(ChainKind.eta(1.0), 300, 600, 2)
     sample_paths(ChainKind.eta(1.0), 30, 3, range(50))
     assert calls == []
     gem_diagnostic(1.0, 200, 600, 4)  # the one stick-breaking stream
@@ -342,13 +342,13 @@ def test_results_do_not_depend_on_jump_width(monkeypatch):
     # width 1 sends every replicate through the stream continuation, after
     # its orientation or dither draws
     kind = ChainKind.x(PSequence.eta(1.5))
-    p = PSequence.eta(2.0)
+    eta2 = ChainKind.eta(2.0)
     ref = (estimate("Cstar_j", kind, 25, 200, seed=6, j=2, kappa=0.35),
-           clt_diagnostic(p, 300, 100, seed=6))
+           clt_diagnostic(eta2, 300, 100, seed=6))
     monkeypatch.setattr(montecarlo, "_jump_width", lambda kind, h: 1)
     monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", 37 * 26)  # 37 replicates of 26 draws
     got = (estimate("Cstar_j", kind, 25, 200, seed=6, j=2, kappa=0.35),
-           clt_diagnostic(p, 300, 100, seed=6))
+           clt_diagnostic(eta2, 300, 100, seed=6))
     assert got == ref
 
 
@@ -404,9 +404,9 @@ def test_small_inputs_rejected():
     with pytest.raises(ValueError):
         estimate("Lambda", ChainKind.x(p), 1, 10, 1, kappa=0.5)
     with pytest.raises(ValueError):
-        clt_diagnostic(p, 1, 100, 1)
+        clt_diagnostic(ChainKind.x(p), 1, 100, 1)
     with pytest.raises(ValueError):
-        clt_diagnostic(p, 50, 1, 1)
+        clt_diagnostic(ChainKind.x(p), 50, 1, 1)
     with pytest.raises(ValueError):
         gem_diagnostic(1.0, 1, 100, 1)
     with pytest.raises(ValueError):
@@ -490,7 +490,7 @@ def test_block_draw_peak_memory():
 @pytest.mark.parametrize("run", [
     lambda: estimate("K", ChainKind.x(PSequence.eta(0.5)), 12, 40000, 5),
     lambda: estimate("Lambda", ChainKind.x(PSequence.eta(0.5)), 12, 20000, 5, kappa=0.4),
-    lambda: clt_diagnostic(PSequence.eta(1.0), 300, 20000, 5),
+    lambda: clt_diagnostic(ChainKind.eta(1.0), 300, 20000, 5),
     lambda: gem_diagnostic(2.0, 300, 20000, 5),
     # a consumer that keeps nothing of a block
     lambda: deque(chains._jump_blocks(ChainKind.eta(1.0), 12, 5, range(20000)), maxlen=0),

@@ -16,6 +16,7 @@ from derange.numerics import kummer_m
 from derange.params import PSequence, ThetaSequence
 
 P = PSequence.eta(0.7)
+X = ChainKind.x(P)
 
 ROWS = [
     # a word of length 1 cannot end in a 0 below its closing 1
@@ -24,9 +25,9 @@ ROWS = [
     ("gamma_n at n = 1", lambda: gamma_n(ThetaSequence.eta_star(0.5), 1), 0.0),
     ("delta_n at n = 1", lambda: delta_n(0.5, n=1), 0.0),
     # the only derangement word at n = 2 or 3 is one circle
-    ("mean_k_eta at n = 2", lambda: mean_k_eta(2, 0.7), lambda: mean_k(2, P)),
-    ("mean_k_eta at n = 3", lambda: mean_k_eta(3, 0.7), lambda: mean_k(3, P)),
-    ("mean_cj_eta at j = n = 2", lambda: mean_cj_eta(2, 2, 0.7), lambda: mean_cj(2, 2, P)),
+    ("mean_k_eta at n = 2", lambda: mean_k_eta(2, 0.7), lambda: mean_k(X, 2)),
+    ("mean_k_eta at n = 3", lambda: mean_k_eta(3, 0.7), lambda: mean_k(X, 3)),
+    ("mean_cj_eta at j = n = 2", lambda: mean_cj_eta(2, 2, 0.7), lambda: mean_cj(X, 2, 2)),
     ("phi_eta at i = 1", lambda: phi_eta(1, 0.7), lambda: phi(1, P)),
     ("phi_eta at i = 2", lambda: phi_eta(2, 0.7), lambda: phi(2, P)),
     ("phi_eta_tilde at i = 1", lambda: phi_eta_tilde(1, 0.7),
