@@ -120,6 +120,8 @@ def mean_k_eta_limit(theta: float, m: int = 3, method: str = "series",
     check_theta(theta)
     head = 1.0 - theta * harmonic_h(theta + 1.0) + theta * EULER_GAMMA
     if method == "series":
+        if m < 1:  # the bracket is a-bar_{2m}
+            raise ValueError("m must be >= 1")
         tail = math.fsum((-1) ** j * eta_abar(theta, j) for j in range(1, 2 * m))
         return _finite(LimitEstimate(value=head + tail,
                                      error_bound=eta_abar(theta, 2 * m), m=m))
@@ -209,6 +211,8 @@ def mean_cj_eta_limit(theta: float, j: int, method: str = "series", m: int = 2,
         raise ValueError("j must be >= 2")
     check_theta(theta)
     if method == "series":
+        if m < 0:  # m = 0 leaves the bracket b-bar_1
+            raise ValueError("m must be >= 0")
         coef = theta
         if j >= 3:
             coef = theta * math.gamma(j - 1.0) / rising_factorial(theta + 2.0, j - 3)

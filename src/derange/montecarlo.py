@@ -8,23 +8,21 @@ per-index one probabilities (``log_survival``).  One ``searchsorted`` per
 round places the next 1 of every replicate in a block, so sampling costs
 O(reps * K) rather than O(reps * n), K being the circle count.
 
-Replicate r draws from its own Philox4x64-10 stream, keyed by a
-splitmix64 mix of (seed, r), in a fixed order: the leading draws a
-statistic needs (orientations or a KS dither), then one uniform per
-jump.  Philox is counter-based, so uniform k of a stream is a pure
-function of (key, k): ``replicate_uniforms`` computes a whole block of
-replicates' draws in numpy, with no generator object per replicate,
-equal bit for bit to ``replicate_rng(seed, r)``'s stream.  It runs
-tiles of at most ``_PASS_SIZE`` rows x counters through six preallocated
-buffers, each round's two multiplies in one call on the stacked lanes,
-and writes the words straight into its float output.  Past a few hundred
-draws per replicate (``_BLOCK_DRAWS``) building ``replicate_rng(seed,
-r)`` per replicate is the cheaper way to the same stream, so the sampler
-draws that way instead.  A replicate that needs more jumps than were
-drawn up front continues its stream with the block draw at a later
-offset, so every result depends only on (seed, r) and not on how
-replicates are batched or how many jumps were drawn up front.  That lets
-the sampler do only the work a statistic reads:
+Replicate r draws from its own SplitMix64 stream (Steele, Lea & Flood
+2014) in a fixed order: the leading draws a statistic needs (orientations
+or a KS dither), then one uniform per jump.  Uniform k of the stream is
+(splitmix64(key_r + k gamma) >> 11) 2^-53 with key_r =
+splitmix64(splitmix64(seed) ^ r), all modulo 2^64 (``_splitmix64``), a
+pure function of (seed, r, k): ``replicate_uniforms`` draws any block of
+any replicates' streams in a few uint64 array passes.  The streams are
+windows of the one Weyl sequence x -> x + gamma at pseudo-random starts,
+so with L draws a replicate, some two of R replicates overlap with
+probability at most R^2 L / 2^64 (2e-7 at 2000 replicates of 10^6
+draws).  A replicate that needs more jumps than were drawn up front
+continues its stream at a later offset, so every result depends only on
+(seed, r) and not on how replicates are batched or how many jumps were
+drawn up front.  That lets the sampler do only the work a statistic
+reads:
 
 - it stops each word after the jumps the statistic reads
   (``_JUMP_DEPTH``: the first circle for A1, the first two for A2, A*_1
@@ -32,11 +30,8 @@ the sampler do only the work a statistic reads:
 - it draws mu + 3 sqrt(mu) + 2 jump uniforms up front, mu = sum h >= E[K]
   (fewer when the depth is smaller), so only the words in the upper tail
   of the circle count continue their streams;
-- it ends the up-front draws, and each continuation, on a whole Philox
-  counter of 4 words, since a counter's words cost the same as one: the
-  up-front draws round down to it when a jump uniform remains;
 - it sizes a block by its up-front draws, at most ``_CHUNK_DRAWS`` of
-  them and at most ``_PASS_SIZE`` replicates, so either diagnostic with
+  them and at most ``_BLOCK_ROWS`` replicates, so either diagnostic with
   2000 replicates at theta = 1, n = 10^6 is one block and a replicate
   with 10^6 orientation draws is a block of its own.
 
@@ -62,9 +57,14 @@ _MASK64 = (1 << 64) - 1
 
 # Most up-front draws in a block of _sample (512 KiB of float64): a block
 # holds _CHUNK_DRAWS // (up-front draws per replicate) replicates, at least 1
-# and at most _PASS_SIZE, so the memory of a block (its draws and the
+# and at most _BLOCK_ROWS, so the memory of a block (its draws and the
 # orientation prefix sums of _extract) does not grow with n.
 _CHUNK_DRAWS = 1 << 16
+# Most replicates in a block of _sample.  Short words would otherwise fill
+# a block with 2^16 replicates, and chains._jump_blocks keeps a dense
+# (rows, n + 1) array of a block's words; at 2^13, 20000 replicates of a
+# small-n statistic are three blocks, one alive at a time.
+_BLOCK_ROWS = 1 << 13
 _MIN_KS_REPS = 500
 
 
@@ -76,58 +76,19 @@ def _splitmix64(x: int) -> int:
 
 
 def replicate_rng(seed: int, rep: int) -> np.random.Generator:
-    """The counter-based generator for replicate ``rep`` of run ``seed``."""
+    """A numpy Philox generator keyed by (seed, rep), for the single
+    streams outside the sampler: the stick-breaking sticks and the random
+    tables of ``verify --suite conditional``."""
     base = _splitmix64(seed & _MASK64)
     k0 = _splitmix64(base ^ rep)
     k1 = _splitmix64((base + rep * _SM64_GAMMA) & _MASK64)
     return np.random.Generator(np.random.Philox(key=(k0 << 64) | k1))
 
 
-# Philox4x64-10 (Salmon, Moraes, Dror & Shaw 2011), as numpy's Philox runs
-# it: the multipliers and key bumps of its two lanes, as (2, 1, 1) arrays
-_PHILOX_MUL = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
-_PHILOX_BUMP = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
-_PHILOX_ROUNDS = 10
-# 0-d operands: the cheapest way to hand numpy a uint64 constant
-_MASK32, _32, _11 = (np.array(c, dtype=np.uint64) for c in ((1 << 32) - 1, 32, 11))
-_MUL_LO, _MUL_HI = _PHILOX_MUL & _MASK32, _PHILOX_MUL >> _32
-# what a pass's nine bumps add to a key, modulo 2^64
-_PHILOX_BUMPS = _PHILOX_BUMP * np.uint64(_PHILOX_ROUNDS - 1)
-# rows x counters per Philox pass: a pass keeps six two-lane uint64
-# buffers of this size (768 KiB), reused by every round.  A pass has a
-# fixed cost of about 0.3 ms (some 160 numpy calls), so a larger size draws
-# the benchmark's multi-counter tiles (4096 x 4, 2000 x 5, 400 x 27
-# counters) in fewer passes, but at 2^13 .. 2^14 the Monte Carlo jobs took
-# the same time within noise while estimate('K') at n = 12 peaked at 2.3
-# rather than 4.2 MB of numpy memory; 2^12 took a quarter longer.  It
-# also caps the rows of a block of _sample.
-_PASS_SIZE = 1 << 13
-# Draws per replicate up to which _sample uses the block draw.  The numpy
-# Philox costs about 30 ns a uniform, a generator 15-20 us to build plus
-# 4 ns a uniform; timing estimate('Lambda') over n = 384..640 put the
-# point where the two cost the same near 600 draws.
-_BLOCK_DRAWS = 576
-
-
-def _mulhi(x: np.ndarray, m_lo, m_hi, t: np.ndarray, u: np.ndarray,
-           w: np.ndarray) -> None:
-    """Overwrite x with the high words of the 128-bit products x * m, m =
-    m_hi 2^32 + m_lo, from 32-bit limbs (Warren, Hacker's Delight, mulhu);
-    t, u and w are scratch arrays of x's shape."""
-    np.bitwise_and(x, _MASK32, out=t)
-    np.right_shift(x, _32, out=x)
-    np.multiply(t, m_lo, out=u)
-    np.right_shift(u, _32, out=u)
-    np.multiply(t, m_hi, out=t)
-    np.add(t, u, out=t)  # x_lo m_hi + the carry of x_lo m_lo: below 2^64
-    np.multiply(x, m_lo, out=u)
-    np.multiply(x, m_hi, out=x)
-    np.right_shift(u, _32, out=w)
-    np.add(x, w, out=x)
-    np.bitwise_and(u, _MASK32, out=u)
-    np.add(t, u, out=t)
-    np.right_shift(t, _32, out=t)
-    np.add(x, t, out=x)
+# the splitmix64 constants and shifts as 0-d uint64 operands, the cheapest
+# way to hand numpy a uint64 constant
+_GAMMA, _MIX1, _MIX2, _30, _27, _31, _11 = (np.array(c, dtype=np.uint64) for c in (
+    _SM64_GAMMA, _SM64_MIX1, _SM64_MIX2, 30, 27, 31, 11))
 
 
 def _replicate_numbers(replicates: range) -> np.ndarray:
@@ -141,66 +102,23 @@ def replicate_uniforms(seed: int, replicates: np.ndarray, offset: int,
     """Uniforms offset .. offset + count - 1 of each replicate's stream, one
     row per replicate number of the uint64 array ``replicates``.
 
-    Row i equals ``replicate_rng(seed, r).random(offset + count)[offset:]``
-    for the i-th replicate r, computed for the whole block in numpy with no
-    generator object: Philox is counter-based, so raw word w of a stream is
-    word w % 4 of the Philox4x64-10 output at counter w // 4 + 1 under the
-    replicate's key, and its uniform is (raw >> 11) * 2^-53.
+    Uniform k of replicate r is (_splitmix64(key_r + k gamma) >> 11) 2^-53
+    with key_r = _splitmix64(_splitmix64(seed) ^ r), modulo 2^64.
     """
-    rows = replicates.size
-    out = np.empty((rows, count))
-    if not out.size:
-        return out
-    # the keys of replicate_rng on uint64 arrays (its masks are no-ops
-    # there); numpy holds the key (k0 << 64) | k1 as the words [k1, k0]
-    base = _splitmix64(seed & _MASK64)
-    keys = np.empty((2, 1, rows), dtype=np.uint64)
-    keys[0, 0] = _splitmix64(base + replicates * _SM64_GAMMA)
-    keys[1, 0] = _splitmix64(replicates ^ base)
-    first, skip = divmod(offset, 4)  # out[:, j] is word 4 * first + skip + j
-    counters = (skip + count + 3) // 4
-    # round 1 sees the counter words (ctr, 0, 0, 0), so its one product
-    # is a function of the counter alone
-    hi0 = np.arange(first + 1, first + counters + 1, dtype=np.uint64)[:, None]
-    lo0 = hi0 * _PHILOX_MUL[0]
-    _mulhi(hi0, _MUL_LO[0], _MUL_HI[0], *np.empty((3, counters, 1), dtype=np.uint64))
-    tile_rows = min(rows, _PASS_SIZE)
-    tile_ctrs = min(counters, _PASS_SIZE // tile_rows)
-    # the lanes (c0, c2) and (c1, c3) of a pass, a product buffer and
-    # scratch, each (lane, counter, row): a pass reshapes the first
-    # 2 * counters * rows words, and the keys broadcast along whole rows
-    bufs = np.empty((6, 2 * tile_rows * tile_ctrs), dtype=np.uint64)
-    for r0 in range(0, rows, tile_rows):
-        nr = min(tile_rows, rows - r0)
-        for c0 in range(0, counters, tile_ctrs):
-            nc = min(tile_ctrs, counters - c0)
-            a, b, p, t, u, w = (x[:2 * nc * nr].reshape(2, nc, nr) for x in bufs)
-            k = keys[:, :, r0:r0 + nr]  # bumped in place, restored after the pass
-            # the state after round 1: (k0, hi0 ^ k1) and (0, lo0)
-            np.copyto(a[0], k[0])
-            np.bitwise_xor(hi0[c0:c0 + nc], k[1], out=a[1])
-            b[0] = 0
-            np.copyto(b[1], lo0[c0:c0 + nc])
-            for _ in range(1, _PHILOX_ROUNDS):
-                np.add(k, _PHILOX_BUMP, out=k)
-                np.bitwise_xor(b, k, out=b)  # (c1 ^ k0, c3 ^ k1)
-                np.multiply(a[::-1], _PHILOX_MUL[::-1], out=p)  # (c1, c3) next
-                _mulhi(a, _MUL_LO, _MUL_HI, t, u, w)
-                np.bitwise_xor(b, a[::-1], out=b)  # (c0, c2) next
-                a, b, p = b, p, a
-            np.subtract(k, _PHILOX_BUMPS, out=k)
-            # word j of a counter is lane j // 2 of a (j even) or b (j odd)
-            np.right_shift(a, _11, out=a)
-            np.right_shift(b, _11, out=b)
-            for j, lane in enumerate((a[0], b[0], a[1], b[1])):
-                # counter c0 + i gives column 4 (c0 + i) + j - skip
-                i0 = max(0, -((4 * c0 + j - skip) // 4))
-                i1 = min(nc, (count + skip - j + 3) // 4 - c0)
-                if i1 > i0:
-                    col = 4 * (c0 + i0) + j - skip
-                    np.multiply(lane[i0:i1].T, 2.0**-53,
-                                out=out[r0:r0 + nr, col:col + 4 * (i1 - i0) - 3:4])
-    return out
+    keys = _splitmix64(replicates ^ _splitmix64(seed & _MASK64))
+    # the states key_r + (k + 1) gamma that the mix of _splitmix64 reads;
+    # uint64 arrays wrap modulo 2^64
+    x = np.arange(offset + 1, offset + count + 1, dtype=np.uint64) * _GAMMA + keys[:, None]
+    out = np.empty(x.shape)
+    t = out.view(np.uint64)  # scratch until the last pass
+    for shift, mul in ((_30, _MIX1), (_27, _MIX2)):
+        np.right_shift(x, shift, out=t)
+        np.bitwise_xor(x, t, out=x)
+        np.multiply(x, mul, out=x)
+    np.right_shift(x, _31, out=t)
+    np.bitwise_xor(x, t, out=x)
+    np.right_shift(x, _11, out=x)
+    return np.multiply(x, 2.0**-53, out=out)
 
 
 @dataclass(frozen=True)
@@ -297,15 +215,13 @@ def _sample(kind: ChainKind, h: np.ndarray, replicates: range, seed: int, lead: 
 
     Each replicate's stream gives ``lead`` draws for the caller first, then
     its jump uniforms; with ``depth`` a word stops after its first
-    ``depth`` 1-positions (see ``sample_bits``).  The up-front draws end on
-    a whole Philox counter (4 draws) when that leaves a jump uniform.  A
-    chunk takes them from one block draw when a replicate needs at most
-    ``_BLOCK_DRAWS``, else from one generator per replicate; a word that
-    needs more jumps than were drawn up front continues its stream with
-    the block draw at a later offset, to a whole counter.  A chunk holds
+    ``depth`` 1-positions (see ``sample_bits``).  A chunk holds
     ``_CHUNK_DRAWS`` over the up-front draws of one replicate, at least 1
-    and at most ``_PASS_SIZE`` replicates.  A caller drops its references
-    to a chunk before asking for the next, so one block is alive at a draw.
+    and at most ``_BLOCK_ROWS`` replicates, and takes those draws from one
+    ``replicate_uniforms`` call; a word that needs more jumps than were
+    drawn up front continues its stream at a later offset.  A caller drops
+    its references to a chunk before asking for the next, so one block is
+    alive at a draw.
     """
     n = h.size - 1
     log_surv = log_survival(h)
@@ -313,22 +229,13 @@ def _sample(kind: ChainKind, h: np.ndarray, replicates: range, seed: int, lead: 
     if depth is not None:
         width = min(width, depth)
     draws = lead + width
-    if draws // 4 * 4 > lead:
-        draws = draws // 4 * 4
-    chunk = max(1, min(_PASS_SIZE, _CHUNK_DRAWS // draws))
+    chunk = max(1, min(_BLOCK_ROWS, _CHUNK_DRAWS // draws))
     for start in range(0, len(replicates), chunk):
-        reps = replicates[start:start + chunk]
-        block = _replicate_numbers(reps)
-        if draws <= _BLOCK_DRAWS:
-            u = replicate_uniforms(seed, block, 0, draws)
-        else:
-            u = np.empty((len(reps), draws))
-            for rep, row in zip(reps, u):
-                replicate_rng(seed, rep).random(out=row)
+        block = _replicate_numbers(replicates[start:start + chunk])
+        u = replicate_uniforms(seed, block, 0, draws)
 
         def extend(rows, done, count, block=block):
-            offset = lead + done  # drawn on to the end of a counter
-            return replicate_uniforms(seed, block[rows], offset, count + (-offset - count) % 4)
+            return replicate_uniforms(seed, block[rows], lead + done, count)
 
         ones = sample_bits(kind, n, u[:, lead:], extend, log_surv, depth)
         yield start, u[:, :lead], ones

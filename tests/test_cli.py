@@ -644,6 +644,9 @@ def test_signed_cki_past_the_horizon(capsys):
     (["signed", "--quantity", "cki", "--n", "15"], "limited to n <= 14"),
     (["exact", "--quantity", "phi", "--kind", "y"], "needs a derangement chain"),
     (["exact", "--quantity", "tv_prefix", "--kind", "y"], "needs a derangement chain"),
+    (["exact", "--quantity", "mean_k_eta_limit", "--m", "0"], "m must be >= 1"),
+    (["exact", "--quantity", "mean_cj_eta_limit", "--m", "-1"], "m must be >= 0"),
+    (["table1", "--m", "-1"], "m must be >= 0"),
 ])
 def test_guard_rows_exit_3(capsys, argv, fragment):
     code, out, err = run(capsys, *argv, "--format", "json")

@@ -178,9 +178,11 @@ GUARDS = [
     (lambda: mean_k_eta(1, 1.0), ValueError, "n must be >= 2"),
     (lambda: eta_abar(1.0, 0), ValueError, "j must be >= 1"),
     (lambda: mean_k_eta_limit(1.0, method="bogus"), ValueError, "unknown method"),
+    (lambda: mean_k_eta_limit(1.0, m=0), ValueError, "m must be >= 1"),
     (lambda: mean_cj_eta(10, 1, 1.0), ValueError, "j must be >= 2"),
     (lambda: mean_cj_eta_limit(1.0, 1), ValueError, "j must be >= 2"),
     (lambda: mean_cj_eta_limit(1.0, 2, method="bogus"), ValueError, "unknown method"),
+    (lambda: mean_cj_eta_limit(1.0, 2, m=-1), ValueError, "m must be >= 0"),
     (lambda: second_moments(X, 10, 1), ValueError, "j must be >= 2"),
     (lambda: var_cj_horizons(X, 1, (3,)), ValueError, "needs n >= 2"),
     (lambda: var_cj_horizons(X, 10, (3, 1)), ValueError, "j must be >= 2"),

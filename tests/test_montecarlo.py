@@ -14,8 +14,11 @@ from derange import chains, montecarlo, oracle
 from derange.chains import ChainKind, cycle_statistics, generate_signed, sample_path, sample_paths
 from derange.coupling import k_distribution, ordered_cycle_prefix_prob
 from derange.montecarlo import (
+    _MASK64,
+    _SM64_GAMMA,
     _extract,
     _replicate_numbers,
+    _splitmix64,
     clt_diagnostic,
     estimate,
     gem_diagnostic,
@@ -44,59 +47,108 @@ def test_replicate_streams_deterministic():
     assert np.allclose(a, b)
 
 
-@pytest.mark.parametrize("first", [0, 10**12 + 7, 2**63 - 3])
+def _reference_stream(seed: int, rep: int, offset: int, count: int) -> np.ndarray:
+    """Uniforms offset .. offset + count - 1 of replicate ``rep`` of run
+    ``seed``, from the scalar ``_splitmix64`` on Python ints."""
+    key = _splitmix64(_splitmix64(seed & _MASK64) ^ (rep & _MASK64))
+    return np.array([(_splitmix64((key + k * _SM64_GAMMA) & _MASK64) >> 11) * 2.0**-53
+                     for k in range(offset, offset + count)])
+
+
+def test_the_reference_mix_is_splitmix64():
+    # the first outputs of SplitMix64 from state 0 (Steele, Lea & Flood 2014)
+    assert [_splitmix64(k * _SM64_GAMMA & _MASK64) for k in range(3)] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+
+# (seed, replicates, offsets, count) past the small random blocks: more
+# rows than a block of _sample holds, a count past 2^13, and offsets at
+# every residue mod 4
+_WIDE_DRAWS = {
+    "rows-8195": (31, range(10**9, 10**9 + 8195), (0, 7), 5),
+    "count-8195": (-12, range(5, 8), (4003,), 8195),
+    "offsets-0-7": (-5, range(2**40 + 2049, 2**40 + 4098), range(8), 9),
+}
+
+
+@pytest.mark.parametrize("first", [0, 10**12 + 7, 2**63 - 3, *_WIDE_DRAWS])
 def test_block_draw_matches_replicate_streams(first):
-    rnd = random.Random(first)
-    seeds = [0, -1, 2**63, 2**64 - 1, -(2**63)] + [rnd.randrange(-2**70, 2**70) for _ in range(45)]
-    for seed in seeds:
-        reps = range(first, first + rnd.randrange(1, 7))
-        offset, count = rnd.randrange(14), rnd.randrange(1, 21)
-        want = [replicate_rng(seed, r).random(offset + count)[offset:] for r in reps]
+    if first in _WIDE_DRAWS:
+        seed, reps, offsets, count = _WIDE_DRAWS[first]
+        draws = [(seed, reps, offset, count) for offset in offsets]
+    else:
+        rnd = random.Random(first)
+        seeds = [0, -1, 2**63, 2**64 - 1, -(2**63)] + [rnd.randrange(-2**70, 2**70) for _ in range(45)]
+        draws = [(seed, range(first, first + rnd.randrange(1, 7)), rnd.randrange(14),
+                  rnd.randrange(1, 21)) for seed in seeds]
+    for seed, reps, offset, count in draws:
+        want = [_reference_stream(seed, r, offset, count) for r in reps]
         got = replicate_uniforms(seed, _replicate_numbers(reps), offset, count)
         assert got.shape == (len(reps), count)
         assert np.array_equal(got, want), (seed, reps, offset, count)
 
 
+_CHI2_REPS, _CHI2_DRAWS = 4096, 1024
+
+
+@pytest.mark.parametrize("seed, first", [(0, 0), (12345, 10**12), (-7, 2**63 - 5000)])
+def test_replicate_streams_look_uniform(seed, first):
+    # 4096 replicates x 1024 uniforms at offset 3, in four blocks of rows
+    one = np.zeros(4096, dtype=np.int64)
+    along = np.zeros(4096, dtype=np.int64)
+    across = np.zeros(4096, dtype=np.int64)
+    for start in range(first, first + _CHI2_REPS, 1024):
+        u = replicate_uniforms(seed, _replicate_numbers(range(start, start + 1024)), 3,
+                               _CHI2_DRAWS)
+        assert ((u >= 0.0) & (u < 1.0)).all()
+        assert np.array_equal(u * 2.0**53, np.floor(u * 2.0**53))  # on the 2^-53 grid
+        one += np.bincount((u * 4096).astype(np.int64).ravel(), minlength=4096)
+        cell = (u * 64).astype(np.int64)
+        # consecutive pairs of a stream, and one position of adjacent replicates
+        along += np.bincount((64 * cell[:, 0::2] + cell[:, 1::2]).ravel(), minlength=4096)
+        across += np.bincount((64 * cell[0::2] + cell[1::2]).ravel(), minlength=4096)
+    for counts in (one, along, across):
+        assert chisquare(counts).pvalue > 1e-3
+
+
 def test_seeded_outputs_are_pinned():
     kind = ChainKind.x(PSequence.eta(0.5))
     r = estimate("K", kind, 12, 40000, 12345)
-    assert (r.mean, r.std_error) == (1.772525, 0.0037768849242289966)
+    assert (r.mean, r.std_error) == (1.7803, 0.003815089988819473)
     r = estimate("Lambda", kind, 12, 20000, 777, kappa=0.4)
-    assert (r.mean, r.std_error) == (5.84765, 0.011572539481829514)
+    assert (r.mean, r.std_error) == (5.87035, 0.011575134688726223)
     r = clt_diagnostic(ChainKind.eta(1.0), 20000, 2000, 99)
-    assert (r.mean, r.p_value) == (-0.08431931262667572, 0.24021531509977942)
+    assert (r.mean, r.p_value) == (-0.117976139735913, 0.03505551039522592)
     word = sample_path(ChainKind.eta(1.0), 30, 5, 10**12 + 7)
-    assert "".join(map(str, word)) == "100000010000000000000100000000"
+    assert "".join(map(str, word)) == "101001000000000000000000000000"
     signed, perm = generate_signed(8, PSequence.eta(1.0), 0.4, 11, 3)
-    assert signed.steps == ("1", "+0", "+0", "-0", "+0", "+0", "+0", "-0")
-    assert perm.circles == ((8, -2, 3, 4, 1, -6, 5, 7),)
+    assert signed.steps == ("1", "+0", "-0", "1", "+0", "-0", "+0", "-0")
+    assert perm.circles == ((3, -5, 4, -7, 1), (8, -6, 2))
 
 
-def test_replicate_generators_only_past_the_block_draw(monkeypatch):
-    calls = []
+def test_the_sampler_builds_no_generator(monkeypatch):
+    built, generator = [], np.random.Generator
 
-    def counted(seed, rep):
-        calls.append(rep)
-        return replicate_rng(seed, rep)
+    def counted(*args, **kwargs):
+        built.append(args)
+        return generator(*args, **kwargs)
 
-    monkeypatch.setattr(montecarlo, "replicate_rng", counted)
+    monkeypatch.setattr(np.random, "Generator", counted)
     estimate("Lambda", ChainKind.eta(1.0), 12, 1000, 1, kappa=0.4)
+    # 576 orientation draws a replicate, where generators once took over
+    estimate("Lambda", ChainKind.eta(1.0), 576, 40, 1, kappa=0.4)
     clt_diagnostic(ChainKind.eta(1.0), 300, 600, 2)
     sample_paths(ChainKind.eta(1.0), 30, 3, range(50))
-    assert calls == []
+    generate_signed(40, PSequence.eta(1.0), 0.4, 3)
+    assert built == []
     gem_diagnostic(1.0, 200, 600, 4)  # the one stick-breaking stream
-    assert len(calls) == 1
-    # past _BLOCK_DRAWS draws per replicate, a generator per replicate is cheaper
-    calls.clear()
-    estimate("Lambda", ChainKind.eta(1.0), montecarlo._BLOCK_DRAWS, 40, 1, kappa=0.4)
-    assert calls == list(range(40))
+    assert len(built) == 1
 
 
-@pytest.mark.parametrize("lead", [2, montecarlo._BLOCK_DRAWS])
+@pytest.mark.parametrize("lead", [2, 576])
 def test_sampler_draws_are_the_replicate_streams(lead):
-    # one case on each side of the switch from block draw to generators
     kind, n, seed, reps = ChainKind.eta(1.5), 60, 8, range(10**12, 10**12 + 30)
-    streams = np.array([replicate_rng(seed, r).random(lead + n) for r in reps])
+    streams = np.array([_reference_stream(seed, r, 0, lead + n) for r in reps])
     (_, draws, ones), = montecarlo._sample(kind, kind.one_probs(n), reps, seed, lead)
     assert np.array_equal(draws, streams[:, :lead])
     assert np.array_equal(ones, sample_bits(kind, n, streams[:, lead:]))
@@ -270,7 +322,7 @@ def test_first_jump_check_sees_one_closing_probability():
 def test_words_do_not_depend_on_jump_width():
     kind = ChainKind.eta(4.0)
     n, reps = 300, 40
-    full = np.array([replicate_rng(3, r).random(_full_width(kind, n)) for r in range(reps)])
+    full = np.array([_reference_stream(3, r, 0, _full_width(kind, n)) for r in range(reps)])
     narrow = full[:, :1].copy()
     wide = sample_bits(kind, n, full)
     numbers = np.arange(reps, dtype=np.uint64)
@@ -289,7 +341,7 @@ def test_one_column_with_extend_gives_the_full_width_words(depth):
     # depth None is test_words_do_not_depend_on_jump_width
     kind = ChainKind.eta(4.0)
     n, reps = 300, 40
-    full = np.array([replicate_rng(3, r).random(_full_width(kind, n)) for r in range(reps)])
+    full = np.array([_reference_stream(3, r, 0, _full_width(kind, n)) for r in range(reps)])
     numbers = np.arange(reps, dtype=np.uint64)
 
     def extend(rows, width, count):
@@ -425,57 +477,10 @@ def test_kappa_is_checked():
     assert estimate("Lambda", ChainKind.eta(1.0), 10, 10, 1, kappa=1.0).mean == 10.0
 
 
-@pytest.mark.parametrize("offset, count", [(0, 5), (7, 9)])
-def test_block_draw_with_more_rows_than_a_pass(offset, count):
-    # more rows than _PASS_SIZE: one counter per Philox pass
-    reps = range(10**9, 10**9 + montecarlo._PASS_SIZE + 3)
-    got = replicate_uniforms(31, _replicate_numbers(reps), offset, count)
-    assert got.shape == (len(reps), count)
-    for i in [*range(0, len(reps), 997), len(reps) - 1]:
-        want = replicate_rng(31, reps[i]).random(offset + count)[offset:]
-        assert np.array_equal(got[i], want), i
-
-
-def test_block_draw_count_spanning_several_passes():
-    # 3 rows take _PASS_SIZE // 3 counters, 4 words each, a pass; the
-    # offset is not a multiple of 4, so every seam cuts inside a counter
-    reps = range(5, 8)
-    offset = 4 * 1000 + 3
-    count = 3 * 4 * (montecarlo._PASS_SIZE // 3) - 5
-    got = replicate_uniforms(-12, _replicate_numbers(reps), offset, count)
-    want = [replicate_rng(-12, r).random(offset + count)[offset:] for r in reps]
-    assert np.array_equal(got, want)
-
-
-# rows of a pass of 4 counters
-_TILE = montecarlo._PASS_SIZE // 4
-
-
-@pytest.mark.parametrize("rows", [1, 3, _TILE - 1, _TILE, _TILE + 1, montecarlo._PASS_SIZE + 3])
-def test_block_draw_at_every_seam(rows):
-    # a pass holds all rows (or _PASS_SIZE of them) and the counters that
-    # fit beside them; counts cross counters (4 words) and passes, every
-    # offset 0..7 starts at another word of a counter
-    reps = range(2**40 + rows, 2**40 + 2 * rows)
-    per_pass = montecarlo._PASS_SIZE // min(rows, montecarlo._PASS_SIZE)
-    counts = [1, 5, 4 * per_pass + 3]
-    # the first and last row, either side of the row seam, and a stride
-    tile_end = min(rows, montecarlo._PASS_SIZE)
-    check = sorted({0, rows - 1, tile_end - 1, tile_end % rows, *range(0, rows, 509)})
-    streams = {i: replicate_rng(-5, reps[i]).random(8 + max(counts)) for i in check}
-    numbers = _replicate_numbers(reps)
-    for offset in range(8):
-        for count in counts:
-            got = replicate_uniforms(-5, numbers, offset, count)
-            assert got.shape == (rows, count)
-            for i in check:
-                assert np.array_equal(got[i], streams[i][offset:offset + count]), (offset, count, i)
-
-
 def test_block_draw_peak_memory():
-    # the peak traced allocation of a 16384-row draw of one counter: the
-    # kernel that built per-round temporaries and stacked its words
-    # peaked at 2 492 956 bytes, this one at 1 642 332
+    # the peak traced allocation of a 16384-row draw of four uniforms: a
+    # Philox kernel that built per-round temporaries and stacked its words
+    # peaked at 2 492 956 bytes, the SplitMix64 draw at 1 246 776
     numbers = _replicate_numbers(range(16384))
     replicate_uniforms(9, numbers, 0, 4)
     tracemalloc.start()
@@ -522,37 +527,38 @@ def test_default_chunk_holds_a_pass_of_draws():
         return [ones.shape[0] for _, _, ones in
                 montecarlo._sample(kind, kind.one_probs(n), range(reps), 1, lead, depth=depth)]
 
-    # mu + 3 sqrt(mu) + 2 jump draws up front, mu = sum h = 1.89 here,
-    # rounded down to whole Philox counters of 4 draws
+    # mu + 3 sqrt(mu) + 2 jump draws up front, mu = sum h = 1.89 here
     kind = ChainKind.x(PSequence.eta(0.5))
     assert montecarlo._jump_width(kind, kind.one_probs(12)) == 6
-    # a block holds _CHUNK_DRAWS // draws replicates, at most _PASS_SIZE
-    assert montecarlo._PASS_SIZE == 8192
-    assert rows(kind, 12, 0, 40000) == [8192] * 4 + [7232]  # 6 -> 4 draws a replicate
-    assert rows(kind, 12, 12, 20000) == [4096] * 4 + [3616]  # 18 -> 16 draws
-    assert rows(ChainKind.eta(1.0), 50, 100, 1100) == [606, 494]  # 111 -> 108 draws
-    # a draw count below one counter stays: one jump draw for A1
-    assert rows(kind, 12, 0, 20000, depth=1) == [8192, 8192, 3616]
-    # two jump draws for A2 after a lead: rounded down while one remains
-    assert rows(kind, 12, 11, 10000, depth=2) == [5461, 4539]  # 13 -> 12 draws
-    assert rows(kind, 12, 12, 10000, depth=2) == [4681, 4681, 638]  # 14 draws: 12 leaves none
+    # a block holds _CHUNK_DRAWS // draws replicates, at most _BLOCK_ROWS
+    assert montecarlo._BLOCK_ROWS == 8192
+    assert rows(kind, 12, 0, 40000) == [8192] * 4 + [7232]  # 6 draws a replicate
+    assert rows(kind, 12, 12, 20000) == [3640] * 5 + [1800]  # 18 draws
+    assert rows(ChainKind.eta(1.0), 50, 100, 1100) == [590, 510]  # 111 draws
+    assert rows(kind, 12, 0, 20000, depth=1) == [8192, 8192, 3616]  # 1 draw
+    assert rows(kind, 12, 11, 10000, depth=2) == [5041, 4959]  # 13 draws
+    assert rows(kind, 12, 12, 10000, depth=2) == [4681, 4681, 638]  # 14 draws
 
 
 def test_a_block_of_long_replicates_is_sized_by_the_budget(monkeypatch):
     # estimate('Lambda', n = 10**6) draws 10**6 orientations a replicate; a
     # 512-row block of them would take 4 GB, so only the first block is
-    # drawn, and a block of more than 2 rows stops at its third stream
-    def guarded(seed, rep):
-        assert rep < 2, "the block holds more than 2 replicates"
-        return replicate_rng(seed, rep)
-
-    monkeypatch.setattr(montecarlo, "replicate_rng", guarded)
+    # drawn, and a draw of more rows than the budget allows stops first
     kind, n, lead = ChainKind.eta(1.0), 10**6, 10**6
     h = kind.one_probs(n)
     width = montecarlo._jump_width(kind, h)
+    chunk = max(1, montecarlo._CHUNK_DRAWS // (lead + width))
+
+    def guarded(seed, numbers, offset, count):
+        assert numbers.size <= chunk, "the block holds more replicates than the budget"
+        return replicate_uniforms(seed, numbers, offset, count)
+
+    monkeypatch.setattr(montecarlo, "replicate_uniforms", guarded)
     _, draws, ones = next(montecarlo._sample(kind, h, range(600), 5, lead))
-    assert draws.shape[0] == ones.shape[0] == max(1, montecarlo._CHUNK_DRAWS // (lead + width))
-    assert np.array_equal(draws[0], replicate_rng(5, 0).random(lead))
+    assert draws.shape == (chunk, lead)
+    assert ones.shape[0] == chunk
+    for offset in (0, 1, lead // 2, lead - 3):
+        assert np.array_equal(draws[0, offset:offset + 3], _reference_stream(5, 0, offset, 3))
 
 
 @pytest.mark.parametrize("stat, reps, kw", [

@@ -18,7 +18,6 @@ from derange.chains import (
     path_probability,
 )
 from derange.coupling import k_distribution, ordered_cycle_prefix_prob
-from derange.montecarlo import replicate_rng
 from derange.numerics import NumericsError
 from derange.params import PSequence, ThetaSequence
 from derange.signed_stats import (
@@ -31,7 +30,7 @@ from derange.signed_stats import (
     omega,
     ordered_star_prob,
 )
-from test_montecarlo import _chi_square_p
+from test_montecarlo import _chi_square_p, _reference_stream
 
 
 def test_omega_worked_value():
@@ -447,7 +446,7 @@ def test_generate_signed_matches_the_index_walk(n, seed):
     reps = range(10**6, 10**6 + 60)
     pairs = generate_signed_many(n, p, kappa, seed, reps)
     for r, (word, perm) in zip(reps, pairs):
-        draws = replicate_rng(seed, r).random(2 * n)
+        draws = _reference_stream(seed, r, 0, 2 * n)
         steps, circles = _signed_by_loop(word.projection(), draws, n, kappa)
         assert (word.steps, perm.circles) == (steps, circles)
         assert all(type(v) is int for c in perm.circles for v in c)
