@@ -61,13 +61,10 @@ def test_the_reference_mix_is_splitmix64():
         0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
 
-# (seed, replicates, offsets, count) past the small random blocks: more
-# rows than a block of _sample holds, a count past 2^13, and offsets at
-# every residue mod 4
+# (seed, replicates, offsets, count) past the small random blocks: a count
+# past 2^13 at an offset that is not a multiple of 4
 _WIDE_DRAWS = {
-    "rows-8195": (31, range(10**9, 10**9 + 8195), (0, 7), 5),
     "count-8195": (-12, range(5, 8), (4003,), 8195),
-    "offsets-0-7": (-5, range(2**40 + 2049, 2**40 + 4098), range(8), 9),
 }
 
 
@@ -86,6 +83,34 @@ def test_block_draw_matches_replicate_streams(first):
         got = replicate_uniforms(seed, _replicate_numbers(reps), offset, count)
         assert got.shape == (len(reps), count)
         assert np.array_equal(got, want), (seed, reps, offset, count)
+
+
+@pytest.mark.parametrize("offset, count", [(0, 5), (7, 9)])
+def test_block_draw_with_more_rows_than_a_pass(offset, count):
+    # more rows than a block of _sample holds
+    reps = range(10**9, 10**9 + montecarlo._BLOCK_ROWS + 3)
+    got = replicate_uniforms(31, _replicate_numbers(reps), offset, count)
+    assert got.shape == (len(reps), count)
+    for i in [*range(0, len(reps), 997), len(reps) - 1]:
+        assert np.array_equal(got[i], _reference_stream(31, reps[i], offset, count)), i
+
+
+@pytest.mark.parametrize("rows", [1, 3, 2047, 2048, 2049, 8195])
+def test_block_draw_at_every_seam(rows):
+    # row counts either side of 2^11 and past a block of _sample; every
+    # offset 0..7, and counts up to some 2^15 uniforms a draw
+    reps = range(2**40 + rows, 2**40 + 2 * rows)
+    counts = [1, 5, 2**15 // rows + 3]
+    # the first and last row, either side of 2^11 rows, and a stride
+    check = sorted({0, rows - 1, min(rows, 2048) - 1, 2048 % rows, *range(0, rows, 509)})
+    streams = {i: _reference_stream(-5, reps[i], 0, 8 + max(counts)) for i in check}
+    numbers = _replicate_numbers(reps)
+    for offset in range(8):
+        for count in counts:
+            got = replicate_uniforms(-5, numbers, offset, count)
+            assert got.shape == (rows, count)
+            for i in check:
+                assert np.array_equal(got[i], streams[i][offset:offset + count]), (offset, count, i)
 
 
 _CHI2_REPS, _CHI2_DRAWS = 4096, 1024
