@@ -372,6 +372,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     from .montecarlo import clt_diagnostic, gem_diagnostic
+    # an alpha outside (0, 1), NaN included, would fix the verdict whatever the sample
+    if not 0.0 < args.alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {args.alpha!r}")
     if args.which == "clt":
         rep = clt_diagnostic(ChainKind.eta(args.theta), args.n, args.reps, args.seed)
     else:

@@ -4,9 +4,12 @@ Words are drawn by a jump sampler.  Every 1 of a word closes a circle, so
 a word is kept as its 1-positions (the sparse jump form), and the next 1
 below a free index z is drawn by inverse CDF: it is the largest index
 t < z with C[t] < C[z] + log U, where C is the log-survival array of the
-per-index one probabilities (``log_survival``).  One ``searchsorted`` per
-round places the next 1 of every replicate in a block, so sampling costs
-O(reps * K) rather than O(reps * n), K being the circle count.
+per-index one probabilities (``log_survival``).  One binary search per
+word and round places the next 1 of every replicate in a block, in
+ascending target order when the round has fewer targets than C has
+entries (``_search``), so sampling costs O(n + reps * K * log n) rather
+than O(reps * n), K being the circle count.  Indices whose one
+probability rounds to 1 are taken as certain 1s (``_certain_ones``).
 
 Replicate r draws from its own SplitMix64 stream (Steele, Lea & Flood
 2014) in a fixed order: the leading draws a statistic needs (orientations
@@ -161,6 +164,35 @@ def _jump_width(kind: ChainKind, h: np.ndarray) -> int:
     return min(n // (1 + kind.gap), int(mu + 3.0 * math.sqrt(mu)) + 2)
 
 
+def _search(log_surv: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(log_surv, target)``, in ascending target order
+    when there are fewer targets than entries.  Random-order keys make each
+    binary search miss the cache on a long array; sorted keys walk it once,
+    which outweighs the argsort and the scatter back.  With more targets
+    than entries the array is short and stays in cache, so the direct
+    search is cheaper.  Both give the same indices."""
+    if target.size >= log_surv.size:
+        return np.searchsorted(log_surv, target)
+    order = np.argsort(target)
+    found = np.empty_like(order)
+    found[order] = np.searchsorted(log_surv, target[order])
+    return found
+
+
+def _certain_ones(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(survival, floor) for one probabilities that round to 1 at an index
+    >= 2, where ``log_survival`` is -inf from that index down.
+
+    Certain indices (h_s = 1, index 1 among them) contribute 0 to the sums
+    of this survival array, which is finite from index 1 on; the next 1
+    below a free index z is the larger of its search and floor[z - 1], the
+    largest certain index at or below z - 1.
+    """
+    one = h >= 1.0
+    return (log_survival(np.where(one, 0.0, h)),
+            np.maximum.accumulate(np.where(one, np.arange(h.size), 0)))
+
+
 def sample_bits(kind: ChainKind, n: int, u: np.ndarray, extend=None,
                 log_surv: np.ndarray | None = None,
                 depth: int | None = None) -> np.ndarray:
@@ -177,10 +209,15 @@ def sample_bits(kind: ChainKind, n: int, u: np.ndarray, extend=None,
     count - 1 (or more) of those rows' uniform streams, so the words do not
     depend on the width of ``u``; without ``extend`` such a row raises
     ValueError.  ``log_surv`` is ``log_survival(kind.one_probs(n))``,
-    passed by callers that sample several blocks at one horizon.
+    passed by callers that sample several blocks at one horizon.  An index
+    whose one probability is 1.0 in floating point shows a 1 whenever it
+    is free (``_certain_ones``).
     """
     if log_surv is None:
         log_surv = log_survival(kind.one_probs(n))
+    floor = None
+    if log_surv[2] == -np.inf:  # some index >= 2 closes a circle for certain
+        log_surv, floor = _certain_ones(kind.one_probs(n))
     # a gap forces a 0 below every 1, the virtual 1 at n + 1 included, so
     # the next free index below a 1 at t is t - gap
     gap = kind.gap
@@ -198,7 +235,9 @@ def sample_bits(kind: ChainKind, n: int, u: np.ndarray, extend=None,
             cols, at, base = extend(active, k, max(k, 4)), np.arange(active.size), k
         # largest t < z whose survival from z - 1 down to t is below 1 - u
         target = log_surv[z[active]] + np.log1p(-cols[at, k - base])
-        t = np.searchsorted(log_surv, target) - 1
+        t = _search(log_surv, target) - 1
+        if floor is not None:
+            t = np.maximum(t, floor[z[active] - 1])
         steps.append((active, t))
         z[active] = t - gap
         more = t > 1

@@ -647,6 +647,10 @@ def test_signed_cki_past_the_horizon(capsys):
     (["exact", "--quantity", "mean_k_eta_limit", "--m", "0"], "m must be >= 1"),
     (["exact", "--quantity", "mean_cj_eta_limit", "--m", "-1"], "m must be >= 0"),
     (["table1", "--m", "-1"], "m must be >= 0"),
+    # --reps 1 would fail the diagnostics' own guard: alpha is checked first
+    *((["diagnose", "--which", which, "--alpha", alpha, "--reps", "1"],
+       "alpha must lie in (0, 1)")
+      for which in ("clt", "gem") for alpha in ("-1", "0", "1", "2", "nan")),
 ])
 def test_guard_rows_exit_3(capsys, argv, fragment):
     code, out, err = run(capsys, *argv, "--format", "json")

@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 import tracemalloc
@@ -330,8 +331,11 @@ _A1_N, _A1_DRAWS = 2000, 2**18
                          ids=["X eta(0.5)", "X eta(3)", "X eta_tilde(3)", "Y eta_star(0.8)"])
 def test_first_jump_is_the_exact_a1_law(kind):
     # the first jump inverts the A_1 law: at midpoint uniforms every CDF
-    # value is hit within half a grid step, with no seed and no test level
-    assert _first_jump_cdf_distance(kind, kind, _A1_N, _A1_DRAWS) <= 1.0 / _A1_DRAWS
+    # value is hit within half a grid step, with no seed and no test level.
+    # 2^18 draws outnumber the n + 2 survival entries and are searched
+    # directly; 2^10 draws are fewer and are searched in sorted order
+    for draws in (_A1_DRAWS, 2**10):
+        assert _first_jump_cdf_distance(kind, kind, _A1_N, draws) <= 1.0 / draws
 
 
 def test_first_jump_check_sees_one_closing_probability():
@@ -342,6 +346,87 @@ def test_first_jump_check_sees_one_closing_probability():
     q[n // 2] *= 1.1
     moved = ChainKind.x(PSequence.tabulated((1.0 - q[1:]).tolist()))
     assert _first_jump_cdf_distance(moved, kind, n, _A1_DRAWS) > 5.0 / _A1_DRAWS
+
+
+def _bisect_walk(kind: ChainKind, n: int, u: np.ndarray, depth: int | None) -> list:
+    """The 1-positions of one word, one scalar binary search per jump over
+    ``log_survival``: the largest t < z with C[t] < C[z] + log(1 - u)."""
+    c = montecarlo.log_survival(kind.one_probs(n)).tolist()
+    z, ones = n + 1 - kind.gap, []
+    for x in u.tolist():
+        t = bisect.bisect_left(c, c[z] + math.log1p(-x)) - 1
+        ones.append(t)
+        z = t - kind.gap
+        if t == 1 or len(ones) == depth:
+            return ones
+    raise AssertionError("the word needs more uniforms than u holds")
+
+
+_WALK_N = 300
+
+
+# 40 rows are fewer than the n + 2 = 302 survival entries, so every round
+# searches in sorted order; 1000 rows search directly until fewer than 302
+# words remain
+@pytest.mark.parametrize("extend", [False, True], ids=["full", "extend"])
+@pytest.mark.parametrize("depth", [None, 1, 2])
+@pytest.mark.parametrize("rows", [40, 1000])
+@pytest.mark.parametrize("kind", [ChainKind.eta(0.7), ChainKind.y(ThetaSequence.constant(1.5))],
+                         ids=["X eta(0.7)", "Y 1.5"])
+def test_both_search_orders_give_the_scalar_walk(kind, rows, depth, extend):
+    n = _WALK_N
+    numbers = np.arange(rows, dtype=np.uint64)
+    full = replicate_uniforms(9, numbers, 0, _full_width(kind, n))
+
+    def more(rows, width, count):
+        return replicate_uniforms(9, numbers[rows], width, count)
+
+    ones = (sample_bits(kind, n, full[:, :1].copy(), more, depth=depth) if extend
+            else sample_bits(kind, n, full, depth=depth))
+    # some word reaches the depth, so past depth 1 extend is called
+    assert ones.shape[1] == depth if depth else ones.shape[1] > 2
+    for row, u in zip(ones.tolist(), full):
+        assert [t for t in row if t] == _bisect_walk(kind, n, u, depth)
+
+
+@pytest.mark.parametrize("theta", [1e17, 1e300])
+@pytest.mark.parametrize("kind", [ChainKind.eta, lambda t: ChainKind.y(ThetaSequence.constant(t))],
+                         ids=["X eta", "Y constant"])
+def test_certain_ones_give_the_exact_law(kind, theta):
+    # every closing probability from index 3 (X) or 2 (Y) on rounds to 1,
+    # so log_survival is -inf there and a search alone would leave the
+    # support; the exact law puts all but 1e-15 of its mass on one word,
+    # which 2000 draws then all show
+    kind, n = kind(theta), 8
+    assert montecarlo.log_survival(kind.one_probs(n))[2] == -np.inf
+    law = dict(oracle.exact_law(kind, n).items())
+    mode = max(law, key=law.get)
+    assert law[mode] > 1.0 - 1e-15
+    assert set(sample_paths(kind, n, 4, range(2000))) == {mode}
+    if kind.gap:
+        for _, perm in chains.generate_signed_many(n, kind.p, 0.5, 4, range(200)):
+            assert sorted(abs(x) for c in perm.circles for x in c) == list(range(1, n + 1))
+    else:
+        assert estimate("K", kind, n, 100, 1).mean == n
+
+
+@pytest.mark.parametrize("kind, n", [
+    (ChainKind.x(PSequence.tabulated([0.0, 1.0, 0.5, 0.3, 1e-300, 0.6, 0.4, 0.7, 0.5])), 9),
+    (ChainKind.y(ThetaSequence.tabulated([1.0, 1.0, 1.0, 1.0, 1e300, 1.0, 1.0, 1.0])), 8),
+], ids=["X", "Y"])
+def test_one_certain_index_keeps_the_rest_random(kind, n):
+    # index 5 closes a circle for certain unless a gap forces it to 0; the
+    # indices above and below it stay random
+    reps = 100_000
+    assert kind.one_probs(n)[5] == 1.0
+    u = np.random.default_rng(303).random((reps, _full_width(kind, n)))
+    words = _words(sample_bits(kind, n, u), n)
+    keys, counts = np.unique(words, axis=0, return_counts=True)
+    sampled = {tuple(int(b) for b in k): int(c) for k, c in zip(keys, counts)}
+    law = dict(oracle.exact_law(kind, n).items())
+    assert len(sampled) > 8
+    assert all(law[w] > 0.0 for w in sampled)
+    assert _chi_square_p(sampled, law, reps) > 1e-3
 
 
 def test_words_do_not_depend_on_jump_width():
