@@ -26,4 +26,4 @@ print(f"  A1/n vs Beta(1, 0.7):       KS = {rep.ks_stat:.4f}, "
 print(f"  A2/(n-A1) vs Beta(1, 0.7):  KS = {rep.extras['ks_stat_a2']:.4f}, "
       f"p = {rep.extras['p_value_a2']:.3f}")
 print(f"  joint prefix cell: empirical {rep.extras['joint_prefix_empirical']:.4f} "
-      f"vs stick-breaking oracle {rep.extras['joint_prefix_oracle']:.4f}")
+      f"vs exact GEM box {rep.extras['joint_prefix_oracle']:.4f}")

@@ -201,19 +201,17 @@ SIGNED_QUANTITIES = {
 # verification suites for `verify`: each returns (name of its measure, the
 # measure, the tolerance it must stay below)
 
-def _random_p(n: int, rng) -> PSequence:
-    vals = [0.0, 1.0] + list(0.15 + 0.8 * rng.random(max(n - 2, 0)))
-    return PSequence.tabulated(vals, tail_rule="constant")
-
-
 def _suite_conditional(args):
     from . import oracle
-    from .montecarlo import replicate_rng
+    from .montecarlo import replicate_uniforms
     if args.trials < 1:
         raise ValueError("--trials must be >= 1: with no trial the conditional suite "
                          "compares nothing")
-    rng = replicate_rng(args.seed, 0)
-    ps = [_random_p(args.n, rng) for _ in range(args.trials)]
+    # trial t tabulates p_3 .. p_n from uniforms 0 .. n - 3 of stream t
+    u = replicate_uniforms(args.seed, np.arange(args.trials, dtype=np.uint64), 0,
+                           max(args.n - 2, 0))
+    ps = [PSequence.tabulated([0.0, 1.0, *(0.15 + 0.8 * row)], tail_rule="constant")
+          for row in u]
     tvs = (compare_laws(oracle.exact_law(ChainKind.x(p), args.n),
                         oracle.conditional_law(args.n, conditional_theta(p))).tv for p in ps)
     return "max_tv", max(tvs), 1e-12

@@ -292,8 +292,13 @@ def gamma_inf(i: int, thetaseq: ThetaSequence, *,
     # Seeding the sweep with 1 at a finite horizon N leaves an O(1/N) bias
     # (the ignored tail of 11-pattern probabilities), so raw doubling
     # converges too slowly; Richardson extrapolation over doubled horizons
-    # removes the leading powers of 1/N.
+    # removes the leading powers of 1/N once that tail, about N c_N c_{N+1},
+    # is below 1; the doubling starts there.
     horizon = max(4 * i, 1024)
+    c = lambda r: coin[r] if r < coin.size else thetaseq.coin_prob(r)
+    while horizon * c(horizon) * c(horizon + 1) > 1.0:
+        if (horizon := 2 * horizon) > 10**7:
+            raise NumericsError(f"gamma_inf: N c_N c_(N+1) > 1 up to horizon {horizon}")
     sweeps = [_gamma_inf_backward(i, thetaseq, horizon)]
     prev_best = sweeps[0]
     while True:

@@ -16,27 +16,15 @@ Replicate r draws from its own SplitMix64 stream (Steele, Lea & Flood
 or a KS dither), then one uniform per jump.  Uniform k of the stream is
 (splitmix64(key_r + k gamma) >> 11) 2^-53 with key_r =
 splitmix64(splitmix64(seed) ^ r), all modulo 2^64 (``_splitmix64``), a
-pure function of (seed, r, k): ``replicate_uniforms`` draws any block of
-any replicates' streams in a few uint64 array passes.  The streams are
+pure function of (seed, r, k).  ``replicate_uniforms`` draws any block of
+the streams, and round k of ``sample_bits`` draws jump uniform k of the
+words still open, both through ``_mix_uniforms``.  The streams are
 windows of the one Weyl sequence x -> x + gamma at pseudo-random starts,
 so with L draws a replicate, some two of R replicates overlap with
 probability at most R^2 L / 2^64 (2e-7 at 2000 replicates of 10^6
-draws).  A replicate that needs more jumps than were drawn up front
-continues its stream at a later offset, so every result depends only on
-(seed, r) and not on how replicates are batched or how many jumps were
-drawn up front.  That lets the sampler do only the work a statistic
-reads:
-
-- it stops each word after the jumps the statistic reads
-  (``_JUMP_DEPTH``: the first circle for A1, the first two for A2, A*_1
-  and the GEM diagnostic, every circle otherwise);
-- it draws mu + 3 sqrt(mu) + 2 jump uniforms up front, mu = sum h >= E[K]
-  (fewer when the depth is smaller), so only the words in the upper tail
-  of the circle count continue their streams;
-- it sizes a block by its up-front draws, at most ``_CHUNK_DRAWS`` of
-  them and at most ``_BLOCK_ROWS`` replicates, so either diagnostic with
-  2000 replicates at theta = 1, n = 10^6 is one block and a replicate
-  with 10^6 orientation draws is a block of its own.
+draws).  No result depends on how replicates are batched, so the sampler
+stops each word after the jumps a statistic reads (``_JUMP_DEPTH``) and
+sizes a block by the draws a replicate is expected to take (``_sample``).
 
 The two diagnostics test the normal limit of the cycle-count total and
 the GEM limit of the normalized ordered cycle lengths.
@@ -50,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import ChainKind
+from .numerics import AccuracySpec, integrate
 
 # splitmix64 mixing constants (Steele, Lea & Flood 2014); documented so the
 # substream derivation can be reproduced outside this module.
@@ -58,10 +47,10 @@ _SM64_MIX1 = 0xBF58476D1CE4E5B9
 _SM64_MIX2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
 
-# Most up-front draws in a block of _sample (512 KiB of float64): a block
-# holds _CHUNK_DRAWS // (up-front draws per replicate) replicates, at least 1
-# and at most _BLOCK_ROWS, so the memory of a block (its draws and the
-# orientation prefix sums of _extract) does not grow with n.
+# Most draws a block of _sample is expected to take (512 KiB of float64): a
+# block holds _CHUNK_DRAWS // (expected draws per replicate) replicates, at
+# least 1 and at most _BLOCK_ROWS, so the memory of a block (its draws and
+# the orientation prefix sums of _extract) does not grow with n.
 _CHUNK_DRAWS = 1 << 16
 # Most replicates in a block of _sample.  Short words would otherwise fill
 # a block with 2^16 replicates, and chains._jump_blocks keeps a dense
@@ -79,9 +68,8 @@ def _splitmix64(x: int) -> int:
 
 
 def replicate_rng(seed: int, rep: int) -> np.random.Generator:
-    """A numpy Philox generator keyed by (seed, rep), for the single
-    streams outside the sampler: the stick-breaking sticks and the random
-    tables of ``verify --suite conditional``."""
+    """A numpy Philox generator keyed by (seed, rep); it draws the sticks of
+    ``stick_breaking_sample``."""
     base = _splitmix64(seed & _MASK64)
     k0 = _splitmix64(base ^ rep)
     k1 = _splitmix64((base + rep * _SM64_GAMMA) & _MASK64)
@@ -100,6 +88,13 @@ def _replicate_numbers(replicates: range) -> np.ndarray:
     return steps + (replicates.start & _MASK64)
 
 
+def _stream_keys(seed: int, replicates: np.ndarray, offset: int = 0) -> np.ndarray:
+    """key_r + offset gamma modulo 2^64 (uint64 arrays wrap) for each
+    replicate number r of the uint64 array ``replicates``."""
+    keys = _splitmix64(replicates ^ _splitmix64(seed & _MASK64))
+    return keys + np.uint64(offset * _SM64_GAMMA & _MASK64)
+
+
 def replicate_uniforms(seed: int, replicates: np.ndarray, offset: int,
                        count: int) -> np.ndarray:
     """Uniforms offset .. offset + count - 1 of each replicate's stream, one
@@ -108,10 +103,13 @@ def replicate_uniforms(seed: int, replicates: np.ndarray, offset: int,
     Uniform k of replicate r is (_splitmix64(key_r + k gamma) >> 11) 2^-53
     with key_r = _splitmix64(_splitmix64(seed) ^ r), modulo 2^64.
     """
-    keys = _splitmix64(replicates ^ _splitmix64(seed & _MASK64))
-    # the states key_r + (k + 1) gamma that the mix of _splitmix64 reads;
-    # uint64 arrays wrap modulo 2^64
-    x = np.arange(offset + 1, offset + count + 1, dtype=np.uint64) * _GAMMA + keys[:, None]
+    keys = _stream_keys(seed, replicates, offset)
+    return _mix_uniforms(np.arange(1, count + 1, dtype=np.uint64) * _GAMMA + keys[:, None])
+
+
+def _mix_uniforms(x: np.ndarray) -> np.ndarray:
+    """(mix(x) >> 11) 2^-53 for each of the uint64 states x, where mix is
+    ``_splitmix64`` after its gamma step; x is overwritten."""
     out = np.empty(x.shape)
     t = out.view(np.uint64)  # scratch until the last pass
     for shift, mul in ((_30, _MIX1), (_27, _MIX2)):
@@ -122,6 +120,11 @@ def replicate_uniforms(seed: int, replicates: np.ndarray, offset: int,
     np.bitwise_xor(x, t, out=x)
     np.right_shift(x, _11, out=x)
     return np.multiply(x, 2.0**-53, out=out)
+
+
+def _column(keys: np.ndarray, k: int) -> np.ndarray:
+    """Uniform k of the streams past the states ``keys`` (``_stream_keys``)."""
+    return _mix_uniforms(keys + np.uint64((k + 1) * _SM64_GAMMA & _MASK64))
 
 
 @dataclass(frozen=True)
@@ -155,10 +158,11 @@ def log_survival(h: np.ndarray) -> np.ndarray:
 
 
 def _jump_width(kind: ChainKind, h: np.ndarray) -> int:
-    """Jump uniforms drawn up front per replicate: mu + 3 sqrt(mu) + 2,
-    capped by the most circles a word can have.  mu = sum h is the mean of
-    the Poisson-binomial sum that bounds K (see ``coupling._k_cap``), so
-    few words need more and those continue their own streams."""
+    """The 1-positions a replicate's word is expected to keep, which sizes
+    the blocks of ``_sample``: mu + 3 sqrt(mu) + 2, capped by the most
+    circles a word can have.  mu = sum h is the mean of the
+    Poisson-binomial sum that bounds K (see ``coupling._k_cap``), so few
+    words keep more."""
     n = h.size - 1
     mu = float(h[1:].sum())
     return min(n // (1 + kind.gap), int(mu + 3.0 * math.sqrt(mu)) + 2)
@@ -193,25 +197,24 @@ def _certain_ones(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.maximum.accumulate(np.where(one, np.arange(h.size), 0)))
 
 
-def sample_bits(kind: ChainKind, n: int, u: np.ndarray, extend=None,
+def sample_bits(kind: ChainKind, n: int, keys: np.ndarray, draw=_column,
                 log_surv: np.ndarray | None = None,
                 depth: int | None = None) -> np.ndarray:
     """The 1-positions of a block of words, one row per replicate.
 
-    Row i of ``u`` holds the jump uniforms of replicate i, one per circle.
+    Row i of ``keys`` keys replicate i's jump uniforms: round k draws
+    ``draw(keys[rows], k)`` for the rows still open, by default
+    (``_column``) uniform k past each stream state (``_stream_keys``);
+    chosen uniforms pass as rows with ``draw = lambda u, k: u[:, k]``.
     The result has shape (rows, K_max): each row lists its 1-positions in
     descending chain index (the closing index of the first-formed circle
     first), padded with 0; the last 1 of every word is at index 1.  With
     ``depth``, every row stops after its first ``depth`` 1-positions, which
-    are those of the whole word, so K_max is at most ``depth``.  Rows
-    needing more jumps than ``u`` has columns get them from
-    ``extend(rows, width, count)``, which returns columns width..width +
-    count - 1 (or more) of those rows' uniform streams, so the words do not
-    depend on the width of ``u``; without ``extend`` such a row raises
-    ValueError.  ``log_surv`` is ``log_survival(kind.one_probs(n))``,
-    passed by callers that sample several blocks at one horizon.  An index
-    whose one probability is 1.0 in floating point shows a 1 whenever it
-    is free (``_certain_ones``).
+    are those of the whole word, so K_max is at most ``depth``.
+    ``log_surv`` is ``log_survival(kind.one_probs(n))``, passed by callers
+    that sample several blocks at one horizon.  An index whose one
+    probability is 1.0 in floating point shows a 1 whenever it is free
+    (``_certain_ones``).
     """
     if log_surv is None:
         log_surv = log_survival(kind.one_probs(n))
@@ -221,27 +224,19 @@ def sample_bits(kind: ChainKind, n: int, u: np.ndarray, extend=None,
     # a gap forces a 0 below every 1, the virtual 1 at n + 1 included, so
     # the next free index below a 1 at t is t - gap
     gap = kind.gap
-    rows = u.shape[0]
+    rows = keys.shape[0]
     z = np.full(rows, n + 1 - gap)
     active = np.arange(rows)
-    # the active rows' jump uniforms: row at[i] of cols, from jump base on
-    cols, at, base = u, active, 0
     steps = []  # (active rows, their 1-positions) per jump
     while active.size and len(steps) != depth:
-        k = len(steps)
-        if k == base + cols.shape[1]:
-            if extend is None:
-                raise ValueError("a word needs more jump uniforms than u holds")
-            cols, at, base = extend(active, k, max(k, 4)), np.arange(active.size), k
         # largest t < z whose survival from z - 1 down to t is below 1 - u
-        target = log_surv[z[active]] + np.log1p(-cols[at, k - base])
+        target = log_surv[z[active]] + np.log1p(-draw(keys[active], len(steps)))
         t = _search(log_surv, target) - 1
         if floor is not None:
             t = np.maximum(t, floor[z[active] - 1])
         steps.append((active, t))
         z[active] = t - gap
-        more = t > 1
-        active, at = active[more], at[more]
+        active = active[t > 1]
     ones = np.zeros((rows, len(steps)), dtype=np.int64)
     for k, (active, t) in enumerate(steps):
         ones[active, k] = t
@@ -253,32 +248,24 @@ def _sample(kind: ChainKind, h: np.ndarray, replicates: range, seed: int, lead: 
     """Yield (offset in ``replicates``, leading draws, 1-positions) per chunk.
 
     Each replicate's stream gives ``lead`` draws for the caller first, then
-    its jump uniforms; with ``depth`` a word stops after its first
-    ``depth`` 1-positions (see ``sample_bits``).  A chunk holds
-    ``_CHUNK_DRAWS`` over the up-front draws of one replicate, at least 1
-    and at most ``_BLOCK_ROWS`` replicates, and takes those draws from one
-    ``replicate_uniforms`` call; a word that needs more jumps than were
-    drawn up front continues its stream at a later offset.  A caller drops
-    its references to a chunk before asking for the next, so one block is
-    alive at a draw.
+    the jump uniforms that ``sample_bits`` draws round by round, stopping
+    after ``depth`` 1-positions.  A chunk holds ``_CHUNK_DRAWS`` over the
+    draws a replicate is expected to take (``lead`` plus ``_jump_width``),
+    at least 1 and at most ``_BLOCK_ROWS`` replicates.  A caller drops its
+    references to a chunk before asking for the next, so one block is alive
+    at a draw.
     """
     n = h.size - 1
     log_surv = log_survival(h)
-    width = _jump_width(kind, h)
-    if depth is not None:
-        width = min(width, depth)
-    draws = lead + width
-    chunk = max(1, min(_BLOCK_ROWS, _CHUNK_DRAWS // draws))
+    width = min(_jump_width(kind, h), depth or n)
+    chunk = max(1, min(_BLOCK_ROWS, _CHUNK_DRAWS // (lead + width)))
     for start in range(0, len(replicates), chunk):
         block = _replicate_numbers(replicates[start:start + chunk])
-        u = replicate_uniforms(seed, block, 0, draws)
-
-        def extend(rows, done, count, block=block):
-            return replicate_uniforms(seed, block[rows], lead + done, count)
-
-        ones = sample_bits(kind, n, u[:, lead:], extend, log_surv, depth)
-        yield start, u[:, :lead], ones
-        del u, ones, extend  # the next block is drawn without this one alive
+        draws = replicate_uniforms(seed, block, 0, lead)
+        ones = sample_bits(kind, n, _stream_keys(seed, block, lead),
+                           log_surv=log_surv, depth=depth)
+        yield start, draws, ones
+        del draws, ones  # the next block is drawn without this one alive
 
 
 def _extract(statistic: str, ones: np.ndarray, orient: np.ndarray | None,
@@ -454,9 +441,23 @@ def stick_breaking_sample(theta: float, reps: int, seed: int,
     return sticks * np.concatenate((np.ones((reps, 1)), remaining), axis=1)
 
 
+def _gem_box(theta: float) -> float:
+    """P(0.4 <= V_1 <= 0.6, 0.1 <= (1 - V_1) V_2 <= 0.3), V_1, V_2 iid
+    Beta(1, theta): the integral over [0.4, 0.6] of theta/(1 - v)
+    [(0.9 - v)^theta - (0.7 - v)^theta], the bracket by expm1."""
+    def density(v):
+        with np.errstate(over="ignore"):  # theta near the float range
+            ratio = theta * np.log((0.7 - v) / (0.9 - v))
+        return (0.9 - v) ** theta * theta / (1.0 - v) * -np.expm1(ratio)
+
+    # a relative stop: the box lies far below any abs_tol at large theta
+    return integrate(density, (0.4, 0.6), AccuracySpec(abs_tol=1e-300, rel_tol=1e-12))[0]
+
+
 def gem_diagnostic(theta: float, n: int, reps: int, seed: int) -> EstimateReport:
     """KS tests of the normalized first two cycle lengths of the eta chain
-    against the Beta(1, theta) sticks of the GEM limit."""
+    against the Beta(1, theta) sticks of the GEM limit, and the frequency
+    of a joint box of both against its exact GEM probability."""
     if reps < 2:
         raise ValueError("reps must be >= 2")
     kind = ChainKind.eta(theta)
@@ -474,13 +475,8 @@ def gem_diagnostic(theta: float, n: int, reps: int, seed: int) -> EstimateReport
     rel2 = a2 / np.maximum(n - a1, 1.0)
     d2 = ks_statistic(rel2, beta_cdf)
     flags = () if reps >= _MIN_KS_REPS else ("ks_unreliable_small_sample",)
-    oracle = stick_breaking_sample(theta, reps, seed)
     joint_emp = float(np.mean(
         (a1 / n >= 0.4) & (a1 / n <= 0.6) & (a2 / n >= 0.1) & (a2 / n <= 0.3)
-    ))
-    joint_oracle = float(np.mean(
-        (oracle[:, 0] >= 0.4) & (oracle[:, 0] <= 0.6)
-        & (oracle[:, 1] >= 0.1) & (oracle[:, 1] <= 0.3)
     ))
     return EstimateReport(
         statistic="A1/n vs Beta(1, theta)", reps=reps,
@@ -490,5 +486,5 @@ def gem_diagnostic(theta: float, n: int, reps: int, seed: int) -> EstimateReport
         params={"theta": theta, "n": n},
         extras={"ks_stat_a2": d2, "p_value_a2": ks_p_value(d2, reps),
                 "joint_prefix_empirical": joint_emp,
-                "joint_prefix_oracle": joint_oracle},
+                "joint_prefix_oracle": _gem_box(theta)},
     )

@@ -263,10 +263,10 @@ def test_criterion_11_gem():
     rep = gem_diagnostic(0.7, 5000, 2000, seed=17)
     assert rep.p_value > 0.001
     assert rep.extras["p_value_a2"] > 0.001
-    # joint prefix probability vs the stick-breaking oracle (binomial 3-sigma)
+    # joint prefix frequency vs its exact GEM probability (binomial 3-sigma)
     emp = rep.extras["joint_prefix_empirical"]
     ora = rep.extras["joint_prefix_oracle"]
-    sigma = math.sqrt(ora * (1 - ora) / 2000 + emp * (1 - emp) / 2000)
+    sigma = math.sqrt(ora * (1 - ora) / 2000)
     assert abs(emp - ora) < 3 * sigma + 1e-12
 
 

@@ -86,6 +86,15 @@ def test_gamma_inf_matches_closed_form():
             assert a == pytest.approx(b, abs=5e-11)
 
 
+@pytest.mark.parametrize("theta", [150.0, 300.0])
+def test_gamma_inf_at_large_theta_matches_closed_form(theta):
+    # below horizon theta^2 the sweeps' tail N c_N c_(N+1) exceeds 1 and
+    # their differences are not yet powers of 1/N; at theta = 300 the
+    # extrapolation over those sweeps never settled
+    value = gamma_inf(5, ThetaSequence.eta_star(theta))
+    assert value == pytest.approx(delta_i_inf(theta, 5), rel=1e-10, abs=0)
+
+
 def test_gamma_inf_tends_to_one():
     ts = ThetaSequence.eta_star(0.5)
     assert gamma_inf(200, ts) > 0.99

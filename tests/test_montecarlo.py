@@ -5,6 +5,7 @@ import tracemalloc
 from collections import deque
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from scipy.stats import chisquare
 
 from derange import chains, montecarlo, oracle
 from derange.chains import ChainKind, cycle_statistics, generate_signed, sample_path, sample_paths
+from derange.cli import run_command
 from derange.coupling import k_distribution, ordered_cycle_prefix_prob
 from derange.montecarlo import (
     _MASK64,
@@ -152,7 +154,7 @@ def test_seeded_outputs_are_pinned():
     assert perm.circles == ((3, -5, 4, -7, 1), (8, -6, 2))
 
 
-def test_the_sampler_builds_no_generator(monkeypatch):
+def test_the_sampler_builds_no_generator(monkeypatch, capsys):
     built, generator = [], np.random.Generator
 
     def counted(*args, **kwargs):
@@ -166,9 +168,10 @@ def test_the_sampler_builds_no_generator(monkeypatch):
     clt_diagnostic(ChainKind.eta(1.0), 300, 600, 2)
     sample_paths(ChainKind.eta(1.0), 30, 3, range(50))
     generate_signed(40, PSequence.eta(1.0), 0.4, 3)
+    gem_diagnostic(1.0, 200, 600, 4)
+    assert run_command(["verify", "--suite", "conditional", "--n", "8", "--trials", "3"]) == 0
+    capsys.readouterr()
     assert built == []
-    gem_diagnostic(1.0, 200, 600, 4)  # the one stick-breaking stream
-    assert len(built) == 1
 
 
 @pytest.mark.parametrize("lead", [2, 576])
@@ -177,7 +180,7 @@ def test_sampler_draws_are_the_replicate_streams(lead):
     streams = np.array([_reference_stream(seed, r, 0, lead + n) for r in reps])
     (_, draws, ones), = montecarlo._sample(kind, kind.one_probs(n), reps, seed, lead)
     assert np.array_equal(draws, streams[:, :lead])
-    assert np.array_equal(ones, sample_bits(kind, n, streams[:, lead:]))
+    assert np.array_equal(ones, _bits(kind, n, streams[:, lead:]))
 
 
 def test_estimate_deterministic():
@@ -248,8 +251,40 @@ def test_gem_diagnostic_fast():
     assert rep.p_value > 0.001
 
 
+def test_gem_box_at_theta_1_is_a_logarithm():
+    # V_1, V_2 uniform: the integral of 0.2/(1 - v) over [0.4, 0.6]
+    assert montecarlo._gem_box(1.0) == pytest.approx(0.2 * math.log(1.5), rel=0, abs=1e-14)
+
+
+@pytest.mark.parametrize("theta", [1e-6, 0.01, 0.5, 3.0, 30.0])
+def test_gem_box_matches_mpmath(theta):
+    # P(0.4 <= V_1 <= 0.6, 0.1 <= (1 - V_1) V_2 <= 0.3) as the plain
+    # difference of the two powers, at 40 digits; at theta = 1e-6 that
+    # difference loses six of its sixteen digits in double precision
+    with mpmath.workdps(40):
+        t = mpmath.mpf(theta)
+        want = mpmath.quad(lambda v: t / (1 - v) * ((mpmath.mpf("0.9") - v) ** t
+                                                  - (mpmath.mpf("0.7") - v) ** t),
+                           [mpmath.mpf("0.4"), mpmath.mpf("0.6")])
+    assert montecarlo._gem_box(theta) == pytest.approx(float(want), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("theta", [0.7, 1.0])
+def test_sampled_gem_box_frequency_is_the_exact_box(theta):
+    reps = 20_000
+    rep = gem_diagnostic(theta, 20_000, reps, seed=23)
+    p = rep.extras["joint_prefix_oracle"]
+    assert p == montecarlo._gem_box(theta)
+    assert abs(rep.extras["joint_prefix_empirical"] - p) < 4 * math.sqrt(p * (1 - p) / reps)
+
+
 # ---------------------------------------------------------------------------
 # jump sampler
+
+def _bits(kind: ChainKind, n: int, u: np.ndarray, **kw) -> np.ndarray:
+    """``sample_bits`` reading jump k of row i from ``u[i, k]``."""
+    return sample_bits(kind, n, u, lambda rows, k: rows[:, k], **kw)
+
 
 def _words(ones: np.ndarray, n: int) -> np.ndarray:
     """Dense 0/1 words (ascending chain index) from 1-positions."""
@@ -287,7 +322,7 @@ def _full_width(kind, n):
 def test_sampled_word_law_matches_exact(kind, n):
     reps = 100_000
     u = np.random.default_rng(101).random((reps, _full_width(kind, n)))
-    words = _words(sample_bits(kind, n, u), n)
+    words = _words(_bits(kind, n, u), n)
     keys, counts = np.unique(words, axis=0, return_counts=True)
     sampled = {tuple(int(b) for b in k): int(c) for k, c in zip(keys, counts)}
     law = dict(oracle.exact_law(kind, n).items())
@@ -300,7 +335,7 @@ def test_sampled_k_law_matches_exact(theta, n):
     kind = ChainKind.x(p)
     reps = 100_000
     u = np.random.default_rng(202).random((reps, _full_width(kind, n)))
-    k = np.count_nonzero(sample_bits(kind, n, u), axis=1)
+    k = np.count_nonzero(_bits(kind, n, u), axis=1)
     values, counts = np.unique(k, return_counts=True)
     sampled = {int(v): int(c) for v, c in zip(values, counts)}
     law = dict(k_distribution(ChainKind.x(p), n).items())
@@ -314,7 +349,7 @@ def _first_jump_cdf_distance(sampled: ChainKind, exact: ChainKind, n: int,
     the exact A_1 law of ``exact``, ``ordered_cycle_prefix_prob`` below n
     and the remainder at n."""
     u = (np.arange(draws) + 0.5) / draws
-    a1 = n + 1 - sample_bits(sampled, n, u[:, None], depth=1)[:, 0]
+    a1 = n + 1 - _bits(sampled, n, u[:, None], depth=1)[:, 0]
     law = np.zeros(n + 1)
     law[1:n] = [ordered_cycle_prefix_prob(exact, (a,), n) for a in range(1, n)]
     law[n] = 1.0 - math.fsum(law.tolist())
@@ -367,26 +402,30 @@ _WALK_N = 300
 
 # 40 rows are fewer than the n + 2 = 302 survival entries, so every round
 # searches in sorted order; 1000 rows search directly until fewer than 302
-# words remain
-@pytest.mark.parametrize("extend", [False, True], ids=["full", "extend"])
+# words remain.  Jump k of replicate r is uniform lead + k of its stream,
+# after lead = 0, 2 or 576 leading draws: "full" feeds a full-width matrix
+# of them through the draw argument, "stream" has the sampler draw them
+# round by round
+@pytest.mark.parametrize("source", ["full", "stream"])
 @pytest.mark.parametrize("depth", [None, 1, 2])
 @pytest.mark.parametrize("rows", [40, 1000])
 @pytest.mark.parametrize("kind", [ChainKind.eta(0.7), ChainKind.y(ThetaSequence.constant(1.5))],
                          ids=["X eta(0.7)", "Y 1.5"])
-def test_both_search_orders_give_the_scalar_walk(kind, rows, depth, extend):
-    n = _WALK_N
-    numbers = np.arange(rows, dtype=np.uint64)
-    full = replicate_uniforms(9, numbers, 0, _full_width(kind, n))
-
-    def more(rows, width, count):
-        return replicate_uniforms(9, numbers[rows], width, count)
-
-    ones = (sample_bits(kind, n, full[:, :1].copy(), more, depth=depth) if extend
-            else sample_bits(kind, n, full, depth=depth))
-    # some word reaches the depth, so past depth 1 extend is called
-    assert ones.shape[1] == depth if depth else ones.shape[1] > 2
-    for row, u in zip(ones.tolist(), full):
-        assert [t for t in row if t] == _bisect_walk(kind, n, u, depth)
+def test_both_search_orders_give_the_scalar_walk(kind, rows, depth, source):
+    n, seed = _WALK_N, 9
+    reps = range(10**6, 10**6 + rows)
+    numbers = _replicate_numbers(reps)
+    for lead in (0, 2, 576):
+        if source == "full":
+            ones = _bits(kind, n, replicate_uniforms(seed, numbers, lead, _full_width(kind, n)),
+                         depth=depth)
+        else:
+            ones = sample_bits(kind, n, montecarlo._stream_keys(seed, numbers, lead), depth=depth)
+        assert ones.shape[1] == depth if depth else ones.shape[1] > 2
+        for r, row in zip(reps, ones.tolist()):
+            jumps = [t for t in row if t]
+            walk = _bisect_walk(kind, n, _reference_stream(seed, r, lead, len(jumps)), depth)
+            assert jumps == walk, (lead, r)
 
 
 @pytest.mark.parametrize("theta", [1e17, 1e300])
@@ -420,46 +459,13 @@ def test_one_certain_index_keeps_the_rest_random(kind, n):
     reps = 100_000
     assert kind.one_probs(n)[5] == 1.0
     u = np.random.default_rng(303).random((reps, _full_width(kind, n)))
-    words = _words(sample_bits(kind, n, u), n)
+    words = _words(_bits(kind, n, u), n)
     keys, counts = np.unique(words, axis=0, return_counts=True)
     sampled = {tuple(int(b) for b in k): int(c) for k, c in zip(keys, counts)}
     law = dict(oracle.exact_law(kind, n).items())
     assert len(sampled) > 8
     assert all(law[w] > 0.0 for w in sampled)
     assert _chi_square_p(sampled, law, reps) > 1e-3
-
-
-def test_words_do_not_depend_on_jump_width():
-    kind = ChainKind.eta(4.0)
-    n, reps = 300, 40
-    full = np.array([_reference_stream(3, r, 0, _full_width(kind, n)) for r in range(reps)])
-    narrow = full[:, :1].copy()
-    wide = sample_bits(kind, n, full)
-    numbers = np.arange(reps, dtype=np.uint64)
-
-    def extend(rows, width, count):
-        return replicate_uniforms(3, numbers[rows], width, count)
-
-    assert np.count_nonzero(wide, axis=1).min() > 3  # every row outgrows width 1
-    assert np.array_equal(sample_bits(kind, n, narrow, extend), wide)
-    with pytest.raises(ValueError):
-        sample_bits(kind, n, narrow)
-
-
-@pytest.mark.parametrize("depth", [1, 2, 5])
-def test_one_column_with_extend_gives_the_full_width_words(depth):
-    # depth None is test_words_do_not_depend_on_jump_width
-    kind = ChainKind.eta(4.0)
-    n, reps = 300, 40
-    full = np.array([_reference_stream(3, r, 0, _full_width(kind, n)) for r in range(reps)])
-    numbers = np.arange(reps, dtype=np.uint64)
-
-    def extend(rows, width, count):
-        return replicate_uniforms(3, numbers[rows], width, count)
-
-    wide = sample_bits(kind, n, full, depth=depth)
-    assert wide.shape[1] == depth  # some word has more circles
-    assert np.array_equal(sample_bits(kind, n, full[:, :1].copy(), extend, depth=depth), wide)
 
 
 @settings(max_examples=60, deadline=None)
@@ -501,8 +507,8 @@ def test_jump_depth_gives_the_full_depth_results(stat, n, reps, budget, seed):
 
 
 def test_results_do_not_depend_on_jump_width(monkeypatch):
-    # width 1 sends every replicate through the stream continuation, after
-    # its orientation or dither draws
+    # the width sizes the blocks only: width 1 with this budget gives 37
+    # replicates a block, after their orientation or dither draws
     kind = ChainKind.x(PSequence.eta(1.5))
     eta2 = ChainKind.eta(2.0)
     ref = (estimate("Cstar_j", kind, 25, 200, seed=6, j=2, kappa=0.35),
@@ -542,7 +548,7 @@ def _row_statistics(word, looks, n, j, target):
 def test_extraction_matches_word_loop(kind):
     n, rows, j, target = 15, 300, 2, 2
     rng = np.random.default_rng(5)
-    ones = sample_bits(kind, n, rng.random((rows, _full_width(kind, n))))
+    ones = _bits(kind, n, rng.random((rows, _full_width(kind, n))))
     orient = rng.random((rows, n)) < 0.4
     words = _words(ones, n)
     ref = [_row_statistics(words[r], orient[r], n, j, target) for r in range(rows)]
@@ -617,8 +623,7 @@ def test_no_block_is_alive_while_the_next_is_drawn(run):
     live = []
 
     def spy(seed, numbers, offset, count):
-        if offset == 0:  # a block draw, not a word's continuation
-            live.append(tracemalloc.get_traced_memory()[0])
+        live.append(tracemalloc.get_traced_memory()[0])
         return replicate_uniforms(seed, numbers, offset, count)
 
     run()
@@ -637,7 +642,7 @@ def test_default_chunk_holds_a_pass_of_draws():
         return [ones.shape[0] for _, _, ones in
                 montecarlo._sample(kind, kind.one_probs(n), range(reps), 1, lead, depth=depth)]
 
-    # mu + 3 sqrt(mu) + 2 jump draws up front, mu = sum h = 1.89 here
+    # mu + 3 sqrt(mu) + 2 jumps expected, mu = sum h = 1.89 here
     kind = ChainKind.x(PSequence.eta(0.5))
     assert montecarlo._jump_width(kind, kind.one_probs(12)) == 6
     # a block holds _CHUNK_DRAWS // draws replicates, at most _BLOCK_ROWS

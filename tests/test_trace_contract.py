@@ -36,5 +36,5 @@ def test_traced_monte_carlo_calls():
     assert counts["montecarlo.replicates"] == 150
     # every traced name on the sampler path recorded a span
     spanned = {tracer.names[i] for i in tracer.spans()["name"]}
-    assert {"montecarlo.replicate_rng", "montecarlo.sample_bits", "chains.sample_path",
+    assert {"montecarlo.sample_bits", "chains.sample_path",
             "chains.generate_signed"} <= spanned, spanned
