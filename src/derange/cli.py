@@ -167,7 +167,7 @@ def _eta_moments(a) -> dict:
 
 def _cki(a) -> float:
     laws = _eta_moments(a)["c_laws"]
-    c_law = laws[a.k] if 1 <= a.k <= a.n else DistTable({0: 1.0})  # no k-circle past n
+    c_law = laws[a.k] if 1 <= a.k <= a.n else DistTable([0], [1.0])  # no k-circle past n
     return cki_distribution(a.k, a.i, a.l, a.n, c_law, _weights(a))
 
 
@@ -183,7 +183,7 @@ def _lambda(a) -> dict:
     return {
         "mean": mean,
         "mean_identity": lambda_mean_identity(a.n, a.kappa, k_law.mean()),
-        "law": {str(k): v for k, v in sorted(law.items())},
+        "law": dict(zip(map(str, law.codes.tolist()), law.prob.tolist())),
     }
 
 
@@ -243,7 +243,9 @@ def _suite_pgf(args):
     for m in dict.fromkeys((max(2, args.n // 2), args.n)):
         for kind in (ChainKind.x(PSequence.from_theta_conditional(ts)), ChainKind.y(ts)):
             law = k_distribution(kind, m)
-            gaps += [abs(pgf_k(kind, s, m) - math.fsum(pk * s**k for k, pk in law.items()))
+            # float_power calls C pow per term, as s ** k does on a Python float
+            gaps += [abs(pgf_k(kind, s, m)
+                         - math.fsum((law.prob * np.float_power(s, law.codes)).tolist()))
                      for s in (0.25, 0.5, 1.0, 1.5, 2.0)]
     return "max_gap", max(gaps), 1e-10
 

@@ -197,7 +197,8 @@ def k_distribution(kind: ChainKind, n: int) -> DistTable:
         raise NumericsError(f"the K law dropped mass {dropped} past k = {k_max}, "
                             f"above its bound {bound}")
     law = zero + one
-    return DistTable({k: v for k, v in enumerate(law.tolist()) if v > 0.0}, tol=1e-11)
+    keep = np.flatnonzero(law > 0.0)
+    return DistTable(keep, law[keep], tol=1e-11)
 
 
 @overflow_is_numerics_error

@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .chains import ChainKind
-from .dist import DistTable, WordLaw, word_tuples
+from .dist import DistTable, word_tuples
 from .params import ThetaSequence
 
 # Cardinality guards: Fibonacci-sized derangement supports up to n = 30,
@@ -113,7 +113,7 @@ def enumerate_delta(n: int):
     return sorted(word_tuples(codes, n))
 
 
-def exact_law(kind: ChainKind, n: int) -> WordLaw:
+def exact_law(kind: ChainKind, n: int) -> DistTable:
     """The full word law by exhaustive path probability over every word
     the chain's gap allows."""
     limit = MAX_DELTA_N if kind.gap else MAX_FULL_N
@@ -123,20 +123,20 @@ def exact_law(kind: ChainKind, n: int) -> WordLaw:
     total = math.fsum(probs.tolist())
     if abs(total - 1.0) > 1e-12:
         raise AssertionError(f"exact law sums to {total}, off by {total - 1.0:.3g}")
-    return WordLaw(n, codes, probs, tol=1e-11)
+    return DistTable(codes, probs, n, tol=1e-11)
 
 
-def conditional_law(n: int, thetaseq: ThetaSequence) -> WordLaw:
+def conditional_law(n: int, thetaseq: ThetaSequence) -> DistTable:
     """The coin-word law restricted to the no-adjacent-1s set and
     renormalized — the conditioning side of the conditional relation;
     a 0 below a 1 is not forced, so it pays its coin row entry."""
     if not (2 <= n <= MAX_FULL_N):
         raise ValueError(f"limited to 2 <= n <= {MAX_FULL_N}")
     codes, probs = _words(_rows(ChainKind.y(thetaseq), n), n, True)
-    return WordLaw(n, codes, probs / math.fsum(probs.tolist()), tol=1e-10)
+    return DistTable(codes, probs / math.fsum(probs.tolist()), n, tol=1e-10)
 
 
-def pushforward_law(n: int, thetaseq: ThetaSequence) -> WordLaw:
+def pushforward_law(n: int, thetaseq: ThetaSequence) -> DistTable:
     """The image of the coin-word law under the horizon-n 11-erasing map.
 
     The map reads only the first n - 1 coin values (every output index
@@ -161,7 +161,7 @@ def pushforward_law(n: int, thetaseq: ThetaSequence) -> WordLaw:
     for ranks, prods in _sweep(_rows(ChainKind.y(thetaseq), n - 1), n - 1, weight, False,
                                erase=True):
         probs += np.bincount(ranks, prods, minlength=probs.size)
-    return WordLaw(n, images | 1, probs, tol=1e-10)
+    return DistTable(images | 1, probs, n, tol=1e-10)
 
 
 def tv_prefixes(n: int, kind: ChainKind) -> np.ndarray:
@@ -356,7 +356,7 @@ def enumeration_moments(kind: ChainKind, n: int, j_max: int | None = None) -> di
 
     def law_of(values):
         keys, at = np.unique(values.astype(np.int64), return_inverse=True)
-        return DistTable(dict(zip(keys.tolist(), np.bincount(at, probs).tolist())), tol=1e-10)
+        return DistTable(keys, np.bincount(at, probs), tol=1e-10)
 
     return {
         "mean_k": mean_k,

@@ -102,7 +102,8 @@ def cki_distribution(k: int, i: int, ell: int, n: int, k_law: DistTable,
     if k * ell > n:
         return 0.0
     w = omega(k, i, weights)
-    return math.fsum(_binom_pmf(ell, m, w) * pm for m, pm in k_law.items() if m >= ell)
+    return math.fsum(_binom_pmf(ell, m, w) * pm
+                     for m, pm in zip(k_law.codes.tolist(), k_law.prob.tolist()) if m >= ell)
 
 
 def _omega_column(i: int, n: int, weights: OrientationWeights) -> np.ndarray:
@@ -156,10 +157,11 @@ def lambda_total(n: int, kappa: float, k_law: DistTable) -> tuple[DistTable, flo
         raise ValueError("kappa must lie in [0, 1]")
     probs = np.zeros(n + 1)
     log_fact = _log_factorials(n)
-    for k, pk in k_law.items():
+    for k, pk in zip(k_law.codes.tolist(), k_law.prob.tolist()):
         # Lambda_n - k ~ Binomial(n - k, kappa)
         probs[k:] += _binom_pmf(np.arange(n - k + 1), n - k, kappa, log_fact) * pk
-    law = DistTable({r: v for r, v in enumerate(probs.tolist()) if v > 0.0}, tol=1e-10)
+    keep = np.flatnonzero(probs > 0.0)
+    law = DistTable(keep, probs[keep], tol=1e-10)
     return law, law.mean()
 
 

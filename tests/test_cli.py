@@ -18,6 +18,7 @@ from derange.signed_stats import (
     OrientationWeights,
     cki_distribution,
     cstar_moments,
+    lambda_total,
     ordered_star_prob,
 )
 from derange.cli import (
@@ -629,6 +630,17 @@ def test_signed_lambda_at_large_n(capsys):
     res = json.loads(out)["results"]
     assert math.fsum(res["law"].values()) == pytest.approx(1.0, abs=1e-10)
     assert res["mean"] == pytest.approx(res["mean_identity"], rel=1e-10)
+
+
+def test_signed_lambda_law_lists_positive_outcomes_in_integer_order(capsys):
+    code, out, _ = run(capsys, "signed", "--quantity", "lambda", "--n", "12", "--kappa", "0.4",
+                       "--theta", "0.5", "--format", "json")
+    assert code == EXIT_OK
+    got = json.loads(out)["results"]["law"]
+    law, _ = lambda_total(12, 0.4, k_distribution(ChainKind.eta(0.5), 12))
+    # no mass at 0 (a leader looks in), and "10" after "9", not after "1"
+    assert list(got) == [str(k) for k in range(1, 13)] == list(map(str, law.codes.tolist()))
+    assert list(got.values()) == [float(f"{v:.{cli._DIGITS}g}") for v in law.prob.tolist()]
 
 
 def test_signed_cki_past_the_horizon(capsys):

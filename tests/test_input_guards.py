@@ -112,13 +112,16 @@ GUARDS = [
     (lambda: ThetaSequence.holst(0.0, 1.0, 1.0), ValueError, "require a > 0 and c > 0"),
     (lambda: ThetaSequence.tabulated([1.0, -2.0]), ValueError, "must be positive"),
     (lambda: TS.scaled(-1.0), ValueError, "scale must be nonnegative"),
-    (lambda: DistTable({0: 1.5, 1: -0.5}), ValueError, "negative probability"),
-    (lambda: compare_laws(DistTable({2: 1.0}), DistTable({(1, 0): 1.0})), ValueError,
+    (lambda: DistTable([0, 1], [1.5, -0.5]), ValueError, "negative probability"),
+    (lambda: DistTable([0, 1], [math.nan, 1.0]), ValueError, "probabilities sum to nan"),
+    (lambda: DistTable([1, 3], [math.inf, 1.0], 2), ValueError, "probabilities sum to inf"),
+    (lambda: DistTable([1, 1], [0.5, 0.5]), ValueError, "strictly ascending"),
+    (lambda: DistTable([2, 1], [0.5, 0.5]), ValueError, "strictly ascending"),
+    (lambda: DistTable([0, 1], [1.0]), ValueError, "1-D integer array as long as prob"),
+    (lambda: DistTable([0.0, 1.0], [0.5, 0.5]), ValueError, "1-D integer array"),
+    (lambda: compare_laws(DistTable([2], [1.0]), DistTable([1], [1.0], 2)), ValueError,
      "cannot compare a law on integers with one on words of length 2"),
-    (lambda: compare_laws(DistTable({(1, 2): 1.0}), DistTable({(1, 0): 1.0})), ValueError,
-     "is not a 0/1 word"),
-    (lambda: compare_laws(DistTable({(1,): 0.5, (1, 0): 0.5}), DistTable({1: 1.0})),
-     ValueError, "integers or 0/1 words of one length"),
+    (lambda: DistTable([1, 4], [0.5, 0.5], 2), ValueError, "is not a 0/1 word"),
     # chains
     (lambda: generate_signed_many(5, P, 1.5, 0, range(1)), ValueError,
      "kappa must lie in [0, 1]"),
@@ -222,13 +225,13 @@ GUARDS = [
     (lambda: OrientationWeights.from_table({(2, 1): -0.5, (2, 2): 1.5}), ValueError,
      "weights must be nonnegative"),
     (lambda: OrientationWeights.from_table({(2, 1): 0.5}), ValueError, "row k=2 sums to"),
-    (lambda: cki_distribution(2, 1, -1, 5, DistTable({1: 1.0}), W), ValueError,
+    (lambda: cki_distribution(2, 1, -1, 5, DistTable([1], [1.0]), W), ValueError,
      "ell must be nonnegative"),
     (lambda: cstar_moments(0, 1, np.zeros(6), np.zeros((6, 6)), W), ValueError,
      "require 1 <= i, j <= n"),
     (lambda: cstar_moments(1, 1, np.zeros(6), np.zeros((5, 5)), W), ValueError,
      "not (6, 6) for 6 means"),
-    (lambda: lambda_total(5, 1.5, DistTable({1: 1.0})), ValueError, "kappa must lie in [0, 1]"),
+    (lambda: lambda_total(5, 1.5, DistTable([1], [1.0])), ValueError, "kappa must lie in [0, 1]"),
     # cli
     (lambda: emit_report([], "xml", {}, io.StringIO()), ValueError, "unknown format 'xml'"),
     (lambda: verify("--suite", "tv", "--n", "2"), ValueError, "needs --n >= 3"),
