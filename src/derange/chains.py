@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import PSequence, ThetaSequence
+from .params import PSequence, ThetaSequence, _coin_rows
 
 # The three steps of a signed word.
 SIGNED_STATES = ("+0", "-0", "1")
@@ -101,10 +101,7 @@ class ChainKind:
         if self.p is not None:
             pv = self.p.values(n)
             return pv, 1.0 - pv
-        t = self.thetaseq.values(n)
-        r1 = np.arange(-1.0, n)  # r - 1
-        d = r1 + t
-        return np.divide(r1, d, out=r1), np.divide(t, d, out=d)
+        return _coin_rows(np.arange(n + 1), self.thetaseq.values(n))
 
     def one_probs(self, n: int) -> np.ndarray:
         """h[r] = P(value 1 at index r | index r is free): ``rows(n)[1]``."""

@@ -25,7 +25,7 @@ import numpy as np
 from .chains import ChainKind, cycle_weights
 from .dist import DistTable
 from .numerics import NumericsError, beta_fn, overflow_is_numerics_error
-from .params import PSequence, ThetaSequence, _coins, check_theta, conditional_theta
+from .params import PSequence, ThetaSequence, _coin_rows, check_theta, conditional_theta
 
 
 def g_values(thetaseq: ThetaSequence, n: int) -> list[float]:
@@ -43,24 +43,20 @@ def _g(t: list) -> list[float]:
     return g[:len(t)]
 
 
-def _gamma(t: np.ndarray) -> tuple[float, int]:
-    """(m, e) with gamma_n = m 2^e, from the array theta_0..theta_n, n >= 2,
-    by the recursion gamma_i = (i-1)/(i-1+theta_i) (gamma_{i-1} + c_{i-1}
-    gamma_{i-2}).  Whenever gamma_i drops below 2^-600 both terms are
-    scaled by 2^600, which is exact, and the step is taken again on the
-    scaled sum, so m stays normal however small a factor is (theta_i near
-    the float range), and m 2^e is the unscaled recursion's value bit for
-    bit wherever that stays normal."""
-    c = _coins(t).tolist()
-    t = t.tolist()
-    prev, cur, e = 0.0, 1.0 / (1.0 + t[2]), 0  # gamma_1, gamma_2
-    for i in range(3, len(t)):
-        f, total = (i - 1) / (i - 1 + t[i]), cur + c[i - 1] * prev
-        prev, cur = cur, f * total
-        while cur < 2.0**-600 and f > 0.0:
-            prev, total, e = prev * 2.0**600, total * 2.0**600, e - 600
-            cur = f * total
-    return cur, e
+def _no11(stay, h, a: float, b: float, e: int) -> tuple[float, float, int]:
+    """The no-11 recursion: (a, b) 2^e, the probabilities that no 11 has
+    shown so far and the current index shows 0 or 1, takes (a, b) <- (stay_r
+    (a + b), h_r a) at each coin row r.  An a that would drop below 2^-600
+    is kept normal (theta_r near the float range) by scaling the pair by
+    2^600, exactly, so (a, b) 2^e is the unscaled recursion's value bit for
+    bit wherever that stays normal; returns (a, b, e)."""
+    for s, hr in zip(stay, h):
+        na = s * (a + b)
+        while na < 2.0**-600 and s > 0.0:
+            a, b, e = a * 2.0**600, b * 2.0**600, e - 600
+            na = s * (a + b)
+        a, b = na, hr * a
+    return a, b, e
 
 
 def gamma_n(thetaseq: ThetaSequence, n: int, method: str = "recursion") -> float:
@@ -78,8 +74,10 @@ def gamma_n(thetaseq: ThetaSequence, n: int, method: str = "recursion") -> float
             out *= p[j] / (p[j] * p[j + 1] + (1.0 - p[j + 1]))
         return out
     t = thetaseq.values(n)
-    if method == "recursion":
-        return math.ldexp(*_gamma(t))
+    if method == "recursion":  # from index 2, a 0 above the 1 at index 1
+        stay, h = _coin_rows(np.arange(n + 1), t)
+        m, _, e = _no11(stay[3:].tolist(), h[3:].tolist(), float(stay[2]), 0.0, 0)
+        return math.ldexp(m, e)
     # G_{n-1} (n-1)!/prod_{i=2}^n (theta_i + i - 1), the product as log1p terms
     log_brackets = math.fsum(np.log1p(t[2:] / np.arange(1.0, n)).tolist())
     return math.exp(math.log(_g(t.tolist())[n - 1]) - log_brackets)
@@ -215,13 +213,18 @@ def pgf_k(kind: ChainKind, s: float, n: int) -> float:
     if s == 0.0:
         return 0.0  # K >= 1 always
     t = (conditional_theta(kind.p) if kind.gap else kind.thetaseq).values(n)
-    logs = np.log1p((s - 1.0) * _coins(t)[1:]).tolist()
+    r = np.arange(n + 1)
+    rows = _coin_rows(r, t)
+    logs = np.log1p((s - 1.0) * rows[1][1:]).tolist()
     if kind.gap:
         with np.errstate(over="ignore"):  # checked below
             st = s * t
         if not np.isfinite(st).all():
             raise OverflowError("s theta_i leaves the float range")
-        (m1, e1), (m0, e0) = _gamma(st), _gamma(t)  # m1, m0 normal
+        # gamma_n(s theta) and gamma_n(theta) as (m, e), m normal, from index 2
+        (m1, _, e1), (m0, _, e0) = (
+            _no11(stay[3:].tolist(), h[3:].tolist(), float(stay[2]), 0.0, 0)
+            for stay, h in (_coin_rows(r, st), rows))
         logs += [math.log(m1 / m0), (e1 - e0) * math.log(2.0)]
     return math.exp(math.fsum(logs))
 

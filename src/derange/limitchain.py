@@ -21,10 +21,10 @@ from functools import lru_cache
 import numpy as np
 
 from .chains import ChainKind
-from .coupling import delta_n, delta_roots
+from .coupling import _no11, delta_n, delta_roots
 from .moments import lambda_esf
 from .numerics import AccuracySpec, DEFAULT_ACC, NumericsError, beta_fn, kummer_m
-from .params import _CHUNK, PSequence, ThetaSequence, check_theta, conditional_theta
+from .params import _CHUNK, PSequence, ThetaSequence, _at, _coin_rows, check_theta, conditional_theta
 
 # Probe horizons: the heavyweight context probe and the lightweight
 # cached check used on every phi evaluation.
@@ -210,16 +210,19 @@ def phi_eta(i: int, theta: float, *, acc: AccuracySpec = DEFAULT_ACC) -> float:
 
 
 def phi_eta_tilde(i: int, theta: float, *, acc: AccuracySpec = DEFAULT_ACC) -> float:
-    """Closed form for the eta_tilde chain, built from the derangement
-    probability of the theta-biased permutation."""
+    """Closed form for the eta_tilde chain from the derangement probability
+    lambda of the theta-biased permutation: theta lambda_{i-1} M(i-1, theta+i,
+    theta)/(theta+i-1), Kummer's transformation of the alternating e^theta
+    M(theta+1, theta+i, -theta).  Every term is positive; a factor outside
+    the float range raises NumericsError."""
     if i == 1:
         return 1.0
     if i == 2:
         return 0.0
-    return (
-        theta * math.exp(theta) * lambda_esf(i - 1, theta) / (theta + i - 1.0)
-        * kummer_m(theta + 1.0, theta + i, -theta, acc=acc)
-    )
+    lam = lambda_esf(i - 1, theta)
+    if lam < 2.0**-1022:  # the least normal float
+        raise NumericsError(f"lambda_{i - 1} at theta = {theta!r} is {lam!r}, not a normal float")
+    return theta * lam / (theta + i - 1.0) * kummer_m(i - 1.0, theta + i, theta, acc=acc)
 
 
 def xinf_transition(i: int, p: PSequence, *, acc: AccuracySpec = DEFAULT_ACC) -> float:
@@ -258,16 +261,23 @@ def tv_prefix(n: int, p: PSequence, method: str = "theorem", *,
     return float(oracle.tv_prefixes(n, ChainKind.x(p))[n])
 
 
-def _gamma_inf_backward(i: int, thetaseq: ThetaSequence, horizon: int) -> float:
-    """One backward sweep for gamma_{i,inf} seeding the horizon values at 1."""
-    # a memoryview reads Python floats without a list copy; horizons reach 1e7
-    c = memoryview(thetaseq.coin_probs(horizon))
-    g_next2 = 1.0  # gamma at horizon + 1
-    g_next = 1.0   # gamma at horizon
-    for r in range(horizon - 1, i - 1, -1):
-        g_r = (1.0 - c[r]) * (g_next + c[r + 1] * g_next2)
-        g_next2, g_next = g_next, g_r
-    return g_next
+def _gamma_upto(i: int, thetaseq: ThetaSequence, horizon: int):
+    """Yield (N, gamma_{i,N}, N c_N c_{N+1}) at N = horizon, 2 horizon, ...,
+    where gamma_{i,N} is the probability of no 1 at index i and no
+    11-pattern in i..N: one upward pass of ``coupling._no11`` from (stay_i,
+    0) at index i, its rows formed one ``_CHUNK`` block at a time."""
+    a, b, e, lo = 0.0, 1.0, 0, i  # a 1 at index i - 1: row i gives (stay_i, 0)
+    while True:
+        idx = np.arange(lo, lo + _CHUNK + 1)  # one row past the block, for c_{N+1}
+        stay, h = map(memoryview, _coin_rows(idx, _at(thetaseq, idx)))
+        k = 0  # the block's rows before k have run
+        while horizon < lo + _CHUNK:
+            a, b, e = _no11(stay[k:horizon + 1 - lo], h[k:horizon + 1 - lo], a, b, e)
+            k = horizon + 1 - lo
+            yield horizon, math.ldexp(a + b, e), horizon * h[k - 1] * h[k]
+            horizon *= 2
+        a, b, e = _no11(stay[k:_CHUNK], h[k:_CHUNK], a, b, e)
+        lo += _CHUNK
 
 
 def gamma_inf(i: int, thetaseq: ThetaSequence, *,
@@ -275,67 +285,54 @@ def gamma_inf(i: int, thetaseq: ThetaSequence, *,
     """gamma_{i,inf}: no 1 at index i and no 11-pattern at or above it, in
     the infinite coin process.
 
-    Computed by backward iteration from a horizon that is doubled until
+    One upward pass (``_gamma_upto``) reads gamma_{i,N} at doubled N until
     two successive extrapolated values agree to acc.rel_tol; a value that
-    underflows to 0 raises NumericsError.  Requires the light eqcond2
-    probe (otherwise the value is 0 and the sweep meaningless).
-    """
+    underflows to 0 raises NumericsError.  Requires the light eqcond2 probe
+    (otherwise the value is 0 and the pass meaningless)."""
     if i < 2:
         raise ValueError("index must be >= 2")
     coin = thetaseq.coin_probs(_LIGHT_PROBE_HORIZON + 1)
-    ok, _ = _looks_convergent(_block_sums(coin, _LIGHT_PROBE_HORIZON, lag=1))
-    if not ok:
-        raise ValueError(
-            "sum c_j c_{j+1} does not appear to converge; gamma_{i,inf} "
-            "would be 0"
-        )
-    # Seeding the sweep with 1 at a finite horizon N leaves an O(1/N) bias
-    # (the ignored tail of 11-pattern probabilities), so raw doubling
-    # converges too slowly; Richardson extrapolation over doubled horizons
-    # removes the leading powers of 1/N once that tail, about N c_N c_{N+1},
-    # is below 1; the doubling starts there.
-    horizon = max(4 * i, 1024)
-    c = lambda r: coin[r] if r < coin.size else thetaseq.coin_prob(r)
-    while horizon * c(horizon) * c(horizon + 1) > 1.0:
-        if (horizon := 2 * horizon) > 10**7:
-            raise NumericsError(f"gamma_inf: N c_N c_(N+1) > 1 up to horizon {horizon}")
-    sweeps = [_gamma_inf_backward(i, thetaseq, horizon)]
-    prev_best = sweeps[0]
-    while True:
-        horizon *= 2
-        sweeps.append(_gamma_inf_backward(i, thetaseq, horizon))
+    if not _looks_convergent(_block_sums(coin, _LIGHT_PROBE_HORIZON, lag=1))[0]:
+        raise ValueError("sum c_j c_{j+1} does not appear to converge; gamma_{i,inf} would be 0")
+    # gamma_{i,N} exceeds the limit by the chance of an 11 above N, O(1/N):
+    # Richardson extrapolation over doubled N removes the leading powers of
+    # 1/N once that tail, about N c_N c_{N+1}, is below 1; it starts there.
+    sweeps, prev_best = [], None
+    for horizon, value, tail in _gamma_upto(i, thetaseq, max(4 * i, 1024)):
+        if not sweeps and tail > 1.0:
+            if 2 * horizon > 10**7:
+                raise NumericsError(f"gamma_inf: N c_N c_(N+1) > 1 up to horizon {2 * horizon}")
+            continue
+        sweeps.append(value)
         row = sweeps[:]
-        for level in range(1, len(sweeps)):
-            f = 2.0**level
-            row = [
-                (f * row[k + 1] - row[k]) / (f - 1.0)
-                for k in range(len(row) - 1)
-            ]
+        for f in (2.0**level for level in range(1, len(sweeps))):
+            row = [(f * y - x) / (f - 1.0) for x, y in zip(row, row[1:])]
         best = row[0]
         # a relative stop: the probability may lie far below abs_tol
-        if abs(best - prev_best) <= acc.rel_tol * abs(best):
+        if prev_best is not None and abs(best - prev_best) <= acc.rel_tol * abs(best):
             if best > 0.0:
                 return best
             raise NumericsError(f"gamma_inf extrapolated to {best:.3g}, not a "
                                 f"positive probability, at horizon {horizon}")
-        prev_best = best
         if horizon > 10**7:
-            raise NumericsError(
-                f"gamma_inf backward iteration did not stabilize by horizon {horizon}"
-            )
+            raise NumericsError(f"gamma_inf's pass did not stabilize by horizon {horizon}")
+        prev_best = best
 
 
 def delta_i_inf(theta: float, i: int, theta2star: float = 1.0, *,
                 acc: AccuracySpec = DEFAULT_ACC) -> float:
-    """gamma_{i,inf} along the eta_star family, in closed form where one
-    exists (i = 2 and i >= 4) and by backward recursion at i = 3."""
+    """gamma_{i,inf} along the eta_star family in closed form: the limit of
+    ``delta_n`` at i = 2, a Kummer function times a Beta ratio at i >= 4,
+    and stay_3 (delta_{4,inf} + c_4 delta_{5,inf}) at i = 3."""
     check_theta(theta)
     if i < 2:
         raise ValueError("index must be >= 2")
     if i == 2:
         return delta_n(theta, theta2star, math.inf)
     if i == 3:
-        return gamma_inf(3, ThetaSequence.eta_star(theta, theta2star), acc=acc)
+        stay, h = ChainKind.y(ThetaSequence.eta_star(theta, theta2star)).rows(4)
+        above = delta_i_inf(theta, 4, acc=acc) + h[4] * delta_i_inf(theta, 5, acc=acc)
+        return float(stay[3] * above)
     z1, z2 = delta_roots(theta)
     m_val = kummer_m(1.0, theta + i - 1.0, -theta, acc=acc)
     return m_val * beta_fn(z1 + i - 3, z2 + i - 3) / beta_fn(i - 2.0, theta + i - 1.0)

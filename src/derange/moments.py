@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import ChainKind, cycle_weights, marginals
+from .coupling import gamma_n
 from .numerics import (
     AccuracySpec,
     DEFAULT_ACC,
@@ -36,7 +37,7 @@ from .numerics import (
     overflow_is_numerics_error,
     rising_factorial,
 )
-from .params import check_theta
+from .params import ThetaSequence, check_theta
 
 
 @dataclass(frozen=True)
@@ -355,16 +356,7 @@ def cov_eta(n: int, i: int, j: int, theta: float) -> float:
 
 def lambda_esf(n: int, theta: float) -> float:
     """P(a theta-biased random permutation of n elements has no fixed
-    point), by the positive recursion lambda_0 = 1, lambda_1 = 0,
-    lambda_m = (m-1)/(theta+m-1) (lambda_{m-1} + theta lambda_{m-2}/(theta+m-2)).
-
-    Every term is nonnegative, so large theta loses nothing to the
-    cancellation of the alternating sum over fixed points."""
-    check_theta(theta)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    prev, cur = 1.0, 0.0
-    for m in range(2, n + 1):
-        # theta + (m - 2): (theta + m) - 2.0 would round a tiny theta to 0 or worse
-        prev, cur = cur, (m - 1) / (theta + (m - 1)) * (cur + theta * prev / (theta + (m - 2)))
-    return cur
+    point): ``gamma_n`` of the constant sequence theta, which checks theta
+    and n.  Its recursion has nonnegative terms, so large theta loses nothing
+    to the cancellation of the alternating sum over fixed points."""
+    return gamma_n(ThetaSequence.constant(theta), n)

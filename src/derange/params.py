@@ -196,15 +196,15 @@ class ThetaSequence:
 
     def coin_probs(self, n: int) -> np.ndarray:
         """``coin_prob`` over 0..n as a float64 array (entry 0 unused)."""
-        return _coins(self.values(n))
+        return _coin_rows(np.arange(n + 1), self.values(n))[1]
 
 
-def _coins(t: np.ndarray) -> np.ndarray:
-    """The coin probabilities theta_i/(i-1+theta_i) from the array
-    theta_0..theta_n, as a new array (entry 0 unused)."""
-    c = np.arange(-1.0, t.size - 1)  # i - 1
-    c += t
-    return np.divide(t, c, out=c)
+def _coin_rows(r: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The coin rows (stay, h) at indices r with thetas t, as new arrays: the
+    quotients (r-1)/d_r and theta_r/d_r, d_r = r - 1 + theta_r, with no 1 - c."""
+    r1 = r - 1.0
+    d = r1 + t
+    return np.divide(r1, d, out=r1), np.divide(t, d, out=d)
 
 
 class PSequence:

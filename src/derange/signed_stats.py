@@ -93,10 +93,19 @@ def omega(k: int, i: int, weights: OrientationWeights) -> float:
     return lookup.get((k, i), 0.0)
 
 
+def _check_k_law(k_law: DistTable, n: int) -> None:
+    """Raise ValueError unless k_law is an integer law (``n`` None) of counts in 0..n."""
+    if k_law.n is not None:
+        raise ValueError(f"k_law must be an integer law, not one on words of length {k_law.n}")
+    if k_law.codes.size and not 0 <= k_law.codes[0] <= k_law.codes[-1] <= n:
+        raise ValueError(f"k_law has counts {k_law.codes[0]}..{k_law.codes[-1]} outside 0..{n}")
+
+
 def cki_distribution(k: int, i: int, ell: int, n: int, k_law: DistTable,
                      weights: OrientationWeights) -> float:
     """P(C_{ki} = ell): number of k-circles with exactly i looking in,
     given the exact law of the k-circle count."""
+    _check_k_law(k_law, n)
     if ell < 0:
         raise ValueError("ell must be nonnegative")
     if k * ell > n:
@@ -155,6 +164,7 @@ def lambda_total(n: int, kappa: float, k_law: DistTable) -> tuple[DistTable, flo
     kappa."""
     if not (0.0 <= kappa <= 1.0):
         raise ValueError("kappa must lie in [0, 1]")
+    _check_k_law(k_law, n)
     probs = np.zeros(n + 1)
     log_fact = _log_factorials(n)
     for k, pk in zip(k_law.codes.tolist(), k_law.prob.tolist()):

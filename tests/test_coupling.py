@@ -4,6 +4,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from derange import coupling, oracle
 from derange.chains import ChainKind, cycle_statistics
@@ -21,7 +23,7 @@ from derange.coupling import (
 from derange.limitchain import LimitContext
 from derange.moments import mean_k
 from derange.numerics import NumericsError
-from derange.params import PSequence, ThetaSequence
+from derange.params import PSequence, ThetaSequence, _coin_rows
 from derange.signed_stats import OrientationWeights, ordered_star_prob
 
 
@@ -43,6 +45,36 @@ def test_gamma_three_methods(family):
         c = gamma_n(ts, n, method="p_product")
         assert a == pytest.approx(b, rel=1e-12)
         assert a == pytest.approx(c, rel=1e-12)
+
+
+def _gamma_loop(t: np.ndarray) -> tuple[float, int]:
+    """(m, e) with gamma_n = m 2^e by the recursion in theta, gamma_i =
+    (i-1)/(i-1+theta_i) (gamma_{i-1} + c_{i-1} gamma_{i-2}), each drop of
+    gamma_i below 2^-600 undone by an exact 2^600 scaling: a reference for
+    the pair form ``coupling._no11``."""
+    c = (t / (np.arange(-1.0, t.size - 1) + t)).tolist()
+    t = t.tolist()
+    prev, cur, e = 0.0, 1.0 / (1.0 + t[2]), 0  # gamma_1, gamma_2
+    for i in range(3, len(t)):
+        f, total = (i - 1) / (i - 1 + t[i]), cur + c[i - 1] * prev
+        prev, cur = cur, f * total
+        while cur < 2.0**-600 and f > 0.0:
+            prev, total, e = prev * 2.0**600, total * 2.0**600, e - 600
+            cur = f * total
+    return cur, e
+
+
+@example([300.0] * 40)  # every step rescales
+@example([-300.0, 300.0] * 20)
+@example([2.0] * 3)
+@given(st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=60))
+def test_no11_pass_matches_the_theta_loop_bit_for_bit(log10_theta):
+    # theta_2 .. theta_n = 10^x, from 1e-300 to 1e300, so the rescale runs
+    t = np.array([0.0, 1.0] + [10.0**x for x in log10_theta])
+    stay, h = _coin_rows(np.arange(t.size), t)
+    m, _, e = coupling._no11(stay[3:].tolist(), h[3:].tolist(), float(stay[2]), 0.0, 0)
+    assert (m, e) == _gamma_loop(t)  # m is normal: == is bit identity
+    assert gamma_n(ThetaSequence.tabulated(t[1:].tolist()), t.size - 1) == math.ldexp(m, e)
 
 
 def test_gamma_is_no_11_probability():

@@ -232,6 +232,15 @@ GUARDS = [
     (lambda: cstar_moments(1, 1, np.zeros(6), np.zeros((5, 5)), W), ValueError,
      "not (6, 6) for 6 means"),
     (lambda: lambda_total(5, 1.5, DistTable([1], [1.0])), ValueError, "kappa must lie in [0, 1]"),
+    # laws the signed statistics would misread as circle counts
+    (lambda: lambda_total(5, 0.5, DistTable([-1, 1], [0.5, 0.5])), ValueError,
+     "k_law has counts -1..1 outside 0..5"),
+    (lambda: lambda_total(5, 0.5, DistTable([1, 3], [0.5, 0.5], 2)), ValueError,
+     "k_law must be an integer law, not one on words of length 2"),
+    (lambda: lambda_total(3, 0.5, DistTable([1, 7], [0.5, 0.5])), ValueError,
+     "k_law has counts 1..7 outside 0..3"),
+    (lambda: cki_distribution(2, 1, 0, 4, DistTable([-1, 1], [0.5, 0.5]), W), ValueError,
+     "k_law has counts -1..1 outside 0..4"),
     # cli
     (lambda: emit_report([], "xml", {}, io.StringIO()), ValueError, "unknown format 'xml'"),
     (lambda: verify("--suite", "tv", "--n", "2"), ValueError, "needs --n >= 3"),

@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -42,6 +44,26 @@ def test_phi_eta_tilde_consistency():
         for i in range(3, 10):
             assert phi(i, p) == pytest.approx(phi_eta_tilde(i, theta), rel=1e-9)
             assert phi(i, p, method="closed_form") == pytest.approx(phi(i, p), rel=1e-9)
+    # theta e^theta lambda_{i-1} M(theta+1, theta+i, -theta)/(theta+i-1) at 200
+    # digits, lambda by its alternating sum over fixed points; in floats both
+    # alternating sums cancel from theta ~ 20 on
+    with mpmath.workdps(200):
+        for theta in (0.5, 3.0, 20.0, 100.0, 700.0):
+            th = mpmath.mpf(theta)
+            for i in (3, 10, 50):
+                lam = mpmath.fsum(mpmath.binomial(i - 1, j) * (-th) ** j
+                                  / mpmath.rf(i - 1 + th - j, j) for j in range(i))
+                ref = float(th * mpmath.exp(th) * lam / (th + i - 1)
+                            * mpmath.hyp1f1(th + 1, th + i, -th))
+                assert phi_eta_tilde(i, theta) == pytest.approx(ref, rel=5e-12), (theta, i)
+                assert phi(i, PSequence.eta_tilde(theta), method="closed_form") \
+                    == pytest.approx(ref, rel=5e-12), (theta, i)
+
+
+def test_phi_eta_tilde_refuses_a_lambda_below_the_float_range():
+    # lambda_199 at theta = 1e6 underflows to 0, which would read as phi = 0
+    with pytest.raises(NumericsError, match="lambda_199 at theta = 1000000.0 is 0.0"):
+        phi_eta_tilde(200, 1e6)
 
 
 def test_phi_constant_q_fixed_point():
@@ -104,13 +126,13 @@ def test_gamma_inf_tends_to_one():
                                            (100.0, "constant"), (40.0, "eta_star")])
 def test_gamma_inf_far_below_abs_tol_is_positive(theta, family):
     # values of 1e-17 .. 1e-43: an absolute stop passed at the first
-    # extrapolation, which was negative.  The raw sweeps fall as 1/horizon
+    # extrapolation, which was negative.  The pass's values fall as 1/horizon
     # towards the limit; one Richardson step at large horizons brackets it.
     ts = getattr(ThetaSequence, family)(theta)
     value = delta_i_inf(theta, 3) if family == "eta_star" else gamma_inf(3, ts)
-    far = 2.0 * limitchain._gamma_inf_backward(3, ts, 2**18) \
-        - limitchain._gamma_inf_backward(3, ts, 2**17)
-    assert 0.0 < value == pytest.approx(far, rel=5e-3)
+    upto = limitchain._gamma_upto(3, ts, 2**17)
+    (_, near, _), (_, far, _) = next(upto), next(upto)
+    assert 0.0 < value == pytest.approx(2.0 * far - near, rel=5e-3)
 
 
 def test_gamma_inf_at_theta_100_from_the_cli(capsys):
@@ -133,31 +155,56 @@ def test_gamma_inf_with_a_probed_context():
         gamma_inf(3, holst)
 
 
+def _fake_pass(value):
+    """A stand-in for ``_gamma_upto`` reading value(N) at every doubled N,
+    its tail already below 1."""
+    return lambda i, ts, horizon: ((n, value(n), 0.0)
+                                   for n in (horizon << k for k in itertools.count()))
+
+
 def test_gamma_inf_raises_when_the_sweeps_never_settle(monkeypatch):
     # each doubled horizon moves the extrapolation by as much as its size
-    monkeypatch.setattr(limitchain, "_gamma_inf_backward", lambda i, ts, horizon: float(horizon))
+    monkeypatch.setattr(limitchain, "_gamma_upto", _fake_pass(float))
     with pytest.raises(NumericsError, match="did not stabilize"):
         gamma_inf(3, ThetaSequence.constant(1.0))
 
 
 def test_gamma_inf_raises_rather_than_return_zero(monkeypatch):
-    monkeypatch.setattr(limitchain, "_gamma_inf_backward", lambda i, ts, horizon: 0.0)
+    monkeypatch.setattr(limitchain, "_gamma_upto", _fake_pass(lambda n: 0.0))
     with pytest.raises(NumericsError):
         gamma_inf(3, ThetaSequence.constant(100.0))
 
 
 def test_gamma_inf_certify_horizons_unchanged(monkeypatch):
     horizons = []
-    sweep = limitchain._gamma_inf_backward
+    upto = limitchain._gamma_upto
 
     def recorded(i, ts, horizon):
-        horizons.append(horizon)
-        return sweep(i, ts, horizon)
+        for item in upto(i, ts, horizon):
+            horizons.append(item[0])
+            yield item
 
-    monkeypatch.setattr(limitchain, "_gamma_inf_backward", recorded)
+    monkeypatch.setattr(limitchain, "_gamma_upto", recorded)
+    # the closed form stay_3 (delta_4 + c_4 delta_5), 1.5e-16 from mpmath's
+    # 0.737836232107849 (perfbench/references.json)
     assert gamma_inf(3, ThetaSequence.eta_star(0.5)) == pytest.approx(
-        0.7378362321078565, rel=1e-15)
-    assert horizons == [1024, 2048, 4096, 8192, 16384]
+        0.7378362321078491, rel=1e-13)
+    assert horizons == [1024, 2048, 4096, 8192]
+
+
+def test_delta_i_inf_at_i_3_is_closed_form(monkeypatch):
+    # gamma_inf at i = 3 is checked against it, so it must not call gamma_inf
+    def refuse(*args, **kwargs):
+        raise AssertionError("delta_i_inf called gamma_inf")
+
+    monkeypatch.setattr(limitchain, "gamma_inf", refuse)
+    assert delta_i_inf(0.5, 3) == pytest.approx(0.737836232107849, rel=1e-15)
+    for theta in (0.5, 2.0, 40.0, 300.0):
+        stay3 = 2.0 / (2.0 + theta)
+        theta4 = theta * (1.0 + theta / 2.0)
+        assert delta_i_inf(theta, 3) == pytest.approx(
+            stay3 * (delta_i_inf(theta, 4) + theta4 / (3.0 + theta4) * delta_i_inf(theta, 5)),
+            rel=1e-15)
 
 
 def test_divergence_guard():
