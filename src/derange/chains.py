@@ -218,6 +218,38 @@ def sample_path(kind: ChainKind, n: int, seed: int, rep: int = 0):
     return sample_paths(kind, n, seed, range(rep, rep + 1))[0]
 
 
+def _signed_blocks(n: int, p: PSequence, kappa: float, seed: int, replicates: range):
+    """Yield (codes, labels, starts) per block of ``replicates``, one row
+    per replicate, as ``generate_signed_many`` documents its draws.
+
+    ``codes`` (rows, n) holds each step in ascending chain index, 0, 1 or 2
+    for '-0', '+0' or '1' (``_STEP_NAMES``); ``labels`` (rows, n) holds the
+    signed labels in circle order; row r of ``starts`` lists where each
+    circle after the first starts in row r of ``labels``, the last one at
+    n, padded past n.
+    """
+    if not (0.0 <= kappa <= 1.0):
+        raise ValueError("kappa must lie in [0, 1]")
+    for lead, ones, bits in _jump_blocks(ChainKind.x(p), n, seed, replicates, 2 * n):
+        plus = lead[:, :n] < kappa
+        codes = np.where(bits == 1, 2, plus)
+        # label t belongs to index n - t; its sign is that of the step at
+        # index n - t + 1, the virtual 1 above index n counting as positive
+        labels = np.argsort(lead[:, n:], axis=1) + 1
+        labels[:, 1:] *= np.where(codes == 0, -1, 1)[:, :0:-1]
+        # the 1 at index i closes a circle, so the next one starts at label
+        # n + 1 - i; padding maps past the last label
+        yield codes, labels, n + 1 - ones
+        del lead, ones, bits, plus, codes, labels  # drop this block before the next
+
+
+def _circles(labels: list, starts: list) -> list:
+    """One replicate's circles: its labels cut at its circle starts, a row
+    of ``_signed_blocks``'s starts, whose padding follows the end at n."""
+    starts = starts[:starts.index(len(labels)) + 1]
+    return [labels[a:b] for a, b in zip([0, *starts], starts)]
+
+
 def generate_signed_many(n: int, p: PSequence, kappa: float, seed: int,
                          replicates: range) -> list:
     """(signed word, uniformly labeled signed permutation) of each replicate
@@ -227,24 +259,12 @@ def generate_signed_many(n: int, p: PSequence, kappa: float, seed: int,
     i is '+0' when the i-th is below kappa), then n labeling uniforms (the
     label order is their argsort), then the jump uniforms of its word.
     """
-    if not (0.0 <= kappa <= 1.0):
-        raise ValueError("kappa must lie in [0, 1]")
     out = []
-    for lead, ones, bits in _jump_blocks(ChainKind.x(p), n, seed, replicates, 2 * n):
-        plus = lead[:, :n] < kappa
-        steps = _STEP_NAMES[np.where(bits == 1, 2, plus)]
-        # label t belongs to index n - t; its sign is that of the step at
-        # index n - t + 1, the virtual 1 above index n counting as positive
-        labels = np.argsort(lead[:, n:], axis=1) + 1
-        labels[:, 1:] *= np.where((bits == 0) & ~plus, -1, 1)[:, :0:-1]
-        # the 1 at index i closes a circle, so the next one starts at label
-        # n + 1 - i; padding maps past the last label
-        starts = (n + 1 - ones).tolist()
-        for word, labs, cuts in zip(steps.tolist(), labels.tolist(), starts):
-            cuts = [0] + [c for c in cuts if c <= n]
-            circles = tuple(tuple(labs[a:b]) for a, b in zip(cuts, cuts[1:]))
+    for codes, labels, starts in _signed_blocks(n, p, kappa, seed, replicates):
+        for word, labs, cuts in zip(_STEP_NAMES[codes].tolist(), labels.tolist(),
+                                    starts.tolist()):
             out.append((SignedWord(steps=tuple(word), kappa=kappa),
-                        SignedPermutation(circles=circles)))
+                        SignedPermutation(circles=tuple(map(tuple, _circles(labs, cuts))))))
     return out
 
 

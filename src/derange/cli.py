@@ -25,7 +25,8 @@ import numpy as np
 from . import __version__
 from .chains import (
     ChainKind,
-    generate_signed_many,
+    _circles,
+    _signed_blocks,
     marginal_one,
     sample_paths,
     word_to_string,
@@ -324,10 +325,13 @@ def _cmd_sample(args) -> int:
         raise ValueError("--reps must be >= 1")
     reps = range(args.reps)
     if args.kind == "signed":
-        pairs = generate_signed_many(args.n, PSequence.eta(args.theta), args.kappa,
-                                     args.seed, reps)
-        words = [{"word": word.to_string(), "circles": [list(c) for c in perm.circles]}
-                 for word, perm in pairs]
+        n, words = args.n, []
+        for codes, labels, starts in _signed_blocks(n, PSequence.eta(args.theta),
+                                                    args.kappa, args.seed, reps):
+            # SignedWord.to_string of every row: index n first, -0/+0/1 as o/i/1
+            text = np.frombuffer(b"oi1", dtype=np.uint8)[codes[:, ::-1]].tobytes().decode()
+            words += [{"word": text[r * n:(r + 1) * n], "circles": _circles(labs, cuts)}
+                      for r, (labs, cuts) in enumerate(zip(labels.tolist(), starts.tolist()))]
     else:
         words = [{"word": word_to_string(w)}
                  for w in sample_paths(_kind(args), args.n, args.seed, reps)]

@@ -157,14 +157,12 @@ def log_survival(h: np.ndarray) -> np.ndarray:
     return c
 
 
-def _jump_width(kind: ChainKind, h: np.ndarray) -> int:
+def _jump_width(kind: ChainKind, n: int, mu: float) -> int:
     """The 1-positions a replicate's word is expected to keep, which sizes
     the blocks of ``_sample``: mu + 3 sqrt(mu) + 2, capped by the most
     circles a word can have.  mu = sum h is the mean of the
     Poisson-binomial sum that bounds K (see ``coupling._k_cap``), so few
     words keep more."""
-    n = h.size - 1
-    mu = float(h[1:].sum())
     return min(n // (1 + kind.gap), int(mu + 3.0 * math.sqrt(mu)) + 2)
 
 
@@ -208,7 +206,9 @@ def sample_bits(kind: ChainKind, n: int, keys: np.ndarray, draw=_column,
     chosen uniforms pass as rows with ``draw = lambda u, k: u[:, k]``.
     The result has shape (rows, K_max): each row lists its 1-positions in
     descending chain index (the closing index of the first-formed circle
-    first), padded with 0; the last 1 of every word is at index 1.  With
+    first), padded with 0; the last 1 of every word is at index 1.  It is
+    stored column by column, so ``.T`` holds each jump's positions in one
+    contiguous row.  With
     ``depth``, every row stops after its first ``depth`` 1-positions, which
     are those of the whole word, so K_max is at most ``depth``.
     ``log_surv`` is ``log_survival(kind.one_probs(n))``, passed by callers
@@ -237,27 +237,29 @@ def sample_bits(kind: ChainKind, n: int, keys: np.ndarray, draw=_column,
         steps.append((active, t))
         z[active] = t - gap
         active = active[t > 1]
-    ones = np.zeros((rows, len(steps)), dtype=np.int64)
+    ones = np.zeros((len(steps), rows), dtype=np.int64)
     for k, (active, t) in enumerate(steps):
-        ones[active, k] = t
-    return ones
+        ones[k, active] = t
+    return ones.T
 
 
 def _sample(kind: ChainKind, h: np.ndarray, replicates: range, seed: int, lead: int,
-            depth: int | None = None):
+            depth: int | None = None, mu: float | None = None):
     """Yield (offset in ``replicates``, leading draws, 1-positions) per chunk.
 
     Each replicate's stream gives ``lead`` draws for the caller first, then
     the jump uniforms that ``sample_bits`` draws round by round, stopping
     after ``depth`` 1-positions.  A chunk holds ``_CHUNK_DRAWS`` over the
     draws a replicate is expected to take (``lead`` plus ``_jump_width``),
-    at least 1 and at most ``_BLOCK_ROWS`` replicates.  A caller drops its
-    references to a chunk before asking for the next, so one block is alive
-    at a draw.
+    at least 1 and at most ``_BLOCK_ROWS`` replicates; ``mu`` is sum h,
+    passed by a caller that has it.  A caller drops its references to a
+    chunk before asking for the next, so one block is alive at a draw.
     """
     n = h.size - 1
     log_surv = log_survival(h)
-    width = min(_jump_width(kind, h), depth or n)
+    if mu is None:
+        mu = float(h[1:].sum())
+    width = min(_jump_width(kind, n, mu), depth or n)
     chunk = max(1, min(_BLOCK_ROWS, _CHUNK_DRAWS // (lead + width)))
     for start in range(0, len(replicates), chunk):
         block = _replicate_numbers(replicates[start:start + chunk])
@@ -268,33 +270,55 @@ def _sample(kind: ChainKind, h: np.ndarray, replicates: range, seed: int, lead: 
         del draws, ones  # the next block is drawn without this one alive
 
 
+def _counts(mask: np.ndarray) -> np.ndarray:
+    """The true entries of each column of a (circles, rows) bool array,
+    summed down the short circle axis as int8 rows into int32."""
+    return mask.view(np.int8).sum(axis=0, dtype=np.int32)
+
+
 def _extract(statistic: str, ones: np.ndarray, orient: np.ndarray | None,
              n: int, j: int | None, target: int | None) -> np.ndarray:
+    """The statistic of each word of a block from its 1-positions (rows of
+    ``ones``, as ``sample_bits`` gives them) and, for the signed statistics,
+    its orientations (rows of ``orient``, index 1 first).
+
+    Each is an integer, so the sums below are exact.  They run on the
+    (circles, rows) transpose, where a reduction down the short circle
+    axis is a few passes over whole rows.
+    """
+    ones = np.ascontiguousarray(ones.T)  # row k: every word's k-th 1-position
     closed = ones > 0
-    k = closed.sum(axis=1)
+    k = _counts(closed)
     if statistic == "K":
         return k.astype(float)
-    rows = ones.shape[0]
-    upper = np.concatenate((np.full((rows, 1), n + 1), ones[:, :-1]), axis=1)
-    lengths = np.where(closed, upper - ones, 0)
+    # the 1 above each closing 1, the virtual one at n + 1 first; padding
+    # reads 1, so it spans no index below
+    upper = np.empty_like(ones)
+    upper[0] = n + 1
+    np.maximum(ones[:-1], 1, out=upper[1:])
     if statistic == "Cj":
-        return np.count_nonzero(closed & (lengths == j), axis=1).astype(float)
+        return _counts(closed & (upper - ones == j)).astype(float)
     if statistic == "A1":
-        return lengths[:, 0].astype(float)
+        return (upper[0] - ones[0]).astype(float)
     if statistic == "A2":
-        return (lengths[:, 1] if lengths.shape[1] > 1 else np.zeros(rows)).astype(float)
+        if len(ones) == 1:  # every word is one circle
+            return np.zeros(ones.shape[1])
+        return ((upper[1] - ones[1]) * closed[1]).astype(float)
     # a circle's members looking in: its leader, plus every index strictly
-    # between its closing 1 and the 1 above it that looks in
-    cum = np.zeros((rows, n + 1), dtype=np.int64)
-    np.cumsum(orient, axis=1, out=cum[:, 1:])
-    row = np.arange(rows)[:, None]
-    in_look = 1 + cum[row, upper - 1] - cum[row, ones]
+    # between its closing 1 at t and the 1 above it at u that looks in.  In
+    # one prefix sum over the block's orientations laid end to end, index i
+    # of row r is entry r n + i - 1, so the indices t + 1 .. u - 1 count
+    # cum[r n + u - 1] - cum[r n + t], and 0 past a row's last circle.
+    cum = np.zeros(orient.size + 1, dtype=np.int32)
+    np.cumsum(orient.reshape(-1), dtype=np.int32, out=cum[1:])
+    base = np.arange(0, orient.size, n)
+    inner = cum.take(upper - 1 + base) - cum.take(ones + base)
     if statistic == "Lambda":
-        return np.where(closed, in_look, 0).sum(axis=1).astype(float)
+        return (k + inner.sum(axis=0, dtype=np.int32)).astype(float)
     if statistic == "Cstar_j":
-        return np.count_nonzero(closed & (in_look == j), axis=1).astype(float)
+        return _counts(closed & (inner == j - 1)).astype(float)
     # Astar1: the first-formed circle, when more circles follow
-    return ((k > 1) & (in_look[:, 0] == target)).astype(float)
+    return ((k > 1) & (inner[0] == target - 1)).astype(float)
 
 
 _STATISTICS = ("K", "Cj", "A1", "A2", "Lambda", "Cstar_j", "Astar1")
@@ -390,21 +414,23 @@ def clt_diagnostic(kind: ChainKind, n: int, reps: int, seed: int) -> EstimateRep
     standardization, centered at sum h_i (h = ``kind.one_probs(n)``) and
     scaled by its square root, is still offset by an O(1) term at
     reachable horizons that a large-sample KS test resolves; its KS result
-    is reported in the extras.
+    is reported in the extras.  The centre qbar = sum h_i and qqbar =
+    sum h_i^2 are numpy pairwise sums of nonnegative terms, within about
+    (16 + log2 n) units in the last place of the exact sums, far below the
+    9 digits the CLI prints; qbar also sizes the sampler's blocks.
     """
     if reps < 2:
         raise ValueError("reps must be >= 2")
     h = kind.one_probs(n)
     q = h[1:]
-    # memoryviews hand fsum Python floats, not one boxed numpy scalar each
-    qbar = math.fsum(memoryview(q))
-    qqbar = math.fsum(memoryview(q * q))
+    qbar = float(q.sum())
+    qqbar = float((q * q).sum())
     sample = np.empty(reps)
     # the count is integer-valued; dither by Uniform(-1/2, 1/2), the first
     # draw of each replicate's stream, so the KS comparison against a
     # continuous CDF is not dominated by atom edges
     dither = np.empty(reps)
-    for start, draws, ones in _sample(kind, h, range(reps), seed, lead=1):
+    for start, draws, ones in _sample(kind, h, range(reps), seed, lead=1, mu=qbar):
         rows = slice(start, start + ones.shape[0])
         sample[rows] = np.count_nonzero(ones, axis=1)
         dither[rows] = draws[:, 0] - 0.5

@@ -19,7 +19,6 @@ import numpy as np
 
 from .chains import ChainKind
 from .dist import DistTable
-from .numerics import NumericsError
 
 
 def _log_factorials(m: int) -> np.ndarray:
@@ -185,13 +184,14 @@ def ordered_star_prob(kind: ChainKind, astar, n: int, weights: OrientationWeight
     of the first k circles in formation order, for a chain kind.
 
     A DP over b, the indices the circles so far take from the top, on the
-    kind's rows (``coupling.ordered_cycle_prefix_prob``'s factors): they
-    tile the top b indices, so stay_n ... stay_{n+1-b} is applied once at
-    the end, and a circle on a+1..b weighs omega_{b-a,a*} h_s/stay_s,
-    s = n + 1 - b; under a gap also 1/stay_{n-a} for its top index, held
-    at 0, with no 1-circles and 2 indices left below.  A step is one
-    convolution with an omega column: O(k n^2) time, O(n) memory.  A sum
-    past the float range (theta near it) raises NumericsError.
+    kind's rows (``coupling.ordered_cycle_prefix_prob``'s factors): the
+    next circle, on indices n - b down to s = n + 1 - b', weighs
+    omega_{b'-b,a*} h_s times stay at each index above s, but for its top
+    index under a gap, which is held at 0.  A gap also rules out 1-circles
+    and leaves 2 indices or more below.  Each state carries the whole
+    product of its circles, so every entry is a probability and none
+    leaves the float range, however extreme theta.  The circles ending at
+    b' read one cumulative product of stays: O(k n^2) time, O(k n) memory.
     """
     astar = tuple(int(a) for a in astar)
     if any(a < 1 for a in astar):
@@ -199,21 +199,18 @@ def ordered_star_prob(kind: ChainKind, astar, n: int, weights: OrientationWeight
     if sum(astar) >= n:
         raise ValueError("sum of in-looking counts must be < n")
     stay, h = kind.rows(n)
-    # b = 0..size-1 indices taken, leaving 1 + gap or more; index s = n+1-b
-    size = n - kind.gap
-    s = np.arange(n, kind.gap + 1, -1)
-    with np.errstate(all="ignore"):  # a sum past the float range is refused below
-        top = np.cumprod(np.concatenate(([1.0], stay[s])))
-        close = np.concatenate(([0.0], h[s] / stay[s]))
-        start = 1.0 / stay[n:n - size:-1] if kind.gap else 1.0
-        f = np.zeros(size)
-        f[0] = 1.0
-        for a in astar:
-            col = _omega_column(a, n, weights)
-            if kind.gap:
-                col[1] = 0.0  # no 1-cycles
-            f = close * np.convolve(f * start, col)[:size]
-        total = math.fsum((top * f).tolist())
-    if not math.isfinite(total):
-        raise NumericsError(f"the ordered in-look law at n = {n} is {total!r}")
-    return total
+    gap = kind.gap
+    cols = np.array([_omega_column(a, n, weights) for a in astar])
+    if gap:
+        cols[:, 1] = 0.0  # no 1-cycles
+    # f[t, b]: the first t circles take the top b indices, leaving 1 + gap or more
+    f = np.zeros((len(astar) + 1, n - gap))
+    f[0, 0] = 1.0
+    for end in range(1, n - gap):
+        s = n + 1 - end
+        # w[b]: h_s times the stays from s + 1 up to the circle's top index
+        # n - b, that one left out under a gap
+        w = np.full(end, h[s])
+        w[:end - 1 - gap] *= np.cumprod(stay[s + 1:s + end - gap])[::-1]
+        f[1:, end] = (f[:-1, :end] * cols[:, end:0:-1]) @ w
+    return math.fsum(f[-1].tolist())

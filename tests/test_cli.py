@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import math
 import os
@@ -8,8 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from derange import __version__, cli, oracle
-from derange.chains import ChainKind, generate_signed, sample_path, word_to_string
+from derange import __version__, chains, cli, oracle
+from derange.chains import (
+    ChainKind,
+    generate_signed,
+    generate_signed_many,
+    sample_path,
+    word_to_string,
+)
 from derange.coupling import k_distribution, pgf_k
 from derange.moments import mean_cj_eta_limit, mean_k, mean_k_eta_limit, var_cj_horizons
 from derange.montecarlo import clt_diagnostic, gem_diagnostic
@@ -237,6 +244,27 @@ def test_sample_words_are_library_replicates(capsys):
         word, perm = generate_signed(9, PSequence.eta(0.7), 0.3, 5, r)
         assert w == {"word": word.to_string(),
                      "circles": [list(c) for c in perm.circles]}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("kappa", ["0", "0.3", "1"])
+def test_signed_sample_is_the_library_payload(capsys, fmt, kappa):
+    # 1300 replicates at n = 50 are three blocks of the signed sampler; the
+    # printed report is the one built from generate_signed_many's objects
+    argv = ["sample", "--kind", "signed", "--n", "50", "--reps", "1300", "--kappa", kappa,
+            "--seed", "8", "--format", fmt]
+    p = PSequence.eta(1.0)
+    assert sum(1 for _ in chains._signed_blocks(50, p, float(kappa), 8, range(1300))) >= 3
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    pairs = generate_signed_many(50, p, float(kappa), 8, range(1300))
+    payload = [{"word": word.to_string(), "circles": [list(c) for c in perm.circles]}
+               for word, perm in pairs]
+    want = io.StringIO()
+    cli.emit_report(payload, fmt, cli._config_echo(command_parser("sample").parse_args(argv[1:])),
+                    stream=want)
+    # as bytes, a mismatch reports its first differing byte, not a diff of the whole report
+    assert out.encode() == want.getvalue().encode()
 
 
 def test_table1_csv_header(capsys):

@@ -146,12 +146,24 @@ def test_seeded_outputs_are_pinned():
     r = estimate("Lambda", kind, 12, 20000, 777, kappa=0.4)
     assert (r.mean, r.std_error) == (5.87035, 0.011575134688726223)
     r = clt_diagnostic(ChainKind.eta(1.0), 20000, 2000, 99)
-    assert (r.mean, r.p_value) == (-0.117976139735913, 0.03505551039522592)
+    assert (r.mean, r.p_value) == (-0.11797613973591353, 0.03505551039522592)
     word = sample_path(ChainKind.eta(1.0), 30, 5, 10**12 + 7)
     assert "".join(map(str, word)) == "101001000000000000000000000000"
     signed, perm = generate_signed(8, PSequence.eta(1.0), 0.4, 11, 3)
     assert signed.steps == ("1", "+0", "-0", "1", "+0", "-0", "+0", "-0")
     assert perm.circles == ((3, -5, 4, -7, 1), (8, -6, 2))
+
+
+@pytest.mark.parametrize("kind", [ChainKind.eta(1.0), ChainKind.y(ThetaSequence.eta_star(0.7))])
+def test_clt_centre_is_within_its_stated_bound(kind):
+    # qbar and qqbar are numpy pairwise sums: within (16 + log2 n) units in
+    # the last place of the exact sums
+    n = 20000
+    q = kind.one_probs(n)[1:]
+    extras = clt_diagnostic(kind, n, 20, 1).extras
+    ulps = (16 + math.log2(n)) * 2.0**-52
+    for got, exact in ((extras["qbar"], math.fsum(q)), (extras["qqbar"], math.fsum(q * q))):
+        assert abs(got - exact) <= ulps * exact
 
 
 def test_the_sampler_builds_no_generator(monkeypatch, capsys):
@@ -513,7 +525,7 @@ def test_results_do_not_depend_on_jump_width(monkeypatch):
     eta2 = ChainKind.eta(2.0)
     ref = (estimate("Cstar_j", kind, 25, 200, seed=6, j=2, kappa=0.35),
            clt_diagnostic(eta2, 300, 100, seed=6))
-    monkeypatch.setattr(montecarlo, "_jump_width", lambda kind, h: 1)
+    monkeypatch.setattr(montecarlo, "_jump_width", lambda kind, n, mu: 1)
     monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", 37 * 26)  # 37 replicates of 26 draws
     got = (estimate("Cstar_j", kind, 25, 200, seed=6, j=2, kappa=0.35),
            clt_diagnostic(eta2, 300, 100, seed=6))
@@ -554,6 +566,36 @@ def test_extraction_matches_word_loop(kind):
     ref = [_row_statistics(words[r], orient[r], n, j, target) for r in range(rows)]
     for stat in ("K", "Cj", "A1", "A2", "Lambda", "Cstar_j", "Astar1"):
         got = _extract(stat, ones, orient, n, j, target)
+        assert got.tolist() == [float(r[stat]) for r in ref], stat
+
+
+_SWEEP_KINDS = (ChainKind.eta(0.3), ChainKind.eta(4.0), ChainKind.y(ThetaSequence.constant(0.5)),
+                ChainKind.y(ThetaSequence.constant(6.0)))
+
+
+@given(kind=st.sampled_from(_SWEEP_KINDS), n=st.integers(2, 40), rows=st.integers(1, 40),
+       looks=st.sampled_from(("random", "all", "none")), single=st.booleans(),
+       pad=st.integers(0, 2), layout=st.sampled_from(("columns", "rows")),
+       j=st.integers(1, 5), target=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_extraction_matches_word_loop_everywhere(kind, n, rows, looks, single, pad, layout,
+                                                 j, target, seed):
+    # every horizon and block shape, orientations all in, all out or mixed,
+    # blocks of single-circle words, padding columns past every word, and
+    # 1-positions as sample_bits lays them out or row by row
+    rng = np.random.default_rng(seed)
+    if single:
+        ones = np.ones((rows, 1), dtype=np.int64)  # the only 1 at index 1
+    else:
+        ones = _bits(kind, n, rng.random((rows, _full_width(kind, n))))
+    ones = np.concatenate((ones, np.zeros((rows, pad), dtype=np.int64)), axis=1)
+    ones = (np.asfortranarray if layout == "columns" else np.ascontiguousarray)(ones)
+    orient = {"random": rng.random((rows, n)) < 0.4, "all": np.ones((rows, n), dtype=bool),
+              "none": np.zeros((rows, n), dtype=bool)}[looks]
+    words = _words(ones, n)
+    ref = [_row_statistics(words[r], orient[r], n, j, target) for r in range(rows)]
+    for stat in ("K", "Cj", "A1", "A2", "Lambda", "Cstar_j", "Astar1"):
+        got = _extract(stat, ones, orient, n, j, target)
+        assert got.dtype == float
         assert got.tolist() == [float(r[stat]) for r in ref], stat
 
 
@@ -644,7 +686,7 @@ def test_default_chunk_holds_a_pass_of_draws():
 
     # mu + 3 sqrt(mu) + 2 jumps expected, mu = sum h = 1.89 here
     kind = ChainKind.x(PSequence.eta(0.5))
-    assert montecarlo._jump_width(kind, kind.one_probs(12)) == 6
+    assert montecarlo._jump_width(kind, 12, float(kind.one_probs(12)[1:].sum())) == 6
     # a block holds _CHUNK_DRAWS // draws replicates, at most _BLOCK_ROWS
     assert montecarlo._BLOCK_ROWS == 8192
     assert rows(kind, 12, 0, 40000) == [8192] * 4 + [7232]  # 6 draws a replicate
@@ -661,7 +703,7 @@ def test_a_block_of_long_replicates_is_sized_by_the_budget(monkeypatch):
     # drawn, and a draw of more rows than the budget allows stops first
     kind, n, lead = ChainKind.eta(1.0), 10**6, 10**6
     h = kind.one_probs(n)
-    width = montecarlo._jump_width(kind, h)
+    width = montecarlo._jump_width(kind, n, float(h[1:].sum()))
     chunk = max(1, montecarlo._CHUNK_DRAWS // (lead + width))
 
     def guarded(seed, numbers, offset, count):

@@ -18,7 +18,6 @@ from derange.chains import (
     path_probability,
 )
 from derange.coupling import k_distribution, ordered_cycle_prefix_prob
-from derange.numerics import NumericsError
 from derange.params import PSequence, ThetaSequence
 from derange.signed_stats import (
     OrientationWeights,
@@ -295,20 +294,36 @@ def test_ordered_star_with_every_member_looking_in_on_x(name, n):
 @pytest.mark.parametrize("theta", [1e100, 1e200, 1e300])
 @pytest.mark.parametrize("n", [10, 400])
 def test_ordered_laws_at_extreme_theta(theta, n):
-    # the prefix law is a sum of logs of probabilities, so it stays in
-    # [0, 1]; the star law's separable DP may leave the float range, and
-    # then raises NumericsError, with no numpy warning escaping
+    # the prefix law is a sum of logs of probabilities, and the star law's
+    # DP carries whole products of probabilities, so both stay in [0, 1]
+    # with no numpy warning escaping
     w = OrientationWeights.binomial(0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for kind, a in ((ChainKind.y(ThetaSequence.constant(theta)), (1, 1)),
                         (ChainKind.eta(theta), (2, 2))):
             assert 0.0 <= ordered_cycle_prefix_prob(kind, a, n) <= 1.0
-            try:
-                value = ordered_star_prob(kind, a, n, w)
-            except NumericsError:
-                continue
-            assert 0.0 <= value <= 1.0, (kind, value)
+            assert 0.0 <= ordered_star_prob(kind, a, n, w) <= 1.0
+
+
+@pytest.mark.parametrize("kind, astar, near", [
+    (ChainKind.y(ThetaSequence.constant(1e200)), (1, 1), 1.0),
+    (ChainKind.eta(1e100), (2, 2), 0.25),
+], ids=["Y constant(1e200)", "X eta(1e100)"])
+def test_ordered_star_where_stays_underflow(kind, astar, near):
+    # a stay is about 1/theta, so a product of a few underflows while
+    # h/stay would overflow: nearly every circle is a 1-circle, or a
+    # 2-circle under the gap whose second member looks in with probability
+    # 1/2.  The law is the sum over the circle lengths of the prefix law
+    # (sums of logs) times the omega weights.
+    n, w = 10, OrientationWeights.binomial(0.5)
+    want = math.fsum(
+        ordered_cycle_prefix_prob(kind, a, n) * math.prod(omega(r, i, w) for r, i in zip(a, astar))
+        for a in itertools.product(range(1, n), repeat=len(astar))
+        if sum(a) < n and all(i <= r for r, i in zip(a, astar)))
+    got = ordered_star_prob(kind, astar, n, w)
+    assert got == pytest.approx(want, rel=1e-13)
+    assert got == pytest.approx(near, rel=1e-12)
 
 
 def test_ordered_laws_where_a_closing_probability_underflows():
