@@ -79,9 +79,9 @@ def _sanitize(x):
     if isinstance(x, dict):
         return {str(k): _sanitize(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
-        # a list of plain items (a circle's labels) is copied whole
+        # a list of plain items is kept as it is, a tuple of them copied whole
         if _PLAIN.issuperset(map(type, x)):
-            return list(x)
+            return x if type(x) is list else list(x)
         return [_sanitize(v) for v in x]
     if isinstance(x, np.ndarray):
         return _sanitize(x.tolist())
@@ -273,11 +273,14 @@ SUITES = {
 # ---------------------------------------------------------------------------
 # output
 
-def emit_report(results, fmt: str, config: dict, stream=None) -> None:
+def emit_report(results, fmt: str, config: dict, stream=None, plain: bool = False) -> None:
     """Write the report in one piece: JSON on one line, or CSV (columns are
     the union of the rows' keys, in order of first appearance) or text
-    after a comment line echoing the configuration."""
-    results = _sanitize(results)
+    after a comment line echoing the configuration.  Results pass through
+    ``_sanitize`` unless they are ``plain``: str, int, bool and None in
+    lists and str-keyed dicts, which are written as they are."""
+    if not plain:
+        results = _sanitize(results)
     header = {"config": config, "version": __version__}
     rows = results if isinstance(results, list) else [results]
     if fmt == "json":
@@ -335,7 +338,8 @@ def _cmd_sample(args) -> int:
     else:
         words = [{"word": word_to_string(w)}
                  for w in sample_paths(_kind(args), args.n, args.seed, reps)]
-    emit_report(words, args.format, _config_echo(args))
+    # words are str and circles lists of int lists: plain as they are
+    emit_report(words, args.format, _config_echo(args), plain=True)
     return EXIT_OK
 
 

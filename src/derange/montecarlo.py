@@ -12,8 +12,9 @@ than O(reps * n), K being the circle count.  Indices whose one
 probability rounds to 1 are taken as certain 1s (``_certain_ones``).
 
 Replicate r draws from its own SplitMix64 stream (Steele, Lea & Flood
-2014) in a fixed order: the leading draws a statistic needs (orientations
-or a KS dither), then one uniform per jump.  Uniform k of the stream is
+2014) in a fixed order: the leading draws a statistic needs (one for
+``Lambda``, ``Astar1`` and the KS dither), then one uniform per jump, then,
+for ``Cstar_j``, one per circle.  Uniform k of the stream is
 (splitmix64(key_r + k gamma) >> 11) 2^-53 with key_r =
 splitmix64(splitmix64(seed) ^ r), all modulo 2^64 (``_splitmix64``), a
 pure function of (seed, r, k).  ``replicate_uniforms`` draws any block of
@@ -25,6 +26,13 @@ probability at most R^2 L / 2^64 (2e-7 at 2000 replicates of 10^6
 draws).  No result depends on how replicates are batched, so the sampler
 stops each word after the jumps a statistic reads (``_JUMP_DEPTH``) and
 sizes a block by the draws a replicate is expected to take (``_sample``).
+
+The signed statistics draw orientations per circle, not per index: given
+its size a, a circle has 1 + Binomial(a - 1, kappa) members looking in,
+independently across circles, so the n - K non-leaders of a word give
+Lambda = K + Binomial(n - K, kappa), drawn by inverse CDF on the leading
+uniform (``_looking_in``), and a circle of size a has exactly i
+looking in when its uniform is below omega_{ai}.
 
 The two diagnostics test the normal limit of the cycle-count total and
 the GEM limit of the normalized ordered cycle lengths.
@@ -39,6 +47,7 @@ import numpy as np
 
 from .chains import ChainKind
 from .numerics import AccuracySpec, integrate
+from .signed_stats import OrientationWeights, _binom_pmf, _log_factorials, _omega_column
 
 # splitmix64 mixing constants (Steele, Lea & Flood 2014); documented so the
 # substream derivation can be reproduced outside this module.
@@ -49,8 +58,8 @@ _MASK64 = (1 << 64) - 1
 
 # Most draws a block of _sample is expected to take (512 KiB of float64): a
 # block holds _CHUNK_DRAWS // (expected draws per replicate) replicates, at
-# least 1 and at most _BLOCK_ROWS, so the memory of a block (its draws and
-# the orientation prefix sums of _extract) does not grow with n.
+# least 1 and at most _BLOCK_ROWS, so the memory of a block does not grow
+# with n.
 _CHUNK_DRAWS = 1 << 16
 # Most replicates in a block of _sample.  Short words would otherwise fill
 # a block with 2^16 replicates, and chains._jump_blocks keeps a dense
@@ -91,8 +100,11 @@ def _replicate_numbers(replicates: range) -> np.ndarray:
 def _stream_keys(seed: int, replicates: np.ndarray, offset: int = 0) -> np.ndarray:
     """key_r + offset gamma modulo 2^64 (uint64 arrays wrap) for each
     replicate number r of the uint64 array ``replicates``."""
-    keys = _splitmix64(replicates ^ _splitmix64(seed & _MASK64))
-    return keys + np.uint64(offset * _SM64_GAMMA & _MASK64)
+    keys = replicates ^ np.uint64(_splitmix64(seed & _MASK64))
+    keys += _GAMMA
+    _mix(keys, np.empty_like(keys))
+    keys += np.uint64(offset * _SM64_GAMMA & _MASK64)
+    return keys
 
 
 def replicate_uniforms(seed: int, replicates: np.ndarray, offset: int,
@@ -103,21 +115,31 @@ def replicate_uniforms(seed: int, replicates: np.ndarray, offset: int,
     Uniform k of replicate r is (_splitmix64(key_r + k gamma) >> 11) 2^-53
     with key_r = _splitmix64(_splitmix64(seed) ^ r), modulo 2^64.
     """
-    keys = _stream_keys(seed, replicates, offset)
+    return _draws(_stream_keys(seed, replicates, offset), count)
+
+
+def _draws(keys: np.ndarray, count: int) -> np.ndarray:
+    """Uniforms 0 .. count - 1 of the streams past the states ``keys``, one
+    row per state."""
     return _mix_uniforms(np.arange(1, count + 1, dtype=np.uint64) * _GAMMA + keys[:, None])
+
+
+def _mix(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``_splitmix64`` after its gamma step, in place on the uint64 array x;
+    t is uint64 scratch of x's shape."""
+    for shift, mul in ((_30, _MIX1), (_27, _MIX2)):
+        np.right_shift(x, shift, out=t)
+        np.bitwise_xor(x, t, out=x)
+        np.multiply(x, mul, out=x)
+    np.right_shift(x, _31, out=t)
+    return np.bitwise_xor(x, t, out=x)
 
 
 def _mix_uniforms(x: np.ndarray) -> np.ndarray:
     """(mix(x) >> 11) 2^-53 for each of the uint64 states x, where mix is
     ``_splitmix64`` after its gamma step; x is overwritten."""
     out = np.empty(x.shape)
-    t = out.view(np.uint64)  # scratch until the last pass
-    for shift, mul in ((_30, _MIX1), (_27, _MIX2)):
-        np.right_shift(x, shift, out=t)
-        np.bitwise_xor(x, t, out=x)
-        np.multiply(x, mul, out=x)
-    np.right_shift(x, _31, out=t)
-    np.bitwise_xor(x, t, out=x)
+    _mix(x, out.view(np.uint64))  # out is scratch until the last pass
     np.right_shift(x, _11, out=x)
     return np.multiply(x, 2.0**-53, out=out)
 
@@ -261,13 +283,47 @@ def _sample(kind: ChainKind, h: np.ndarray, replicates: range, seed: int, lead: 
         mu = float(h[1:].sum())
     width = min(_jump_width(kind, n, mu), depth or n)
     chunk = max(1, min(_BLOCK_ROWS, _CHUNK_DRAWS // (lead + width)))
+    skip = np.uint64(lead * _SM64_GAMMA & _MASK64)
     for start in range(0, len(replicates), chunk):
-        block = _replicate_numbers(replicates[start:start + chunk])
-        draws = replicate_uniforms(seed, block, 0, lead)
-        ones = sample_bits(kind, n, _stream_keys(seed, block, lead),
-                           log_surv=log_surv, depth=depth)
+        keys = _stream_keys(seed, _replicate_numbers(replicates[start:start + chunk]))
+        draws = _draws(keys, lead)
+        keys += skip  # the jumps follow the leading draws
+        ones = sample_bits(kind, n, keys, log_surv=log_surv, depth=depth)
         yield start, draws, ones
-        del draws, ones  # the next block is drawn without this one alive
+        del keys, draws, ones  # the next block is drawn without this one alive
+
+
+def _looking_in(n: int, kappa: float):
+    """The non-leaders looking in of words with k circles, Binomial(m,
+    kappa) with m = n - k, by inverse CDF: ``looking_in(k, u)`` for an int
+    array k of circle counts and one uniform u per entry.
+
+    The draw is the number of CDF entries P(B <= i), i < m, at or below u.
+    The last entry, P(B <= m) = 1, is left out, so rounding cannot give
+    m + 1, and kappa = 0 or 1 give point masses.  Entries more than
+    20 sqrt(m) from m kappa are left out too: the probability beyond them
+    is below 2 e^-800 (Hoeffding), so they are 0 or 1 to the last bit.
+    The CDF of each m is built once, when a block first holds it, and kept
+    for the calling ``estimate``.
+    """
+    log_fact = _log_factorials(n)
+    rows = {}  # circle count -> (lo, CDF entries lo .. hi - 1)
+
+    def looking_in(k: np.ndarray, u: np.ndarray) -> np.ndarray:
+        out = np.empty(k.size, dtype=np.int64)
+        for v in np.flatnonzero(np.bincount(k)).tolist():
+            if v not in rows:
+                m = n - v
+                half = 20.0 * math.sqrt(m)
+                lo = max(0, math.floor(m * kappa - half))
+                hi = min(m, math.ceil(m * kappa + half))
+                rows[v] = lo, np.cumsum(_binom_pmf(np.arange(lo, hi), m, kappa, log_fact))
+            lo, row = rows[v]
+            at = np.flatnonzero(k == v)
+            out[at] = np.searchsorted(row, u[at], side="right") + lo
+        return out
+
+    return looking_in
 
 
 def _counts(mask: np.ndarray) -> np.ndarray:
@@ -276,21 +332,32 @@ def _counts(mask: np.ndarray) -> np.ndarray:
     return mask.view(np.int8).sum(axis=0, dtype=np.int32)
 
 
-def _extract(statistic: str, ones: np.ndarray, orient: np.ndarray | None,
-             n: int, j: int | None, target: int | None) -> np.ndarray:
+def _extract(statistic: str, ones: np.ndarray, n: int, j: int | None = None,
+             law=None, u: np.ndarray | None = None,
+             keys: np.ndarray | None = None) -> np.ndarray:
     """The statistic of each word of a block from its 1-positions (rows of
-    ``ones``, as ``sample_bits`` gives them) and, for the signed statistics,
-    its orientations (rows of ``orient``, index 1 first).
+    ``ones``, as ``sample_bits`` gives them).
 
-    Each is an integer, so the sums below are exact.  They run on the
-    (circles, rows) transpose, where a reduction down the short circle
-    axis is a few passes over whole rows.
+    The signed statistics draw the members looking in per circle.
+    'Lambda' is K plus ``law(K, u)`` (``_looking_in``) at each row's
+    leading uniform ``u``.  For
+    'Cstar_j' and 'Astar1', ``law[a]`` is the probability that a circle of
+    size a has the in-look count asked for.  'Astar1' scores the first
+    circle, when more follow, when ``u`` is below it; 'Cstar_j' counts
+    circle c (in formation order) of row r when uniform K_r + c of the
+    stream past the state keys[r] (``_stream_keys``) is below it.
+
+    Each statistic is an integer, so the sums below are exact.  They run
+    on the (circles, rows) transpose, where a reduction down the short
+    circle axis is a few passes over whole rows.
     """
     ones = np.ascontiguousarray(ones.T)  # row k: every word's k-th 1-position
     closed = ones > 0
     k = _counts(closed)
     if statistic == "K":
         return k.astype(float)
+    if statistic == "Lambda":
+        return (k + law(k, u)).astype(float)
     # the 1 above each closing 1, the virtual one at n + 1 first; padding
     # reads 1, so it spans no index below
     upper = np.empty_like(ones)
@@ -304,21 +371,17 @@ def _extract(statistic: str, ones: np.ndarray, orient: np.ndarray | None,
         if len(ones) == 1:  # every word is one circle
             return np.zeros(ones.shape[1])
         return ((upper[1] - ones[1]) * closed[1]).astype(float)
-    # a circle's members looking in: its leader, plus every index strictly
-    # between its closing 1 at t and the 1 above it at u that looks in.  In
-    # one prefix sum over the block's orientations laid end to end, index i
-    # of row r is entry r n + i - 1, so the indices t + 1 .. u - 1 count
-    # cum[r n + u - 1] - cum[r n + t], and 0 past a row's last circle.
-    cum = np.zeros(orient.size + 1, dtype=np.int32)
-    np.cumsum(orient.reshape(-1), dtype=np.int32, out=cum[1:])
-    base = np.arange(0, orient.size, n)
-    inner = cum.take(upper - 1 + base) - cum.take(ones + base)
-    if statistic == "Lambda":
-        return (k + inner.sum(axis=0, dtype=np.int32)).astype(float)
-    if statistic == "Cstar_j":
-        return _counts(closed & (inner == j - 1)).astype(float)
-    # Astar1: the first-formed circle, when more circles follow
-    return ((k > 1) & (inner[0] == target - 1)).astype(float)
+    if statistic == "Astar1":  # the first-formed circle, when more circles follow
+        return ((k > 1) & (u < law[upper[0] - ones[0]])).astype(float)
+    # Cstar_j: circle c of the rows that have one, past their K_r jump uniforms
+    past = k.astype(np.uint64) * _GAMMA
+    past += keys
+    sizes = upper - ones
+    looks = np.zeros_like(closed)
+    for c, has in enumerate(closed):
+        r = np.flatnonzero(has)
+        looks[c, r] = _column(past.take(r), c) < law.take(sizes[c].take(r))
+    return _counts(looks).astype(float)
 
 
 _STATISTICS = ("K", "Cj", "A1", "A2", "Lambda", "Cstar_j", "Astar1")
@@ -337,9 +400,13 @@ def estimate(statistic: str, kind: ChainKind, n: int, reps: int, seed: int,
     (signed; need j and an orientation probability), 'Astar1' (signed;
     needs ``target``: indicator of the first circle having ``target``
     members looking in with more circles following).  The orientation
-    probability is ``kappa``, which must lie in [0, 1].  Orientation statistics draw one
-    orientation uniform per index from each replicate's stream before its
-    jump uniforms.
+    probability is ``kappa``, which must lie in [0, 1].
+
+    Replicate r's stream gives, in order: one leading uniform for 'Lambda'
+    (Lambda - K is Binomial(n - K, kappa), drawn by inverse CDF on it) and
+    'Astar1' (the first circle's in-look count); then one uniform per jump
+    (K_r of them, at most 2 for 'Astar1'); then, for 'Cstar_j', uniform
+    K_r + c for circle c = 0..K_r - 1 in formation order.
     """
     if reps < 2:
         raise ValueError("reps must be >= 2")
@@ -360,16 +427,24 @@ def estimate(statistic: str, kind: ChainKind, n: int, reps: int, seed: int,
         raise ValueError("kappa must lie in [0, 1]")
     if statistic in _NEEDS_ORIENT and kappa is None:
         raise ValueError(f"statistic {statistic!r} needs an orientation probability")
-    lead = n if statistic in _NEEDS_ORIENT else 0
+    law = None
+    if statistic == "Lambda":
+        law = _looking_in(n, kappa)
+    elif statistic in _NEEDS_ORIENT:  # omega_{a, i} by circle size a
+        law = _omega_column(j if statistic == "Cstar_j" else target, n,
+                            OrientationWeights.binomial(kappa))
+    lead = 1 if statistic in ("Lambda", "Astar1") else 0
     sample = np.empty(reps)
     h = kind.one_probs(n)
     depth = _JUMP_DEPTH.get(statistic)
-    for start, draws, ones in _sample(kind, h, range(reps), seed, lead, depth):
-        orient = draws < kappa if lead else None
-        sample[start:start + ones.shape[0]] = _extract(
-            statistic, ones, orient, n, j, target
-        )
-        del draws, ones, orient
+    replicates = range(reps)
+    for start, draws, ones in _sample(kind, h, replicates, seed, lead, depth):
+        rows = slice(start, start + ones.shape[0])
+        keys = (_stream_keys(seed, _replicate_numbers(replicates[rows]))
+                if statistic == "Cstar_j" else None)
+        sample[rows] = _extract(statistic, ones, n, j, law,
+                                draws[:, 0] if lead else None, keys)
+        del draws, ones, keys
     mean = float(np.mean(sample))
     sd = float(np.std(sample, ddof=1))
     return EstimateReport(
@@ -492,8 +567,8 @@ def gem_diagnostic(theta: float, n: int, reps: int, seed: int) -> EstimateReport
     depth = _JUMP_DEPTH["A2"]  # A1 and A2
     for start, draws, ones in _sample(kind, kind.one_probs(n), range(reps), seed, 0, depth=depth):
         rows = slice(start, start + ones.shape[0])
-        a1[rows] = _extract("A1", ones, None, n, None, None)
-        a2[rows] = _extract("A2", ones, None, n, None, None)
+        a1[rows] = _extract("A1", ones, n)
+        a2[rows] = _extract("A2", ones, n)
         del draws, ones
     beta_cdf = lambda x: 1.0 - (1.0 - np.clip(x, 0.0, 1.0)) ** theta
     d1 = ks_statistic(a1 / n, beta_cdf)

@@ -2,7 +2,7 @@ import bisect
 import math
 import random
 import tracemalloc
-from collections import deque
+from collections import Counter, deque
 from unittest import mock
 
 import mpmath
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import chisquare
+from scipy.stats import binom, chisquare
 
 from derange import chains, montecarlo, oracle
 from derange.chains import ChainKind, cycle_statistics, generate_signed, sample_path, sample_paths
@@ -33,7 +33,13 @@ from derange.montecarlo import (
     stick_breaking_sample,
 )
 from derange.params import PSequence, ThetaSequence
-from derange.signed_stats import lambda_total
+from derange.signed_stats import (
+    OrientationWeights,
+    _omega_column,
+    cstar_moments,
+    lambda_total,
+    ordered_star_prob,
+)
 
 
 def test_replicate_streams_distinct():
@@ -144,7 +150,7 @@ def test_seeded_outputs_are_pinned():
     r = estimate("K", kind, 12, 40000, 12345)
     assert (r.mean, r.std_error) == (1.7803, 0.003815089988819473)
     r = estimate("Lambda", kind, 12, 20000, 777, kappa=0.4)
-    assert (r.mean, r.std_error) == (5.87035, 0.011575134688726223)
+    assert (r.mean, r.std_error) == (5.86245, 0.011590652140231444)
     r = clt_diagnostic(ChainKind.eta(1.0), 20000, 2000, 99)
     assert (r.mean, r.p_value) == (-0.11797613973591353, 0.03505551039522592)
     word = sample_path(ChainKind.eta(1.0), 30, 5, 10**12 + 7)
@@ -175,7 +181,7 @@ def test_the_sampler_builds_no_generator(monkeypatch, capsys):
 
     monkeypatch.setattr(np.random, "Generator", counted)
     estimate("Lambda", ChainKind.eta(1.0), 12, 1000, 1, kappa=0.4)
-    # 576 orientation draws a replicate, where generators once took over
+    # a horizon of 576, where per-index orientation draws once took generators
     estimate("Lambda", ChainKind.eta(1.0), 576, 40, 1, kappa=0.4)
     clt_diagnostic(ChainKind.eta(1.0), 300, 600, 2)
     sample_paths(ChainKind.eta(1.0), 30, 3, range(50))
@@ -520,13 +526,13 @@ def test_jump_depth_gives_the_full_depth_results(stat, n, reps, budget, seed):
 
 def test_results_do_not_depend_on_jump_width(monkeypatch):
     # the width sizes the blocks only: width 1 with this budget gives 37
-    # replicates a block, after their orientation or dither draws
+    # replicates a block, 18 after their dither draws
     kind = ChainKind.x(PSequence.eta(1.5))
     eta2 = ChainKind.eta(2.0)
     ref = (estimate("Cstar_j", kind, 25, 200, seed=6, j=2, kappa=0.35),
            clt_diagnostic(eta2, 300, 100, seed=6))
     monkeypatch.setattr(montecarlo, "_jump_width", lambda kind, n, mu: 1)
-    monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", 37 * 26)  # 37 replicates of 26 draws
+    monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", 37)  # 37 replicates of 1 draw
     got = (estimate("Cstar_j", kind, 25, 200, seed=6, j=2, kappa=0.35),
            clt_diagnostic(eta2, 300, 100, seed=6))
     assert got == ref
@@ -541,32 +547,62 @@ def test_orientation_statistics_chunk_invariance():
         assert (r1.mean, r1.std_error) == (r2.mean, r2.std_error), stat
 
 
-def _row_statistics(word, looks, n, j, target):
-    """Per-word statistics by a direct loop over the word (the reference)."""
+def _row_statistics(word, n, j):
+    """Per-word unsigned statistics by a direct loop over the word (the reference)."""
     _, k, lengths = cycle_statistics(tuple(int(b) for b in word))
-    ones = [i for i in range(n, 0, -1) if word[i - 1] == 1]
-    tops = [n + 1] + ones[:-1]
-    in_look = [1 + sum(looks[i - 1] for i in range(lo + 1, hi))
-               for hi, lo in zip(tops, ones)]
-    return {
-        "K": k, "Cj": sum(a == j for a in lengths), "A1": lengths[0],
-        "A2": lengths[1] if k > 1 else 0, "Lambda": sum(in_look),
-        "Cstar_j": sum(c == j for c in in_look),
-        "Astar1": float(k > 1 and in_look[0] == target),
-    }
+    return {"K": k, "Cj": sum(a == j for a in lengths), "A1": lengths[0],
+            "A2": lengths[1] if k > 1 else 0}
+
+
+def _binomial_pmf(m, i, kappa):
+    """P(Binomial(m, kappa) = i) from math.comb, 0 outside 0..m."""
+    return math.comb(m, i) * kappa**i * (1 - kappa)**(m - i) if 0 <= i <= m else 0.0
+
+
+def _oriented_statistics(lengths, n, kappa, j, target, u, circle_u):
+    """Lambda, Cstar_j and Astar1 of a word with circles of sizes
+    ``lengths`` in formation order, by a scalar loop (the reference):
+    Lambda - K is the least x < n - K with u below P(Binomial(n - K, kappa)
+    <= x), else n - K; circle c has i members looking in when circle_u[c]
+    is below P(Binomial(a_c - 1, kappa) = i - 1)."""
+    k, x, cdf = len(lengths), 0, 0.0
+    while x < n - k:
+        cdf += _binomial_pmf(n - k, x, kappa)
+        if u < cdf:
+            break
+        x += 1
+    return {"Lambda": k + x,
+            "Cstar_j": sum(v < _binomial_pmf(a - 1, j - 1, kappa) for a, v in zip(lengths, circle_u)),
+            "Astar1": float(k > 1 and u < _binomial_pmf(lengths[0] - 1, target - 1, kappa))}
+
+
+def _check_extraction(kind, n, ones, kappa, j, target, u, seed):
+    """``_extract`` of every statistic on a block of 1-positions against the
+    per-word references: the leading uniforms ``u`` are chosen, and block
+    row r reads its circle uniforms from replicate r of run ``seed``."""
+    rows = ones.shape[0]
+    keys = montecarlo._stream_keys(seed, _replicate_numbers(range(rows)))
+    weights = OrientationWeights.binomial(kappa)
+    laws = {"Lambda": montecarlo._looking_in(n, kappa),
+            "Cstar_j": _omega_column(j, n, weights), "Astar1": _omega_column(target, n, weights)}
+    got = {stat: _extract(stat, ones, n, j, laws.get(stat), u, keys)
+           for stat in ("K", "Cj", "A1", "A2", "Lambda", "Cstar_j", "Astar1")}
+    assert all(v.dtype == float for v in got.values())
+    words = _words(ones, n)
+    for r in range(rows):
+        _, k, lengths = cycle_statistics(tuple(int(b) for b in words[r]))
+        want = {**_row_statistics(words[r], n, j),
+                **_oriented_statistics(lengths, n, kappa, j, target, u[r],
+                                       _reference_stream(seed, r, k, k))}
+        assert {stat: got[stat][r] for stat in want} == want, r
 
 
 @pytest.mark.parametrize("kind", [ChainKind.eta(1.2), ChainKind.y(ThetaSequence.constant(2.0))])
 def test_extraction_matches_word_loop(kind):
-    n, rows, j, target = 15, 300, 2, 2
+    n, rows = 15, 300
     rng = np.random.default_rng(5)
     ones = _bits(kind, n, rng.random((rows, _full_width(kind, n))))
-    orient = rng.random((rows, n)) < 0.4
-    words = _words(ones, n)
-    ref = [_row_statistics(words[r], orient[r], n, j, target) for r in range(rows)]
-    for stat in ("K", "Cj", "A1", "A2", "Lambda", "Cstar_j", "Astar1"):
-        got = _extract(stat, ones, orient, n, j, target)
-        assert got.tolist() == [float(r[stat]) for r in ref], stat
+    _check_extraction(kind, n, ones, 0.4, 2, 2, rng.random(rows), 5)
 
 
 _SWEEP_KINDS = (ChainKind.eta(0.3), ChainKind.eta(4.0), ChainKind.y(ThetaSequence.constant(0.5)),
@@ -574,14 +610,15 @@ _SWEEP_KINDS = (ChainKind.eta(0.3), ChainKind.eta(4.0), ChainKind.y(ThetaSequenc
 
 
 @given(kind=st.sampled_from(_SWEEP_KINDS), n=st.integers(2, 40), rows=st.integers(1, 40),
-       looks=st.sampled_from(("random", "all", "none")), single=st.booleans(),
-       pad=st.integers(0, 2), layout=st.sampled_from(("columns", "rows")),
+       kappa=st.sampled_from((0.0, 0.4, 1.0)), lead=st.sampled_from(("random", "zero")),
+       single=st.booleans(), pad=st.integers(0, 2), layout=st.sampled_from(("columns", "rows")),
        j=st.integers(1, 5), target=st.integers(1, 4), seed=st.integers(0, 2**16))
-def test_extraction_matches_word_loop_everywhere(kind, n, rows, looks, single, pad, layout,
+def test_extraction_matches_word_loop_everywhere(kind, n, rows, kappa, lead, single, pad, layout,
                                                  j, target, seed):
-    # every horizon and block shape, orientations all in, all out or mixed,
-    # blocks of single-circle words, padding columns past every word, and
-    # 1-positions as sample_bits lays them out or row by row
+    # every horizon and block shape, every member out, in or either, the
+    # least leading uniform, blocks of single-circle words, padding columns
+    # past every word, and 1-positions as sample_bits lays them out or row
+    # by row
     rng = np.random.default_rng(seed)
     if single:
         ones = np.ones((rows, 1), dtype=np.int64)  # the only 1 at index 1
@@ -589,14 +626,8 @@ def test_extraction_matches_word_loop_everywhere(kind, n, rows, looks, single, p
         ones = _bits(kind, n, rng.random((rows, _full_width(kind, n))))
     ones = np.concatenate((ones, np.zeros((rows, pad), dtype=np.int64)), axis=1)
     ones = (np.asfortranarray if layout == "columns" else np.ascontiguousarray)(ones)
-    orient = {"random": rng.random((rows, n)) < 0.4, "all": np.ones((rows, n), dtype=bool),
-              "none": np.zeros((rows, n), dtype=bool)}[looks]
-    words = _words(ones, n)
-    ref = [_row_statistics(words[r], orient[r], n, j, target) for r in range(rows)]
-    for stat in ("K", "Cj", "A1", "A2", "Lambda", "Cstar_j", "Astar1"):
-        got = _extract(stat, ones, orient, n, j, target)
-        assert got.dtype == float
-        assert got.tolist() == [float(r[stat]) for r in ref], stat
+    u = rng.random(rows) if lead == "random" else np.zeros(rows)
+    _check_extraction(kind, n, ones, kappa, j, target, u, seed)
 
 
 def test_lambda_mean_matches_exact():
@@ -605,6 +636,128 @@ def test_lambda_mean_matches_exact():
     _, exact = lambda_total(n, kappa, k_distribution(ChainKind.x(p), n))
     rep = estimate("Lambda", ChainKind.x(p), n, 20000, seed=17, kappa=kappa)
     assert abs(rep.mean - exact) < 4 * rep.std_error
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.1, 0.4, 0.5, 0.9, 1.0])
+def test_non_leaders_looking_in_stay_in_range_at_extreme_uniforms(kappa):
+    # the Binomial(m, kappa) probabilities often sum to 1 - 2^-53 or less
+    # in floating point, so the largest uniform would give m + 1 if the CDF
+    # kept its last entry; kappa = 0 and 1 are point masses at every uniform
+    n = 300
+    k = np.arange(1, n + 1)
+    looking_in = montecarlo._looking_in(n, kappa)
+    for u in (0.0, 0.5, 1.0 - 2.0**-53):
+        x = looking_in(k, np.full(n, u))
+        assert ((0 <= x) & (x <= n - k)).all(), u
+        if kappa in (0.0, 1.0):
+            assert (x == kappa * (n - k)).all(), u
+
+
+def _sampled(stat, kind, n, reps, seed, **kw):
+    """The report of ``estimate`` and the per-replicate values behind it."""
+    parts, extract = [], montecarlo._extract
+
+    def spy(*args):
+        parts.append(extract(*args))
+        return parts[-1]
+
+    with mock.patch.object(montecarlo, "_extract", spy):
+        rep = estimate(stat, kind, n, reps, seed, **kw)
+    sample = np.concatenate(parts)
+    assert sample.size == reps and float(np.mean(sample)) == rep.mean
+    return rep, sample
+
+
+def _oracle_words(kind, n):
+    """(probability, circle sizes in formation order) of every word, by
+    enumeration."""
+    return [(prob, cycle_statistics(word)[2]) for word, prob in oracle.exact_law(kind, n).items()]
+
+
+def _in_look_prob(a, i, kappa):
+    """P(a circle of size a has exactly i members looking in), from scipy."""
+    return float(binom.pmf(i - 1, a - 1, kappa))
+
+
+_CERT_KINDS = [ChainKind.x(PSequence.eta(0.5)), ChainKind.y(ThetaSequence.constant(1.5))]
+
+
+@pytest.mark.parametrize("kind", _CERT_KINDS, ids=["X eta(0.5)", "Y 1.5"])
+def test_sampled_lambda_law_is_the_oracle_law(kind):
+    # Lambda = K + Binomial(n - K, kappa), against the enumerated K law
+    n, kappa, reps = 12, 0.4, 40_000
+    law = Counter()
+    for prob, lengths in _oracle_words(kind, n):
+        k = len(lengths)
+        for x in range(n - k + 1):
+            law[k + x] += prob * float(binom.pmf(x, n - k, kappa))
+    _, sample = _sampled("Lambda", kind, n, reps, 41, kappa=kappa)
+    values, counts = np.unique(sample.astype(int), return_counts=True)
+    sampled = {int(v): int(c) for v, c in zip(values, counts)}
+    assert _chi_square_p(sampled, dict(law), reps) > 1e-3
+
+
+@pytest.mark.parametrize("kind", _CERT_KINDS, ids=["X eta(0.5)", "Y 1.5"])
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_sampled_cstar_moments_are_the_oracle_moments(kind, j):
+    # E[C*_j] and Var(C*_j) given each word: its circles look in independently
+    n, kappa, reps = 12, 0.4, 40_000
+    mean = second = 0.0
+    for prob, lengths in _oracle_words(kind, n):
+        looks = [_in_look_prob(a, j, kappa) for a in lengths]
+        mean += prob * sum(looks)
+        second += prob * (sum(p * (1 - p) for p in looks) + sum(looks) ** 2)
+    var = second - mean**2
+    enum = oracle.enumeration_moments(kind, n)
+    closed = cstar_moments(j, j, enum["mean_c"], enum["cov_c"], OrientationWeights.binomial(kappa))
+    assert closed == pytest.approx((mean, var), rel=1e-12, abs=1e-15)
+    rep, sample = _sampled("Cstar_j", kind, n, reps, 43, j=j, kappa=kappa)
+    assert abs(rep.mean - mean) < 4 * rep.std_error
+    # the sample variance against its own standard error
+    dev = sample - sample.mean()
+    var_se = math.sqrt((np.mean(dev**4) - np.mean(dev**2) ** 2) / reps)
+    assert abs(np.var(sample, ddof=1) - var) < 4 * var_se
+
+
+@pytest.mark.parametrize("kind", _CERT_KINDS, ids=["X eta(0.5)", "Y 1.5"])
+@pytest.mark.parametrize("target", [1, 2, 3])
+def test_sampled_astar1_is_the_oracle_probability(kind, target):
+    n, kappa, reps = 12, 0.4, 40_000
+    prob = sum(p * _in_look_prob(lengths[0], target, kappa)
+               for p, lengths in _oracle_words(kind, n) if len(lengths) > 1)
+    assert ordered_star_prob(kind, (target,), n, OrientationWeights.binomial(kappa)) == (
+        pytest.approx(prob, rel=1e-12))
+    rep, _ = _sampled("Astar1", kind, n, reps, 47, target=target, kappa=kappa)
+    assert abs(rep.mean - prob) < 4 * math.sqrt(prob * (1 - prob) / reps)
+
+
+@pytest.mark.parametrize("stat, kw", [("Lambda", {}), ("Cstar_j", {"j": 2}),
+                                      ("Astar1", {"target": 1})])
+def test_orientation_draws_do_not_grow_with_n(monkeypatch, stat, kw):
+    # at n = 10**5 a replicate mixes its leading uniform, one uniform per
+    # jump, and for Cstar_j one per circle: a few dozen, not n
+    n, reps = 10**5, 600
+    mixed, blocks = [], []
+    mix, bits = montecarlo._mix_uniforms, montecarlo.sample_bits
+
+    def counted(x):
+        mixed.append(x.size)
+        return mix(x)
+
+    def kept(*args, **kwargs):
+        blocks.append(bits(*args, **kwargs))
+        return blocks[-1]
+
+    monkeypatch.setattr(montecarlo, "_mix_uniforms", counted)
+    monkeypatch.setattr(montecarlo, "sample_bits", kept)
+    estimate(stat, ChainKind.eta(1.0), n, reps, 3, kappa=0.4, **kw)
+    jumps = sum(np.count_nonzero(ones) for ones in blocks)
+    k_max = max(ones.shape[1] for ones in blocks)
+    circles = jumps if stat == "Cstar_j" else 0
+    lead = 0 if stat == "Cstar_j" else 1
+    assert sum(mixed) == reps * lead + jumps + circles
+    assert sum(mixed) - circles <= reps * (k_max + 2)
+    assert circles <= reps * k_max
 
 
 def test_small_inputs_rejected():
@@ -662,14 +815,14 @@ def test_no_block_is_alive_while_the_next_is_drawn(run):
     # the bytes live as each block draw starts are those of the first: the
     # results are allocated up front.  With the previous block kept alive,
     # estimate('K') entered its later draws with 1.04 MB live, not 0.39 MB.
-    live = []
+    live, stream_keys = [], montecarlo._stream_keys
 
-    def spy(seed, numbers, offset, count):
+    def spy(seed, numbers, offset=0):
         live.append(tracemalloc.get_traced_memory()[0])
-        return replicate_uniforms(seed, numbers, offset, count)
+        return stream_keys(seed, numbers, offset)
 
     run()
-    with mock.patch.object(montecarlo, "replicate_uniforms", spy):
+    with mock.patch.object(montecarlo, "_stream_keys", spy):
         tracemalloc.start()
         try:
             run()
@@ -698,19 +851,21 @@ def test_default_chunk_holds_a_pass_of_draws():
 
 
 def test_a_block_of_long_replicates_is_sized_by_the_budget(monkeypatch):
-    # estimate('Lambda', n = 10**6) draws 10**6 orientations a replicate; a
-    # 512-row block of them would take 4 GB, so only the first block is
-    # drawn, and a draw of more rows than the budget allows stops first
+    # a signed word of length 5 * 10**5 draws 10**6 leading uniforms (its
+    # orientations and labels); a 512-row block of them would take 4 GB, so
+    # only the first block is drawn, and a draw of more rows than the
+    # budget allows stops first
     kind, n, lead = ChainKind.eta(1.0), 10**6, 10**6
     h = kind.one_probs(n)
     width = montecarlo._jump_width(kind, n, float(h[1:].sum()))
     chunk = max(1, montecarlo._CHUNK_DRAWS // (lead + width))
+    stream_keys = montecarlo._stream_keys
 
-    def guarded(seed, numbers, offset, count):
+    def guarded(seed, numbers, offset=0):
         assert numbers.size <= chunk, "the block holds more replicates than the budget"
-        return replicate_uniforms(seed, numbers, offset, count)
+        return stream_keys(seed, numbers, offset)
 
-    monkeypatch.setattr(montecarlo, "replicate_uniforms", guarded)
+    monkeypatch.setattr(montecarlo, "_stream_keys", guarded)
     _, draws, ones = next(montecarlo._sample(kind, h, range(600), 5, lead))
     assert draws.shape == (chunk, lead)
     assert ones.shape[0] == chunk
@@ -724,7 +879,7 @@ def test_a_block_of_long_replicates_is_sized_by_the_budget(monkeypatch):
 def test_default_chunk_gives_the_fixed_chunk_results(stat, reps, kw):
     kind = ChainKind.x(PSequence.eta(0.5))
     got = estimate(stat, kind, 12, reps, 77, kappa=0.4, **kw)
-    for budget in (7 * 18, 512 * 18):  # 7 and 576 rows at Lambda's 16 draws a row
+    for budget in (7 * 18, 512 * 18):  # 18 and 1316 rows at Lambda's 7 draws a row
         assert _with_budget(budget, estimate, stat, kind, 12, reps, 77, kappa=0.4, **kw) == got
 
 
